@@ -28,6 +28,17 @@ double CipherBackend::Decrypt(const Cipher& c) const {
   return codec_.Decode(DecryptRaw(c.data), c.exponent, plain_modulus());
 }
 
+BigInt CipherBackend::HornerRaw(std::span<const Cipher> slots,
+                                size_t shift_bits) const {
+  VF2_CHECK(!slots.empty()) << "empty Horner chain";
+  const BigInt shift = BigInt(1) << shift_bits;
+  BigInt acc = slots.back().data;
+  for (size_t i = slots.size() - 1; i-- > 0;) {
+    acc = HAddRaw(slots[i].data, SMulRaw(shift, acc));
+  }
+  return acc;
+}
+
 std::vector<BigInt> CipherBackend::DecryptRawBatch(
     const std::vector<BigInt>& cs, ThreadPool* /*pool*/) const {
   std::vector<BigInt> out;
@@ -103,7 +114,7 @@ Status CipherBackend::DeserializeCipher(ByteReader* r, Cipher* c) const {
 
 BigInt PaillierBackend::EncryptRaw(const BigInt& m, Rng* rng) const {
   if (noise_pool_ != nullptr) {
-    return pub_.EncryptWithNonce(m, noise_pool_->Take(rng));
+    return pub_.EncryptWithNonce(m, noise_pool_->Take());
   }
   return pub_.Encrypt(m, rng);
 }
@@ -111,6 +122,14 @@ BigInt PaillierBackend::EncryptRaw(const BigInt& m, Rng* rng) const {
 BigInt PaillierBackend::DecryptRaw(const BigInt& data) const {
   VF2_CHECK(priv_.has_value()) << "PaillierBackend has no private key";
   return priv_->Decrypt(data);
+}
+
+BigInt PaillierBackend::HornerRaw(std::span<const Cipher> slots,
+                                  size_t shift_bits) const {
+  std::vector<const BigInt*> data;
+  data.reserve(slots.size());
+  for (const Cipher& c : slots) data.push_back(&c.data);
+  return pub_.HornerPow2(data, shift_bits);
 }
 
 std::vector<BigInt> PaillierBackend::DecryptRawBatch(

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -57,6 +58,13 @@ class CipherBackend {
   BigInt HSubRaw(const BigInt& a, const BigInt& b) const {
     return HAddRaw(a, NegRaw(b));
   }
+  /// Horner chain of the §5.2 pack: c_0 ⊕ 2^M ⊗ (c_1 ⊕ 2^M ⊗ (… c_{t-1})),
+  /// M = shift_bits, over the slots' raw data (exponents are ignored).
+  /// The default runs one SMulRaw and one HAddRaw per step; the Paillier
+  /// backend keeps the chain in Montgomery form, with the same result.
+  /// `slots` must not be empty.
+  virtual BigInt HornerRaw(std::span<const Cipher> slots,
+                           size_t shift_bits) const;
   /// Batch decryption of raw ciphertexts. The default loops DecryptRaw;
   /// the Paillier backend spreads the independent CRT halves across `pool`
   /// when one is given.
@@ -133,6 +141,8 @@ class PaillierBackend : public CipherBackend {
   BigInt EncryptPublicRaw(const BigInt& m) const override {
     return pub_.EncryptUnobfuscated(m);
   }
+  BigInt HornerRaw(std::span<const Cipher> slots,
+                   size_t shift_bits) const override;
 
  private:
   PaillierPublicKey pub_;

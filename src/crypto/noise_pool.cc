@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "obs/phase_tag.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -14,7 +13,8 @@ NoisePool::NoisePool(PaillierPublicKey pub, size_t capacity, size_t workers,
     : pub_(std::move(pub)),
       capacity_(capacity == 0 ? 1 : capacity),
       low_water_(capacity_ / 2),
-      seed_(seed) {
+      seed_(seed),
+      miss_rng_(seed ^ 0x6d6973736573ULL) {  // "misses"
   workers_.reserve(workers);
   // Producer CPU shows up in profiles as its own phase, attributed to the
   // party that owns the pool (inherited from the constructing thread).
@@ -81,7 +81,7 @@ void NoisePool::ProducerLoop(size_t worker_index) {
   }
 }
 
-BigInt NoisePool::Take(Rng* fallback_rng) {
+BigInt NoisePool::Take() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (!ready_.empty()) {
@@ -98,8 +98,14 @@ BigInt NoisePool::Take(Rng* fallback_rng) {
     refill_cv_.notify_all();
   }
   PublishFill(0);
-  VF2_DCHECK(fallback_rng != nullptr);
-  return pub_.MakeNonce(fallback_rng);
+  // Only the seed draw is serialized; concurrent misses compute in parallel.
+  uint64_t miss_seed;
+  {
+    std::lock_guard<std::mutex> lock(miss_mu_);
+    miss_seed = miss_rng_.NextU64();
+  }
+  Rng rng(miss_seed);
+  return pub_.MakeNonce(&rng);
 }
 
 NoisePool::Stats NoisePool::stats() const {

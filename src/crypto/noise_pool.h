@@ -27,8 +27,10 @@ namespace vf2boost {
 /// extended one stage earlier).
 ///
 /// Thread-safe: any number of concurrent consumers (Take) and producers.
-/// A Take on an empty pool never blocks — it computes the nonce inline with
-/// the caller's rng and counts a miss.
+/// A Take on an empty pool never blocks — it computes the nonce inline from
+/// the pool's own miss stream and counts a miss. Callers' rngs are never
+/// touched, so whatever else they sample (codec exponents) does not depend
+/// on how often the pool ran dry.
 class NoisePool {
  public:
   /// Counter snapshot. The live counters are std::atomic (consumers and
@@ -51,9 +53,9 @@ class NoisePool {
   NoisePool(const NoisePool&) = delete;
   NoisePool& operator=(const NoisePool&) = delete;
 
-  /// Pops a pre-computed nonce, or computes one inline from `fallback_rng`
-  /// when the pool is empty. Never blocks.
-  BigInt Take(Rng* fallback_rng);
+  /// Pops a pre-computed nonce, or computes one inline from the pool's miss
+  /// stream when the pool is empty. Never blocks on producers.
+  BigInt Take();
 
   Stats stats() const;
   size_t capacity() const { return capacity_; }
@@ -85,6 +87,9 @@ class NoisePool {
   std::atomic<obs::Gauge*> fill_gauge_{nullptr};
   std::atomic<uint64_t> fill_updates_{0};  // trace-counter throttle
   bool shutdown_ = false;
+
+  std::mutex miss_mu_;
+  Rng miss_rng_;  // seeds the nonces computed inline on a miss
   std::vector<std::thread> workers_;
 };
 

@@ -10,7 +10,24 @@ size_t MaxSlotsPerCipher(size_t slot_bits, size_t plain_modulus_bits) {
   return (plain_modulus_bits - slot_bits) / slot_bits;
 }
 
-Result<PackedCipher> PackCiphers(const std::vector<Cipher>& slots,
+Status ValidatePackedShape(const PackedCipher& packed,
+                           size_t plain_modulus_bits) {
+  if (packed.slot_bits == 0 || packed.slot_bits >= plain_modulus_bits) {
+    return Status::ProtocolError(
+        "pack slot width " + std::to_string(packed.slot_bits) +
+        " outside (0, " + std::to_string(plain_modulus_bits) + ")");
+  }
+  const size_t capacity =
+      MaxSlotsPerCipher(packed.slot_bits, plain_modulus_bits);
+  if (packed.num_slots == 0 || packed.num_slots > capacity) {
+    return Status::ProtocolError(
+        "pack carries " + std::to_string(packed.num_slots) +
+        " slots, capacity is " + std::to_string(capacity));
+  }
+  return Status::OK();
+}
+
+Result<PackedCipher> PackCiphers(std::span<const Cipher> slots,
                                  size_t slot_bits,
                                  const CipherBackend& backend) {
   if (slots.empty()) {
@@ -31,15 +48,8 @@ Result<PackedCipher> PackCiphers(const std::vector<Cipher>& slots,
     }
   }
 
-  // Horner evaluation from the last slot inward.
-  const BigInt shift = BigInt(1) << slot_bits;
-  BigInt acc = slots.back().data;
-  for (size_t i = slots.size() - 1; i-- > 0;) {
-    acc = backend.HAddRaw(slots[i].data, backend.SMulRaw(shift, acc));
-  }
-
   PackedCipher out;
-  out.data = std::move(acc);
+  out.data = backend.HornerRaw(slots, slot_bits);
   out.exponent = exponent;
   out.slot_bits = static_cast<uint32_t>(slot_bits);
   out.num_slots = static_cast<uint32_t>(slots.size());
@@ -77,6 +87,8 @@ Result<std::vector<double>> DecryptPacked(const PackedCipher& packed,
   if (!backend.can_decrypt()) {
     return Status::CryptoError("backend has no private key");
   }
+  VF2_RETURN_IF_ERROR(
+      ValidatePackedShape(packed, backend.plain_modulus().BitLength()));
   return DecodePackedPlain(packed, backend.DecryptRaw(packed.data), backend);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -29,11 +30,20 @@ size_t MaxSlotsPerCipher(size_t slot_bits, size_t plain_modulus_bits);
 /// [0, 2^slot_bits)) into one cipher via the polynomial transformation
 ///   ⟦V̄⟧ = ⟦V₁⟧ ⊕ 2^M ⊗ (⟦V₂⟧ ⊕ 2^M ⊗ (…)).
 /// Returns InvalidArgument if the slots disagree on exponent or exceed
-/// capacity. Cost: (t-1) HAdd + (t-1) SMul — repaid ~t× at decryption and on
-/// the wire.
-Result<PackedCipher> PackCiphers(const std::vector<Cipher>& slots,
+/// capacity. Cost: one CipherBackend::HornerRaw chain of t-1 steps, each
+/// ≈ slot_bits+2 Montgomery multiplies under Paillier — repaid ~t× at
+/// decryption and on the wire.
+Result<PackedCipher> PackCiphers(std::span<const Cipher> slots,
                                  size_t slot_bits,
                                  const CipherBackend& backend);
+
+/// Rejects a received pack that no PackCiphers call under a plaintext
+/// modulus of `plain_modulus_bits` bits produces: a slot width of 0 or not
+/// below the modulus, or 0 slots, or more than MaxSlotsPerCipher. Run it on
+/// wire input before decrypting or unpacking: UnpackPlaintext allocates one
+/// value per slot. ProtocolError on failure.
+Status ValidatePackedShape(const PackedCipher& packed,
+                           size_t plain_modulus_bits);
 
 /// Splits a decrypted packed plaintext back into its slot values
 /// (V₁ = low M bits, V₂ = next M bits, …). Slots may exceed 64 bits (large
@@ -50,7 +60,8 @@ std::vector<double> DecodePackedPlain(const PackedCipher& packed,
 
 /// Decrypts a packed cipher and returns the decoded slot values. Slot
 /// plaintexts are unsigned (the protocol shifts them nonnegative before
-/// packing), so decoding never applies the negative-range rule.
+/// packing), so decoding never applies the negative-range rule. The pack's
+/// shape is checked first (ValidatePackedShape).
 Result<std::vector<double>> DecryptPacked(const PackedCipher& packed,
                                           const CipherBackend& backend);
 

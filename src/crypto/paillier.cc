@@ -84,6 +84,35 @@ BigInt PaillierPublicKey::SMul(const BigInt& k, const BigInt& c) const {
   return mont_n2_->Pow(c, k);
 }
 
+BigInt PaillierPublicKey::HornerPow2(std::span<const BigInt* const> slots,
+                                     size_t shift_bits) const {
+  VF2_CHECK(!slots.empty()) << "empty Horner chain";
+  // A one-slot chain performs no operation, so it returns the slot as is.
+  if (slots.size() == 1) return *slots.front();
+  const MontgomeryContext& ctx = *mont_n2_;
+  const size_t k = ctx.num_limbs();
+  thread_local std::vector<uint64_t> scratch;
+  if (scratch.size() < 2 * k) scratch.resize(2 * k);
+  uint64_t* acc = scratch.data();
+  uint64_t* slot = acc + k;
+  // Wire ciphers need not be reduced; HAdd and Pow reduce them too.
+  auto to_mont = [&](const BigInt& c, uint64_t* out) {
+    if (c.IsNegative() || c.Compare(n2_) >= 0) {
+      ctx.LoadRaw(Mod(c, n2_), out);
+    } else {
+      ctx.LoadRaw(c, out);
+    }
+    ctx.MulReduceRaw(out, ctx.r2_raw(), out);
+  };
+  to_mont(*slots.back(), acc);
+  for (size_t i = slots.size() - 1; i-- > 0;) {
+    for (size_t s = 0; s < shift_bits; ++s) ctx.MulReduceRaw(acc, acc, acc);
+    to_mont(*slots[i], slot);
+    ctx.MulReduceRaw(acc, slot, acc);
+  }
+  return ctx.FromMontRaw(acc);
+}
+
 BigInt PaillierPublicKey::Rerandomize(const BigInt& c, Rng* rng) const {
   return RerandomizeWithNonce(c, MakeNonce(rng));
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -69,6 +70,15 @@ class PaillierPublicKey {
 
   /// Scalar multiplication: Dec(SMul(k, c)) = k * m mod n.
   BigInt SMul(const BigInt& k, const BigInt& c) const;
+
+  /// Packing chain c_0 ⊕ 2^M ⊗ (c_1 ⊕ 2^M ⊗ (… c_{t-1})) for M = shift_bits,
+  /// the same residue as t-1 rounds of HAdd(c_i, SMul(2^M, acc)). The
+  /// accumulator stays in Montgomery form for the whole chain, so a step is
+  /// M squarings, one conversion of c_i and one multiply (≈ M+2 MontMuls)
+  /// instead of a windowed Pow round trip plus a DivMod, with no per-step
+  /// allocation. `slots` must not be empty.
+  BigInt HornerPow2(std::span<const BigInt* const> slots,
+                    size_t shift_bits) const;
 
   /// Re-randomization: a fresh, unlinkable encryption of the same plaintext
   /// (c * nonce mod n^2). Used to obfuscate derived ciphers (e.g. histogram

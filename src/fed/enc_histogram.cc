@@ -7,6 +7,69 @@
 
 namespace vf2boost {
 
+namespace {
+
+// Packs a stream of prefix ciphers into ceil(n / capacity) packs, as many
+// as capacity-sized groups would need, but with slot counts that differ by
+// at most one. Each pack is an independent Horner chain; ParallelFor hands
+// every worker a contiguous run of packs, so a short trailing group would
+// leave its worker idle while the others finish full chains.
+Result<std::vector<PackedCipher>> PackPrefixes(
+    const std::vector<Cipher>& prefix, size_t slot_bits, size_t capacity,
+    const CipherBackend& backend, ThreadPool* pool) {
+  if (prefix.empty()) return std::vector<PackedCipher>{};
+  const size_t packs = (prefix.size() + capacity - 1) / capacity;
+  const size_t base = prefix.size() / packs;
+  const size_t longer = prefix.size() % packs;  // packs with base+1 slots
+  std::vector<PackedCipher> out(packs);
+  std::vector<Status> status(packs);
+  auto pack = [&](size_t i) {
+    const std::span<const Cipher> group =
+        std::span<const Cipher>(prefix).subspan(
+            i * base + std::min(i, longer), base + (i < longer ? 1 : 0));
+    auto packed = PackCiphers(group, slot_bits, backend);
+    if (packed.ok()) {
+      out[i] = std::move(packed).value();
+    } else {
+      status[i] = packed.status();
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(packs, pack);
+  } else {
+    for (size_t i = 0; i < packs; ++i) pack(i);
+  }
+  for (const Status& s : status) VF2_RETURN_IF_ERROR(s);
+  return out;
+}
+
+// Checks one received pack stream before anything is decrypted: pack
+// shapes, one shared slot width, and exactly one slot per layout bin.
+Status CheckPackStream(const std::vector<PackedCipher>& packs,
+                       size_t slot_bits, size_t total_bins,
+                       const CipherBackend& backend) {
+  const size_t modulus_bits = backend.plain_modulus().BitLength();
+  size_t slots = 0;
+  for (const PackedCipher& pc : packs) {
+    if (pc.slot_bits != slot_bits) {
+      return Status::ProtocolError("pack slot width " +
+                                   std::to_string(pc.slot_bits) +
+                                   " does not match " +
+                                   std::to_string(slot_bits));
+    }
+    VF2_RETURN_IF_ERROR(ValidatePackedShape(pc, modulus_bits));
+    slots += pc.num_slots;
+  }
+  if (slots != total_bins) {
+    return Status::ProtocolError(
+        "packs carry " + std::to_string(slots) + " slots for " +
+        std::to_string(total_bins) + " layout bins");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 IncrementalHistogramBuilder::IncrementalHistogramBuilder(
     const BinnedMatrix* x, const FeatureLayout* layout,
     const CipherBackend* backend, bool reordered, bool gh)
@@ -211,7 +274,7 @@ Result<PackedHistogram> PackHistogram(const EncryptedHistogram& hist,
                                       size_t num_instances, double grad_bound,
                                       const CipherBackend& backend,
                                       AccumulatorStats* stats,
-                                      size_t min_slots) {
+                                      size_t min_slots, ThreadPool* pool) {
   const FixedPointCodec& codec = backend.codec();
   const int exponent = codec.max_exponent();
 
@@ -268,19 +331,10 @@ Result<PackedHistogram> PackHistogram(const EncryptedHistogram& hist,
   }
   if (stats != nullptr) stats->scalings += scalings;
 
-  auto pack_all = [&](const std::vector<Cipher>& prefix,
-                      std::vector<PackedCipher>* packs) -> Status {
-    for (size_t begin = 0; begin < prefix.size(); begin += capacity) {
-      const size_t end = std::min(prefix.size(), begin + capacity);
-      std::vector<Cipher> group(prefix.begin() + begin, prefix.begin() + end);
-      auto packed = PackCiphers(group, slot_bits, backend);
-      VF2_RETURN_IF_ERROR(packed.status());
-      packs->push_back(std::move(packed).value());
-    }
-    return Status::OK();
-  };
-  VF2_RETURN_IF_ERROR(pack_all(g_prefix, &out.g_packs));
-  VF2_RETURN_IF_ERROR(pack_all(h_prefix, &out.h_packs));
+  VF2_ASSIGN_OR_RETURN(out.g_packs, PackPrefixes(g_prefix, slot_bits, capacity,
+                                                 backend, pool));
+  VF2_ASSIGN_OR_RETURN(out.h_packs, PackPrefixes(h_prefix, slot_bits, capacity,
+                                                 backend, pool));
   return out;
 }
 
@@ -314,6 +368,14 @@ Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
   if (!backend.can_decrypt()) {
     return Status::CryptoError("backend has no private key");
   }
+  const size_t slot_bits =
+      packed.slot_bits != 0 || packed.g_packs.empty()
+          ? packed.slot_bits
+          : packed.g_packs.front().slot_bits;
+  VF2_RETURN_IF_ERROR(CheckPackStream(packed.g_packs, slot_bits,
+                                      layout.total_bins(), backend));
+  VF2_RETURN_IF_ERROR(CheckPackStream(packed.h_packs, slot_bits,
+                                      layout.total_bins(), backend));
   // Batch-decrypt every pack (g and h together) in one DecryptRawBatch so the
   // pool can spread all the CRT halves, then decode serially (cheap).
   std::vector<BigInt> raw;
@@ -324,23 +386,17 @@ Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
   if (decryptions != nullptr) *decryptions += raw.size();
 
   size_t next = 0;
-  auto unpack_all =
-      [&](const std::vector<PackedCipher>& packs,
-          std::vector<double>* values) -> Status {
+  auto unpack_all = [&](const std::vector<PackedCipher>& packs,
+                        std::vector<double>* values) {
     for (const PackedCipher& pc : packs) {
       const std::vector<double> slots =
           DecodePackedPlain(pc, plains[next++], backend);
       values->insert(values->end(), slots.begin(), slots.end());
     }
-    return Status::OK();
   };
   std::vector<double> g_prefix, h_prefix;
-  VF2_RETURN_IF_ERROR(unpack_all(packed.g_packs, &g_prefix));
-  VF2_RETURN_IF_ERROR(unpack_all(packed.h_packs, &h_prefix));
-  if (g_prefix.size() < layout.total_bins() ||
-      h_prefix.size() < layout.total_bins()) {
-    return Status::ProtocolError("packed histogram too small for layout");
-  }
+  unpack_all(packed.g_packs, &g_prefix);
+  unpack_all(packed.h_packs, &h_prefix);
 
   Histogram hist(layout.total_bins());
   for (uint32_t f = 0; f < layout.num_features(); ++f) {
@@ -361,7 +417,7 @@ Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
 Result<std::vector<PackedCipher>> PackGhHistogram(
     const EncryptedHistogram& hist, const FeatureLayout& layout,
     const GhPackLayout& gh_layout, const CipherBackend& backend,
-    AccumulatorStats* stats, size_t min_slots) {
+    AccumulatorStats* stats, size_t min_slots, ThreadPool* pool) {
   if (hist.gh_bins.size() != layout.total_bins()) {
     return Status::InvalidArgument("gh histogram size does not match layout");
   }
@@ -396,16 +452,7 @@ Result<std::vector<PackedCipher>> PackGhHistogram(
       prefix.push_back(run);
     }
   }
-
-  std::vector<PackedCipher> packs;
-  for (size_t begin = 0; begin < prefix.size(); begin += capacity) {
-    const size_t end = std::min(prefix.size(), begin + capacity);
-    std::vector<Cipher> group(prefix.begin() + begin, prefix.begin() + end);
-    auto packed = PackCiphers(group, slot_bits, backend);
-    VF2_RETURN_IF_ERROR(packed.status());
-    packs.push_back(std::move(packed).value());
-  }
-  return packs;
+  return PackPrefixes(prefix, slot_bits, capacity, backend, pool);
 }
 
 Result<Histogram> DecryptRawGhHistogram(const std::vector<Cipher>& gh_bins,
@@ -442,15 +489,11 @@ Result<Histogram> DecryptPackedGhHistogram(
   if (!backend.can_decrypt()) {
     return Status::CryptoError("backend has no private key");
   }
-  const size_t slot_bits = gh_layout.total_bits();
+  VF2_RETURN_IF_ERROR(CheckPackStream(gh_packs, gh_layout.total_bits(),
+                                      layout.total_bins(), backend));
   std::vector<BigInt> raw;
   raw.reserve(gh_packs.size());
-  for (const PackedCipher& pc : gh_packs) {
-    if (pc.slot_bits != slot_bits) {
-      return Status::ProtocolError("gh pack slot width does not match layout");
-    }
-    raw.push_back(pc.data);
-  }
+  for (const PackedCipher& pc : gh_packs) raw.push_back(pc.data);
   const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
   if (decryptions != nullptr) *decryptions += raw.size();
 
@@ -466,9 +509,6 @@ Result<Histogram> DecryptPackedGhHistogram(
       VF2_RETURN_IF_ERROR(decoded.status());
       prefix.push_back(decoded.value());
     }
-  }
-  if (prefix.size() < layout.total_bins()) {
-    return Status::ProtocolError("packed gh histogram too small for layout");
   }
 
   Histogram hist(layout.total_bins());

@@ -118,14 +118,18 @@ struct PackedHistogram {
 /// Fails with InvalidArgument when fewer than `min_slots` slots of the
 /// required width fit one cipher — callers then fall back to the raw form.
 /// (Packing one slot costs ~M modular squarings, so it only pays off when a
-/// cipher amortizes several decryptions; at the paper's S=2048/M=64 a cipher
-/// holds 31 slots and the trade is decisively positive.)
+/// cipher amortizes several decryptions. With M=64 a 2048-bit key holds 31
+/// slots; the 105-bit gh slot of PackGhHistogram on a 2000-row node fits 18.)
+/// Each stream is split into ceil(bins / capacity) packs whose slot counts
+/// differ by at most one, and the independent pack chains run on `pool`
+/// when given.
 Result<PackedHistogram> PackHistogram(const EncryptedHistogram& hist,
                                       const FeatureLayout& layout,
                                       size_t num_instances, double grad_bound,
                                       const CipherBackend& backend,
                                       AccumulatorStats* stats,
-                                      size_t min_slots = 2);
+                                      size_t min_slots = 2,
+                                      ThreadPool* pool = nullptr);
 
 /// B side: decrypts a raw (unpacked) histogram into plaintext GradPairs.
 /// When `pool` is non-null the backend spreads the independent CRT
@@ -139,7 +143,11 @@ Result<Histogram> DecryptRawHistogram(const std::vector<Cipher>& g_bins,
 
 /// B side: decrypts a packed histogram — one decryption per pack,
 /// batch-parallelized over `pool` when given — and reconstructs per-bin
-/// GradPairs from the prefix sums.
+/// GradPairs from the prefix sums. Before decrypting, every pack must pass
+/// ValidatePackedShape and carry the slot width `packed.slot_bits` (the
+/// first g pack's width when that is 0: the wire does not carry it), and
+/// each of the g and h streams must hold exactly layout.total_bins() slots;
+/// ProtocolError otherwise.
 Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
                                          const FeatureLayout& layout,
                                          const CipherBackend& backend,
@@ -152,11 +160,12 @@ Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
 /// nonnegative and slot-additive, so — unlike PackHistogram — no shift
 /// cipher is needed. Fails with InvalidArgument when fewer than
 /// max(2, min_slots) bins of that width fit one cipher; callers fall back
-/// to the raw gh form.
+/// to the raw gh form. Packs are balanced and run on `pool` as in
+/// PackHistogram.
 Result<std::vector<PackedCipher>> PackGhHistogram(
     const EncryptedHistogram& hist, const FeatureLayout& layout,
     const GhPackLayout& gh_layout, const CipherBackend& backend,
-    AccumulatorStats* stats, size_t min_slots = 2);
+    AccumulatorStats* stats, size_t min_slots = 2, ThreadPool* pool = nullptr);
 
 /// B side: decrypts a raw gh histogram (one [count|g|h] cipher per bin) —
 /// half the decryptions of DecryptRawHistogram.
@@ -169,6 +178,8 @@ Result<Histogram> DecryptRawGhHistogram(const std::vector<Cipher>& gh_bins,
 
 /// B side: decrypts a §5.2-packed gh histogram (per-feature prefix sums of
 /// gh bins) and reconstructs per-bin GradPairs by prefix differencing.
+/// Packs are checked as in DecryptPackedHistogram, against the slot width
+/// gh_layout.total_bits().
 Result<Histogram> DecryptPackedGhHistogram(
     const std::vector<PackedCipher>& gh_packs, const FeatureLayout& layout,
     const GhPackLayout& gh_layout, const CipherBackend& backend,

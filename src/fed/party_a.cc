@@ -491,7 +491,8 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
       PhaseClock pack_clock(m_.phase_pack, "pack", m_.live);
       AccumulatorStats pack_stats;
       auto packed = PackGhHistogram(hist, layout_, gh_layout_, *backend_,
-                                    &pack_stats, config_.min_pack_slots);
+                                    &pack_stats, config_.min_pack_slots,
+                                    pool_.get());
       if (packed.ok()) {
         packed_ok = true;
         payload.packed = true;
@@ -513,7 +514,8 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
     VF2_RETURN_IF_ERROR(loss.status());
     auto packed = PackHistogram(hist, layout_, data_.rows(),
                                 loss.value()->GradientBound(), *backend_,
-                                &pack_stats, config_.min_pack_slots);
+                                &pack_stats, config_.min_pack_slots,
+                                pool_.get());
     if (packed.ok()) {
       payload.packed = true;
       payload.shift_g = packed->shift_g;

@@ -47,10 +47,9 @@ CostModel CostModel::Calibrate(size_t key_bits, double bandwidth_mbps,
   m.t_scale = TimePerCall([&] { backend.ScaleTo(low, 9); });
   const BigInt scalar(123456789);
   m.t_smul = TimePerCall([&] { backend.SMulRaw(scalar, c2.data); });
-  const BigInt shift = BigInt(1) << 64;
-  m.t_pack_slot = TimePerCall([&] {
-    c2.data = backend.HAddRaw(c1.data, backend.SMulRaw(shift, c2.data));
-  });
+  // One packing step: a two-slot Horner chain at M = 64.
+  const std::vector<Cipher> pair = {c1, c2};
+  m.t_pack_slot = TimePerCall([&] { backend.HornerRaw(pair, 64); });
 
   m.cipher_bytes = static_cast<double>(kp->pub.CipherBytes());
   m.pack_slots = static_cast<double>(

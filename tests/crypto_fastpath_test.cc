@@ -90,7 +90,7 @@ TEST_F(CryptoFastPathTest, NoisePoolRoundTripConcurrent) {
       Rng rng(1000 + t);
       for (int i = 0; i < kPerConsumer; ++i) {
         const BigInt m = BigInt::RandomBelow(kp_.pub.n(), &rng);
-        const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take(&rng));
+        const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take());
         if (kp_.priv.Decrypt(c) != m) failures.fetch_add(1);
       }
     });
@@ -104,12 +104,27 @@ TEST_F(CryptoFastPathTest, NoisePoolRoundTripConcurrent) {
 TEST_F(CryptoFastPathTest, NoisePoolWithZeroWorkersFallsBackInline) {
   NoisePool pool(kp_.pub, /*capacity=*/8, /*workers=*/0, /*seed=*/5);
   const BigInt m(777);
-  const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take(&rng_));
+  const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take());
   EXPECT_EQ(kp_.priv.Decrypt(c), m);
   const NoisePool::Stats stats = pool.stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.produced, 0u);
+}
+
+TEST_F(CryptoFastPathTest, PoolMissesLeaveTheCallersExponentStreamAlone) {
+  // A miss must not draw from the caller's rng: that rng also samples the
+  // codec exponents, so a timing-dependent miss count would change them.
+  PaillierBackend backend(kp_.pub, FixedPointCodec(16, 8, 4));
+  backend.SetPrivateKey(kp_.priv);
+  backend.SetNoisePool(std::make_shared<NoisePool>(kp_.pub, 8, 0, 3));
+  Rng used(21), expected(21);
+  for (int i = 0; i < 16; ++i) {
+    const Cipher c = backend.Encrypt(0.5, &used);
+    EXPECT_EQ(c.exponent, backend.codec().SampleExponent(&expected)) << i;
+    EXPECT_NEAR(backend.Decrypt(c), 0.5, 1e-6);
+  }
+  EXPECT_EQ(backend.noise_pool()->stats().misses, 16u);
 }
 
 TEST_F(CryptoFastPathTest, PooledBackendEncryptionDecrypts) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <numeric>
+#include <utility>
 
 #include "data/synthetic.h"
 #include "gbdt/loss.h"
@@ -53,6 +56,42 @@ class EncHistogramTest : public ::testing::TestWithParam<bool> {
 
   Histogram PlainReference() const {
     return Histogram::Build(binned_, layout_, instances_, grads_);
+  }
+
+  // One [count|g|h] cipher per instance.
+  std::vector<Cipher> EncryptGh(const GhPackLayout& gh_layout) const {
+    Rng enc_rng(60);
+    std::vector<Cipher> gh_ciphers;
+    for (const GradPair& gp : grads_) {
+      Cipher c;
+      c.exponent = gh_layout.exponent;
+      c.data = backend_->EncryptRaw(EncodeGhPair(gh_layout, gp.g, gp.h),
+                                    &enc_rng);
+      gh_ciphers.push_back(std::move(c));
+    }
+    return gh_ciphers;
+  }
+
+  // Root histograms of both packing paths, plus the gh layout.
+  struct PackInputs {
+    EncryptedHistogram classic;
+    EncryptedHistogram gh;
+    GhPackLayout gh_layout;
+  };
+  PackInputs MakePackInputs() const {
+    PackInputs in;
+    in.classic = BuildEncryptedHistogram(binned_, layout_, instances_,
+                                         g_ciphers_, h_ciphers_, *backend_,
+                                         /*reordered=*/true, nullptr);
+    auto gh_layout =
+        MakeGhPackLayout(codec_, data_.rows(), /*value_bound=*/1.0,
+                         backend_->plain_modulus().BitLength());
+    EXPECT_TRUE(gh_layout.ok()) << gh_layout.status().ToString();
+    in.gh_layout = gh_layout.value();
+    in.gh = BuildEncryptedHistogramGh(binned_, layout_, instances_,
+                                      EncryptGh(in.gh_layout), *backend_,
+                                      /*reordered=*/true, nullptr);
+    return in;
   }
 
   FixedPointCodec codec_{16, 6, 4};
@@ -146,16 +185,7 @@ TEST_P(EncHistogramTest, GhModeMatchesClassicAndPlaintext) {
   auto gh_layout = MakeGhPackLayout(codec_, data_.rows(), /*value_bound=*/1.0,
                                     backend_->plain_modulus().BitLength());
   ASSERT_TRUE(gh_layout.ok()) << gh_layout.status().ToString();
-
-  Rng enc_rng(60);
-  std::vector<Cipher> gh_ciphers;
-  for (const GradPair& gp : grads_) {
-    Cipher c;
-    c.exponent = gh_layout->exponent;
-    c.data = backend_->EncryptRaw(EncodeGhPair(*gh_layout, gp.g, gp.h),
-                                  &enc_rng);
-    gh_ciphers.push_back(std::move(c));
-  }
+  const std::vector<Cipher> gh_ciphers = EncryptGh(*gh_layout);
 
   AccumulatorStats gh_stats, classic_stats;
   EncryptedHistogram enc = BuildEncryptedHistogramGh(
@@ -204,6 +234,146 @@ TEST_P(EncHistogramTest, GhModeMatchesClassicAndPlaintext) {
   for (size_t i = 0; i < layout_.total_bins(); ++i) {
     EXPECT_NEAR(packed_hist->bin(i).g, hist->bin(i).g, 1e-3) << "bin " << i;
     EXPECT_NEAR(packed_hist->bin(i).h, hist->bin(i).h, 1e-3) << "bin " << i;
+  }
+}
+
+void ExpectSamePacks(const std::vector<PackedCipher>& got,
+                     const std::vector<PackedCipher>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].data, want[i].data) << "pack " << i;
+    EXPECT_EQ(got[i].num_slots, want[i].num_slots) << "pack " << i;
+    EXPECT_EQ(got[i].slot_bits, want[i].slot_bits) << "pack " << i;
+  }
+}
+
+void ExpectSameHistogram(const Histogram& got, const Histogram& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.bin(i).g, want.bin(i).g) << "bin " << i;
+    EXPECT_EQ(got.bin(i).h, want.bin(i).h) << "bin " << i;
+  }
+}
+
+TEST_P(EncHistogramTest, PooledPackingMatchesSerial) {
+  const PackInputs in = MakePackInputs();
+  const size_t total = layout_.total_bins();
+  const size_t modulus_bits = backend_->plain_modulus().BitLength();
+  auto serial = PackHistogram(in.classic, layout_, data_.rows(), 1.0,
+                              *backend_, nullptr);
+  auto serial_gh =
+      PackGhHistogram(in.gh, layout_, in.gh_layout, *backend_, nullptr);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(serial_gh.ok()) << serial_gh.status().ToString();
+
+  // As many packs as capacity-sized groups need, slot counts within one.
+  auto expect_balanced = [&](const std::vector<PackedCipher>& packs,
+                             size_t slot_bits) {
+    const size_t capacity = MaxSlotsPerCipher(slot_bits, modulus_bits);
+    EXPECT_EQ(packs.size(), (total + capacity - 1) / capacity);
+    ASSERT_GE(packs.size(), 2u) << "the fixture should need several packs";
+    uint32_t lo = packs.front().num_slots, hi = lo;
+    for (const PackedCipher& pc : packs) {
+      lo = std::min(lo, pc.num_slots);
+      hi = std::max(hi, pc.num_slots);
+    }
+    EXPECT_LE(hi - lo, 1u);
+  };
+  expect_balanced(serial->g_packs, serial->slot_bits);
+  expect_balanced(serial->h_packs, serial->slot_bits);
+  expect_balanced(*serial_gh, in.gh_layout.total_bits());
+
+  auto serial_hist =
+      DecryptPackedHistogram(*serial, layout_, *backend_, nullptr);
+  auto serial_gh_hist = DecryptPackedGhHistogram(*serial_gh, layout_,
+                                                 in.gh_layout, *backend_,
+                                                 nullptr);
+  ASSERT_TRUE(serial_hist.ok()) << serial_hist.status().ToString();
+  ASSERT_TRUE(serial_gh_hist.ok()) << serial_gh_hist.status().ToString();
+
+  for (size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    auto pooled = PackHistogram(in.classic, layout_, data_.rows(), 1.0,
+                                *backend_, nullptr, 2, &pool);
+    auto pooled_gh = PackGhHistogram(in.gh, layout_, in.gh_layout, *backend_,
+                                     nullptr, 2, &pool);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    ASSERT_TRUE(pooled_gh.ok()) << pooled_gh.status().ToString();
+    ExpectSamePacks(pooled->g_packs, serial->g_packs);
+    ExpectSamePacks(pooled->h_packs, serial->h_packs);
+    ExpectSamePacks(*pooled_gh, *serial_gh);
+
+    auto hist = DecryptPackedHistogram(*pooled, layout_, *backend_, nullptr);
+    auto gh_hist = DecryptPackedGhHistogram(*pooled_gh, layout_,
+                                            in.gh_layout, *backend_, nullptr);
+    ASSERT_TRUE(hist.ok()) << hist.status().ToString();
+    ASSERT_TRUE(gh_hist.ok()) << gh_hist.status().ToString();
+    ExpectSameHistogram(*hist, *serial_hist);
+    ExpectSameHistogram(*gh_hist, *serial_gh_hist);
+  }
+}
+
+TEST_P(EncHistogramTest, HostilePackShapesAreRejectedBeforeDecrypting) {
+  const PackInputs in = MakePackInputs();
+  auto packed = PackHistogram(in.classic, layout_, data_.rows(), 1.0,
+                              *backend_, nullptr);
+  auto gh_packs =
+      PackGhHistogram(in.gh, layout_, in.gh_layout, *backend_, nullptr);
+  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+  ASSERT_TRUE(gh_packs.ok()) << gh_packs.status().ToString();
+
+  // The wire does not carry PackedHistogram::slot_bits; B leaves it 0.
+  PackedHistogram wire = *packed;
+  wire.slot_bits = 0;
+  size_t decryptions = 0;
+  ASSERT_TRUE(
+      DecryptPackedHistogram(wire, layout_, *backend_, &decryptions).ok());
+  ASSERT_TRUE(DecryptPackedGhHistogram(*gh_packs, layout_, in.gh_layout,
+                                       *backend_, &decryptions)
+                  .ok());
+
+  using Mutation = std::function<void(std::vector<PackedCipher>*)>;
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"zero slots", [](auto* p) { p->front().num_slots = 0; }},
+      {"slots beyond capacity",
+       [](auto* p) { p->front().num_slots = 0xFFFFFFFFu; }},
+      {"slot width 0", [](auto* p) { p->front().slot_bits = 0; }},
+      {"mismatched slot width", [](auto* p) { p->back().slot_bits += 1; }},
+      {"one slot short", [](auto* p) { p->back().num_slots -= 1; }},
+      {"one slot too many", [](auto* p) { p->front().num_slots += 1; }},
+      {"pack missing", [](auto* p) { p->pop_back(); }},
+      {"pack repeated", [](auto* p) { p->push_back(p->front()); }},
+      {"every width huge",
+       [](auto* p) {
+         for (PackedCipher& pc : *p) {
+           pc.slot_bits = 0xFFFFFFFFu;
+           pc.num_slots = 1;
+         }
+       }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    decryptions = 0;
+    PackedHistogram g_bad = wire;
+    mutate(&g_bad.g_packs);
+    auto g_res = DecryptPackedHistogram(g_bad, layout_, *backend_,
+                                        &decryptions);
+    ASSERT_FALSE(g_res.ok());
+    EXPECT_EQ(g_res.status().code(), StatusCode::kProtocolError);
+    PackedHistogram h_bad = wire;
+    mutate(&h_bad.h_packs);
+    auto h_res = DecryptPackedHistogram(h_bad, layout_, *backend_,
+                                        &decryptions);
+    ASSERT_FALSE(h_res.ok());
+    EXPECT_EQ(h_res.status().code(), StatusCode::kProtocolError);
+    std::vector<PackedCipher> gh_bad = *gh_packs;
+    mutate(&gh_bad);
+    auto gh_res = DecryptPackedGhHistogram(gh_bad, layout_, in.gh_layout,
+                                           *backend_, &decryptions);
+    ASSERT_FALSE(gh_res.ok());
+    EXPECT_EQ(gh_res.status().code(), StatusCode::kProtocolError);
+    EXPECT_EQ(decryptions, 0u) << "rejected after decrypting";
   }
 }
 

@@ -326,6 +326,31 @@ TEST(FedTrainerTest, RealPaillierSequentialRaw) {
   EXPECT_EQ(result->model.trees.size(), 2u);
 }
 
+TEST(FedTrainerTest, StarvedNoisePoolDoesNotChangeTheModel) {
+  // VF-GBDT samples E > 1 random exponents from the per-tree rng. A noise
+  // pool that keeps one nonce ready misses on almost every encryption; the
+  // misses must not draw from that rng, or the model would depend on timing.
+  // (A run without any pool draws every nonce from that rng by design, so
+  // its exponents, and the low bits of A-side gains, differ.)
+  Fixture f = MakeFixture(150, 6, 0.8, {0.5, 0.5}, 39);
+  FedConfig config = FedConfig::VfGbdt();
+  config.paillier_bits = 256;
+  config.gbdt.num_trees = 2;
+  config.gbdt.num_layers = 3;
+  config.gbdt.max_bins = 6;
+  ASSERT_GT(config.codec_num_exponents, 1);
+  FedConfig starved = config;
+  starved.noise_pool_capacity = 1;
+
+  auto fed = FedTrainer(config).Train(f.shards);
+  ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+  auto hungry = FedTrainer(starved).Train(f.shards);
+  ASSERT_TRUE(hungry.ok()) << hungry.status().ToString();
+  EXPECT_GT(hungry->stats.noise_pool_misses,
+            fed->stats.noise_pool_misses);
+  EXPECT_EQ(ModelToString(hungry->model), ModelToString(fed->model));
+}
+
 TEST(FedTrainerTest, ThreeParties) {
   Fixture f = MakeFixture(1500, 24, 0.5, {0.34, 0.33, 0.33}, 41);
   FedConfig config = FastConfig();

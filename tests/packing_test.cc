@@ -110,6 +110,66 @@ TEST(PackingCapacityTest, MatchesPaperNumbers) {
   EXPECT_EQ(MaxSlotsPerCipher(64, 0), 1u);
 }
 
+// The Horner chain as PackCiphers ran it before the Montgomery-resident
+// chain: one SMulRaw(2^M) and one HAddRaw per step. Kept as the oracle.
+BigInt ReferenceHorner(const std::vector<Cipher>& slots, size_t shift_bits,
+                       const CipherBackend& backend) {
+  const BigInt shift = BigInt(1) << shift_bits;
+  BigInt acc = slots.back().data;
+  for (size_t i = slots.size() - 1; i-- > 0;) {
+    acc = backend.HAddRaw(slots[i].data, backend.SMulRaw(shift, acc));
+  }
+  return acc;
+}
+
+TEST(PackingHornerTest, ResidentChainMatchesReferenceChain) {
+  // The chain is plain arithmetic mod n^2, so any odd n of the key size and
+  // any residues exercise it; no key generation needed.
+  Rng rng(2024);
+  for (size_t key_bits : {512, 1024, 2048}) {
+    BigInt n = (BigInt(1) << (key_bits - 1)) + BigInt::Random(key_bits - 1, &rng);
+    if (n.IsEven()) n += BigInt(1);
+    const PaillierPublicKey pub(n);
+    const PaillierBackend backend(pub, FixedPointCodec());
+    std::vector<Cipher> all(31);
+    for (size_t i = 0; i < all.size(); ++i) {
+      all[i].data = BigInt::RandomBelow(pub.n_squared(), &rng);
+    }
+    // Wire ciphers need not be reduced mod n^2.
+    all[2].data += pub.n_squared();
+    all[30].data += pub.n_squared();
+    std::vector<size_t> counts;
+    for (size_t t = 1; t <= all.size(); ++t) {
+      if (key_bits < 2048 || t <= 3 || t == 18 || t == 31) counts.push_back(t);
+    }
+    for (size_t shift_bits : {1, 64, 105}) {
+      for (size_t t : counts) {
+        const std::vector<Cipher> slots(all.begin(), all.begin() + t);
+        EXPECT_EQ(backend.HornerRaw(slots, shift_bits),
+                  ReferenceHorner(slots, shift_bits, backend))
+            << key_bits << "-bit key, " << t << " slots of " << shift_bits
+            << " bits";
+      }
+    }
+  }
+}
+
+TEST(PackingShapeTest, RejectsShapesPackCiphersNeverMakes) {
+  PackedCipher pc;
+  pc.slot_bits = 64;
+  pc.num_slots = 31;
+  EXPECT_TRUE(ValidatePackedShape(pc, 2048).ok());
+  pc.num_slots = 32;
+  EXPECT_EQ(ValidatePackedShape(pc, 2048).code(), StatusCode::kProtocolError);
+  pc.num_slots = 0;
+  EXPECT_EQ(ValidatePackedShape(pc, 2048).code(), StatusCode::kProtocolError);
+  pc.num_slots = 1;
+  pc.slot_bits = 0;
+  EXPECT_EQ(ValidatePackedShape(pc, 2048).code(), StatusCode::kProtocolError);
+  pc.slot_bits = 0xFFFFFFFFu;  // would make UnpackPlaintext shift by 4 Gbit
+  EXPECT_EQ(ValidatePackedShape(pc, 2048).code(), StatusCode::kProtocolError);
+}
+
 TEST(PackingUnpackTest, SliceLayoutIsLittleEndianBySlot) {
   // V = V1 + V2*2^8 + V3*2^16 with 8-bit slots.
   BigInt packed = BigInt(5) + (BigInt(200) << 8) + (BigInt(31) << 16);
