@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -67,16 +68,19 @@ Status PartyAEngine::Setup() {
   VF2_ASSIGN_OR_RETURN(Message msg,
                        inbox_.ReceiveType(MessageType::kPublicKey));
   wait.Stop();
+  return AdoptKeyAndSendLayout(msg);
+}
+
+Status PartyAEngine::AdoptKeyAndSendLayout(const Message& key_msg) {
   if (config_.mock_crypto) {
     backend_ = std::make_unique<MockBackend>(config_.MakeCodec());
   } else {
-    ByteReader r(msg.payload);
+    ByteReader r(key_msg.payload);
     auto pub = PaillierPublicKey::Deserialize(&r);
     VF2_RETURN_IF_ERROR(pub.status());
     backend_ = std::make_unique<PaillierBackend>(std::move(pub).value(),
                                                  config_.MakeCodec());
   }
-
   LayoutPayload layout_msg;
   for (uint32_t f = 0; f < layout_.num_features(); ++f) {
     layout_msg.bins_per_feature.push_back(layout_.NumBins(f));
@@ -91,20 +95,7 @@ Status PartyAEngine::ReplaySetup(const Message& msg) {
   // holds — but rebuild the backend from the wire bytes anyway: it is the
   // authoritative copy, and a mismatched relaunch (different seed or config)
   // must fail loudly at the next decode rather than silently diverge.
-  if (config_.mock_crypto) {
-    backend_ = std::make_unique<MockBackend>(config_.MakeCodec());
-  } else {
-    ByteReader r(msg.payload);
-    auto pub = PaillierPublicKey::Deserialize(&r);
-    VF2_RETURN_IF_ERROR(pub.status());
-    backend_ = std::make_unique<PaillierBackend>(std::move(pub).value(),
-                                                 config_.MakeCodec());
-  }
-  LayoutPayload layout_msg;
-  for (uint32_t f = 0; f < layout_.num_features(); ++f) {
-    layout_msg.bins_per_feature.push_back(layout_.NumBins(f));
-  }
-  inbox_.Send(EncodeLayout(layout_msg));
+  VF2_RETURN_IF_ERROR(AdoptKeyAndSendLayout(msg));
   VF2_LOG(Info) << "party A" << party_index_
                 << " setup replayed for relaunched party B (boundary "
                 << last_completed_tree_ << ")";
@@ -542,6 +533,31 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
   return Status::OK();
 }
 
+Status PartyAEngine::SendPlacement(uint32_t tree, uint32_t layer,
+                                   int32_t node, uint32_t feature,
+                                   uint32_t bin, bool default_left) {
+  const auto it = node_instances_.find(node);
+  if (it == node_instances_.end()) {
+    return Status::ProtocolError("placement requested for unknown node");
+  }
+  if (feature >= layout_.num_features() ||
+      size_t{bin} + 1 >= layout_.NumBins(feature)) {
+    return Status::ProtocolError("placement feature/bin out of range");
+  }
+  PlacementPayload reply;
+  reply.tree = tree;
+  reply.layer = layer;
+  reply.node = node;
+  {
+    obs::TraceSpan span("phase", "placement");
+    if (span.active()) span.AddArg("node", static_cast<int64_t>(node));
+    reply.placement =
+        ComputePlacement(binned_, it->second, feature, bin, default_left);
+  }
+  inbox_.Send(EncodePlacement(reply));
+  return Status::OK();
+}
+
 Status PartyAEngine::HandleSplitQueries(const Message& msg) {
   DecisionsPayload queries;
   VF2_RETURN_IF_ERROR(DecodeDecisions(msg, &queries));
@@ -549,43 +565,28 @@ Status PartyAEngine::HandleSplitQueries(const Message& msg) {
     if (q.action != NodeAction::kSplitQuery) {
       return Status::ProtocolError("non-query decision in SplitQueries");
     }
-    const auto it = node_instances_.find(q.node);
-    if (it == node_instances_.end()) {
-      return Status::ProtocolError("split query for unknown node");
-    }
-    if (q.feature >= layout_.num_features() ||
-        q.bin + 1 >= layout_.NumBins(q.feature)) {
-      return Status::ProtocolError("split query feature/bin out of range");
-    }
-    PlacementPayload reply;
-    reply.tree = queries.tree;
-    reply.layer = queries.layer;
-    reply.node = q.node;
-    {
-      obs::TraceSpan span("phase", "placement");
-      if (span.active()) span.AddArg("node", static_cast<int64_t>(q.node));
-      reply.placement = ComputePlacement(binned_, it->second, q.feature,
-                                         q.bin, q.default_left);
-    }
-    inbox_.Send(EncodePlacement(reply));
+    VF2_RETURN_IF_ERROR(SendPlacement(queries.tree, queries.layer, q.node,
+                                      q.feature, q.bin, q.default_left));
   }
   return Status::OK();
 }
 
-Status PartyAEngine::HandleResolvedDecisions(const Message& msg) {
+Status PartyAEngine::HandleDecisions(const Message& msg) {
   DecisionsPayload decisions;
   VF2_RETURN_IF_ERROR(DecodeDecisions(msg, &decisions));
   std::vector<std::pair<int32_t, bool>> new_children;  // (id, is_redo)
   for (const NodeDecision& d : decisions.decisions) {
     if (d.action == NodeAction::kLeaf) continue;
     if (d.action != NodeAction::kSplitResolved) {
-      return Status::ProtocolError("unresolved decision in Decisions");
+      return Status::ProtocolError(std::string("split query in ") +
+                                   MessageTypeName(msg.type));
     }
     const auto it = node_instances_.find(d.node);
     if (it == node_instances_.end()) {
       return Status::ProtocolError("decision for unknown node");
     }
-    // A correction replaces previously created optimistic children.
+    // A correction replaces previously created optimistic children; the
+    // children of an optimistic split or a sequential decision are new.
     const bool redo = node_instances_.count(d.left) > 0;
     if (redo) {
       ++hist_epoch_[d.left];
@@ -599,53 +600,20 @@ Status PartyAEngine::HandleResolvedDecisions(const Message& msg) {
     new_children.push_back({d.left, redo});
     new_children.push_back({d.right, redo});
   }
-  if (ChildrenNeedHists(decisions.layer)) {
-    for (const auto& [child, redo] : new_children) {
-      // In sequential mode every child hist is a first build; in optimistic
-      // mode only corrected children reach this path (fresh children of a
-      // corrected optimistic-leaf included).
-      if (redo) {
-        // The wasted-then-redone work the optimistic protocol pays for a
-        // dirty node — wraps the ordinary build so the cost shows as one
-        // "redo_hist" block in the timeline.
-        obs::TraceSpan span("phase", "redo_hist");
-        if (span.active()) span.AddArg("node", static_cast<int64_t>(child));
-        VF2_RETURN_IF_ERROR(
-            BuildAndSendHist(decisions.tree, decisions.layer + 1, child));
-      } else {
-        VF2_RETURN_IF_ERROR(
-            BuildAndSendHist(decisions.tree, decisions.layer + 1, child));
+  if (!ChildrenNeedHists(decisions.layer)) return Status::OK();
+  for (const auto& [child, redo] : new_children) {
+    // The wasted-then-redone work the optimistic protocol pays for a dirty
+    // node wraps the ordinary build, so the cost shows as one "redo_hist"
+    // block in the timeline.
+    std::optional<obs::TraceSpan> redo_span;
+    if (redo) {
+      redo_span.emplace("phase", "redo_hist");
+      if (redo_span->active()) {
+        redo_span->AddArg("node", static_cast<int64_t>(child));
       }
     }
-  }
-  return Status::OK();
-}
-
-Status PartyAEngine::HandleOptPlacements(const Message& msg) {
-  DecisionsPayload placements;
-  VF2_RETURN_IF_ERROR(DecodeDecisions(msg, &placements));
-  std::vector<int32_t> new_children;
-  for (const NodeDecision& d : placements.decisions) {
-    if (d.action == NodeAction::kLeaf) continue;
-    if (d.action != NodeAction::kSplitResolved) {
-      return Status::ProtocolError("query decision in OptPlacements");
-    }
-    const auto it = node_instances_.find(d.node);
-    if (it == node_instances_.end()) {
-      return Status::ProtocolError("optimistic placement for unknown node");
-    }
-    std::vector<uint32_t> left, right;
-    ApplyPlacement(it->second, d.placement, &left, &right);
-    node_instances_[d.left] = std::move(left);
-    node_instances_[d.right] = std::move(right);
-    new_children.push_back(d.left);
-    new_children.push_back(d.right);
-  }
-  if (ChildrenNeedHists(placements.layer)) {
-    for (int32_t child : new_children) {
-      VF2_RETURN_IF_ERROR(
-          BuildAndSendHist(placements.tree, placements.layer + 1, child));
-    }
+    VF2_RETURN_IF_ERROR(
+        BuildAndSendHist(decisions.tree, decisions.layer + 1, child));
   }
   return Status::OK();
 }
@@ -655,25 +623,8 @@ Status PartyAEngine::HandleVerdicts(const Message& msg) {
   VF2_RETURN_IF_ERROR(DecodeVerdicts(msg, &verdicts));
   for (const NodeVerdict& v : verdicts.verdicts) {
     if (!v.use_a || v.owner != party_index_) continue;
-    const auto it = node_instances_.find(v.node);
-    if (it == node_instances_.end()) {
-      return Status::ProtocolError("verdict for unknown node");
-    }
-    if (v.feature >= layout_.num_features() ||
-        v.bin + 1 >= layout_.NumBins(v.feature)) {
-      return Status::ProtocolError("verdict feature/bin out of range");
-    }
-    PlacementPayload reply;
-    reply.tree = verdicts.tree;
-    reply.layer = verdicts.layer;
-    reply.node = v.node;
-    {
-      obs::TraceSpan span("phase", "placement");
-      if (span.active()) span.AddArg("node", static_cast<int64_t>(v.node));
-      reply.placement = ComputePlacement(binned_, it->second, v.feature,
-                                         v.bin, v.default_left);
-    }
-    inbox_.Send(EncodePlacement(reply));
+    VF2_RETURN_IF_ERROR(SendPlacement(verdicts.tree, verdicts.layer, v.node,
+                                      v.feature, v.bin, v.default_left));
   }
   return Status::OK();
 }
@@ -705,10 +656,8 @@ Status PartyAEngine::RunTree(Message first_grad_msg) {
         VF2_RETURN_IF_ERROR(HandleSplitQueries(msg));
         break;
       case MessageType::kDecisions:
-        VF2_RETURN_IF_ERROR(HandleResolvedDecisions(msg));
-        break;
       case MessageType::kOptPlacements:
-        VF2_RETURN_IF_ERROR(HandleOptPlacements(msg));
+        VF2_RETURN_IF_ERROR(HandleDecisions(msg));
         break;
       case MessageType::kVerdicts:
         VF2_RETURN_IF_ERROR(HandleVerdicts(msg));

@@ -42,6 +42,9 @@ class PartyAEngine {
 
  private:
   Status Setup();
+  /// Builds the cipher backend from B's kPublicKey and answers with this
+  /// party's feature layout (kLayout).
+  Status AdoptKeyAndSendLayout(const Message& key_msg);
   /// Handles a mid-run kPublicKey: a relaunched Party B rerunning its setup
   /// phase. Rebuilds the cipher backend from the replayed key and re-sends
   /// this party's (unchanged) feature layout so B's setup receive completes.
@@ -70,9 +73,16 @@ class PartyAEngine {
   Status RunTree(Message first_grad_msg);
   Status ReceiveGradients(Message first, uint32_t* tree_id);
   Status BuildAndSendHist(uint32_t tree, uint32_t layer, int32_t node);
+  /// Checks that `node` is known and (feature, bin) is a split of this
+  /// party's layout, then sends B the node's placement (kPlacement).
+  Status SendPlacement(uint32_t tree, uint32_t layer, int32_t node,
+                       uint32_t feature, uint32_t bin, bool default_left);
   Status HandleSplitQueries(const Message& msg);
-  Status HandleResolvedDecisions(const Message& msg);
-  Status HandleOptPlacements(const Message& msg);
+  /// Applies B's resolved splits (kDecisions, or kOptPlacements ahead of
+  /// validation) and builds the children's histograms. Children that already
+  /// exist are an optimistic guess being corrected: their epoch is bumped and
+  /// their histograms are redone.
+  Status HandleDecisions(const Message& msg);
   Status HandleVerdicts(const Message& msg);
 
   bool ChildrenNeedHists(uint32_t layer) const {

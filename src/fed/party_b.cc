@@ -13,6 +13,25 @@
 #include "obs/trace.h"
 
 namespace vf2boost {
+namespace {
+
+// Decodes an A party's kLayout into bin offsets. Every feature must have
+// between 1 and 65536 bins.
+Result<FeatureLayout> DecodeALayout(const Message& msg) {
+  LayoutPayload layout;
+  VF2_RETURN_IF_ERROR(DecodeLayout(msg, &layout));
+  FeatureLayout fl;
+  fl.offsets.push_back(0);
+  for (uint64_t bins : layout.bins_per_feature) {
+    if (bins == 0 || bins > 65536) {
+      return Status::ProtocolError("bad bin count in layout");
+    }
+    fl.offsets.push_back(fl.offsets.back() + static_cast<uint32_t>(bins));
+  }
+  return fl;
+}
+
+}  // namespace
 
 PartyBEngine::PartyBEngine(const FedConfig& config, const Dataset& data,
                            std::vector<MessagePort*> channels)
@@ -125,28 +144,20 @@ Status PartyBEngine::Setup() {
     gh_layout_ = std::move(gl).value();
   }
   setup_key_msg_ = key_msg;  // kept for replay to restarted A processes
-  for (Inbox& inbox : inboxes_) {
-    Message copy = key_msg;
-    inbox.Send(std::move(copy));
-  }
+  Broadcast(key_msg);
   for (Inbox& inbox : inboxes_) {
     PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
     VF2_ASSIGN_OR_RETURN(Message msg,
                          inbox.ReceiveType(MessageType::kLayout));
     wait.Stop();
-    LayoutPayload layout;
-    VF2_RETURN_IF_ERROR(DecodeLayout(msg, &layout));
-    FeatureLayout fl;
-    fl.offsets.push_back(0);
-    for (uint64_t bins : layout.bins_per_feature) {
-      if (bins == 0 || bins > 65536) {
-        return Status::ProtocolError("bad bin count in layout");
-      }
-      fl.offsets.push_back(fl.offsets.back() + static_cast<uint32_t>(bins));
-    }
+    VF2_ASSIGN_OR_RETURN(FeatureLayout fl, DecodeALayout(msg));
     a_layouts_.push_back(std::move(fl));
   }
   return Status::OK();
+}
+
+void PartyBEngine::Broadcast(const Message& msg) {
+  for (Inbox& inbox : inboxes_) inbox.Send(msg);
 }
 
 GradPair PartyBEngine::SumGrads(const std::vector<uint32_t>& instances) const {
@@ -190,78 +201,58 @@ void PartyBEngine::EncryptAndSendGradients(uint32_t tree_id) {
     GradBatchPayload payload;
     payload.tree = tree_id;
     payload.start = start;
-    if (config_.gh_pack) {
-      // One plaintext, one encryption, one wire cipher per instance: the
-      // (g, h) pair rides in a single gh-packed plaintext (the decrypt-wall
-      // halving the unpacked path pays for twice).
-      payload.gh = true;
+    // gh packing: one plaintext, one encryption, one wire cipher per
+    // instance, the (g, h) pair riding in a single gh-packed plaintext (the
+    // decrypt-wall halving the unpacked path pays for twice). Classic: a g
+    // then an h cipher per instance. Either way rows draw from `rng` in order.
+    payload.gh = config_.gh_pack;
+    if (payload.gh) {
       payload.gh_layout = gh_layout_;
       payload.gh_ciphers.resize(end - start);
-      auto encrypt_gh = [&](size_t i, Rng* rng) {
-        Cipher c;
-        c.exponent = gh_layout_.exponent;
-        c.data = backend_->EncryptRaw(
-            EncodeGhPair(gh_layout_, grads_[i].g, grads_[i].h), rng);
-        return c;
-      };
-      if (pool_ != nullptr) {
-        const uint64_t batch_seed = tree_rng.NextU64();
-        const size_t shards = pool_->num_threads();
-        const size_t chunk = (end - start + shards - 1) / shards;
-        pool_->ParallelFor(shards, [&](size_t s) {
-          Rng worker_rng(batch_seed ^ (0x9e37u + s));
-          const size_t lo = start + s * chunk;
-          const size_t hi = std::min(end, lo + chunk);
-          for (size_t i = lo; i < hi; ++i) {
-            payload.gh_ciphers[i - start] = encrypt_gh(i, &worker_rng);
-          }
-        });
-      } else {
-        for (size_t i = start; i < end; ++i) {
-          payload.gh_ciphers[i - start] = encrypt_gh(i, &tree_rng);
-        }
-      }
-      m_.encryptions->Add(end - start);
-      m_.ciphers_sent->Add(end - start);
     } else {
       payload.g.resize(end - start);
       payload.h.resize(end - start);
-      if (pool_ != nullptr) {
-        // Workers encrypt instance shards concurrently, each with its own
-        // deterministic nonce stream.
-        const uint64_t batch_seed = tree_rng.NextU64();
-        const size_t shards = pool_->num_threads();
-        const size_t chunk = (end - start + shards - 1) / shards;
-        pool_->ParallelFor(shards, [&](size_t s) {
-          Rng worker_rng(batch_seed ^ (0x9e37u + s));
-          const size_t lo = start + s * chunk;
-          const size_t hi = std::min(end, lo + chunk);
-          for (size_t i = lo; i < hi; ++i) {
-            payload.g[i - start] = backend_->Encrypt(grads_[i].g, &worker_rng);
-            payload.h[i - start] = backend_->Encrypt(grads_[i].h, &worker_rng);
-          }
-        });
-      } else {
-        for (size_t i = start; i < end; ++i) {
-          payload.g[i - start] = backend_->Encrypt(grads_[i].g, &tree_rng);
-          payload.h[i - start] = backend_->Encrypt(grads_[i].h, &tree_rng);
+    }
+    auto encrypt_rows = [&](size_t lo, size_t hi, Rng* rng) {
+      for (size_t i = lo; i < hi; ++i) {
+        if (payload.gh) {
+          Cipher& c = payload.gh_ciphers[i - start];
+          c.exponent = gh_layout_.exponent;
+          c.data = backend_->EncryptRaw(
+              EncodeGhPair(gh_layout_, grads_[i].g, grads_[i].h), rng);
+        } else {
+          payload.g[i - start] = backend_->Encrypt(grads_[i].g, rng);
+          payload.h[i - start] = backend_->Encrypt(grads_[i].h, rng);
         }
       }
-      m_.encryptions->Add(2 * (end - start));
-      m_.ciphers_sent->Add(2 * (end - start));
+    };
+    if (pool_ != nullptr) {
+      // Workers encrypt instance shards concurrently, each with its own
+      // deterministic nonce stream.
+      const uint64_t batch_seed = tree_rng.NextU64();
+      const size_t shards = pool_->num_threads();
+      const size_t chunk = (end - start + shards - 1) / shards;
+      pool_->ParallelFor(shards, [&](size_t s) {
+        Rng worker_rng(batch_seed ^ (0x9e37u + s));
+        const size_t lo = start + s * chunk;
+        encrypt_rows(lo, std::min(end, lo + chunk), &worker_rng);
+      });
+    } else {
+      encrypt_rows(start, end, &tree_rng);
     }
+    const size_t ciphers = (end - start) * (payload.gh ? 1 : 2);
+    m_.encryptions->Add(ciphers);
+    m_.ciphers_sent->Add(ciphers);
     // The same ciphers go to every A party.
-    for (Inbox& inbox : inboxes_) {
-      inbox.Send(EncodeGradBatch(payload, *backend_));
-    }
+    Broadcast(EncodeGradBatch(payload, *backend_));
     m_.phase_encrypt->Observe(timer.ElapsedSeconds());
   }
   m_.gh_pack_ratio->Set(config_.gh_pack ? 2.0 : 1.0);
 }
 
-Status PartyBEngine::CollectHistograms(
-    uint32_t layer, const std::vector<NodeState*>& nodes,
-    std::vector<std::map<int32_t, Histogram>>* hists) {
+Status PartyBEngine::CollectHistograms(uint32_t layer,
+                                       const std::vector<NodeState>& nodes,
+                                       PartyHistograms* hists) {
   hists->assign(inboxes_.size(), {});
   for (size_t p = 0; p < inboxes_.size(); ++p) {
     auto& per_party = (*hists)[p];
@@ -281,7 +272,7 @@ Status PartyBEngine::CollectHistograms(
         return Status::ProtocolError("histogram from the future");
       }
       bool known = false;
-      for (const NodeState* ns : nodes) known |= ns->id == payload.node;
+      for (const NodeState& ns : nodes) known |= ns.id == payload.node;
       if (!known) return Status::ProtocolError("histogram for unknown node");
 
       Stopwatch dec_timer;
@@ -336,6 +327,93 @@ void PartyBEngine::FinalizeLeaf(const NodeState& node, Tree* tree) {
   m_.leaves->Add(1);
 }
 
+PartyBEngine::ASplit PartyBEngine::BestASplit(
+    const NodeState& node, const PartyHistograms& hists) const {
+  ASplit best;
+  for (size_t p = 0; p < hists.size(); ++p) {
+    SplitCandidate cand = FindBestSplit(hists[p].at(node.id), a_layouts_[p],
+                                        node.total, config_.gbdt);
+    if (cand.gain > best.split.gain) {
+      best.split = cand;
+      best.owner = static_cast<uint32_t>(p);
+    }
+  }
+  return best;
+}
+
+void PartyBEngine::RecordSplit(const SplitCandidate& split, uint32_t owner,
+                               int32_t node, int32_t left, int32_t right,
+                               Tree* tree) const {
+  TreeNode& tn = tree->node(node);
+  tn.feature = split.feature;
+  tn.split_value = owner == party_b_index_
+                       ? cuts_.SplitValue(split.feature, split.bin)
+                       : 0;  // only the owner party knows it
+  tn.split_bin = split.bin;
+  tn.default_left = split.default_left;
+  tn.gain = split.gain;
+  tn.owner_party = static_cast<int32_t>(owner);
+  tn.left = left;
+  tn.right = right;
+}
+
+NodeDecision PartyBEngine::SplitOnB(const NodeState& node, Tree* tree) {
+  NodeDecision d;
+  d.node = node.id;
+  d.action = NodeAction::kSplitResolved;
+  d.left = tree->AddNode();
+  d.right = tree->AddNode();
+  d.placement = ComputePlacement(binned_, node.instances, node.best_b.feature,
+                                 node.best_b.bin, node.best_b.default_left);
+  RecordSplit(node.best_b, party_b_index_, node.id, d.left, d.right, tree);
+  return d;
+}
+
+void PartyBEngine::SplitChildren(const NodeState& node, int32_t left,
+                                 int32_t right, const Bitmap& placement,
+                                 std::vector<NodeState>* children) {
+  NodeState l, r;
+  l.id = left;
+  r.id = right;
+  l.layer = r.layer = node.layer + 1;
+  ApplyPlacement(node.instances, placement, &l.instances, &r.instances);
+  l.total = SumGrads(l.instances);
+  r.total = SumGrads(r.instances);
+  // Sibling subtraction: build the smaller child, derive the other from the
+  // parent histogram (only worthwhile below the leaf layer).
+  if (node.layer + 2 < config_.gbdt.num_layers) {
+    Stopwatch timer;
+    NodeState* small = &l;
+    NodeState* big = &r;
+    if (small->instances.size() > big->instances.size()) std::swap(small, big);
+    small->own_hist =
+        Histogram::Build(binned_, layout_, small->instances, grads_);
+    big->own_hist = small->own_hist;
+    big->own_hist.SubtractFrom(node.own_hist);
+    l.has_hist = r.has_hist = true;
+    m_.phase_find_split->Observe(timer.ElapsedSeconds());
+  }
+  children->push_back(std::move(l));
+  children->push_back(std::move(r));
+}
+
+Result<Bitmap> PartyBEngine::ReceivePlacement(uint32_t owner,
+                                              const NodeState& node) {
+  PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
+  VF2_ASSIGN_OR_RETURN(Message msg,
+                       inboxes_[owner].ReceiveType(MessageType::kPlacement));
+  wait.Stop();
+  PlacementPayload placement;
+  VF2_RETURN_IF_ERROR(DecodePlacement(msg, &placement));
+  if (placement.node != node.id) {
+    return Status::ProtocolError("placement for wrong node");
+  }
+  if (placement.placement.size() != node.instances.size()) {
+    return Status::ProtocolError("placement size mismatch");
+  }
+  return std::move(placement.placement);
+}
+
 Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
   obs::TraceSpan tree_span("phase", "tree");
   if (tree_span.active()) {
@@ -373,43 +451,7 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
     }
 
     std::vector<NodeState> children;
-    auto split_node = [&](NodeState& node, int32_t left_id, int32_t right_id,
-                          const Bitmap& placement) {
-      NodeState l, r;
-      l.id = left_id;
-      r.id = right_id;
-      l.layer = r.layer = layer + 1;
-      ApplyPlacement(node.instances, placement, &l.instances, &r.instances);
-      l.total = SumGrads(l.instances);
-      r.total = SumGrads(r.instances);
-      // Sibling subtraction: build the smaller child, derive the other from
-      // the parent histogram (only worthwhile below the leaf layer).
-      if (layer + 2 < params.num_layers) {
-        Stopwatch timer;
-        NodeState* small = &l;
-        NodeState* big = &r;
-        if (small->instances.size() > big->instances.size()) {
-          std::swap(small, big);
-        }
-        small->own_hist =
-            Histogram::Build(binned_, layout_, small->instances, grads_);
-        big->own_hist = small->own_hist;
-        big->own_hist.SubtractFrom(node.own_hist);
-        l.has_hist = r.has_hist = true;
-        m_.phase_find_split->Observe(timer.ElapsedSeconds());
-      }
-      children.push_back(std::move(l));
-      children.push_back(std::move(r));
-    };
-    auto erase_children_of = [&](int32_t left_id, int32_t right_id) {
-      children.erase(std::remove_if(children.begin(), children.end(),
-                                    [&](const NodeState& c) {
-                                      return c.id == left_id ||
-                                             c.id == right_id;
-                                    }),
-                     children.end());
-    };
-
+    PartyHistograms hists;
     if (config_.optimistic) {
       // --- optimistic pre-split by B's own best (§4.2) ----------------------
       obs::TraceSpan opt_span("phase", "opt_split");
@@ -422,117 +464,71 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
       opt.layer = layer;
       for (NodeState& node : active) {
         NodeDecision d;
-        d.node = node.id;
+        d.node = node.id;  // a leaf unless B's own split exists
         if (node.best_b.valid()) {
-          const int32_t left_id = tree->AddNode();
-          const int32_t right_id = tree->AddNode();
-          Bitmap placement =
-              ComputePlacement(binned_, node.instances, node.best_b.feature,
-                               node.best_b.bin, node.best_b.default_left);
-          TreeNode& tn = tree->node(node.id);
-          tn.feature = node.best_b.feature;
-          tn.split_value = cuts_.SplitValue(node.best_b.feature,
-                                            node.best_b.bin);
-          tn.split_bin = node.best_b.bin;
-          tn.default_left = node.best_b.default_left;
-          tn.gain = node.best_b.gain;
-          tn.owner_party = static_cast<int32_t>(party_b_index_);
-          tn.left = left_id;
-          tn.right = right_id;
-          d.action = NodeAction::kSplitResolved;
-          d.left = left_id;
-          d.right = right_id;
-          d.placement = placement;
-          node.opt_split = true;
-          split_node(node, left_id, right_id, placement);
+          d = SplitOnB(node, tree);
+          SplitChildren(node, d.left, d.right, d.placement, &children);
           m_.optimistic_splits->Add(1);
-        } else {
-          d.action = NodeAction::kLeaf;
-          node.opt_split = false;
         }
         opt.decisions.push_back(std::move(d));
       }
-      const bool children_need_hists = layer + 2 < params.num_layers;
-      if (children_need_hists) {
-        for (Inbox& inbox : inboxes_) {
-          inbox.Send(EncodeDecisions(opt, MessageType::kOptPlacements));
-        }
+      if (layer + 2 < params.num_layers) {  // children need histograms
+        Broadcast(EncodeDecisions(opt, MessageType::kOptPlacements));
       }
       opt_span.End();
 
       // --- receive + validate (FindSplitA) ----------------------------------
-      std::vector<NodeState*> node_ptrs;
-      for (NodeState& n : active) node_ptrs.push_back(&n);
-      std::vector<std::map<int32_t, Histogram>> hists;
-      VF2_RETURN_IF_ERROR(CollectHistograms(layer, node_ptrs, &hists));
-
+      VF2_RETURN_IF_ERROR(CollectHistograms(layer, active, &hists));
       VerdictsPayload verdicts;
       verdicts.tree = tree_id;
       verdicts.layer = layer;
-      struct Dirty {
-        NodeState* node;
-        uint32_t owner;
-        int32_t left, right;
-      };
-      std::vector<Dirty> dirty;
+      std::vector<PendingA> dirty;
       {
         PhaseClock clock(m_.phase_find_split, "find_split", m_.live);
         for (NodeState& node : active) {
-          SplitCandidate best_a;
-          uint32_t owner = 0;
-          for (size_t p = 0; p < inboxes_.size(); ++p) {
-            SplitCandidate cand = FindBestSplit(
-                hists[p][node.id], a_layouts_[p], node.total, params);
-            if (cand.gain > best_a.gain) {
-              best_a = cand;
-              owner = static_cast<uint32_t>(p);
-            }
-          }
+          const ASplit a = BestASplit(node, hists);
           NodeVerdict v;
           v.node = node.id;
-          if (best_a.valid() && best_a.gain > node.best_b.gain) {
+          if (a.split.valid() && a.split.gain > node.best_b.gain) {
             // Dirty: A's split wins. Roll back the optimistic action.
             v.use_a = true;
-            v.owner = owner;
-            v.feature = best_a.feature;
-            v.bin = best_a.bin;
-            v.default_left = best_a.default_left;
-            if (node.opt_split) {
-              // Reuse the children ids; their contents are redone.
+            v.owner = a.owner;
+            v.feature = a.split.feature;
+            v.bin = a.split.bin;
+            v.default_left = a.split.default_left;
+            if (node.best_b.valid()) {
+              // B split it optimistically: reuse the children ids; their
+              // contents are redone.
               v.left = tree->node(node.id).left;
               v.right = tree->node(node.id).right;
-              erase_children_of(v.left, v.right);
+              std::erase_if(children, [&](const NodeState& c) {
+                return c.id == v.left || c.id == v.right;
+              });
               ++hist_epoch_[v.left];
               ++hist_epoch_[v.right];
             } else {
               v.left = tree->AddNode();
               v.right = tree->AddNode();
             }
-            TreeNode& tn = tree->node(node.id);
-            tn.feature = best_a.feature;
-            tn.split_value = 0;  // only the owner party knows it
-            tn.split_bin = best_a.bin;
-            tn.default_left = best_a.default_left;
-            tn.gain = best_a.gain;
-            tn.owner_party = static_cast<int32_t>(owner);
-            tn.left = v.left;
-            tn.right = v.right;
-            dirty.push_back({&node, owner, v.left, v.right});
+            RecordSplit(a.split, a.owner, node.id, v.left, v.right, tree);
+            dirty.push_back({&node, a.owner, v.left, v.right, dirty.size()});
             m_.dirty_nodes->Add(1);
+          } else if (node.best_b.valid()) {
+            m_.splits_b->Add(1);
+          } else {
+            FinalizeLeaf(node, tree);
           }
           verdicts.verdicts.push_back(v);
         }
       }
-      for (Inbox& inbox : inboxes_) {
-        inbox.Send(EncodeVerdicts(verdicts));
-      }
+      Broadcast(EncodeVerdicts(verdicts));
 
       // --- placements for dirty nodes, then broadcast corrections -----------
       if (!dirty.empty()) {
         DecisionsPayload corrections;
         corrections.tree = tree_id;
         corrections.layer = layer;
-        for (const Dirty& d : dirty) {
+        for (const PendingA& d : dirty) {
           // One "rollback" span per dirty node: wait for the owner's real
           // placement, then redo the split B guessed wrong.
           obs::TraceSpan rollback_span("phase", "rollback");
@@ -540,63 +536,27 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
             rollback_span.AddArg("node", static_cast<int64_t>(d.node->id));
             rollback_span.AddArg("owner", static_cast<int64_t>(d.owner));
           }
-          PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
-          VF2_ASSIGN_OR_RETURN(
-              Message msg,
-              inboxes_[d.owner].ReceiveType(MessageType::kPlacement));
-          wait.Stop();
-          PlacementPayload placement;
-          VF2_RETURN_IF_ERROR(DecodePlacement(msg, &placement));
-          if (placement.node != d.node->id) {
-            return Status::ProtocolError("placement for wrong node");
-          }
-          if (placement.placement.size() != d.node->instances.size()) {
-            return Status::ProtocolError("placement size mismatch");
-          }
-          split_node(*d.node, d.left, d.right, placement.placement);
           NodeDecision correction;
           correction.node = d.node->id;
           correction.action = NodeAction::kSplitResolved;
           correction.left = d.left;
           correction.right = d.right;
-          correction.placement = std::move(placement.placement);
+          VF2_ASSIGN_OR_RETURN(correction.placement,
+                               ReceivePlacement(d.owner, *d.node));
+          SplitChildren(*d.node, d.left, d.right, correction.placement,
+                        &children);
           corrections.decisions.push_back(std::move(correction));
           m_.splits_a->Add(1);
         }
-        for (Inbox& inbox : inboxes_) {
-          DecisionsPayload copy = corrections;
-          inbox.Send(EncodeDecisions(copy, MessageType::kDecisions));
-        }
-      }
-
-      // --- finalize confirmed nodes ----------------------------------------
-      for (NodeState& node : active) {
-        bool is_dirty = false;
-        for (const Dirty& d : dirty) is_dirty |= d.node == &node;
-        if (is_dirty) continue;
-        if (node.opt_split) {
-          m_.splits_b->Add(1);
-        } else {
-          FinalizeLeaf(node, tree);
-        }
+        Broadcast(EncodeDecisions(corrections, MessageType::kDecisions));
       }
     } else {
       // --- sequential SecureBoost-style layer (VF-GBDT) ---------------------
-      std::vector<NodeState*> node_ptrs;
-      for (NodeState& n : active) node_ptrs.push_back(&n);
-      std::vector<std::map<int32_t, Histogram>> hists;
-      VF2_RETURN_IF_ERROR(CollectHistograms(layer, node_ptrs, &hists));
-
+      VF2_RETURN_IF_ERROR(CollectHistograms(layer, active, &hists));
       DecisionsPayload resolved;
       resolved.tree = tree_id;
       resolved.layer = layer;
       std::vector<DecisionsPayload> queries(inboxes_.size());
-      struct PendingA {
-        NodeState* node;
-        uint32_t owner;
-        int32_t left, right;
-        size_t resolved_index;
-      };
       std::vector<PendingA> pending;
 
       obs::TraceSpan split_span("phase", "find_split");
@@ -606,72 +566,28 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
       }
       Stopwatch timer;
       for (NodeState& node : active) {
-        SplitCandidate best_a;
-        uint32_t owner = 0;
-        for (size_t p = 0; p < inboxes_.size(); ++p) {
-          SplitCandidate cand = FindBestSplit(hists[p][node.id],
-                                              a_layouts_[p], node.total,
-                                              params);
-          if (cand.gain > best_a.gain) {
-            best_a = cand;
-            owner = static_cast<uint32_t>(p);
-          }
-        }
+        const ASplit a = BestASplit(node, hists);
         NodeDecision d;
         d.node = node.id;
-        const bool b_wins =
-            node.best_b.valid() && node.best_b.gain >= best_a.gain;
-        if (b_wins) {
-          const int32_t left_id = tree->AddNode();
-          const int32_t right_id = tree->AddNode();
-          Bitmap placement =
-              ComputePlacement(binned_, node.instances, node.best_b.feature,
-                               node.best_b.bin, node.best_b.default_left);
-          TreeNode& tn = tree->node(node.id);
-          tn.feature = node.best_b.feature;
-          tn.split_value =
-              cuts_.SplitValue(node.best_b.feature, node.best_b.bin);
-          tn.split_bin = node.best_b.bin;
-          tn.default_left = node.best_b.default_left;
-          tn.gain = node.best_b.gain;
-          tn.owner_party = static_cast<int32_t>(party_b_index_);
-          tn.left = left_id;
-          tn.right = right_id;
-          d.action = NodeAction::kSplitResolved;
-          d.left = left_id;
-          d.right = right_id;
-          d.placement = placement;
-          split_node(node, left_id, right_id, placement);
+        if (node.best_b.valid() && node.best_b.gain >= a.split.gain) {
+          d = SplitOnB(node, tree);
+          SplitChildren(node, d.left, d.right, d.placement, &children);
           m_.splits_b->Add(1);
-        } else if (best_a.valid()) {
-          const int32_t left_id = tree->AddNode();
-          const int32_t right_id = tree->AddNode();
-          TreeNode& tn = tree->node(node.id);
-          tn.feature = best_a.feature;
-          tn.split_value = 0;
-          tn.split_bin = best_a.bin;
-          tn.default_left = best_a.default_left;
-          tn.gain = best_a.gain;
-          tn.owner_party = static_cast<int32_t>(owner);
-          tn.left = left_id;
-          tn.right = right_id;
-          NodeDecision q;
-          q.node = node.id;
-          q.action = NodeAction::kSplitQuery;
-          q.left = left_id;
-          q.right = right_id;
-          q.feature = best_a.feature;
-          q.bin = best_a.bin;
-          q.default_left = best_a.default_left;
-          queries[owner].decisions.push_back(q);
-          pending.push_back(
-              {&node, owner, left_id, right_id, resolved.decisions.size()});
+        } else if (a.split.valid()) {
           d.action = NodeAction::kSplitResolved;  // placement filled later
-          d.left = left_id;
-          d.right = right_id;
+          d.left = tree->AddNode();
+          d.right = tree->AddNode();
+          RecordSplit(a.split, a.owner, node.id, d.left, d.right, tree);
+          NodeDecision q = d;
+          q.action = NodeAction::kSplitQuery;
+          q.feature = a.split.feature;
+          q.bin = a.split.bin;
+          q.default_left = a.split.default_left;
+          queries[a.owner].decisions.push_back(q);
+          pending.push_back(
+              {&node, a.owner, d.left, d.right, resolved.decisions.size()});
           m_.splits_a->Add(1);
         } else {
-          d.action = NodeAction::kLeaf;
           FinalizeLeaf(node, tree);
         }
         resolved.decisions.push_back(std::move(d));
@@ -688,25 +604,11 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
             EncodeDecisions(queries[p], MessageType::kSplitQueries));
       }
       for (const PendingA& pa : pending) {
-        PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
-        VF2_ASSIGN_OR_RETURN(
-            Message msg,
-            inboxes_[pa.owner].ReceiveType(MessageType::kPlacement));
-        wait.Stop();
-        PlacementPayload placement;
-        VF2_RETURN_IF_ERROR(DecodePlacement(msg, &placement));
-        if (placement.node != pa.node->id ||
-            placement.placement.size() != pa.node->instances.size()) {
-          return Status::ProtocolError("bad placement reply");
-        }
-        split_node(*pa.node, pa.left, pa.right, placement.placement);
-        resolved.decisions[pa.resolved_index].placement =
-            std::move(placement.placement);
+        Bitmap& placement = resolved.decisions[pa.decision].placement;
+        VF2_ASSIGN_OR_RETURN(placement, ReceivePlacement(pa.owner, *pa.node));
+        SplitChildren(*pa.node, pa.left, pa.right, placement, &children);
       }
-      for (Inbox& inbox : inboxes_) {
-        DecisionsPayload copy = resolved;
-        inbox.Send(EncodeDecisions(copy, MessageType::kDecisions));
-      }
+      Broadcast(EncodeDecisions(resolved, MessageType::kDecisions));
     }
     active = std::move(children);
   }
@@ -714,9 +616,7 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
   // Remaining nodes at the last layer become leaves.
   for (NodeState& node : active) FinalizeLeaf(node, tree);
 
-  for (Inbox& inbox : inboxes_) {
-    inbox.Send(Message{MessageType::kTreeDone, {}});
-  }
+  Broadcast(Message{MessageType::kTreeDone, {}});
   m_.trees_finished->Add(1);
   return Status::OK();
 }
@@ -864,10 +764,8 @@ Status PartyBEngine::ResyncSessions(int64_t last_completed) {
       inbox.Send(std::move(key_copy));
       VF2_ASSIGN_OR_RETURN(Message msg,
                            inbox.ReceiveType(MessageType::kLayout));
-      LayoutPayload layout;
-      VF2_RETURN_IF_ERROR(DecodeLayout(msg, &layout));
-      if (p < a_layouts_.size() &&
-          layout.bins_per_feature.size() + 1 != a_layouts_[p].offsets.size()) {
+      VF2_ASSIGN_OR_RETURN(FeatureLayout fl, DecodeALayout(msg));
+      if (fl.offsets != a_layouts_[p].offsets) {
         return Status::ProtocolError(
             "restarted peer " + std::to_string(peer->party) +
             " announced a different feature layout than the original run");
@@ -963,9 +861,7 @@ Result<PartyBResult> PartyBEngine::RunInternal() {
         static_cast<int64_t>(t), 0, "tree complete");
     VF2_RETURN_IF_ERROR(MaybeWriteCheckpoint(result));
   }
-  for (Inbox& inbox : inboxes_) {
-    inbox.Send(Message{MessageType::kTrainDone, {}});
-  }
+  Broadcast(Message{MessageType::kTrainDone, {}});
   // The final per-party metric frames ride behind kTrainDone; collect them
   // before Run() closes the ports so the ordering can't drop them.
   if (config_.federate_metrics) DrainFederatedMetrics();

@@ -55,8 +55,9 @@ class PartyBEngine {
     uint32_t layer = 0;
     std::vector<uint32_t> instances;
     GradPair total;
+    /// B's own best split; under the optimistic protocol B splits every
+    /// node that has a valid one ahead of validation.
     SplitCandidate best_b;
-    bool opt_split = false;  ///< B optimistically split this node
     /// B's own-feature histogram: built for the root, derived for one
     /// sibling of every split via subtraction (paper §7).
     Histogram own_hist;
@@ -82,13 +83,44 @@ class PartyBEngine {
   /// until the peer's clean close (clean closes drain queued traffic first,
   /// so the final frame arrives deterministically).
   void DrainFederatedMetrics();
+  /// hists[party][node] = decrypted plaintext histogram of an A party.
+  using PartyHistograms = std::vector<std::map<int32_t, Histogram>>;
+  /// A split that an A party owns, with the owning party's index.
+  struct ASplit {
+    SplitCandidate split;
+    uint32_t owner = 0;
+  };
+  /// An A-won split whose placement B still has to fetch from its owner.
+  struct PendingA {
+    NodeState* node;
+    uint32_t owner;
+    int32_t left, right;
+    size_t decision;  ///< index of the node's decision in the broadcast
+  };
+
   Status TrainOneTree(uint32_t tree_id, Tree* tree);
   void EncryptAndSendGradients(uint32_t tree_id);
   /// Collects the expected-epoch histogram of every node in `nodes` from
-  /// every A party; hists[party][node] = decrypted plaintext histogram.
-  Status CollectHistograms(
-      uint32_t layer, const std::vector<NodeState*>& nodes,
-      std::vector<std::map<int32_t, Histogram>>* hists);
+  /// every A party.
+  Status CollectHistograms(uint32_t layer, const std::vector<NodeState>& nodes,
+                           PartyHistograms* hists);
+  /// Best split over every A party's histogram of `node` (invalid when no A
+  /// party has one).
+  ASplit BestASplit(const NodeState& node, const PartyHistograms& hists) const;
+  /// Writes `node`'s split into the tree. Only a B-owned split gets its real
+  /// threshold; A-owned nodes keep (owner, feature, bin).
+  void RecordSplit(const SplitCandidate& split, uint32_t owner, int32_t node,
+                   int32_t left, int32_t right, Tree* tree) const;
+  /// Splits `node` on B's own best split: fresh children, B's placement.
+  NodeDecision SplitOnB(const NodeState& node, Tree* tree);
+  /// Partitions `node` into two children by `placement` and appends them to
+  /// `children`, deriving one child's own histogram by sibling subtraction.
+  void SplitChildren(const NodeState& node, int32_t left, int32_t right,
+                     const Bitmap& placement, std::vector<NodeState>* children);
+  /// Receives `owner`'s kPlacement for `node` and checks it fits the node.
+  Result<Bitmap> ReceivePlacement(uint32_t owner, const NodeState& node);
+  /// Sends a copy of `msg` to every A party.
+  void Broadcast(const Message& msg);
   void FinalizeLeaf(const NodeState& node, Tree* tree);
   GradPair SumGrads(const std::vector<uint32_t>& instances) const;
 

@@ -11,8 +11,25 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#if defined(__GLIBC__)
+// Heap gauges come from glibc's mallinfo2, which describes glibc's own
+// arenas. Sanitizer runtimes replace malloc, so those builds skip it at
+// compile time; other interposed allocators are detected at run time.
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#define VF2_MALLINFO2 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#undef VF2_MALLINFO2
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#undef VF2_MALLINFO2
+#endif
+#endif
+#endif
+
+#if defined(VF2_MALLINFO2)
 #include <malloc.h>
+extern "C" void* __libc_malloc(size_t size);
 #endif
 
 #include <algorithm>
@@ -631,11 +648,17 @@ ResourceUsage SampleResourceUsage() {
         ru.ru_utime.tv_sec + ru.ru_utime.tv_usec * 1e-6;
     u.cpu_sys_seconds = ru.ru_stime.tv_sec + ru.ru_stime.tv_usec * 1e-6;
   }
-#if defined(__GLIBC__) && \
-    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
-  struct mallinfo2 mi = mallinfo2();
-  u.heap_allocated_bytes = static_cast<uint64_t>(mi.uordblks);
-  u.heap_free_bytes = static_cast<uint64_t>(mi.fordblks);
+#if defined(VF2_MALLINFO2)
+  // mallinfo2 walks glibc's arenas, which are not the heap when another
+  // allocator (tcmalloc, jemalloc, a preloaded sanitizer) owns malloc, and
+  // walking them from the watchdog thread can then crash. The gauges stay 0.
+  static const bool glibc_malloc =
+      dlsym(RTLD_DEFAULT, "malloc") == reinterpret_cast<void*>(&__libc_malloc);
+  if (glibc_malloc) {
+    struct mallinfo2 mi = mallinfo2();
+    u.heap_allocated_bytes = static_cast<uint64_t>(mi.uordblks);
+    u.heap_free_bytes = static_cast<uint64_t>(mi.fordblks);
+  }
 #endif
   return u;
 }

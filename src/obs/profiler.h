@@ -135,8 +135,10 @@ struct ResourceUsage {
   uint64_t peak_rss_bytes = 0;
   double cpu_user_seconds = 0.0;
   double cpu_sys_seconds = 0.0;
-  uint64_t heap_allocated_bytes = 0;  ///< allocator in-use bytes (mallinfo2)
-  uint64_t heap_free_bytes = 0;       ///< allocator free-list bytes
+  /// Allocator in-use and free-list bytes (glibc mallinfo2); both stay 0
+  /// when glibc malloc is not the active allocator (sanitizers, tcmalloc).
+  uint64_t heap_allocated_bytes = 0;
+  uint64_t heap_free_bytes = 0;
 };
 ResourceUsage SampleResourceUsage();
 

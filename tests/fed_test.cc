@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "gbdt/model_io.h"
@@ -100,16 +104,24 @@ TEST(FedTrainerTest, FederatedBeatsPartyBOnly) {
   EXPECT_NEAR(fed_auc, full_auc, 0.05) << "FL should match co-located";
 }
 
-TEST(FedTrainerTest, OptimisticMatchesSequentialExactly) {
-  Fixture f = MakeFixture(1200, 16, 0.5, {0.5, 0.5}, 25);
+// {total parties, workers per party}: 3 parties give each verdict an owner
+// that the other A party must skip; 4 workers run every pooled build path.
+class OptimisticParityTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(OptimisticParityTest, OptimisticMatchesSequentialExactly) {
+  const auto [parties, workers] = GetParam();
+  const std::vector<double> fractions(parties, 1.0 / parties);
+  Fixture f = MakeFixture(1200, 16, 0.5, fractions, 25);
   FedConfig seq = FastConfig();
-  FedConfig opt = FastConfig();
+  seq.workers_per_party = workers;
+  FedConfig opt = seq;
   opt.optimistic = true;
 
   auto r_seq = FedTrainer(seq).Train(f.shards);
   auto r_opt = FedTrainer(opt).Train(f.shards);
-  ASSERT_TRUE(r_seq.ok());
-  ASSERT_TRUE(r_opt.ok());
+  ASSERT_TRUE(r_seq.ok()) << r_seq.status().ToString();
+  ASSERT_TRUE(r_opt.ok()) << r_opt.status().ToString();
 
   // The optimistic protocol must be a pure scheduling change: identical
   // split decisions, identical model.
@@ -126,7 +138,27 @@ TEST(FedTrainerTest, OptimisticMatchesSequentialExactly) {
   EXPECT_GT(r_opt->stats.dirty_nodes, 0u);
   EXPECT_GT(r_opt->stats.optimistic_splits, r_opt->stats.dirty_nodes);
   EXPECT_EQ(r_seq->stats.dirty_nodes, 0u);
+  // Every party, B included, owns some split of the optimistic model.
+  std::vector<size_t> owned(parties, 0);
+  for (const Tree& tree : r_opt->model.trees) {
+    for (size_t n = 0; n < tree.size(); ++n) {
+      const int32_t owner = tree.node(static_cast<int32_t>(n)).owner_party;
+      if (owner >= 0) ++owned[owner];
+    }
+  }
+  for (size_t p = 0; p < parties; ++p) {
+    EXPECT_GT(owned[p], 0u) << "party " << p << " owns no split";
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PartiesAndWorkers, OptimisticParityTest,
+    ::testing::Combine(::testing::Values(size_t{2}, size_t{3}),
+                       ::testing::Values(size_t{1}, size_t{4})),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "parties_" +
+             std::to_string(std::get<1>(info.param)) + "workers";
+    });
 
 TEST(FedTrainerTest, DirtyRateTracksFeatureRatio) {
   // Paper §4.2: failure probability ~ D_A / (D_A + D_B).

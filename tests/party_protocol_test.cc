@@ -1,0 +1,305 @@
+// Scripted-peer tests of the party engines: one real engine talks to a test
+// thread that plays the other party frame by frame, so hostile or
+// inconsistent frames can be sent at exact points of the protocol.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <thread>
+
+#include "data/synthetic.h"
+#include "fed/channel.h"
+#include "fed/party_a.h"
+#include "fed/party_b.h"
+
+namespace vf2boost {
+namespace {
+
+constexpr double kDeadlineSeconds = 10;
+
+FedConfig MockConfig() {
+  FedConfig config;
+  config.mock_crypto = true;
+  config.gbdt.num_trees = 1;
+  config.gbdt.num_layers = 4;
+  config.gbdt.max_bins = 8;
+  return config;
+}
+
+Dataset SmallData(size_t rows, size_t cols) {
+  SyntheticSpec spec;
+  spec.rows = rows;
+  spec.cols = cols;
+  spec.density = 1.0;
+  spec.seed = 5;
+  return GenerateSynthetic(spec);
+}
+
+NetworkConfig WithDeadline() {
+  NetworkConfig net;
+  net.default_deadline_seconds = kDeadlineSeconds;
+  return net;
+}
+
+// ---------------------------------------------------------------------------
+// Party A against a scripted B
+// ---------------------------------------------------------------------------
+
+/// What the hostile frame carries, given the layout A announced.
+struct HostileCase {
+  const char* name;
+  MessageType type;
+  std::function<Message(const LayoutPayload&)> frame;
+};
+
+Message Decisions(MessageType type, NodeDecision d) {
+  DecisionsPayload p;
+  p.layer = 0;
+  p.decisions.push_back(std::move(d));
+  return EncodeDecisions(p, type);
+}
+
+NodeDecision Resolved(int32_t node) {
+  NodeDecision d;
+  d.node = node;
+  d.action = NodeAction::kSplitResolved;
+  d.left = 1;
+  d.right = 2;
+  return d;
+}
+
+NodeDecision Query(int32_t node, uint32_t feature, uint32_t bin) {
+  NodeDecision d;
+  d.node = node;
+  d.action = NodeAction::kSplitQuery;
+  d.left = 1;
+  d.right = 2;
+  d.feature = feature;
+  d.bin = bin;
+  return d;
+}
+
+Message Verdict(int32_t node, uint32_t feature, uint32_t bin) {
+  VerdictsPayload p;
+  NodeVerdict v;
+  v.node = node;
+  v.use_a = true;
+  v.owner = 0;  // the engine under test
+  v.feature = feature;
+  v.bin = bin;
+  v.left = 1;
+  v.right = 2;
+  p.verdicts.push_back(v);
+  return EncodeVerdicts(p);
+}
+
+uint32_t NumFeatures(const LayoutPayload& l) {
+  return static_cast<uint32_t>(l.bins_per_feature.size());
+}
+uint32_t LastBin(const LayoutPayload& l) {
+  return static_cast<uint32_t>(l.bins_per_feature[0] - 1);
+}
+
+class PartyAHostileFrameTest : public ::testing::TestWithParam<HostileCase> {};
+
+TEST_P(PartyAHostileFrameTest, EndsWithProtocolError) {
+  const FedConfig config = MockConfig();
+  const Dataset data = SmallData(64, 4);
+  auto [a_end, b_end] = ChannelEndpoint::CreatePair(WithDeadline());
+  PartyAEngine engine(config, data, a_end.get(), /*party_index=*/0);
+  Status a_status;
+  std::thread a_thread([&] { a_status = engine.Run(); });
+
+  // Scripted B: setup, one gradient batch, then the hostile frame once A
+  // has sent the root histogram.
+  b_end->Send(Message{MessageType::kPublicKey, {}});
+  Result<Message> layout_msg = b_end->Receive();
+  ASSERT_TRUE(layout_msg.ok()) << layout_msg.status().ToString();
+  ASSERT_EQ(layout_msg->type, MessageType::kLayout);
+  LayoutPayload layout;
+  ASSERT_TRUE(DecodeLayout(*layout_msg, &layout).ok());
+  ASSERT_GT(NumFeatures(layout), 0u);
+
+  MockBackend backend(config.MakeCodec());
+  Rng rng(1);
+  GradBatchPayload grads;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    grads.g.push_back(backend.Encrypt(0.25, &rng));
+    grads.h.push_back(backend.Encrypt(0.5, &rng));
+  }
+  b_end->Send(EncodeGradBatch(grads, backend));
+  Result<Message> hist = b_end->Receive();
+  ASSERT_TRUE(hist.ok()) << hist.status().ToString();
+  ASSERT_EQ(hist->type, MessageType::kNodeHistogram);
+
+  Message hostile = GetParam().frame(layout);
+  ASSERT_EQ(hostile.type, GetParam().type);
+  b_end->Send(std::move(hostile));
+  a_thread.join();
+  EXPECT_EQ(a_status.code(), StatusCode::kProtocolError)
+      << a_status.ToString();
+  // A replied to nothing: the next thing B sees is A's error close.
+  Result<Message> after = b_end->Receive();
+  EXPECT_FALSE(after.ok()) << MessageTypeName(after->type);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Frames, PartyAHostileFrameTest,
+    ::testing::Values(
+        HostileCase{"DecisionsUnknownNode", MessageType::kDecisions,
+                    [](const LayoutPayload&) {
+                      return Decisions(MessageType::kDecisions, Resolved(7));
+                    }},
+        HostileCase{"OptPlacementsUnknownNode", MessageType::kOptPlacements,
+                    [](const LayoutPayload&) {
+                      return Decisions(MessageType::kOptPlacements,
+                                       Resolved(7));
+                    }},
+        HostileCase{"SplitQueriesUnknownNode", MessageType::kSplitQueries,
+                    [](const LayoutPayload&) {
+                      return Decisions(MessageType::kSplitQueries,
+                                       Query(7, 0, 0));
+                    }},
+        HostileCase{"VerdictsUnknownNode", MessageType::kVerdicts,
+                    [](const LayoutPayload&) { return Verdict(7, 0, 0); }},
+        HostileCase{"SplitQueriesFeatureOutOfRange",
+                    MessageType::kSplitQueries,
+                    [](const LayoutPayload& l) {
+                      return Decisions(MessageType::kSplitQueries,
+                                       Query(0, NumFeatures(l), 0));
+                    }},
+        HostileCase{"SplitQueriesBinOutOfRange", MessageType::kSplitQueries,
+                    [](const LayoutPayload& l) {
+                      return Decisions(MessageType::kSplitQueries,
+                                       Query(0, 0, LastBin(l)));
+                    }},
+        HostileCase{"SplitQueriesMaxBin", MessageType::kSplitQueries,
+                    [](const LayoutPayload&) {
+                      return Decisions(MessageType::kSplitQueries,
+                                       Query(0, 0, UINT32_MAX));
+                    }},
+        HostileCase{"VerdictsFeatureOutOfRange", MessageType::kVerdicts,
+                    [](const LayoutPayload& l) {
+                      return Verdict(0, NumFeatures(l), 0);
+                    }},
+        HostileCase{"VerdictsBinOutOfRange", MessageType::kVerdicts,
+                    [](const LayoutPayload& l) {
+                      return Verdict(0, 0, LastBin(l));
+                    }},
+        HostileCase{"QueryInsideOptPlacements", MessageType::kOptPlacements,
+                    [](const LayoutPayload&) {
+                      return Decisions(MessageType::kOptPlacements,
+                                       Query(0, 0, 0));
+                    }},
+        HostileCase{"QueryInsideDecisions", MessageType::kDecisions,
+                    [](const LayoutPayload&) {
+                      return Decisions(MessageType::kDecisions,
+                                       Query(0, 0, 0));
+                    }}),
+    [](const ::testing::TestParamInfo<HostileCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
+// Party B against a scripted, relaunched A
+// ---------------------------------------------------------------------------
+
+/// A resilient port over two prepared links: Reestablish moves to the second
+/// one and reports the peer as a freshly launched process that needs the
+/// setup phase replayed. Used by B's engine thread only.
+class RelaunchPort : public MessagePort {
+ public:
+  RelaunchPort(ChannelEndpoint* first, ChannelEndpoint* second)
+      : current_(first), next_(second) {}
+
+  void Send(Message msg) override { current_->Send(std::move(msg)); }
+  Result<Message> Receive() override { return current_->Receive(); }
+  Status TryReceive(Message* out, bool* got) override {
+    return current_->TryReceive(out, got);
+  }
+  void Close(Status status) override { current_->Close(std::move(status)); }
+  bool closed() const override { return current_->closed(); }
+  ChannelStats sent_stats() const override { return current_->sent_stats(); }
+  bool resilient() const override { return true; }
+  Result<HelloPayload> Reestablish(int64_t last_completed_tree,
+                                   bool /*needs_setup*/) override {
+    if (next_ == nullptr) return Status::Unavailable("no second link");
+    current_ = next_;
+    next_ = nullptr;
+    HelloPayload hello;
+    hello.party = 0;
+    hello.last_completed_tree = last_completed_tree;
+    hello.needs_setup = true;
+    return hello;
+  }
+
+ private:
+  ChannelEndpoint* current_;
+  ChannelEndpoint* next_;
+};
+
+Message Layout(std::vector<uint64_t> bins) {
+  LayoutPayload p;
+  p.bins_per_feature = std::move(bins);
+  return EncodeLayout(p);
+}
+
+// Plays A up to B's first gradient batch, kills that link, then answers B's
+// setup replay on the second link with `relaunch_bins`. Returns B's status.
+Status RunBAgainstRelaunchedA(std::vector<uint64_t> relaunch_bins) {
+  FedConfig config = MockConfig();
+  const Dataset data = SmallData(64, 3);
+  auto [a1, b1] = ChannelEndpoint::CreatePair(WithDeadline());
+  auto [a2, b2] = ChannelEndpoint::CreatePair(WithDeadline());
+  RelaunchPort port(b1.get(), b2.get());
+  PartyBEngine engine(config, data, {&port});
+  Status b_status;
+  std::thread b_thread([&] { b_status = engine.Run().status(); });
+
+  auto expect = [](ChannelEndpoint* end, MessageType type) {
+    Result<Message> msg = end->Receive();
+    EXPECT_TRUE(msg.ok()) << msg.status().ToString();
+    if (msg.ok()) {
+      EXPECT_EQ(msg->type, type) << MessageTypeName(msg->type);
+    }
+  };
+  expect(a1.get(), MessageType::kPublicKey);
+  a1->Send(Layout({4, 4}));
+  expect(a1.get(), MessageType::kGradBatch);
+  a1->Close(Status::Unavailable("link lost"));
+
+  expect(a2.get(), MessageType::kPublicKey);  // setup replay
+  a2->Send(Layout(std::move(relaunch_bins)));
+  // B either refuses the layout (and closes the link) or carries on with
+  // the tree; end the run either way.
+  Result<Message> next = a2->Receive();
+  if (next.ok()) a2->Close(Status::Internal("B accepted the layout"));
+  b_thread.join();
+  return b_status;
+}
+
+TEST(PartyBRelaunchTest, RefusesSameFeatureCountWithDifferentBins) {
+  // Same feature count and the same total bin count as the original {4, 4}.
+  Status st = RunBAgainstRelaunchedA({3, 5});
+  EXPECT_EQ(st.code(), StatusCode::kProtocolError) << st.ToString();
+  EXPECT_NE(st.message().find("different feature layout"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(PartyBRelaunchTest, RefusesOutOfRangeBinCount) {
+  Status st = RunBAgainstRelaunchedA({0, 8});
+  EXPECT_EQ(st.code(), StatusCode::kProtocolError) << st.ToString();
+  EXPECT_NE(st.message().find("bad bin count"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(PartyBRelaunchTest, AcceptsTheOriginalLayout) {
+  // Control: the replayed layout matches, so B goes on to stream the tree's
+  // gradients and only fails when the scripted peer gives up.
+  Status st = RunBAgainstRelaunchedA({4, 4});
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+}
+
+}  // namespace
+}  // namespace vf2boost
