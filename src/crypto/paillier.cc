@@ -62,15 +62,6 @@ BigInt PaillierPublicKey::Encrypt(const BigInt& m, Rng* rng) const {
   return EncryptWithNonce(m, MakeNonce(rng));
 }
 
-BigInt PaillierPublicKey::EncryptLegacy(const BigInt& m, Rng* rng) const {
-  VF2_DCHECK(!m.IsNegative() && m.Compare(n_) < 0);
-  // Full-exponent obfuscation: r^n mod n^2 for r uniform in Z_n^*.
-  BigInt r = BigInt::RandomBelow(n_ - BigInt(1), rng) + BigInt(1);
-  const BigInt rn = mont_n2_->Pow(r, n_);
-  const BigInt gm = Mod(BigInt(1) + m * n_, n2_);
-  return Mod(gm * rn, n2_);
-}
-
 BigInt PaillierPublicKey::EncryptUnobfuscated(const BigInt& m) const {
   VF2_DCHECK(!m.IsNegative() && m.Compare(n_) < 0);
   return Mod(BigInt(1) + m * n_, n2_);

@@ -56,11 +56,6 @@ class PaillierPublicKey {
   /// c = (1 + m*n) * nonce mod n^2.
   BigInt EncryptWithNonce(const BigInt& m, const BigInt& nonce) const;
 
-  /// Legacy full-exponent obfuscation (r^n mod n^2 for r uniform in Z_n^*).
-  /// Kept as the reference path the property tests compare the
-  /// short-exponent ciphers against; ~5-20x slower than Encrypt.
-  BigInt EncryptLegacy(const BigInt& m, Rng* rng) const;
-
   /// Encrypts without obfuscation (r = 1). Only safe for values that are
   /// public anyway — e.g. the histogram-packing shift constant.
   BigInt EncryptUnobfuscated(const BigInt& m) const;

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <utility>
 
-#include "common/random.h"
 #include "obs/trace.h"
 
 namespace vf2boost {
@@ -31,24 +32,23 @@ uint64_t FlowId(uint64_t dir, uint64_t seq) {
 }  // namespace
 
 Status NetworkConfig::Validate() const {
-  if (bandwidth_bytes_per_sec < 0 || latency_seconds < 0 ||
-      default_deadline_seconds < 0 || retransmit_timeout_seconds < 0 ||
-      jitter_seconds < 0) {
-    return Status::InvalidArgument("network delays must be nonnegative");
-  }
-  if (drop_probability < 0 || drop_probability > 1 ||
-      duplicate_probability < 0 || duplicate_probability > 1 ||
-      corrupt_probability < 0 || corrupt_probability > 1) {
-    return Status::InvalidArgument(
-        "network fault probabilities must lie in [0, 1]");
-  }
-  if (max_retransmits < 0) {
-    return Status::InvalidArgument("max_retransmits must be >= 0");
-  }
-  if (heal_after_seconds < 0 || reconnect_backoff_base_seconds < 0 ||
-      reconnect_backoff_cap_seconds < 0) {
-    return Status::InvalidArgument(
-        "heal-after and reconnect backoff times must be nonnegative");
+  // Every time and rate below feeds a std::chrono conversion, where NaN or
+  // infinity is undefined behaviour.
+  const std::pair<const char*, double> knobs[] = {
+      {"bandwidth_bytes_per_sec", bandwidth_bytes_per_sec},
+      {"latency_seconds", latency_seconds},
+      {"default_deadline_seconds", default_deadline_seconds},
+      {"heal_after_seconds", heal_after_seconds},
+      {"reconnect_backoff_base_seconds", reconnect_backoff_base_seconds},
+      {"reconnect_backoff_cap_seconds", reconnect_backoff_cap_seconds},
+      {"heartbeat_interval_seconds", heartbeat_interval_seconds},
+      {"liveness_budget_seconds", liveness_budget_seconds},
+  };
+  for (const auto& [name, value] : knobs) {
+    if (!std::isfinite(value) || value < 0) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be finite and nonnegative");
+    }
   }
   if (reconnect_max_attempts < 0) {
     return Status::InvalidArgument("reconnect_max_attempts must be >= 0");
@@ -64,10 +64,6 @@ Status NetworkConfig::Validate() const {
           "reconnect_backoff_cap_seconds must be >= "
           "reconnect_backoff_base_seconds");
     }
-  }
-  if (heartbeat_interval_seconds < 0 || liveness_budget_seconds < 0) {
-    return Status::InvalidArgument(
-        "heartbeat interval and liveness budget must be nonnegative");
   }
   if (liveness_budget_seconds > 0) {
     if (heartbeat_interval_seconds <= 0) {
@@ -89,38 +85,15 @@ Status NetworkConfig::Validate() const {
   return Status::OK();
 }
 
-Status NetworkConfig::ValidateForTcpTransport() const {
-  VF2_RETURN_IF_ERROR(Validate());
-  auto reject = [](const char* knob) {
-    return Status::InvalidArgument(
-        std::string(knob) +
-        " is a simulated-gateway fault knob the TCP transport silently "
-        "ignores; inject this fault on real sockets with the vf2_chaosd "
-        "proxy instead");
-  };
-  if (drop_probability > 0) return reject("drop_probability");
-  if (duplicate_probability > 0) return reject("duplicate_probability");
-  if (corrupt_probability > 0) return reject("corrupt_probability");
-  if (jitter_seconds > 0) return reject("jitter_seconds");
-  if (latency_seconds > 0) return reject("latency_seconds");
-  if (bandwidth_bytes_per_sec > 0) return reject("bandwidth_bytes_per_sec");
-  return Status::OK();
-}
-
 struct ChannelEndpoint::Queue {
   struct Item {
     Clock::time_point deliver;
     uint64_t seq = 0;
     Message msg;
-    /// Non-empty: the frame was damaged in flight — these are the literal
-    /// (bit-flipped) wire bytes, and delivery runs them through DecodeFrame
-    /// so the receiver sees the CRC failure instead of the message.
-    std::vector<uint8_t> damaged_frame;
   };
   std::deque<Item> items;
   Clock::time_point next_free = Clock::now();  // bandwidth serialization point
   uint64_t next_seq = 1;
-  uint64_t last_delivered_seq = 0;  // duplicate suppression watermark
   uint64_t flow_dir = 0;  // trace flow-id namespace for this direction
   ChannelStats sent;
 };
@@ -133,14 +106,12 @@ struct ChannelEndpoint::Shared {
   Queue b_to_a;
   bool closed = false;
   Status close_status;
-  Rng fault_rng{0};
 };
 
 std::pair<std::unique_ptr<ChannelEndpoint>, std::unique_ptr<ChannelEndpoint>>
 ChannelEndpoint::CreatePair(const NetworkConfig& config) {
   auto shared = std::make_shared<Shared>();
   shared->config = config;
-  shared->fault_rng = Rng(config.fault_seed);
   shared->a_to_b.flow_dir =
       g_next_flow_dir.fetch_add(1, std::memory_order_relaxed);
   shared->b_to_a.flow_dir =
@@ -188,51 +159,15 @@ void ChannelEndpoint::Send(Message msg) {
     if (cfg.latency_seconds > 0) {
       deliver += Seconds(cfg.latency_seconds);
     }
-    if (cfg.jitter_seconds > 0) {
-      deliver += Seconds(shared_->fault_rng.NextDouble() * cfg.jitter_seconds);
-    }
-    if (cfg.drop_probability > 0) {
-      // Each lost attempt costs one retransmit timeout; a message whose whole
-      // retry budget is lost vanishes (the receiver's deadline reports it).
-      int attempts = 0;
-      while (shared_->fault_rng.NextDouble() < cfg.drop_probability) {
-        if (attempts >= cfg.max_retransmits) {
-          out_->sent.dropped += 1;
-          return;
-        }
-        ++attempts;
-        out_->sent.retransmits += 1;
-        deliver += Seconds(cfg.retransmit_timeout_seconds);
-      }
-    }
-    std::vector<uint8_t> damaged;
-    if (cfg.corrupt_probability > 0 &&
-        shared_->fault_rng.NextDouble() < cfg.corrupt_probability) {
-      damaged = EncodeFrame(msg);
-      const size_t idx = static_cast<size_t>(
-          shared_->fault_rng.NextBounded(damaged.size()));
-      damaged[idx] ^=
-          static_cast<uint8_t>(1 + shared_->fault_rng.NextBounded(255));
-      out_->sent.corrupted += 1;
-    }
     const uint64_t seq = out_->next_seq++;
     flow_id = FlowId(out_->flow_dir, seq);
-    out_->items.push_back(Queue::Item{deliver, seq, msg, damaged});
-    if (cfg.duplicate_probability > 0 &&
-        shared_->fault_rng.NextDouble() < cfg.duplicate_probability) {
-      // Gateway redelivery: same sequence number, later arrival. The receiver
-      // suppresses it, keeping delivery effectively-once.
-      out_->sent.duplicates += 1;
-      out_->items.push_back(
-          Queue::Item{deliver + Seconds(cfg.retransmit_timeout_seconds), seq,
-                      msg, damaged});
-    }
+    out_->items.push_back(Queue::Item{deliver, seq, std::move(msg)});
     shared_->cv.notify_all();
   }
   // Trace flow start (outside the channel lock): one arrow per delivered
-  // message from this send to the peer's matching receive. A message later
-  // lost in flight leaves a dangling start, which viewers render as an
-  // arrow to nowhere — exactly right.
+  // message from this send to the peer's matching receive. A message an
+  // error close discards in flight leaves a dangling start, which viewers
+  // render as an arrow to nowhere — exactly right.
   if (auto* rec = obs::TraceRecorder::Current();
       rec != nullptr && !IsClockSyncFrame(type) && !IsHeartbeatFrame(type)) {
     char args[64];
@@ -252,15 +187,26 @@ Result<Message> ChannelEndpoint::ReceiveUntil(Clock::time_point deadline) {
   return ReceiveInternal(deadline);
 }
 
+Message ChannelEndpoint::PopFront(std::unique_lock<std::mutex>* lock) {
+  const uint64_t flow_id = FlowId(in_->flow_dir, in_->items.front().seq);
+  Message msg = std::move(in_->items.front().msg);
+  in_->items.pop_front();
+  lock->unlock();
+  if (auto* rec = obs::TraceRecorder::Current();
+      rec != nullptr && !IsClockSyncFrame(msg.type) &&
+      !IsHeartbeatFrame(msg.type)) {
+    char args[64];
+    std::snprintf(args, sizeof(args), "\"bytes\":%zu", msg.WireBytes());
+    rec->FlowEnd(std::string("rcv ") + MessageTypeName(msg.type), flow_id,
+                 args);
+  }
+  return msg;
+}
+
 Result<Message> ChannelEndpoint::ReceiveInternal(
     std::optional<Clock::time_point> deadline) {
   std::unique_lock<std::mutex> lock(shared_->mu);
   for (;;) {
-    // Suppress redelivered duplicates (effectively-once).
-    while (!in_->items.empty() &&
-           in_->items.front().seq <= in_->last_delivered_seq) {
-      in_->items.pop_front();
-    }
     // An error close fails fast, ahead of any still-undrained traffic.
     if (shared_->closed && !shared_->close_status.ok()) {
       return shared_->close_status;
@@ -268,36 +214,7 @@ Result<Message> ChannelEndpoint::ReceiveInternal(
     const auto now = Clock::now();
     if (!in_->items.empty()) {
       const auto deliver = in_->items.front().deliver;
-      if (now >= deliver) {
-        const uint64_t seq = in_->items.front().seq;
-        const uint64_t flow_id = FlowId(in_->flow_dir, seq);
-        in_->last_delivered_seq = seq;
-        if (!in_->items.front().damaged_frame.empty()) {
-          // Injected corruption: decode the damaged wire bytes so the CRC /
-          // header checks produce the receiver-visible error. The message is
-          // consumed (a real gateway delivered garbage), never re-queued.
-          const std::vector<uint8_t> frame =
-              std::move(in_->items.front().damaged_frame);
-          in_->items.pop_front();
-          lock.unlock();
-          Message parsed;
-          Status st = DecodeFrame(frame, &parsed);
-          if (st.ok()) return parsed;  // a flip never decodes cleanly
-          return st;
-        }
-        Message msg = std::move(in_->items.front().msg);
-        in_->items.pop_front();
-        lock.unlock();
-        if (auto* rec = obs::TraceRecorder::Current();
-            rec != nullptr && !IsClockSyncFrame(msg.type) &&
-            !IsHeartbeatFrame(msg.type)) {
-          char args[64];
-          std::snprintf(args, sizeof(args), "\"bytes\":%zu", msg.WireBytes());
-          rec->FlowEnd(std::string("rcv ") + MessageTypeName(msg.type),
-                       flow_id, args);
-        }
-        return msg;
-      }
+      if (now >= deliver) return PopFront(&lock);
       if (deadline && *deadline < deliver) {
         if (now >= *deadline) {
           return Status::DeadlineExceeded("receive deadline expired");
@@ -324,47 +241,17 @@ Result<Message> ChannelEndpoint::ReceiveInternal(
 
 Status ChannelEndpoint::TryReceive(Message* out, bool* got) {
   *got = false;
-  uint64_t flow_id = 0;
-  {
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    while (!in_->items.empty() &&
-           in_->items.front().seq <= in_->last_delivered_seq) {
-      in_->items.pop_front();
-    }
-    if (shared_->closed && !shared_->close_status.ok()) {
-      return shared_->close_status;
-    }
-    if (in_->items.empty()) {
-      if (shared_->closed) return Status::Aborted("channel closed");
-      return Status::OK();
-    }
-    if (Clock::now() < in_->items.front().deliver) {
-      return Status::OK();
-    }
-    const uint64_t seq = in_->items.front().seq;
-    flow_id = FlowId(in_->flow_dir, seq);
-    in_->last_delivered_seq = seq;
-    if (!in_->items.front().damaged_frame.empty()) {
-      const std::vector<uint8_t> frame =
-          std::move(in_->items.front().damaged_frame);
-      in_->items.pop_front();
-      Message parsed;
-      Status st = DecodeFrame(frame, &parsed);
-      if (st.ok()) return st;  // a flip never decodes cleanly
-      return st;
-    }
-    *out = std::move(in_->items.front().msg);
-    in_->items.pop_front();
-    *got = true;
+  std::unique_lock<std::mutex> lock(shared_->mu);
+  if (shared_->closed && !shared_->close_status.ok()) {
+    return shared_->close_status;
   }
-  if (auto* rec = obs::TraceRecorder::Current();
-      rec != nullptr && !IsClockSyncFrame(out->type) &&
-      !IsHeartbeatFrame(out->type)) {
-    char args[64];
-    std::snprintf(args, sizeof(args), "\"bytes\":%zu", out->WireBytes());
-    rec->FlowEnd(std::string("rcv ") + MessageTypeName(out->type), flow_id,
-                 args);
+  if (in_->items.empty()) {
+    if (shared_->closed) return Status::Aborted("channel closed");
+    return Status::OK();
   }
+  if (Clock::now() < in_->items.front().deliver) return Status::OK();
+  *out = PopFront(&lock);
+  *got = true;
   return Status::OK();
 }
 

@@ -19,8 +19,9 @@ namespace vf2boost {
 ///
 /// The paper's deployment routes all cross-party traffic through gateway
 /// message queues over an unreliable 300 Mbps public link. A zero-initialized
-/// config models an ideal network (tests); benches set the paper's numbers,
-/// and failure drills turn on the fault-injection knobs below.
+/// config models an ideal network (tests); benches set the paper's numbers.
+/// Wire faults (corruption, resets, partitions, throttling) are injected on
+/// real sockets by the vf2_chaosd proxy (fed/chaos_proxy.h), not here.
 struct NetworkConfig {
   /// 0 = unlimited. Paper: 300 Mbps = 37.5e6 bytes/s.
   double bandwidth_bytes_per_sec = 0;
@@ -32,29 +33,11 @@ struct NetworkConfig {
   /// Default per-call Receive deadline. 0 = block until close; > 0 turns a
   /// silent peer into Status::DeadlineExceeded instead of a hang.
   double default_deadline_seconds = 0;
-  /// Probability that one transmission attempt of a message is lost. Lost
-  /// attempts are retransmitted (each adds retransmit_timeout_seconds of
-  /// delivery delay) up to max_retransmits times; a message whose every
-  /// attempt is lost is dropped permanently and only surfaces downstream as
-  /// a receive deadline.
-  double drop_probability = 0;
-  int max_retransmits = 3;
-  double retransmit_timeout_seconds = 0.01;
-  /// Probability that the gateway redelivers a message it already delivered.
-  /// The receiving endpoint suppresses such duplicates by sequence number,
-  /// preserving the channel's effectively-once contract.
-  double duplicate_probability = 0;
-  /// Extra uniform-random delivery delay in [0, jitter_seconds).
-  double jitter_seconds = 0;
   /// Deterministic link death: after this many Send calls per direction the
   /// link silently drops everything (0 = never). Models a peer data center
-  /// going dark mid-protocol.
+  /// going dark mid-protocol. Honored by both transports.
   size_t kill_after_messages = 0;
-  /// Probability that a delivered frame arrives with one byte flipped. The
-  /// CRC in the wire framing catches it and the Receive call returns
-  /// Status::Corruption instead of a mis-parsed message.
-  double corrupt_probability = 0;
-  /// Seed of the per-channel fault PRNG (deterministic runs).
+  /// Seeds the session layer's reconnect backoff jitter (fed/session.h).
   uint64_t fault_seed = 0x5eedULL;
 
   // --- recovery model (session layer; see fed/session.h) -------------------
@@ -86,40 +69,22 @@ struct NetworkConfig {
   /// it) and should comfortably exceed the heartbeat interval.
   double liveness_budget_seconds = 0;
 
-  /// Rejects nonsensical knob values (probabilities outside [0, 1], negative
-  /// delays / deadlines, a reconnect budget without a receive deadline, a
-  /// liveness budget without heartbeats).
+  /// Rejects nonsensical knob values (non-finite or negative delays /
+  /// deadlines, a reconnect budget without a receive deadline, a liveness
+  /// budget without heartbeats).
   Status Validate() const;
-
-  /// Additional validation for real TCP transports. The simulated-gateway
-  /// fault knobs (drop/duplicate/corrupt probabilities, latency, jitter,
-  /// bandwidth shaping) are implemented by ChannelEndpoint only — a TCP
-  /// MessagePort silently ignores them, which would make a chaos drill lie
-  /// about the faults it claims to inject. This rejects any such knob so the
-  /// caller is pointed at vf2_chaosd, the wire-level fault proxy that
-  /// injects the same faults on real sockets. kill_after_messages stays
-  /// allowed (the TCP transport honors it), as do the deadline/reconnect/
-  /// heartbeat knobs (session layer, transport-agnostic).
-  Status ValidateForTcpTransport() const;
 };
 
 /// Traffic counters for one direction.
 struct ChannelStats {
   size_t messages = 0;  ///< Send calls (including ones later dropped)
   size_t bytes = 0;
-  size_t retransmits = 0;  ///< injected lost-attempt redeliveries
-  size_t duplicates = 0;   ///< injected duplicate deliveries
-  size_t dropped = 0;      ///< messages lost permanently (link dead / retries
-                           ///< exhausted / sent after close)
-  size_t corrupted = 0;    ///< frames delivered with an injected bit flip
+  size_t dropped = 0;  ///< messages lost (link dead or sent after close)
 
   ChannelStats& operator+=(const ChannelStats& o) {
     messages += o.messages;
     bytes += o.bytes;
-    retransmits += o.retransmits;
-    duplicates += o.duplicates;
     dropped += o.dropped;
-    corrupted += o.corrupted;
     return *this;
   }
 };
@@ -179,14 +144,11 @@ class MessagePort {
 /// \brief One endpoint of a duplex, ordered message channel — the in-process
 /// stand-in for a Pulsar topic pair between gateways.
 ///
-/// Send never reorders, and duplicates injected by the (simulated) gateway
-/// are suppressed by sequence number ("effectively-once" semantics; under
-/// fault injection a message can still be lost outright once its bounded
-/// retransmit budget is exhausted — that loss surfaces as a receive
-/// deadline, never as reordering). Receive blocks until a message is
-/// available *and* its simulated network delivery time has passed, or until
-/// the deadline expires, or until either side calls Close. Thread-safe: one
-/// party thread per endpoint.
+/// Send never reorders or duplicates; a message sent after the link was
+/// killed (kill_after_messages) is lost, which surfaces as a receive
+/// deadline. Receive blocks until a message is available *and* its simulated
+/// network delivery time has passed, or until the deadline expires, or until
+/// either side calls Close. Thread-safe: one party thread per endpoint.
 class ChannelEndpoint : public MessagePort {
  public:
   using Clock = std::chrono::steady_clock;
@@ -241,6 +203,9 @@ class ChannelEndpoint : public MessagePort {
   ChannelEndpoint(std::shared_ptr<Shared> shared, Queue* in, Queue* out);
 
   Result<Message> ReceiveInternal(std::optional<Clock::time_point> deadline);
+  /// Pops the (deliverable) front message of in_ and releases `lock` before
+  /// recording the trace flow end.
+  Message PopFront(std::unique_lock<std::mutex>* lock);
 
   std::shared_ptr<Shared> shared_;
   Queue* in_;

@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -40,7 +42,7 @@ bool ParseSecondsToken(const std::string& token, double* out) {
   if (token.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || v < 0) return false;
+  if (end == token.c_str() || !std::isfinite(v) || v < 0) return false;
   const std::string suffix(end);
   if (suffix.empty() || suffix == "s") {
     *out = v;
@@ -53,11 +55,19 @@ bool ParseSecondsToken(const std::string& token, double* out) {
   return false;
 }
 
-bool ParseIntToken(const std::string& token, long* out) {
+/// Decimal int. False on anything else, including values outside int.
+bool ParseIntToken(const std::string& token, int* out) {
   if (token.empty()) return false;
   char* end = nullptr;
-  *out = std::strtol(token.c_str(), &end, 10);
-  return end != token.c_str() && *end == '\0';
+  errno = 0;
+  const long v = std::strtol(token.c_str(), &end, 10);
+  if (end == token.c_str() || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
 }
 
 bool WriteAll(int fd, const uint8_t* p, size_t n) {
@@ -152,12 +162,11 @@ Status ParseChaosScenario(const std::string& spec,
       tail = tail.substr(0, colon);
     }
     if (tail.rfind("tree=", 0) == 0) {
-      long tree = 0;
-      if (!ParseIntToken(tail.substr(5), &tree) || tree < 1) {
-        return bad("bad tree trigger '" + tail + "' (expected tree=N, N>=1)");
+      if (!ParseIntToken(tail.substr(5), &ev.at_tree) || ev.at_tree < 1) {
+        return bad("bad tree trigger '" + tail +
+                   "' (expected tree=N, 1 <= N <= INT_MAX)");
       }
       ev.by_tree = true;
-      ev.at_tree = static_cast<int>(tree);
     } else {
       std::string t = tail;
       if (t.rfind("t=", 0) == 0) t = t.substr(2);
@@ -189,8 +198,9 @@ Status ParseChaosScenario(const std::string& spec,
       char* end = nullptr;
       ev.throttle_kbps = std::strtod(value.c_str(), &end);
       if (value.empty() || end == value.c_str() || *end != '\0' ||
-          ev.throttle_kbps <= 0) {
-        return bad("throttle needs a positive rate: throttle=KBPS@TRIGGER");
+          !std::isfinite(ev.throttle_kbps) || ev.throttle_kbps <= 0) {
+        return bad(
+            "throttle needs a finite positive rate: throttle=KBPS@TRIGGER");
       }
     } else {
       return bad("unknown fault kind '" + head + "'");
@@ -245,6 +255,14 @@ size_t FrameScanner::Feed(const uint8_t* data, size_t n) {
 Result<std::unique_ptr<ChaosProxy>> ChaosProxy::Start(const Options& options) {
   if (options.connect_port <= 0) {
     return Status::InvalidArgument("chaos proxy needs a --connect port");
+  }
+  for (const double v : {options.latency_ms, options.jitter_ms,
+                         options.corrupt_chunk_probability}) {
+    if (!std::isfinite(v) || v < 0) {
+      return Status::InvalidArgument(
+          "chaos proxy latency, jitter and corrupt probability must be "
+          "finite and nonnegative");
+    }
   }
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -557,7 +575,7 @@ void ChaosProxy::PumpLoop(Connection* conn, bool a_to_b,
       break;
     }
     if (post.corrupt_once ||
-        dice.ShouldCorrupt(options_.corrupt_probability)) {
+        dice.ShouldCorrupt(options_.corrupt_chunk_probability)) {
       buf[dice.PickOffset(static_cast<size_t>(n))] ^= dice.PickFlip();
       if (c_corrupted_[di] != nullptr) c_corrupted_[di]->Add(1);
     }
@@ -567,12 +585,7 @@ void ChaosProxy::PumpLoop(Connection* conn, bool a_to_b,
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(delay_ms));
     }
-    double kbps = options_.bandwidth_kbps;
-    if (post.throttle_kbps > 0) {
-      kbps = kbps > 0 ? std::min(kbps, post.throttle_kbps)
-                      : post.throttle_kbps;
-    }
-    if (!WriteShaped(dst, buf, static_cast<size_t>(n), kbps)) {
+    if (!WriteShaped(dst, buf, static_cast<size_t>(n), post.throttle_kbps)) {
       ::shutdown(src, SHUT_RDWR);
       break;
     }

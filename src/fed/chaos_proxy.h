@@ -40,7 +40,8 @@ class MetricsRegistry;
 ///   DIR       a2b | b2a (default: both; blackhole defaults to a2b)
 ///
 /// Examples: `drop@tree=3`, `partition@tree=5:10s`, `corrupt@t=2/b2a`,
-/// `throttle=64@1:5s`.
+/// `throttle=64@1:5s`, `throttle=256@0` (a cap for the whole run). Numbers
+/// must be finite and N must fit an int.
 struct ChaosEvent {
   enum class Kind : uint8_t {
     kDrop = 1,
@@ -133,14 +134,14 @@ class FrameScanner {
   size_t trees_done_ = 0;
 };
 
-/// \brief Seeded, deterministic TCP fault proxy — the wire-level counterpart
-/// of the simulated transport's fault knobs (`vf2_chaosd` is its CLI).
+/// \brief Seeded, deterministic TCP fault proxy — the repo's one wire-fault
+/// injector (`vf2_chaosd` is its CLI).
 ///
 /// Sits between the A parties (`--listen`) and Party B (`--connect`):
 /// every accepted client connection gets a fresh upstream connection and two
 /// pump threads, one per direction, that forward chunks while injecting the
-/// continuous faults (latency/jitter, bandwidth throttling, per-chunk
-/// corruption) and the scripted ChaosEvents. Byte corruption exercises the
+/// continuous faults (latency/jitter, per-chunk corruption) and the scripted
+/// ChaosEvents. Byte corruption exercises the
 /// CRC32 framing on real sockets; throttling forces partial reads/writes
 /// through TcpMessagePort's reassembly and short-write loops; partitions
 /// starve the receiver into its liveness budget; drops/resets exercise the
@@ -162,8 +163,7 @@ class ChaosProxy {
     // Continuous shaping, applied to every chunk in both directions.
     double latency_ms = 0;
     double jitter_ms = 0;
-    double bandwidth_kbps = 0;  ///< 0 = unthrottled
-    double corrupt_probability = 0;  ///< per-chunk one-byte flip
+    double corrupt_chunk_probability = 0;  ///< per-chunk one-byte flip
 
     std::vector<ChaosEvent> events;
     obs::MetricsRegistry* registry = nullptr;  ///< borrowed; may be null
@@ -202,7 +202,7 @@ class ChaosProxy {
     bool kill = false;       ///< close both legs of the connection
     bool rst = false;        ///< ... with RST instead of FIN
     bool blackout = false;   ///< forward nothing (this direction)
-    double throttle_kbps = 0;  ///< 0 = no scripted cap
+    double throttle_kbps = 0;  ///< 0 = unthrottled
     bool corrupt_once = false;  ///< flip one byte of the next chunk
   };
 

@@ -188,9 +188,6 @@ Result<FedTrainResult> FedTrainer::Train(
       set("/bytes", "bytes", s.bytes);
       set("/messages", "messages", s.messages);
       set("/dropped", "messages", s.dropped);
-      set("/retransmits", "messages", s.retransmits);
-      set("/duplicates", "messages", s.duplicates);
-      set("/corrupted", "messages", s.corrupted);
     };
     export_direction("/to_b", a_ends[p]->sent_stats());
     export_direction("/from_b", b_ends[p]->sent_stats());

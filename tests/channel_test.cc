@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 
 #include "common/timer.h"
@@ -200,67 +201,7 @@ TEST(ChannelTest, DeadlineDoesNotFireWhenMessageArrives) {
   EXPECT_EQ(r->payload[0], 4);
 }
 
-// --- fault injection --------------------------------------------------------
-
-TEST(ChannelTest, RetransmitsDelayButDeliverEverything) {
-  NetworkConfig net;
-  net.drop_probability = 0.5;
-  net.max_retransmits = 64;
-  net.retransmit_timeout_seconds = 0.0005;
-  net.fault_seed = 123;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  for (uint8_t i = 0; i < 20; ++i) a->Send(Make(MessageType::kGradBatch, i));
-  for (uint8_t i = 0; i < 20; ++i) {
-    Result<Message> r = b->Receive();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->payload[0], i);  // order survives retransmission delays
-  }
-  EXPECT_GT(a->sent_stats().retransmits, 0u);
-  EXPECT_EQ(a->sent_stats().dropped, 0u);
-}
-
-TEST(ChannelTest, DuplicateDeliveriesAreSuppressed) {
-  NetworkConfig net;
-  net.duplicate_probability = 1.0;  // every message redelivered once
-  net.retransmit_timeout_seconds = 0;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  for (uint8_t i = 0; i < 5; ++i) a->Send(Make(MessageType::kGradBatch, i));
-  for (uint8_t i = 0; i < 5; ++i) {
-    Result<Message> r = b->Receive();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->payload[0], i);  // each message exactly once, in order
-  }
-  Message m;
-  EXPECT_FALSE(TryGet(b.get(), &m));  // duplicates never surface
-  EXPECT_EQ(a->sent_stats().duplicates, 5u);
-}
-
-TEST(ChannelTest, JitterPreservesOrder) {
-  NetworkConfig net;
-  net.jitter_seconds = 0.003;
-  net.fault_seed = 7;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  for (uint8_t i = 0; i < 10; ++i) a->Send(Make(MessageType::kGradBatch, i));
-  for (uint8_t i = 0; i < 10; ++i) {
-    Result<Message> r = b->Receive();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->payload[0], i);
-  }
-}
-
-TEST(ChannelTest, ExhaustedRetriesDropAndDeadlineReportsIt) {
-  NetworkConfig net;
-  net.drop_probability = 1.0;  // every attempt lost
-  net.max_retransmits = 2;
-  net.retransmit_timeout_seconds = 0;
-  net.default_deadline_seconds = 0.05;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  a->Send(Make(MessageType::kGradBatch, 1));
-  EXPECT_EQ(a->sent_stats().dropped, 1u);
-  Result<Message> r = b->Receive();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-}
+// --- link death -------------------------------------------------------------
 
 TEST(ChannelTest, KillAfterMessagesSilencesTheLink) {
   NetworkConfig net;
@@ -276,40 +217,6 @@ TEST(ChannelTest, KillAfterMessagesSilencesTheLink) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(a->sent_stats().dropped, 1u);
-}
-
-TEST(ChannelTest, CorruptionSurfacesAsCorruptionStatus) {
-  NetworkConfig net;
-  net.corrupt_probability = 1.0;  // every delivered frame gets a bit flip
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  a->Send(Make(MessageType::kGradBatch, 1));
-  Result<Message> r = b->Receive();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  EXPECT_GE(a->sent_stats().corrupted, 1u);
-}
-
-TEST(ChannelTest, CorruptFrameDoesNotBlockLaterMessages) {
-  // A damaged frame is consumed by the failing Receive; the next healthy
-  // message must still come through (the watermark advances past it).
-  NetworkConfig net;
-  net.corrupt_probability = 0.5;
-  net.fault_seed = 99;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  for (uint8_t i = 0; i < 20; ++i) a->Send(Make(MessageType::kGradBatch, i));
-  size_t delivered = 0, corrupted = 0;
-  for (int i = 0; i < 20; ++i) {
-    Result<Message> r = b->Receive();
-    if (r.ok()) {
-      ++delivered;
-    } else {
-      ASSERT_EQ(r.status().code(), StatusCode::kCorruption);
-      ++corrupted;
-    }
-  }
-  EXPECT_EQ(delivered + corrupted, 20u);
-  EXPECT_GT(delivered, 0u);
-  EXPECT_GT(corrupted, 0u);
 }
 
 TEST(ChannelTest, WireFrameRoundTrips) {
@@ -343,19 +250,42 @@ TEST(ChannelTest, WireFrameRejectsTampering) {
 TEST(NetworkConfigTest, ValidateRejectsBadKnobs) {
   NetworkConfig net;
   EXPECT_TRUE(net.Validate().ok());
-  net.drop_probability = 1.5;
-  EXPECT_FALSE(net.Validate().ok());
-  net.drop_probability = 0;
   net.default_deadline_seconds = -1;
   EXPECT_FALSE(net.Validate().ok());
+  net.default_deadline_seconds = 0;
+  net.latency_seconds = -0.5;
+  EXPECT_FALSE(net.Validate().ok());
+
+  // Every time and rate reaches a std::chrono conversion, where NaN or
+  // infinity is undefined. The base config is valid with heartbeats on, so
+  // the only thing wrong in each case is the one non-finite value.
+  NetworkConfig base;
+  base.default_deadline_seconds = 1;
+  base.heartbeat_interval_seconds = 0.2;
+  ASSERT_TRUE(base.Validate().ok());
+  for (double NetworkConfig::*knob :
+       {&NetworkConfig::bandwidth_bytes_per_sec,
+        &NetworkConfig::latency_seconds,
+        &NetworkConfig::default_deadline_seconds,
+        &NetworkConfig::heal_after_seconds,
+        &NetworkConfig::reconnect_backoff_base_seconds,
+        &NetworkConfig::reconnect_backoff_cap_seconds,
+        &NetworkConfig::heartbeat_interval_seconds,
+        &NetworkConfig::liveness_budget_seconds}) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      NetworkConfig c = base;
+      c.*knob = bad;
+      Status st = c.Validate();
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+      EXPECT_NE(st.message().find("finite"), std::string::npos)
+          << st.ToString();
+    }
+  }
 }
 
 TEST(NetworkConfigTest, ValidateRejectsBadRecoveryKnobs) {
   NetworkConfig net;
-  net.corrupt_probability = 1.5;
-  EXPECT_FALSE(net.Validate().ok());
-  net.corrupt_probability = 0;
-
   net.heal_after_seconds = -0.1;
   EXPECT_FALSE(net.Validate().ok());
   net.heal_after_seconds = 0;
@@ -399,48 +329,6 @@ TEST(NetworkConfigTest, ValidateRejectsIncoherentLivenessKnobs) {
   EXPECT_FALSE(net.Validate().ok());
   net.liveness_budget_seconds = 1.0;
   EXPECT_TRUE(net.Validate().ok());
-}
-
-TEST(NetworkConfigTest, TcpTransportValidationRejectsSimOnlyFaultKnobs) {
-  NetworkConfig net;
-  EXPECT_TRUE(net.ValidateForTcpTransport().ok());
-
-  // Deterministic link death plus the recovery and liveness knobs are
-  // transport-agnostic: all stay allowed over TCP.
-  net.kill_after_messages = 10;
-  net.default_deadline_seconds = 1;
-  net.reconnect_max_attempts = 3;
-  net.heartbeat_interval_seconds = 0.1;
-  net.liveness_budget_seconds = 0.5;
-  EXPECT_TRUE(net.ValidateForTcpTransport().ok());
-
-  // The simulated gateway's probabilistic/shaping knobs are silently dead on
-  // real sockets; the TCP path must reject them and point at vf2_chaosd.
-  const auto expect_rejected = [](NetworkConfig bad) {
-    Status st = bad.ValidateForTcpTransport();
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(st.message().find("vf2_chaosd"), std::string::npos);
-    EXPECT_TRUE(bad.Validate().ok());  // ...though the sim accepts them
-  };
-  NetworkConfig bad;
-  bad.drop_probability = 0.1;
-  expect_rejected(bad);
-  bad = NetworkConfig{};
-  bad.duplicate_probability = 0.1;
-  expect_rejected(bad);
-  bad = NetworkConfig{};
-  bad.corrupt_probability = 0.1;
-  expect_rejected(bad);
-  bad = NetworkConfig{};
-  bad.jitter_seconds = 0.1;
-  expect_rejected(bad);
-  bad = NetworkConfig{};
-  bad.latency_seconds = 0.1;
-  expect_rejected(bad);
-  bad = NetworkConfig{};
-  bad.bandwidth_bytes_per_sec = 1024;
-  expect_rejected(bad);
 }
 
 // --- inbox ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Chaos proxy tests: the scenario grammar, the deterministic dice, the
 // incremental tree-boundary scanner, wire-level fault injection against real
-// TcpMessagePorts, and the headline drill — full federated training through
-// the proxy under scripted faults with a byte-identical model.
+// TcpMessagePorts, and the training drills — full federated training through
+// the proxy under scripted faults or seeded latency and jitter, each with a
+// byte-identical model.
 
 #include "fed/chaos_proxy.h"
 
@@ -12,9 +13,12 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include "data/partition.h"
@@ -108,6 +112,8 @@ TEST(ChaosScenarioTest, RejectsMalformedTokensWithNamedOffender) {
     Status st = ParseChaosScenario(spec, &events);
     EXPECT_FALSE(st.ok()) << spec << " unexpectedly parsed";
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("'" + spec + "'"), std::string::npos)
+        << st.ToString();
   };
   expect_bad("drop");                 // no trigger
   expect_bad("detonate@tree=1");      // unknown kind
@@ -117,6 +123,15 @@ TEST(ChaosScenarioTest, RejectsMalformedTokensWithNamedOffender) {
   expect_bad("drop=3@1");             // drop takes no value
   expect_bad("corrupt@t=2/up");       // bad direction
   expect_bad("partition@tree=2:10x"); // bad duration unit
+  // Non-finite numbers and trees outside int (which used to wrap to tree 1
+  // or -1) are rejected, not scheduled.
+  expect_bad("partition@t=nan:2s");
+  expect_bad("partition@inf");
+  expect_bad("partition@1:nan");
+  expect_bad("throttle=nan@0");
+  expect_bad("throttle=inf@0");
+  expect_bad("drop@tree=4294967297");
+  expect_bad("drop@tree=99999999999999999999");
 }
 
 // --------------------------------------------------------------------------
@@ -288,7 +303,7 @@ TEST(ChaosProxyTest, InjectedCorruptionSurfacesAsCrcCorruption) {
         NetworkConfig net;
         net.default_deadline_seconds = 10;
         ChaosProxy::Options options;
-        options.corrupt_probability = 1.0;  // every chunk gets a byte flip
+        options.corrupt_chunk_probability = 1.0;  // every chunk is flipped
         obs::MetricsRegistry registry;
         options.registry = &registry;
         ProxiedPair p(options, net);
@@ -329,7 +344,8 @@ TEST(ChaosProxyTest, ThrottleForcesPartialFrameReassembly) {
         NetworkConfig net;
         net.default_deadline_seconds = 30;
         ChaosProxy::Options options;
-        options.bandwidth_kbps = 256;  // 64 KiB frame => ~0.25s, many pieces
+        // A whole-run cap: a 64 KiB frame takes ~0.25s, in many pieces.
+        ASSERT_TRUE(ParseChaosScenario("throttle=256@0", &options.events).ok());
         obs::MetricsRegistry registry;
         TcpTransportMetrics metrics = TcpTransportMetrics::Create(&registry);
         ProxiedPair p(options, net, metrics);
@@ -349,99 +365,198 @@ TEST(ChaosProxyTest, ThrottleForcesPartialFrameReassembly) {
       60.0));
 }
 
-// --------------------------------------------------------------------------
-// The headline drill: full federated training through the proxy with a
-// scripted mid-run corruption AND a scripted link drop, recovered by the
-// session layer, with a byte-identical model at the end.
+TEST(ChaosProxyTest, StartRejectsNonFiniteShaping) {
+  ChaosProxy::Options options;
+  options.connect_port = 1;  // never dialed: Start fails first
+  options.latency_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(ChaosProxy::Start(options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.latency_ms = 0;
+  options.jitter_ms = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(ChaosProxy::Start(options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.jitter_ms = 0;
+  options.corrupt_chunk_probability = -0.5;
+  EXPECT_EQ(ChaosProxy::Start(options).status().code(),
+            StatusCode::kInvalidArgument);
+}
 
+// --------------------------------------------------------------------------
+// Federated training through the proxy. Each drill trains once in process
+// (the fault-free reference) and once over loopback TCP with the proxy in
+// the middle, and the two models must serialize byte for byte the same.
+
+// Two-party shards, A first and B (the label holder) last.
+std::vector<Dataset> TwoPartyShards(size_t rows, size_t cols, uint64_t seed) {
+  SyntheticSpec sspec;
+  sspec.rows = rows;
+  sspec.cols = cols;
+  sspec.density = 0.5;
+  sspec.seed = seed;
+  Dataset train = GenerateSynthetic(sspec);
+  Rng rng(seed + 1);
+  VerticalSplitSpec spec = SplitColumnsRandomly(cols, {0.5, 0.5}, &rng);
+  auto shards = PartitionVertically(train, spec, /*label_party=*/1);
+  EXPECT_TRUE(shards.ok()) << shards.status().ToString();
+  return shards.ok() ? std::move(shards).value() : std::vector<Dataset>{};
+}
+
+// What the proxy and the sessions saw during one TrainThroughProxy run.
+struct ProxyRunCounters {
+  size_t events_fired = 0;
+  size_t connections = 0;
+  size_t trees_done = 0;
+  size_t reconnects = 0;  ///< both sides
+};
+
+// Trains `config` with party A dialing B through a ChaosProxy started from
+// `options` (its upstream port is filled in here). Both ends are
+// SessionChannels with a reconnect budget, so the proxy's faults cost
+// retries, not the run. Returns B's model text.
+Result<std::string> TrainThroughProxy(FedConfig config,
+                                      const std::vector<Dataset>& shards,
+                                      ChaosProxy::Options options,
+                                      ProxyRunCounters* counters = nullptr) {
+  NetworkConfig net;
+  net.default_deadline_seconds = 0.3;
+  net.reconnect_max_attempts = 30;
+  net.reconnect_backoff_base_seconds = 0.001;
+  net.reconnect_backoff_cap_seconds = 0.02;
+  config.network = net;
+
+  obs::MetricsRegistry registry;
+  auto listener = TcpChannelFactory::Listen("127.0.0.1", 0, 1, net, &registry);
+  if (!listener.ok()) return listener.status();
+  options.connect_port = (*listener)->port();
+  auto proxy = ChaosProxy::Start(options);
+  if (!proxy.ok()) return proxy.status();
+  auto dialer = TcpChannelFactory::Dial("127.0.0.1", (*proxy)->port(), 0, net,
+                                        &registry);
+  if (!dialer.ok()) return dialer.status();
+
+  const uint64_t fp = config.Fingerprint();
+  const uint64_t session_id = fp ^ 0x5e55ULL;
+  SessionChannel a_port(dialer->get(), 0, /*a_side=*/true, session_id,
+                        /*party=*/0, fp, net, /*initial=*/nullptr);
+  SessionChannel b_port(listener->get(), 0, /*a_side=*/false, session_id,
+                        /*party=*/1, fp, net, /*initial=*/nullptr);
+
+  Status a_status;
+  std::thread a_thread([&] {
+    Result<HelloPayload> hello = a_port.Reestablish(-1);
+    if (!hello.ok()) {
+      a_status = hello.status();
+      return;
+    }
+    PartyAEngine engine(config, shards[0], &a_port, 0);
+    a_status = engine.Run();
+  });
+  Result<PartyBResult> got = Status::Internal("party B never ran");
+  if (Result<HelloPayload> hello = b_port.Reestablish(-1); hello.ok()) {
+    got = PartyBEngine(config, shards.back(), {&b_port}).Run();
+  } else {
+    got = hello.status();
+  }
+  a_thread.join();
+  (*proxy)->Stop();
+  if (!got.ok()) return got.status();
+  VF2_RETURN_IF_ERROR(a_status);
+  if (counters != nullptr) {
+    counters->events_fired = (*proxy)->events_fired();
+    counters->connections = (*proxy)->connections();
+    counters->trees_done = (*proxy)->trees_done();
+    counters->reconnects = a_port.reconnects() + b_port.reconnects();
+  }
+  return ModelToString(got->model);
+}
+
+FedConfig MockConfig() {
+  FedConfig config;
+  config.mock_crypto = true;
+  config.gbdt.num_layers = 4;
+  config.gbdt.max_bins = 8;
+  return config;
+}
+
+// The headline drill: a scripted mid-run corruption AND a scripted link
+// drop, recovered by the session layer, with a byte-identical model.
 TEST(ChaosProxyDrillTest, TrainingSurvivesScriptedCorruptionAndDrop) {
   ASSERT_TRUE(RunWithWatchdog(
       [] {
-        SyntheticSpec sspec;
-        sspec.rows = 200;
-        sspec.cols = 12;
-        sspec.density = 0.5;
-        sspec.seed = 31;
-        Dataset train = GenerateSynthetic(sspec);
-        Rng rng(32);
-        VerticalSplitSpec spec = SplitColumnsRandomly(12, {0.5, 0.5}, &rng);
-        auto shards = PartitionVertically(train, spec, /*label_party=*/1);
-        ASSERT_TRUE(shards.ok());
-
-        FedConfig config;
-        config.mock_crypto = true;
+        const std::vector<Dataset> shards = TwoPartyShards(200, 12, 31);
+        FedConfig config = MockConfig();
         config.gbdt.num_trees = 4;
-        config.gbdt.num_layers = 4;
-        config.gbdt.max_bins = 8;
-
-        auto reference = FedTrainer(config).Train(shards.value());
+        auto reference = FedTrainer(config).Train(shards);
         ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-        const std::string want = ModelToString(reference->model);
-
-        NetworkConfig net;
-        net.default_deadline_seconds = 0.3;
-        net.reconnect_max_attempts = 30;
-        net.reconnect_backoff_base_seconds = 0.001;
-        net.reconnect_backoff_cap_seconds = 0.02;
-        config.network = net;
-
-        obs::MetricsRegistry registry;
-        auto listener =
-            TcpChannelFactory::Listen("127.0.0.1", 0, 1, net, &registry);
-        ASSERT_TRUE(listener.ok()) << listener.status().ToString();
 
         ChaosProxy::Options options;
-        options.connect_port = (*listener)->port();
         options.seed = 1234;
         ASSERT_TRUE(ParseChaosScenario("corrupt@tree=1,drop@tree=2",
                                        &options.events)
                         .ok());
-        obs::MetricsRegistry chaos_registry;
-        options.registry = &chaos_registry;
-        auto proxy = ChaosProxy::Start(options);
-        ASSERT_TRUE(proxy.ok()) << proxy.status().ToString();
-
-        auto dialer = TcpChannelFactory::Dial("127.0.0.1", (*proxy)->port(),
-                                              0, net, &registry);
-        ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
-
-        const uint64_t fp = config.Fingerprint();
-        const uint64_t session_id = fp ^ 0x5e55ULL;
-        SessionChannel a_port(dialer->get(), 0, /*a_side=*/true, session_id,
-                              /*party=*/0, fp, net, /*initial=*/nullptr);
-        SessionChannel b_port(listener->get(), 0, /*a_side=*/false,
-                              session_id, /*party=*/1, fp, net,
-                              /*initial=*/nullptr);
-
-        Status a_status;
-        std::thread a_thread([&] {
-          Result<HelloPayload> hello = a_port.Reestablish(-1);
-          if (!hello.ok()) {
-            a_status = hello.status();
-            return;
-          }
-          PartyAEngine engine(config, (*shards)[0], &a_port, 0);
-          a_status = engine.Run();
-        });
-        Result<HelloPayload> hello = b_port.Reestablish(-1);
-        ASSERT_TRUE(hello.ok()) << hello.status().ToString();
-        PartyBEngine engine(config, shards->back(), {&b_port});
-        Result<PartyBResult> got = engine.Run();
-        a_thread.join();
+        ProxyRunCounters counters;
+        Result<std::string> got =
+            TrainThroughProxy(config, shards, options, &counters);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ASSERT_TRUE(a_status.ok()) << a_status.ToString();
 
         // Both scripted faults actually fired, the parties reconnected
         // through the proxy at least once per fault...
-        EXPECT_EQ((*proxy)->events_fired(), 2u);
-        EXPECT_GE((*proxy)->connections(), 2u);
-        EXPECT_GE((*proxy)->trees_done(), 4u);
-        EXPECT_GE(a_port.reconnects() + b_port.reconnects(), 3u);
+        EXPECT_EQ(counters.events_fired, 2u);
+        EXPECT_GE(counters.connections, 2u);
+        EXPECT_GE(counters.trees_done, 4u);
+        EXPECT_GE(counters.reconnects, 3u);
         // ...and none of it left a trace in the model.
-        EXPECT_EQ(ModelToString(got->model), want);
-        (*proxy)->Stop();
+        EXPECT_EQ(*got, ModelToString(reference->model));
       },
       120.0));
+}
+
+// Seed x flag matrix on real sockets: every {blaster, optimistic, packing}
+// variant, with seeded proxy latency and jitter reshuffling the timing of
+// every frame, must deliver exactly the in-process model. Seeds come from
+// VF2_FAULT_SEEDS (comma-separated) so CI can sweep a wider net than the
+// default quick pair.
+TEST(ChaosProxyDrillTest, SeedFlagMatrixThroughProxy) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("VF2_FAULT_SEEDS")) {
+    std::stringstream ss(env);
+    std::string tok;
+    while (std::getline(ss, tok, ',')) {
+      if (!tok.empty()) seeds.push_back(std::stoull(tok));
+    }
+  }
+  if (seeds.empty()) seeds = {11, 23};
+
+  ASSERT_TRUE(RunWithWatchdog(
+      [&seeds] {
+        for (const uint64_t seed : seeds) {
+          const std::vector<Dataset> shards = TwoPartyShards(300, 10, seed);
+          for (int mask = 0; mask < 8; ++mask) {
+            FedConfig config = MockConfig();
+            config.gbdt.num_trees = 2;
+            config.seed = seed;
+            config.blaster = (mask & 1) != 0;
+            config.optimistic = (mask & 2) != 0;
+            config.packing = (mask & 4) != 0;
+            auto reference = FedTrainer(config).Train(shards);
+            ASSERT_TRUE(reference.ok())
+                << "seed " << seed << " mask " << mask << ": "
+                << reference.status().ToString();
+
+            ChaosProxy::Options options;
+            options.seed = seed * 31 + mask;
+            Rng knobs(options.seed);
+            options.latency_ms = 0.5 * knobs.NextDouble();
+            options.jitter_ms = knobs.NextDouble();
+            Result<std::string> got = TrainThroughProxy(config, shards, options);
+            ASSERT_TRUE(got.ok()) << "seed " << seed << " mask " << mask
+                                  << ": " << got.status().ToString();
+            ASSERT_EQ(*got, ModelToString(reference->model))
+                << "seed " << seed << " mask " << mask;
+          }
+        }
+      },
+      60.0 + 30.0 * static_cast<double>(seeds.size())));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the crypto hot path: short-exponent obfuscation, the noise
-// pre-compute pool, and batch CRT decryption. The legacy full-exponent
-// encryption is kept in the library exactly so these tests can assert the
-// fast path is plaintext-equivalent to it.
+// pre-compute pool, and batch CRT decryption. A textbook full-exponent
+// encryption, built here from the public bigint API, is the oracle the fast
+// path must be plaintext-equivalent to.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +13,23 @@
 #include "common/threadpool.h"
 #include "crypto/backend.h"
 #include "crypto/noise_pool.h"
+#include "bigint/modarith.h"
 #include "crypto/paillier.h"
 
 namespace vf2boost {
 namespace {
+
+// Legacy full-exponent obfuscation: (1 + m*n) * r^n mod n^2 for r uniform in
+// Z_n^*; ~5-20x slower than Encrypt.
+BigInt EncryptLegacy(const PaillierPublicKey& pub, const BigInt& m,
+                     Rng* rng) {
+  const BigInt& n = pub.n();
+  const BigInt n2 = n * n;
+  const BigInt r = BigInt::RandomBelow(n - BigInt(1), rng) + BigInt(1);
+  const BigInt rn = ModExp(r, n, n2);
+  const BigInt gm = Mod(BigInt(1) + m * n, n2);
+  return Mod(gm * rn, n2);
+}
 
 class CryptoFastPathTest : public ::testing::Test {
  protected:
@@ -35,7 +48,7 @@ TEST_F(CryptoFastPathTest, ShortExponentDecryptsLikeLegacy) {
   for (int i = 0; i < 50; ++i) {
     const BigInt m = BigInt::RandomBelow(kp_.pub.n(), &rng_);
     const BigInt fast = kp_.pub.Encrypt(m, &rng_);
-    const BigInt legacy = kp_.pub.EncryptLegacy(m, &rng_);
+    const BigInt legacy = EncryptLegacy(kp_.pub, m, &rng_);
     EXPECT_NE(fast, legacy) << "distinct nonces must yield distinct ciphers";
     EXPECT_EQ(kp_.priv.Decrypt(fast), m);
     EXPECT_EQ(kp_.priv.Decrypt(legacy), m);
@@ -45,7 +58,7 @@ TEST_F(CryptoFastPathTest, ShortExponentDecryptsLikeLegacy) {
 TEST_F(CryptoFastPathTest, FastAndLegacyCiphersInteroperateHomomorphically) {
   const BigInt a(123456789), b(987654321);
   const BigInt sum = kp_.pub.HAdd(kp_.pub.Encrypt(a, &rng_),
-                                  kp_.pub.EncryptLegacy(b, &rng_));
+                                  EncryptLegacy(kp_.pub, b, &rng_));
   EXPECT_EQ(kp_.priv.Decrypt(sum), a + b);
 }
 

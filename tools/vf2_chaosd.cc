@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
        {"seed", "fault PRNG seed (default 0xC4A05)"},
        {"latency-ms", "fixed delay added to every forwarded chunk"},
        {"jitter-ms", "extra uniform random delay in [0, JITTER) ms"},
-       {"bandwidth-kbps", "continuous forward-rate cap, KiB/s (0 = off)"},
        {"corrupt-prob", "per-chunk probability of a one-byte flip"},
-       {"scenario", "scripted faults, e.g. drop@tree=3,partition@tree=5:10s "
+       {"scenario", "scripted faults, e.g. drop@tree=3,partition@tree=5:10s; "
+                    "throttle=KBPS@0 caps the rate for the whole run "
                     "(see fed/chaos_proxy.h)"},
        {"metrics-json", "write the chaos/* counters here on exit"}});
   flags.Require({"listen", "connect"});
@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 0xC4A05));
   options.latency_ms = flags.GetDouble("latency-ms", 0);
   options.jitter_ms = flags.GetDouble("jitter-ms", 0);
-  options.bandwidth_kbps = flags.GetDouble("bandwidth-kbps", 0);
-  options.corrupt_probability = flags.GetDouble("corrupt-prob", 0);
+  options.corrupt_chunk_probability = flags.GetDouble("corrupt-prob", 0);
   if (flags.Has("scenario")) {
     if (Status st =
             ParseChaosScenario(flags.GetString("scenario"), &options.events);

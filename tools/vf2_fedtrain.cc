@@ -78,14 +78,11 @@ int main(int argc, char** argv) {
        {"checkpoint-dir", "write a tree-boundary checkpoint after each tree"},
        {"resume", "resume from --checkpoint-dir instead of starting fresh"},
        {"deadline", "per-receive deadline seconds (0 = block forever)"},
-       {"drop", "per-attempt message drop probability"},
-       {"duplicate", "message duplication probability"},
-       {"jitter", "extra uniform delivery delay bound, seconds"},
-       {"corrupt", "frame corruption (bit flip) probability"},
        {"kill-after", "kill each link after N sends per direction (0 = off)"},
        {"heal-after", "seconds a dead link stays down before it can heal"},
        {"reconnect-budget", "session reconnect attempts (0 = fail fast)"},
-       {"fault-seed", "fault-injection PRNG seed (default 0x5eed)"},
+       {"fault-seed", "seed of the session's reconnect backoff jitter "
+                      "(default 0x5eed)"},
        {"heartbeat-interval", "session kHeartbeat beacon period, seconds "
                               "(0 = no heartbeats)"},
        {"liveness-budget", "max inbound silence before the session declares "
@@ -156,10 +153,6 @@ int main(int argc, char** argv) {
   config.checkpoint_dir = flags.GetString("checkpoint-dir", "");
   config.resume = flags.GetBool("resume");
   config.network.default_deadline_seconds = flags.GetDouble("deadline", 0);
-  config.network.drop_probability = flags.GetDouble("drop", 0);
-  config.network.duplicate_probability = flags.GetDouble("duplicate", 0);
-  config.network.jitter_seconds = flags.GetDouble("jitter", 0);
-  config.network.corrupt_probability = flags.GetDouble("corrupt", 0);
   config.network.kill_after_messages =
       static_cast<size_t>(flags.GetInt("kill-after", 0));
   config.network.heal_after_seconds = flags.GetDouble("heal-after", 0);
@@ -370,12 +363,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    // Sim-only fault knobs are silently dead on real sockets; fail loudly
-    // and point at vf2_chaosd instead.
-    if (Status st = config.network.ValidateForTcpTransport(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
     // Distinct per-process flow-id namespace (matches the trace pid
     // convention: A_i is pid i+1), set before any frame gets a trace id so
     // the per-party traces stitch without collisions at merge time.
@@ -433,10 +420,6 @@ int main(int argc, char** argv) {
   } else if (tcp_listen) {
     // ---- party B over TCP -------------------------------------------------
     if (Status st = config.Validate(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    if (Status st = config.network.ValidateForTcpTransport(); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
