@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "bigint/modarith.h"
@@ -150,8 +151,10 @@ void BM_DecryptUnpacked(benchmark::State& state) {
 BENCHMARK(BM_DecryptUnpacked)->Arg(256)->Arg(512)->Arg(1024);
 
 // BM_Encrypt under the forced-scalar Montgomery kernel: the baseline the
-// AVX2 column-tiled kernel is measured against (BM_Encrypt itself runs under
-// kAuto dispatch, which vectorizes the >= 2048-bit ciphertext rings).
+// vector kernels are measured against. BM_Encrypt itself runs under kAuto
+// dispatch, which picks the IFMA kernel from 768-bit rings up where the CPU
+// has it, else the AVX2 kernel from 2048-bit rings up (the "mont_kernel/*"
+// lines of the output name the kernel per key size).
 void BM_EncryptScalar(benchmark::State& state) {
   Setup& s = GetSetup(state.range(0));
   const MontKernel saved = GetMontKernel();
@@ -295,6 +298,16 @@ int main(int argc, char** argv) {
       vf2boost::bench::TakeStringFlag(&argc, argv, "--json");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The kernel kAuto runs on each key size's ciphertext (n^2) and CRT
+  // (p^2, q^2) rings, printed in the context header above the results.
+  for (size_t bits : {256, 512, 1024}) {
+    benchmark::AddCustomContext(
+        "mont_kernel/" + std::to_string(bits),
+        std::string("n^2 ") +
+            vf2boost::MontKernelName(vf2boost::MontKernelFor(2 * bits / 64)) +
+            ", crt " +
+            vf2boost::MontKernelName(vf2boost::MontKernelFor(bits / 64)));
+  }
   vf2boost::bench::JsonWriter json;
   vf2boost::CapturingReporter reporter(&json);
   benchmark::RunSpecifiedBenchmarks(&reporter);

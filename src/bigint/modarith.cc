@@ -1,13 +1,14 @@
 #include "bigint/modarith.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <utility>
 
 #include "common/logging.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VF2_HAVE_AVX2_KERNEL 1
+#define VF2_HAVE_X86_KERNELS 1
 #include <immintrin.h>
 #endif
 
@@ -26,24 +27,87 @@ std::atomic<int> g_mont_kernel{static_cast<int>(MontKernel::kAuto)};
 // stay scalar under kAuto; kAvx2 forces the vector path everywhere.
 constexpr size_t kAvx2MinLimbs = 32;
 
+// The IFMA kernel breaks even with scalar CIOS around 10 limbs and is 1.3x
+// faster or more from 12 (768-bit rings: the CRT rings of a 768-bit key).
+constexpr size_t kIfmaMinLimbs = 12;
+// Widest ring the IFMA kernel runs: its accumulator lives in at most this
+// many zmm registers (L = ceil(64k/52) <= 8 * kIfmaMaxVectors digits), i.e.
+// 8192-bit rings, the n^2 ring of a 4096-bit key.
+constexpr size_t kIfmaMaxVectors = 20;
+constexpr size_t kIfmaMaxLimbs = 8 * kIfmaMaxVectors * 52 / 64;
+
+constexpr uint64_t kMask52 = (uint64_t{1} << 52) - 1;
+
 bool DetectAvx2() {
-#if defined(VF2_HAVE_AVX2_KERNEL)
+#if defined(VF2_HAVE_X86_KERNELS)
   return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
 }
 
-inline bool UseAvx2Kernel(size_t num_limbs) {
-  const MontKernel sel = GetMontKernel();
-  if (sel == MontKernel::kScalar || !CpuHasAvx2()) return false;
-  return sel == MontKernel::kAvx2 || num_limbs >= kAvx2MinLimbs;
+bool DetectIfma() {
+#if defined(VF2_HAVE_X86_KERNELS)
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512ifma");
+#else
+  return false;
+#endif
+}
+
+// Final step shared by every kernel: t (k limbs plus the bits `top` above
+// them) is known to be < 2m; writes t mod m to out.
+void SubtractIfAtLeast(const uint64_t* t, uint64_t top, const uint64_t* n,
+                       size_t k, uint64_t* out) {
+  bool ge = top != 0;
+  if (!ge) {
+    ge = true;
+    for (size_t i = k; i-- > 0;) {
+      if (t[i] != n[i]) {
+        ge = t[i] > n[i];
+        break;
+      }
+    }
+  }
+  if (ge) {
+    uint64_t borrow = 0;
+    for (size_t i = 0; i < k; ++i) {
+      const u128 d = static_cast<u128>(t[i]) - n[i] - borrow;
+      out[i] = static_cast<uint64_t>(d);
+      borrow = (d >> 64) ? 1 : 0;
+    }
+  } else {
+    std::copy(t, t + k, out);
+  }
+}
+
+// Re-slices k 64-bit limbs, shifted left by `shift` < 52 bits, into `len`
+// 52-bit digits (zero-filled past the end of the input).
+void ToRadix52(const uint64_t* x, size_t k, unsigned shift, uint64_t* d,
+               size_t len) {
+  u128 buf = 0;
+  unsigned bits = shift;  // valid bits in buf (the low `shift` are zero)
+  size_t next = 0;
+  for (size_t j = 0; j < len; ++j) {
+    if (bits < 52 && next < k) {
+      buf |= static_cast<u128>(x[next++]) << bits;
+      bits += 64;
+    }
+    d[j] = static_cast<uint64_t>(buf) & kMask52;
+    buf >>= 52;
+    bits = bits > 52 ? bits - 52 : 0;
+  }
 }
 
 }  // namespace
 
 bool CpuHasAvx2() {
   static const bool has = DetectAvx2();
+  return has;
+}
+
+bool CpuHasIfma() {
+  static const bool has = DetectIfma();
   return has;
 }
 
@@ -54,6 +118,35 @@ void SetMontKernel(MontKernel kernel) {
 MontKernel GetMontKernel() {
   return static_cast<MontKernel>(
       g_mont_kernel.load(std::memory_order_relaxed));
+}
+
+MontKernel MontKernelFor(size_t num_limbs) {
+  const MontKernel sel = GetMontKernel();
+  if (sel == MontKernel::kScalar) return MontKernel::kScalar;
+  if (CpuHasIfma() && num_limbs <= kIfmaMaxLimbs &&
+      (sel == MontKernel::kIfma ||
+       (sel == MontKernel::kAuto && num_limbs >= kIfmaMinLimbs))) {
+    return MontKernel::kIfma;
+  }
+  if (CpuHasAvx2() &&
+      (sel == MontKernel::kAvx2 || num_limbs >= kAvx2MinLimbs)) {
+    return MontKernel::kAvx2;
+  }
+  return MontKernel::kScalar;
+}
+
+const char* MontKernelName(MontKernel kernel) {
+  switch (kernel) {
+    case MontKernel::kAuto:
+      return "auto";
+    case MontKernel::kScalar:
+      return "scalar";
+    case MontKernel::kAvx2:
+      return "avx2";
+    case MontKernel::kIfma:
+      return "ifma";
+  }
+  return "?";
 }
 
 BigInt Mod(const BigInt& a, const BigInt& m) {
@@ -179,15 +272,25 @@ MontgomeryContext::MontgomeryContext(const BigInt& m) : m_(m) {
     np32pad_[8 + 2 * j] = np.limbs()[j] & 0xffffffffu;
     np32pad_[8 + 2 * j + 1] = np.limbs()[j] >> 32;
   }
+
+  l52_ = (64 * k_ + 51) / 52;
+  shift52_ = static_cast<unsigned>(52 * l52_ - 64 * k_);
+  m52_.assign((l52_ + 7) / 8 * 8, 0);
+  ToRadix52(m_.limbs().data(), k_, 0, m52_.data(), l52_);
 }
 
 void MontgomeryContext::MulReduceRaw(const uint64_t* a, const uint64_t* b,
                                      uint64_t* out) const {
-  if (UseAvx2Kernel(k_)) {
-    MulReduceRawAvx2(a, b, out);
-    return;
+  switch (MontKernelFor(k_)) {
+    case MontKernel::kIfma:
+      MulReduceRawIfma(a, b, out);
+      return;
+    case MontKernel::kAvx2:
+      MulReduceRawAvx2(a, b, out);
+      return;
+    default:
+      MulReduceRawScalar(a, b, out);
   }
-  MulReduceRawScalar(a, b, out);
 }
 
 void MontgomeryContext::MulReduceRawScalar(const uint64_t* a,
@@ -229,30 +332,10 @@ void MontgomeryContext::MulReduceRawScalar(const uint64_t* a,
     t[k_] = t[k_ + 1] + static_cast<uint64_t>(cur >> 64);
     t[k_ + 1] = 0;
   }
-  // Conditional subtraction: if t >= m, t -= m.
-  bool ge = t[k_] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = k_; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < k_; ++i) {
-      u128 cur = static_cast<u128>(t[i]) - n[i] - borrow;
-      out[i] = static_cast<uint64_t>(cur);
-      borrow = (cur >> 64) ? 1 : 0;
-    }
-  } else {
-    std::copy(t, t + k_, out);
-  }
+  SubtractIfAtLeast(t, t[k_], n, k_, out);
 }
 
-#if defined(VF2_HAVE_AVX2_KERNEL)
+#if defined(VF2_HAVE_X86_KERNELS)
 
 namespace {
 
@@ -393,38 +476,141 @@ void MontgomeryContext::MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
     tres[i] = static_cast<uint64_t>(cur);
   }
 
-  // Conditional subtraction: if t >= m, t -= m.
-  const uint64_t* n = m_.limbs().data();
-  bool ge = (cur >> 64) != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = k; i-- > 0;) {
-      if (tres[i] != n[i]) {
-        ge = tres[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < k; ++i) {
-      const u128 d = static_cast<u128>(tres[i]) - n[i] - borrow;
-      out[i] = static_cast<uint64_t>(d);
-      borrow = (d >> 64) ? 1 : 0;
-    }
-  } else {
-    std::copy(tres, tres + k, out);
-  }
+  SubtractIfAtLeast(tres, static_cast<uint64_t>(cur >> 64), m_.limbs().data(),
+                    k, out);
 }
 
-#else  // !VF2_HAVE_AVX2_KERNEL
+namespace {
+
+// Settles `len` lazy radix-2^52 lanes (each < 2^63) into k 64-bit limbs;
+// returns the value of the bits above 2^(64k).
+uint64_t FromRadix52(const uint64_t* lanes, size_t len, uint64_t* t,
+                     size_t k) {
+  u128 buf = 0;
+  unsigned bits = 0;
+  uint64_t carry = 0;
+  size_t next = 0;
+  for (size_t j = 0; j < len; ++j) {
+    const uint64_t v = lanes[j] + carry;
+    carry = v >> 52;
+    buf |= static_cast<u128>(v & kMask52) << bits;
+    bits += 52;
+    if (bits >= 64 && next < k) {
+      t[next++] = static_cast<uint64_t>(buf);
+      buf >>= 64;
+      bits -= 64;
+    }
+  }
+  VF2_DCHECK(next == k);
+  return static_cast<uint64_t>(buf) + (carry << bits);
+}
+
+// Almost-Montgomery multiply in radix 2^52, word-serial over the digits of
+// a with the accumulator held in V zmm registers: per digit a_i,
+// acc += a_i*b + q*m with q = -acc_0 / m mod 2^52, then acc shifts down one
+// digit. IFMA splits each 52x52 product into a low and a high half; the low
+// halves are added before the shift and the high halves (one digit up)
+// after it, so L digits need exactly L lanes. Lanes stay lazy: each absorbs
+// < 4 * 2^52 per digit, so L <= 8 * kIfmaMaxVectors digits cannot overflow.
+// Lane 0's carry is kept in a scalar and folded in at the end. The v-loops
+// are fully unrolled so the accumulator stays in registers. Leaves
+// (a*b + Q*m) / 2^(52*len) in 8V lazy lanes at `res`.
+template <size_t V>
+__attribute__((target("avx512f,avx512ifma"))) void AmmIfma(
+    const uint64_t* a52, size_t len, const uint64_t* b52, const uint64_t* m52,
+    uint64_t m0inv, uint64_t* res) {
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i acc[V];
+#pragma GCC unroll 32
+  for (size_t v = 0; v < V; ++v) acc[v] = zero;
+  const uint64_t m0 = m52[0];
+  uint64_t carry = 0;
+  for (size_t i = 0; i < len; ++i) {
+    const __m512i ai = _mm512_set1_epi64(static_cast<long long>(a52[i]));
+#pragma GCC unroll 32
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] = _mm512_madd52lo_epu64(acc[v], ai,
+                                     _mm512_loadu_si512(b52 + 8 * v));
+    }
+    // Masked forms pass explicit pass-through operands: the unmasked ones
+    // trip GCC's -Wmaybe-uninitialized on their internal undefined values.
+    const uint64_t x = static_cast<uint64_t>(_mm_cvtsi128_si64(
+                           _mm512_mask_extracti32x4_epi32(_mm_setzero_si128(),
+                                                          0xf, acc[0], 0))) +
+                       carry;
+    const uint64_t q = (x * m0inv) & kMask52;
+    carry = (x + ((q * m0) & kMask52)) >> 52;
+    const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+#pragma GCC unroll 32
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] = _mm512_madd52lo_epu64(acc[v], qv,
+                                     _mm512_loadu_si512(m52 + 8 * v));
+    }
+#pragma GCC unroll 32
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] = _mm512_mask_alignr_epi64(
+          zero, 0xff, v + 1 < V ? acc[v + 1] : zero, acc[v], 1);
+    }
+#pragma GCC unroll 32
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] = _mm512_madd52hi_epu64(acc[v], ai,
+                                     _mm512_loadu_si512(b52 + 8 * v));
+      acc[v] = _mm512_madd52hi_epu64(acc[v], qv,
+                                     _mm512_loadu_si512(m52 + 8 * v));
+    }
+  }
+#pragma GCC unroll 32
+  for (size_t v = 0; v < V; ++v) _mm512_storeu_si512(res + 8 * v, acc[v]);
+  res[0] += carry;
+}
+
+using AmmIfmaFn = void (*)(const uint64_t*, size_t, const uint64_t*,
+                           const uint64_t*, uint64_t, uint64_t*);
+
+template <size_t... Vs>
+constexpr std::array<AmmIfmaFn, sizeof...(Vs)> MakeAmmIfmaTable(
+    std::index_sequence<Vs...>) {
+  return {&AmmIfma<Vs + 1>...};
+}
+
+// kAmmIfma[V - 1] runs a V-vector accumulator.
+constexpr auto kAmmIfma =
+    MakeAmmIfmaTable(std::make_index_sequence<kIfmaMaxVectors>());
+
+}  // namespace
+
+void MontgomeryContext::MulReduceRawIfma(const uint64_t* a, const uint64_t* b,
+                                         uint64_t* out) const {
+  // a' = a * 2^(52L - 64k) < 2^(52L) m, so a'*b / 2^(52L) = a*b / R and the
+  // almost-Montgomery result stays below 2m. Both operands are re-sliced
+  // before `out` is written, so it may alias either.
+  const size_t lanes = m52_.size();
+  thread_local std::vector<uint64_t> arena;
+  if (arena.size() < 3 * lanes + k_) arena.resize(3 * lanes + k_);
+  uint64_t* a52 = arena.data();
+  uint64_t* b52 = a52 + lanes;
+  uint64_t* acc = b52 + lanes;
+  uint64_t* t = acc + lanes;
+  ToRadix52(a, k_, shift52_, a52, l52_);
+  ToRadix52(b, k_, 0, b52, lanes);
+  kAmmIfma[lanes / 8 - 1](a52, l52_, b52, m52_.data(), inv64_ & kMask52, acc);
+  const uint64_t top = FromRadix52(acc, l52_, t, k_);
+  SubtractIfAtLeast(t, top, m_.limbs().data(), k_, out);
+}
+
+#else  // !VF2_HAVE_X86_KERNELS
 
 void MontgomeryContext::MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
                                          uint64_t* out) const {
   MulReduceRawScalar(a, b, out);
 }
 
-#endif  // VF2_HAVE_AVX2_KERNEL
+void MontgomeryContext::MulReduceRawIfma(const uint64_t* a, const uint64_t* b,
+                                         uint64_t* out) const {
+  MulReduceRawScalar(a, b, out);
+}
+
+#endif  // VF2_HAVE_X86_KERNELS
 
 void MontgomeryContext::LoadRaw(const BigInt& a, uint64_t* out) const {
   const std::vector<uint64_t>& limbs = a.limbs();

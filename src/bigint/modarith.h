@@ -14,12 +14,13 @@ class MontgomeryContext;
 
 /// \brief Runtime-selectable Montgomery multiply kernel.
 ///
-/// kAuto (the default) picks the AVX2 product-scanning kernel when the CPU
-/// supports it (cpuid, cached) and the modulus is wide enough to amortize
-/// the vector setup; otherwise the scalar CIOS kernel runs. Benches and
-/// tests force a specific kernel for A/B comparison. The selection is a
-/// pure performance choice — both kernels produce identical limbs.
-enum class MontKernel { kAuto, kScalar, kAvx2 };
+/// kAuto (the default) picks, per ring width, the fastest kernel the CPU
+/// supports (cpuid, cached): the AVX-512 IFMA radix-2^52 kernel from 12
+/// limbs (768-bit rings) up to 130 limbs, else the AVX2 product-scanning
+/// kernel from 32 limbs up, else the scalar CIOS kernel. Benches and tests force a specific
+/// kernel for A/B comparison. The selection is a pure performance choice —
+/// every kernel produces identical limbs.
+enum class MontKernel { kAuto, kScalar, kAvx2, kIfma };
 
 /// Sets the process-wide kernel selection. Safe to call between
 /// computations; not intended to race with in-flight multiplies.
@@ -29,6 +30,15 @@ MontKernel GetMontKernel();
 /// True when the running CPU supports the AVX2 kernel (always false on
 /// non-x86 builds, where kAvx2 silently falls back to scalar).
 bool CpuHasAvx2();
+/// True when the running CPU (and OS) support AVX-512F + AVX-512 IFMA.
+bool CpuHasIfma();
+
+/// The kernel (never kAuto) that MulReduceRaw runs on a num_limbs-limb ring
+/// under the current selection. A forced kernel the CPU or the width cannot
+/// run falls back to the kAuto rule without it.
+MontKernel MontKernelFor(size_t num_limbs);
+/// "auto", "scalar", "avx2" or "ifma".
+const char* MontKernelName(MontKernel kernel);
 
 /// Canonical residue of a mod m, in [0, m). m must be positive.
 BigInt Mod(const BigInt& a, const BigInt& m);
@@ -93,9 +103,10 @@ class MontgomeryContext {
 
   // --- raw-limb hot-path kernels (allocation-free) --------------------------
 
-  /// Raw k-limb CIOS kernel: out = a*b*R^{-1} mod m. All pointers reference
-  /// k-limb little-endian arrays; `out` may alias `a` and/or `b`.
-  /// Dispatches to the AVX2 or scalar implementation per SetMontKernel.
+  /// Raw k-limb Montgomery multiply: out = a*b*R^{-1} mod m in [0, m), for
+  /// a, b in [0, m). All pointers reference k-limb little-endian arrays;
+  /// `out` may alias `a` and/or `b`. Runs the kernel that
+  /// MontKernelFor(num_limbs()) names; every kernel writes the same limbs.
   void MulReduceRaw(const uint64_t* a, const uint64_t* b, uint64_t* out) const;
 
   /// Loads a residue (must already be in [0, m)) into a zero-padded k-limb
@@ -119,6 +130,10 @@ class MontgomeryContext {
   /// forwards to the scalar kernel on builds without AVX2 support.
   void MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
                         uint64_t* out) const;
+  /// Radix-2^52 AVX-512 IFMA kernel; `a` is pre-shifted so that its 2^(52L)
+  /// Montgomery radix leaves exactly R = 2^(64k).
+  void MulReduceRawIfma(const uint64_t* a, const uint64_t* b,
+                        uint64_t* out) const;
 
   BigInt m_;
   size_t k_ = 0;        // limb count of m_
@@ -132,6 +147,11 @@ class MontgomeryContext {
   // padding on both sides (operands of the column-tiled AVX2 kernel).
   std::vector<uint64_t> n32pad_;
   std::vector<uint64_t> np32pad_;
+  // IFMA kernel state: m in L = ceil(64k/52) radix-2^52 digits, zero-padded
+  // to whole 8-lane vectors, and the pre-shift 52L - 64k applied to `a`.
+  std::vector<uint64_t> m52_;
+  size_t l52_ = 0;
+  unsigned shift52_ = 0;
 };
 
 /// \brief Precomputed fixed-base windowed exponentiation (Lim-Lee style).

@@ -124,6 +124,8 @@ Result<PaillierPublicKey> PaillierPublicKey::Deserialize(ByteReader* r) {
   if (n.BitLength() < 16) {
     return Status::Corruption("Paillier modulus too small");
   }
+  // n = pq is odd; an even n would abort building the Montgomery ring of n^2.
+  if (n.IsEven()) return Status::Corruption("Paillier modulus is even");
   return PaillierPublicKey(std::move(n));
 }
 

@@ -108,6 +108,10 @@ class PaillierPrivateKey {
   /// Decrypts a cipher to the plaintext residue in [0, n).
   BigInt Decrypt(const BigInt& c) const;
 
+  /// The CRT decryption rings.
+  const BigInt& p_squared() const { return p2_; }
+  const BigInt& q_squared() const { return q2_; }
+
   /// Decrypts a batch. When `pool` is non-null the independent CRT halves
   /// (2 per cipher) are evaluated in parallel across the pool; otherwise the
   /// batch is processed serially.

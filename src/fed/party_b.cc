@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
+#include "bigint/modarith.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "fed/checkpoint.h"
@@ -112,6 +114,15 @@ Status PartyBEngine::Setup() {
     VF2_TRACE_SPAN("crypto", "keygen");
     auto kp = PaillierKeyPair::Generate(config_.paillier_bits, &rng_);
     VF2_RETURN_IF_ERROR(kp.status());
+    const auto kernel = [](const BigInt& ring) {
+      const size_t limbs = ring.limbs().size();
+      return std::string(MontKernelName(MontKernelFor(limbs))) + " (" +
+             std::to_string(limbs) + " limbs)";
+    };
+    VF2_LOG(Info) << "Montgomery kernel: n^2 ring "
+                  << kernel(kp->pub.n_squared()) << ", CRT rings "
+                  << kernel(kp->priv.p_squared()) << " / "
+                  << kernel(kp->priv.q_squared());
     auto pb =
         std::make_unique<PaillierBackend>(kp->pub, config_.MakeCodec());
     pb->SetPrivateKey(kp->priv);

@@ -126,6 +126,55 @@ TEST(BigIntOracle, FixedBasePowMatchesGmp) {
   }
 }
 
+// Every Montgomery kernel against GMP: Pow at the ring widths Paillier
+// uses (CRT rings of 1024/2048-bit keys, n^2 of 2048-bit keys), forced
+// kernel by kernel. A kernel the cpu lacks is skipped, naming the feature.
+struct ForcedKernel {
+  const char* name;
+  MontKernel kernel;
+  bool (*supported)();
+  const char* features;
+};
+
+bool Always() { return true; }
+
+class BigIntOracleKernel : public ::testing::TestWithParam<ForcedKernel> {};
+
+TEST_P(BigIntOracleKernel, PowMatchesGmp) {
+  if (!GetParam().supported()) {
+    GTEST_SKIP() << "cpu lacks " << GetParam().features;
+  }
+  const MontKernel saved = GetMontKernel();
+  SetMontKernel(GetParam().kernel);
+  Rng rng(1013);
+  for (size_t bits : {1024u, 2048u, 4096u}) {
+    BigInt m = BigInt::Random(bits - 1, &rng) + (BigInt(1) << (bits - 1));
+    if (m.IsEven()) m += BigInt(1);
+    const MontgomeryContext ctx(m);
+    EXPECT_EQ(MontKernelFor(ctx.num_limbs()), GetParam().kernel) << bits;
+    for (int i = 0; i < 4; ++i) {
+      const BigInt base = BigInt::RandomBelow(m, &rng);
+      const BigInt exp = BigInt::Random(i == 0 ? bits : 256, &rng);
+      Gmp gb(base), ge(exp), gm(m), out;
+      mpz_powm(out.get(), gb.get(), ge.get(), gm.get());
+      EXPECT_EQ(ctx.Pow(base, exp).ToDecString(), out.Str())
+          << bits << " bits, i=" << i;
+    }
+  }
+  SetMontKernel(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, BigIntOracleKernel,
+    ::testing::Values(
+        ForcedKernel{"Scalar", MontKernel::kScalar, Always, ""},
+        ForcedKernel{"Avx2", MontKernel::kAvx2, CpuHasAvx2, "avx2"},
+        ForcedKernel{"Ifma", MontKernel::kIfma, CpuHasIfma,
+                     "avx512f+avx512ifma"}),
+    [](const ::testing::TestParamInfo<ForcedKernel>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(BigIntOracle, ModInverse) {
   Rng rng(1009);
   for (int i = 0; i < 60; ++i) {

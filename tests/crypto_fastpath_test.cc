@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/threadpool.h"
 #include "crypto/backend.h"
 #include "crypto/noise_pool.h"
@@ -41,6 +42,32 @@ class CryptoFastPathTest : public ::testing::Test {
   }
 
   PaillierKeyPair kp_;
+  Rng rng_{77};
+};
+
+// The concurrent cases run on a 1024-bit key, whose rings reach a vector
+// Montgomery kernel (n^2: 32 limbs; CRT: 16 limbs), so TSan sees the
+// kernels' thread-local scratch shared by pool workers and consumers.
+const PaillierKeyPair& WideKey() {
+  static const PaillierKeyPair kp = [] {
+    Rng krng(4243);
+    auto generated = PaillierKeyPair::Generate(1024, &krng);
+    VF2_CHECK(generated.ok()) << generated.status().ToString();
+    return std::move(generated).value();
+  }();
+  return kp;
+}
+
+class CryptoFastPathWideKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (CpuHasAvx2() || CpuHasIfma()) {
+      EXPECT_NE(MontKernelFor(kp_.pub.n_squared().limbs().size()),
+                MontKernel::kScalar);
+    }
+  }
+
+  const PaillierKeyPair& kp_ = WideKey();
   Rng rng_{77};
 };
 
@@ -90,7 +117,7 @@ TEST_F(CryptoFastPathTest, DeserializedKeyMakesCompatibleCiphers) {
   EXPECT_EQ(kp_.priv.Decrypt(pub2->Encrypt(m, &rng_)), m);
 }
 
-TEST_F(CryptoFastPathTest, NoisePoolRoundTripConcurrent) {
+TEST_F(CryptoFastPathWideKeyTest, NoisePoolRoundTripConcurrent) {
   // Concurrent producers and consumers: every nonce taken from the pool must
   // decrypt its cipher correctly, and the stats must add up.
   NoisePool pool(kp_.pub, /*capacity=*/64, /*workers=*/2, /*seed=*/99);
@@ -152,7 +179,7 @@ TEST_F(CryptoFastPathTest, PooledBackendEncryptionDecrypts) {
   EXPECT_EQ(stats.hits + stats.misses, 20u);
 }
 
-TEST_F(CryptoFastPathTest, DecryptBatchMatchesSerial) {
+TEST_F(CryptoFastPathWideKeyTest, DecryptBatchMatchesSerial) {
   ThreadPool pool(4);
   std::vector<BigInt> plain, ciphers;
   for (int i = 0; i < 33; ++i) {
@@ -168,7 +195,7 @@ TEST_F(CryptoFastPathTest, DecryptBatchMatchesSerial) {
   }
 }
 
-TEST_F(CryptoFastPathTest, BackendDecryptBatchMatchesDecrypt) {
+TEST_F(CryptoFastPathWideKeyTest, BackendDecryptBatchMatchesDecrypt) {
   ThreadPool tp(3);
   PaillierBackend backend(kp_.pub, FixedPointCodec());
   backend.SetPrivateKey(kp_.priv);

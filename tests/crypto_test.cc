@@ -100,6 +100,13 @@ TEST_F(PaillierTest, CorruptKeyRejected) {
   w.PutU64Vector({3});  // 2-bit "modulus"
   ByteReader r(w.data());
   EXPECT_FALSE(PaillierPublicKey::Deserialize(&r).ok());
+
+  ByteWriter even;
+  even.PutU64Vector({(uint64_t{1} << 36) | 0x2468});  // 37-bit even modulus
+  ByteReader re(even.data());
+  const auto key = PaillierPublicKey::Deserialize(&re);
+  ASSERT_FALSE(key.ok());
+  EXPECT_EQ(key.status().code(), StatusCode::kCorruption);
 }
 
 TEST(FixedPointTest, EncodeDecodeRoundTrip) {

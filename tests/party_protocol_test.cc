@@ -8,6 +8,7 @@
 #include <functional>
 #include <thread>
 
+#include "common/bytes.h"
 #include "data/synthetic.h"
 #include "fed/channel.h"
 #include "fed/party_a.h"
@@ -200,6 +201,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<HostileCase>& info) {
       return std::string(info.param.name);
     });
+
+// Real crypto: A builds its backend from B's key bytes, so a malformed key
+// must end A's run with an error rather than abort the process. (Mock crypto
+// ignores the key payload.)
+TEST(PartyAKeyTest, EvenPaillierModulusEndsRun) {
+  FedConfig config = MockConfig();
+  config.mock_crypto = false;
+  const Dataset data = SmallData(64, 4);
+  auto [a_end, b_end] = ChannelEndpoint::CreatePair(WithDeadline());
+  PartyAEngine engine(config, data, a_end.get(), /*party_index=*/0);
+  Status a_status;
+  std::thread a_thread([&] { a_status = engine.Run(); });
+
+  ByteWriter key;
+  key.PutU64Vector({(uint64_t{1} << 36) | 0x2468});  // 37-bit even modulus
+  b_end->Send(Message{MessageType::kPublicKey, key.data()});
+  a_thread.join();
+  EXPECT_EQ(a_status.code(), StatusCode::kCorruption) << a_status.ToString();
+  // A sent no layout: the next thing B sees is A's error close.
+  Result<Message> after = b_end->Receive();
+  EXPECT_FALSE(after.ok()) << MessageTypeName(after->type);
+}
 
 // ---------------------------------------------------------------------------
 // Party B against a scripted, relaunched A
