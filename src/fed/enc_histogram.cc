@@ -1,5 +1,6 @@
 #include "fed/enc_histogram.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -72,95 +73,117 @@ Status CheckPackStream(const std::vector<PackedCipher>& packs,
 
 IncrementalHistogramBuilder::IncrementalHistogramBuilder(
     const BinnedMatrix* x, const FeatureLayout* layout,
-    const CipherBackend* backend, bool reordered, bool gh)
-    : x_(x), layout_(layout), gh_(gh) {
-  const size_t total = layout->total_bins();
-  g_acc_.resize(total);
-  if (!gh_) h_acc_.resize(total);
-  for (size_t i = 0; i < total; ++i) {
-    if (reordered) {
-      g_acc_[i] = std::make_unique<ReorderedCipherAccumulator>(backend);
-      if (!gh_) h_acc_[i] = std::make_unique<ReorderedCipherAccumulator>(backend);
-    } else {
-      g_acc_[i] = std::make_unique<NaiveCipherAccumulator>(backend);
-      if (!gh_) h_acc_[i] = std::make_unique<NaiveCipherAccumulator>(backend);
+    const CipherBackend* backend, bool reordered,
+    std::vector<const std::vector<Cipher>*> streams, ThreadPool* pool)
+    : x_(x),
+      layout_(layout),
+      backend_(backend),
+      reordered_(reordered),
+      streams_(std::move(streams)),
+      pool_(pool != nullptr && pool->num_threads() >= 2 ? pool : nullptr),
+      shards_(pool_ != nullptr ? pool_->num_threads() : 1) {}
+
+IncrementalHistogramBuilder::Accumulators& IncrementalHistogramBuilder::Shard(
+    size_t s) {
+  Accumulators& acc = shards_[s];
+  if (acc.empty()) {
+    acc.resize(streams_.size() * layout_->total_bins());
+    for (auto& a : acc) {
+      if (reordered_) {
+        a = std::make_unique<ReorderedCipherAccumulator>(backend_);
+      } else {
+        a = std::make_unique<NaiveCipherAccumulator>(backend_);
+      }
+    }
+  }
+  return acc;
+}
+
+void IncrementalHistogramBuilder::AddToShard(size_t s,
+                                             std::span<const uint32_t> rows) {
+  Accumulators& acc = Shard(s);
+  const size_t num_streams = streams_.size();
+  for (uint32_t row : rows) {
+    const auto cols = x_->RowColumns(row);
+    const auto bins = x_->RowBins(row);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      const size_t flat = layout_->Flat(cols[k], bins[k]);
+      for (size_t st = 0; st < num_streams; ++st) {
+        acc[flat * num_streams + st]->Add((*streams_[st])[row]);
+      }
     }
   }
 }
 
-void IncrementalHistogramBuilder::AddRow(uint32_t row,
-                                         const std::vector<Cipher>& g,
-                                         const std::vector<Cipher>& h) {
-  const auto cols = x_->RowColumns(row);
-  const auto bins = x_->RowBins(row);
-  for (size_t k = 0; k < cols.size(); ++k) {
-    const size_t flat = layout_->Flat(cols[k], bins[k]);
-    g_acc_[flat]->Add(g[row]);
-    h_acc_[flat]->Add(h[row]);
+void IncrementalHistogramBuilder::Add(std::span<const uint32_t> rows) {
+  // Below 64 rows the pool hand-off costs more than the HAdds it spreads.
+  if (pool_ == nullptr || rows.size() < 64) {
+    AddToShard(0, rows);
+    return;
   }
-  ++rows_added_;
-}
-
-void IncrementalHistogramBuilder::AddRange(uint32_t begin, uint32_t end,
-                                           const std::vector<Cipher>& g,
-                                           const std::vector<Cipher>& h) {
-  for (uint32_t i = begin; i < end; ++i) AddRow(i, g, h);
-}
-
-void IncrementalHistogramBuilder::AddRowGh(uint32_t row,
-                                           const std::vector<Cipher>& gh) {
-  VF2_CHECK(gh_) << "AddRowGh on a classic-mode builder";
-  const auto cols = x_->RowColumns(row);
-  const auto bins = x_->RowBins(row);
-  for (size_t k = 0; k < cols.size(); ++k) {
-    const size_t flat = layout_->Flat(cols[k], bins[k]);
-    g_acc_[flat]->Add(gh[row]);
-  }
-  ++rows_added_;
-}
-
-void IncrementalHistogramBuilder::AddRangeGh(uint32_t begin, uint32_t end,
-                                             const std::vector<Cipher>& gh) {
-  for (uint32_t i = begin; i < end; ++i) AddRowGh(i, gh);
+  const size_t chunk = (rows.size() + shards_.size() - 1) / shards_.size();
+  pool_->ParallelFor(shards_.size(), [&](size_t s) {
+    const size_t begin = std::min(rows.size(), s * chunk);
+    const size_t end = std::min(rows.size(), begin + chunk);
+    if (begin < end) AddToShard(s, rows.subspan(begin, end - begin));
+  });
 }
 
 EncryptedHistogram IncrementalHistogramBuilder::Finalize(
     AccumulatorStats* stats) {
-  const size_t total = g_acc_.size();
-  EncryptedHistogram out;
-  if (gh_) {
-    out.gh_bins.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      out.gh_bins.push_back(g_acc_[i]->Finalize());
-      if (stats != nullptr) {
-        stats->hadds += g_acc_[i]->stats().hadds;
-        stats->scalings += g_acc_[i]->stats().scalings;
-      }
+  // Shard 0 always answers, so a builder that saw no rows still yields an
+  // encryption of zero per bin.
+  Shard(0);
+  // Each worker finalizes its own shard (the §5.1 workspace merges run
+  // there); the shards are then summed bin by bin, one HAdd per bin per
+  // extra shard, exponents aligned on demand.
+  std::vector<std::vector<Cipher>> partial(shards_.size());
+  std::vector<AccumulatorStats> partial_stats(shards_.size());
+  auto finalize = [&](size_t s) {
+    partial[s].reserve(shards_[s].size());
+    for (auto& acc : shards_[s]) {
+      partial[s].push_back(acc->Finalize());
+      partial_stats[s].hadds += acc->stats().hadds;
+      partial_stats[s].scalings += acc->stats().scalings;
     }
-    return out;
+  };
+  // Shard 1 is empty exactly when every Add stayed below the pool cutoff.
+  if (pool_ != nullptr && !shards_[1].empty()) {
+    pool_->ParallelFor(shards_.size(), finalize);
+  } else {
+    finalize(0);
   }
-  out.g_bins.reserve(total);
-  out.h_bins.reserve(total);
-  for (size_t i = 0; i < total; ++i) {
-    out.g_bins.push_back(g_acc_[i]->Finalize());
-    out.h_bins.push_back(h_acc_[i]->Finalize());
-    if (stats != nullptr) {
-      stats->hadds += g_acc_[i]->stats().hadds + h_acc_[i]->stats().hadds;
-      stats->scalings +=
-          g_acc_[i]->stats().scalings + h_acc_[i]->stats().scalings;
+  AccumulatorStats total_stats;
+  for (const AccumulatorStats& ps : partial_stats) {
+    total_stats.hadds += ps.hadds;
+    total_stats.scalings += ps.scalings;
+  }
+  std::vector<Cipher>& sum = partial[0];
+  for (size_t s = 1; s < partial.size(); ++s) {
+    if (partial[s].empty()) continue;
+    for (size_t i = 0; i < sum.size(); ++i) {
+      sum[i] = backend_->HAdd(sum[i], partial[s][i], &total_stats.scalings);
+      ++total_stats.hadds;
     }
+  }
+  if (stats != nullptr) {
+    stats->hadds += total_stats.hadds;
+    stats->scalings += total_stats.scalings;
+  }
+  shards_.clear();
+
+  std::vector<std::vector<Cipher>> bins(streams_.size());
+  for (size_t i = 0; i < sum.size(); ++i) {
+    bins[i % streams_.size()].push_back(std::move(sum[i]));
+  }
+  EncryptedHistogram out;
+  if (streams_.size() == 1) {
+    out.gh_bins = std::move(bins[0]);
+  } else {
+    out.g_bins = std::move(bins[0]);
+    out.h_bins = std::move(bins[1]);
   }
   return out;
-}
-
-EncryptedHistogram BuildEncryptedHistogram(
-    const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& g,
-    const std::vector<Cipher>& h, const CipherBackend& backend, bool reordered,
-    AccumulatorStats* stats) {
-  IncrementalHistogramBuilder builder(&x, &layout, &backend, reordered);
-  for (uint32_t i : instances) builder.AddRow(i, g, h);
-  return builder.Finalize(stats);
 }
 
 EncryptedHistogram BuildEncryptedHistogramParallel(
@@ -168,57 +191,9 @@ EncryptedHistogram BuildEncryptedHistogramParallel(
     const std::vector<uint32_t>& instances, const std::vector<Cipher>& g,
     const std::vector<Cipher>& h, const CipherBackend& backend, bool reordered,
     AccumulatorStats* stats, ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() < 2 || instances.size() < 64) {
-    return BuildEncryptedHistogram(x, layout, instances, g, h, backend,
-                                   reordered, stats);
-  }
-  const size_t shards = pool->num_threads();
-  const size_t chunk = (instances.size() + shards - 1) / shards;
-  std::vector<EncryptedHistogram> partial(shards);
-  std::vector<AccumulatorStats> partial_stats(shards);
-  pool->ParallelFor(shards, [&](size_t s) {
-    const size_t begin = s * chunk;
-    const size_t end = std::min(instances.size(), begin + chunk);
-    if (begin >= end) return;
-    const std::vector<uint32_t> shard(instances.begin() + begin,
-                                      instances.begin() + end);
-    partial[s] = BuildEncryptedHistogram(x, layout, shard, g, h, backend,
-                                         reordered, &partial_stats[s]);
-  });
-
-  // Aggregate worker-local histograms into the global one (one HAdd per bin
-  // per extra shard; exponents are aligned on demand).
-  EncryptedHistogram out = std::move(partial[0]);
-  size_t merge_scalings = 0;
-  size_t merge_hadds = 0;
-  for (size_t s = 1; s < shards; ++s) {
-    if (partial[s].g_bins.empty()) continue;
-    for (size_t i = 0; i < out.g_bins.size(); ++i) {
-      out.g_bins[i] =
-          backend.HAdd(out.g_bins[i], partial[s].g_bins[i], &merge_scalings);
-      out.h_bins[i] =
-          backend.HAdd(out.h_bins[i], partial[s].h_bins[i], &merge_scalings);
-      merge_hadds += 2;
-    }
-  }
-  if (stats != nullptr) {
-    for (const AccumulatorStats& ps : partial_stats) {
-      stats->hadds += ps.hadds;
-      stats->scalings += ps.scalings;
-    }
-    stats->hadds += merge_hadds;
-    stats->scalings += merge_scalings;
-  }
-  return out;
-}
-
-EncryptedHistogram BuildEncryptedHistogramGh(
-    const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& gh,
-    const CipherBackend& backend, bool reordered, AccumulatorStats* stats) {
   IncrementalHistogramBuilder builder(&x, &layout, &backend, reordered,
-                                      /*gh=*/true);
-  for (uint32_t i : instances) builder.AddRowGh(i, gh);
+                                      {&g, &h}, pool);
+  builder.Add(instances);
   return builder.Finalize(stats);
 }
 
@@ -227,46 +202,10 @@ EncryptedHistogram BuildEncryptedHistogramGhParallel(
     const std::vector<uint32_t>& instances, const std::vector<Cipher>& gh,
     const CipherBackend& backend, bool reordered, AccumulatorStats* stats,
     ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() < 2 || instances.size() < 64) {
-    return BuildEncryptedHistogramGh(x, layout, instances, gh, backend,
-                                     reordered, stats);
-  }
-  const size_t shards = pool->num_threads();
-  const size_t chunk = (instances.size() + shards - 1) / shards;
-  std::vector<EncryptedHistogram> partial(shards);
-  std::vector<AccumulatorStats> partial_stats(shards);
-  pool->ParallelFor(shards, [&](size_t s) {
-    const size_t begin = s * chunk;
-    const size_t end = std::min(instances.size(), begin + chunk);
-    if (begin >= end) return;
-    const std::vector<uint32_t> shard(instances.begin() + begin,
-                                      instances.begin() + end);
-    partial[s] = BuildEncryptedHistogramGh(x, layout, shard, gh, backend,
-                                           reordered, &partial_stats[s]);
-  });
-
-  // Merge worker-local gh histograms; all gh ciphers share one exponent so
-  // no scalings arise.
-  EncryptedHistogram out = std::move(partial[0]);
-  size_t merge_scalings = 0;
-  size_t merge_hadds = 0;
-  for (size_t s = 1; s < shards; ++s) {
-    if (partial[s].gh_bins.empty()) continue;
-    for (size_t i = 0; i < out.gh_bins.size(); ++i) {
-      out.gh_bins[i] =
-          backend.HAdd(out.gh_bins[i], partial[s].gh_bins[i], &merge_scalings);
-      ++merge_hadds;
-    }
-  }
-  if (stats != nullptr) {
-    for (const AccumulatorStats& ps : partial_stats) {
-      stats->hadds += ps.hadds;
-      stats->scalings += ps.scalings;
-    }
-    stats->hadds += merge_hadds;
-    stats->scalings += merge_scalings;
-  }
-  return out;
+  IncrementalHistogramBuilder builder(&x, &layout, &backend, reordered, {&gh},
+                                      pool);
+  builder.Add(instances);
+  return builder.Finalize(stats);
 }
 
 Result<PackedHistogram> PackHistogram(const EncryptedHistogram& hist,

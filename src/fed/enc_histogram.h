@@ -1,6 +1,8 @@
 #ifndef VF2BOOST_FED_ENC_HISTOGRAM_H_
 #define VF2BOOST_FED_ENC_HISTOGRAM_H_
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -24,76 +26,61 @@ struct EncryptedHistogram {
   std::vector<Cipher> gh_bins;
 };
 
-/// Builds the encrypted histogram of one tree node by scanning the node's
-/// instances and homomorphically accumulating their gradient ciphers
-/// (BuildHistA). `reordered` selects the §5.1 per-exponent-workspace
-/// accumulation; stats (HAdds/scalings) accumulate into *stats when given.
-EncryptedHistogram BuildEncryptedHistogram(
-    const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& g,
-    const std::vector<Cipher>& h, const CipherBackend& backend, bool reordered,
-    AccumulatorStats* stats);
-
-/// \brief Stateful histogram accumulation for blaster streaming: rows are
-/// added as their gradient ciphers arrive, so Party A overlaps root-node
-/// accumulation with Party B's encryption of later batches (the Fig. 4
-/// pipeline). Adding the same rows in the same order as
-/// BuildEncryptedHistogram and then calling Finalize yields the identical
-/// histogram and identical HAdd/scaling counts.
+/// \brief Party A's histogram builder (BuildHistA): folds the gradient
+/// ciphers of a node's instances into one accumulator per (stream, bin).
+///
+/// A tree carries one cipher stream (gh-packed: one [count|g|h] cipher per
+/// instance) or two (classic: g and h). Rows may be added in several calls,
+/// so the root histogram grows batch by batch while Party B is still
+/// encrypting later batches (the Fig. 4 pipeline). Each Add splits its rows
+/// into contiguous shards, one per pool worker, and every shard keeps its
+/// own accumulators; Finalize merges the shards homomorphically (paper §3:
+/// "the local histograms built by workers are further aggregated into
+/// global ones"). The sharding changes which ciphers are summed first, so
+/// the result decrypts to the same histogram whatever the pool size or
+/// batching, but its cipher bytes and HAdd/scaling counts may differ.
 class IncrementalHistogramBuilder {
  public:
-  /// `gh` switches the builder into gh-packed mode: one accumulator per bin
-  /// (fed by AddRowGh/AddRangeGh) instead of the g/h pair.
+  /// `streams` is {gh} or {g, h}, each indexed by global row id; the
+  /// vectors must outlive the builder. `reordered` selects the §5.1
+  /// per-exponent-workspace accumulation. `pool` may be null.
   IncrementalHistogramBuilder(const BinnedMatrix* x,
                               const FeatureLayout* layout,
                               const CipherBackend* backend, bool reordered,
-                              bool gh = false);
+                              std::vector<const std::vector<Cipher>*> streams,
+                              ThreadPool* pool);
 
-  /// Accumulates one instance; g/h are indexed by global row id.
-  void AddRow(uint32_t row, const std::vector<Cipher>& g,
-              const std::vector<Cipher>& h);
-  /// Accumulates the contiguous row range [begin, end) — one grad batch.
-  void AddRange(uint32_t begin, uint32_t end, const std::vector<Cipher>& g,
-                const std::vector<Cipher>& h);
+  /// Accumulates the instances `rows`, spread over the pool's workers.
+  void Add(std::span<const uint32_t> rows);
 
-  /// gh-mode equivalents: one [count|g|h] cipher per instance.
-  void AddRowGh(uint32_t row, const std::vector<Cipher>& gh);
-  void AddRangeGh(uint32_t begin, uint32_t end,
-                  const std::vector<Cipher>& gh);
-
-  size_t rows_added() const { return rows_added_; }
-  bool gh() const { return gh_; }
-
-  /// Finalizes every bin accumulator. The builder is spent afterwards.
+  /// Merges the worker shards into one histogram: gh_bins for a gh stream,
+  /// g_bins/h_bins for a classic pair. HAdd/scaling counts accumulate into
+  /// *stats when given. The builder is spent afterwards.
   EncryptedHistogram Finalize(AccumulatorStats* stats);
 
  private:
+  using Accumulators = std::vector<std::unique_ptr<CipherAccumulator>>;
+  /// Shard `s`'s accumulators, indexed bin * streams + stream; created on
+  /// first use.
+  Accumulators& Shard(size_t s);
+  void AddToShard(size_t s, std::span<const uint32_t> rows);
+
   const BinnedMatrix* x_;
   const FeatureLayout* layout_;
-  bool gh_ = false;
-  std::vector<std::unique_ptr<CipherAccumulator>> g_acc_;  // gh mode: the
-                                                           // gh accumulators
-  std::vector<std::unique_ptr<CipherAccumulator>> h_acc_;  // classic only
-  size_t rows_added_ = 0;
+  const CipherBackend* backend_;
+  bool reordered_;
+  std::vector<const std::vector<Cipher>*> streams_;
+  ThreadPool* pool_;
+  std::vector<Accumulators> shards_;  // one per worker; empty until used
 };
 
-/// Worker-parallel variant (paper §3: "the local histograms built by workers
-/// are further aggregated into global ones"): instance shards build partial
-/// histograms on the pool, which are then homomorphically merged. `pool`
-/// may be null (falls back to the serial builder).
+/// One-shot builds over `instances`, for a classic g/h pair and for a gh
+/// stream: a builder fed the whole instance list at once.
 EncryptedHistogram BuildEncryptedHistogramParallel(
     const BinnedMatrix& x, const FeatureLayout& layout,
     const std::vector<uint32_t>& instances, const std::vector<Cipher>& g,
     const std::vector<Cipher>& h, const CipherBackend& backend, bool reordered,
     AccumulatorStats* stats, ThreadPool* pool);
-
-/// gh-mode builds: `gh` holds one [count|g|h] cipher per instance; the
-/// result's gh_bins carries one accumulated cipher per (feature, bin) —
-/// half the HAdds of the classic build.
-EncryptedHistogram BuildEncryptedHistogramGh(
-    const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& gh,
-    const CipherBackend& backend, bool reordered, AccumulatorStats* stats);
 
 EncryptedHistogram BuildEncryptedHistogramGhParallel(
     const BinnedMatrix& x, const FeatureLayout& layout,

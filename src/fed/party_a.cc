@@ -265,9 +265,7 @@ Status PartyAEngine::Recover(const Status& cause) {
   // the interrupted tree from its gradients, so everything this side built
   // for it is rebuilt from the fresh stream.
   inbox_.Clear();
-  g_ciphers_.clear();
-  h_ciphers_.clear();
-  gh_ciphers_.clear();
+  streams_.clear();
   root_builder_.reset();
   node_instances_.clear();
   hist_epoch_.clear();
@@ -327,44 +325,29 @@ Status PartyAEngine::MaybeWriteCheckpoint() {
 Status PartyAEngine::ReceiveGradients(Message first, uint32_t* tree_id) {
   VF2_TRACE_SPAN("phase", "recv_gradients");
   const size_t n = data_.rows();
-  g_ciphers_.clear();
-  h_ciphers_.clear();
-  gh_ciphers_.clear();
-  // Blaster streaming: accumulate each batch into the root histogram as soon
-  // as it lands, so the root build overlaps B's encryption of later batches
-  // (Fig. 4) instead of serializing behind the full gradient transfer. The
-  // worker-pool build path shards instances instead, so streaming is
-  // restricted to the serial builder; rows arrive in index order, making the
-  // result identical to a post-hoc BuildEncryptedHistogram.
-  const bool stream_root = config_.blaster && pool_ == nullptr &&
-                           config_.gbdt.num_layers >= 2;
+  const std::vector<uint32_t>& root_rows = node_instances_.at(0);
+  streams_.clear();
+  // Each batch is folded into the root histogram as soon as it lands, so the
+  // root build overlaps B's encryption of later batches (Fig. 4) instead of
+  // serializing behind the full gradient transfer. Without blaster the
+  // stream is one batch.
   root_builder_.reset();
   root_build_seconds_ = 0;
   size_t received = 0;
-  bool first_batch = true;
   Message msg = std::move(first);
   for (;;) {
     GradBatchPayload batch;
     VF2_RETURN_IF_ERROR(DecodeGradBatch(msg, *backend_, &batch));
     *tree_id = batch.tree;
-    if (first_batch) {
+    if (streams_.empty()) {
       // The stream's first batch decides the tree's mode (gh-packed vs
-      // classic) and carries the slot layout; stores and the streamed root
-      // builder are shaped accordingly before any row lands.
-      first_batch = false;
+      // classic) and carries the slot layout; stores and the root builder
+      // are shaped accordingly before any row lands.
       gh_mode_ = batch.gh;
-      if (gh_mode_) {
-        gh_layout_ = batch.gh_layout;
-        gh_ciphers_.assign(n, Cipher{});
-      } else {
-        g_ciphers_.assign(n, Cipher{});
-        h_ciphers_.assign(n, Cipher{});
-      }
+      if (gh_mode_) gh_layout_ = batch.gh_layout;
+      streams_.assign(gh_mode_ ? 1 : 2, std::vector<Cipher>(n));
       m_.gh_pack_ratio->Set(gh_mode_ ? 2.0 : 1.0);
-      if (stream_root) {
-        root_builder_ = std::make_unique<IncrementalHistogramBuilder>(
-            &binned_, &layout_, backend_.get(), config_.reordered, gh_mode_);
-      }
+      if (config_.gbdt.num_layers >= 2) root_builder_ = NewHistogramBuilder();
     } else if (batch.gh != gh_mode_) {
       return Status::ProtocolError("mixed gh/classic gradient stream");
     } else if (gh_mode_ &&
@@ -374,52 +357,48 @@ Status PartyAEngine::ReceiveGradients(Message first, uint32_t* tree_id) {
                 batch.gh_layout.exponent != gh_layout_.exponent)) {
       return Status::ProtocolError("gh layout changed mid-stream");
     }
-    const size_t count = gh_mode_ ? batch.gh_ciphers.size() : batch.g.size();
-    if (batch.start + count > n) {
+    std::vector<std::vector<Cipher>*> in = {&batch.g, &batch.h};
+    if (gh_mode_) in = {&batch.gh_ciphers};
+    const size_t count = in[0]->size();
+    // Batches are contiguous and in order: a repeated, overlapping or
+    // skipped range would leave rows counted twice or never filled.
+    if (batch.start != received) {
+      return Status::ProtocolError(
+          "grad batch starts at row " + std::to_string(batch.start) +
+          ", expected " + std::to_string(received));
+    }
+    if (count > n - received) {
       return Status::ProtocolError("grad batch out of range");
     }
-    if (gh_mode_) {
-      for (size_t k = 0; k < count; ++k) {
-        gh_ciphers_[batch.start + k] = std::move(batch.gh_ciphers[k]);
-      }
-    } else {
-      for (size_t k = 0; k < count; ++k) {
-        g_ciphers_[batch.start + k] = std::move(batch.g[k]);
-        h_ciphers_[batch.start + k] = std::move(batch.h[k]);
-      }
+    for (size_t st = 0; st < streams_.size(); ++st) {
+      std::move(in[st]->begin(), in[st]->end(),
+                streams_[st].begin() + static_cast<ptrdiff_t>(received));
     }
-    // Streamed accumulation only grows contiguously from row 0: B sends
-    // batches in order, but a duplicated/reordered delivery falls back to the
-    // ordinary root build rather than double-counting rows.
-    if (root_builder_ != nullptr && count > 0 &&
-        batch.start == root_builder_->rows_added()) {
+    if (root_builder_.has_value() && count > 0) {
       Stopwatch build_timer;
       obs::TraceSpan span("phase", "build_hist");
       if (span.active()) {
         span.AddArg("node", static_cast<int64_t>(0));
         span.AddArg("streamed", static_cast<int64_t>(count));
       }
-      if (gh_mode_) {
-        root_builder_->AddRangeGh(
-            static_cast<uint32_t>(batch.start),
-            static_cast<uint32_t>(batch.start + count), gh_ciphers_);
-      } else {
-        root_builder_->AddRange(
-            static_cast<uint32_t>(batch.start),
-            static_cast<uint32_t>(batch.start + count), g_ciphers_,
-            h_ciphers_);
-      }
+      root_builder_->Add(std::span(root_rows).subspan(received, count));
       root_build_seconds_ += build_timer.ElapsedSeconds();
-    } else {
-      root_builder_.reset();
     }
     received += count;
-    if (received >= n) break;
+    if (received == n) break;
     PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
     VF2_ASSIGN_OR_RETURN(msg, inbox_.ReceiveType(MessageType::kGradBatch));
     wait.Stop();
   }
   return Status::OK();
+}
+
+IncrementalHistogramBuilder PartyAEngine::NewHistogramBuilder() {
+  std::vector<const std::vector<Cipher>*> streams;
+  for (const std::vector<Cipher>& s : streams_) streams.push_back(&s);
+  return IncrementalHistogramBuilder(&binned_, &layout_, backend_.get(),
+                                     config_.reordered, std::move(streams),
+                                     pool_.get());
 }
 
 Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
@@ -431,13 +410,9 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
   Stopwatch timer;
   AccumulatorStats acc_stats;
   EncryptedHistogram hist;
-  // The root histogram may already be fully accumulated from the streamed
-  // gradient batches; only trust it when it covers exactly this node's
-  // instances and the node was never rebuilt (epoch 0).
-  const bool use_streamed = node == 0 && layer == 0 &&
-                            root_builder_ != nullptr &&
-                            root_builder_->rows_added() == it->second.size() &&
-                            hist_epoch_[node] == 0;
+  // The tree's first build is the root's, whose rows were all added while
+  // the gradients streamed in; every later node adds its instance list here.
+  const bool streamed = root_builder_.has_value();
   {
     obs::TraceSpan span("phase", "build_hist");
     if (span.active()) {
@@ -447,27 +422,20 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
       span.AddArg("epoch", static_cast<int64_t>(hist_epoch_[node]));
       span.AddArg("instances", static_cast<int64_t>(it->second.size()));
     }
-    if (use_streamed) {
-      hist = root_builder_->Finalize(&acc_stats);
-    } else if (gh_mode_) {
-      hist = BuildEncryptedHistogramGhParallel(
-          binned_, layout_, it->second, gh_ciphers_, *backend_,
-          config_.reordered, &acc_stats, pool_.get());
-    } else {
-      hist = BuildEncryptedHistogramParallel(
-          binned_, layout_, it->second, g_ciphers_, h_ciphers_, *backend_,
-          config_.reordered, &acc_stats, pool_.get());
-    }
+    IncrementalHistogramBuilder builder =
+        streamed ? std::move(*root_builder_) : NewHistogramBuilder();
+    root_builder_.reset();
+    if (!streamed) builder.Add(it->second);
+    hist = builder.Finalize(&acc_stats);
   }
-  root_builder_.reset();
   m_.hadds->Add(acc_stats.hadds);
   m_.scalings->Add(acc_stats.scalings);
   // Streamed accumulation time was clocked batch-by-batch in
-  // ReceiveGradients; fold it back in so build_hist attribution stays
-  // comparable across blaster on/off.
+  // ReceiveGradients; fold it back in so build_hist attribution covers the
+  // whole root build.
   m_.phase_build_hist->Observe(timer.ElapsedSeconds() +
-                               (use_streamed ? root_build_seconds_ : 0));
-  if (use_streamed) root_build_seconds_ = 0;
+                               (streamed ? root_build_seconds_ : 0));
+  if (streamed) root_build_seconds_ = 0;
 
   NodeHistogramPayload payload;
   payload.tree = tree;
@@ -630,16 +598,16 @@ Status PartyAEngine::HandleVerdicts(const Message& msg) {
 }
 
 Status PartyAEngine::RunTree(Message first_grad_msg) {
-  uint32_t tree_id = 0;
-  VF2_RETURN_IF_ERROR(ReceiveGradients(std::move(first_grad_msg), &tree_id));
-  current_tree_ = tree_id;
-  live_.SetTree(static_cast<int64_t>(tree_id));
-
   node_instances_.clear();
   hist_epoch_.clear();
   std::vector<uint32_t> all(data_.rows());
   std::iota(all.begin(), all.end(), 0);
   node_instances_[0] = std::move(all);
+
+  uint32_t tree_id = 0;
+  VF2_RETURN_IF_ERROR(ReceiveGradients(std::move(first_grad_msg), &tree_id));
+  current_tree_ = tree_id;
+  live_.SetTree(static_cast<int64_t>(tree_id));
 
   if (config_.gbdt.num_layers >= 2) {
     VF2_RETURN_IF_ERROR(BuildAndSendHist(tree_id, /*layer=*/0, /*node=*/0));

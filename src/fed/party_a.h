@@ -2,6 +2,7 @@
 #define VF2BOOST_FED_PARTY_A_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -73,6 +74,8 @@ class PartyAEngine {
   Status RunTree(Message first_grad_msg);
   Status ReceiveGradients(Message first, uint32_t* tree_id);
   Status BuildAndSendHist(uint32_t tree, uint32_t layer, int32_t node);
+  /// An empty histogram builder over this tree's gradient streams.
+  IncrementalHistogramBuilder NewHistogramBuilder();
   /// Checks that `node` is known and (feature, bin) is a split of this
   /// party's layout, then sends B the node's placement (kPlacement).
   Status SendPlacement(uint32_t tree, uint32_t layer, int32_t node,
@@ -104,16 +107,15 @@ class PartyAEngine {
   Rng rng_;
 
   // Per-tree state.
-  std::vector<Cipher> g_ciphers_;
-  std::vector<Cipher> h_ciphers_;
-  /// gh-packed stream: one [count|g|h] cipher per instance; the mode and
-  /// layout are announced by the stream's first batch and fixed per tree.
-  std::vector<Cipher> gh_ciphers_;
+  /// Gradient ciphers by row: {gh} in gh-packed mode, else {g, h}. The mode
+  /// and gh layout are announced by the stream's first batch and fixed per
+  /// tree.
+  std::vector<std::vector<Cipher>> streams_;
   bool gh_mode_ = false;
   GhPackLayout gh_layout_;
-  /// Root-node histogram accumulated batch-by-batch during blaster gradient
-  /// streaming (overlaps with B's encryption); consumed by the layer-0 build.
-  std::unique_ptr<IncrementalHistogramBuilder> root_builder_;
+  /// Root-node histogram accumulated batch by batch while the gradients
+  /// stream in (overlaps with B's encryption); consumed by the layer-0 build.
+  std::optional<IncrementalHistogramBuilder> root_builder_;
   double root_build_seconds_ = 0;
   std::unordered_map<int32_t, std::vector<uint32_t>> node_instances_;
   std::unordered_map<int32_t, uint32_t> hist_epoch_;

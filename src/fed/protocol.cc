@@ -206,11 +206,32 @@ Status DecodeGradBatch(const Message& m, const CipherBackend& b,
     VF2_RETURN_IF_ERROR(
         ValidateGhPackLayout(p->gh_layout, b.plain_modulus().BitLength()));
     VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->gh_ciphers));
+    for (const Cipher& c : p->gh_ciphers) {
+      if (c.exponent != p->gh_layout.exponent) {
+        return Status::ProtocolError(
+            "gh cipher exponent " + std::to_string(c.exponent) +
+            " differs from the layout's " +
+            std::to_string(p->gh_layout.exponent));
+      }
+    }
   } else {
     VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->g));
     VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->h));
     if (p->g.size() != p->h.size()) {
       return Status::Corruption("grad batch g/h size mismatch");
+    }
+    // The accumulators index per-exponent workspaces by exponent, so one
+    // outside the codec's range must not reach them.
+    const FixedPointCodec& codec = b.codec();
+    for (const auto* stream : {&p->g, &p->h}) {
+      for (const Cipher& c : *stream) {
+        if (c.exponent < codec.min_exponent() ||
+            c.exponent > codec.max_exponent()) {
+          return Status::ProtocolError("grad cipher exponent " +
+                                       std::to_string(c.exponent) +
+                                       " outside the codec range");
+        }
+      }
     }
   }
   return Status::OK();

@@ -267,6 +267,8 @@ struct GradBatchPayload {
   std::vector<Cipher> gh_ciphers;
 };
 Message EncodeGradBatch(const GradBatchPayload& p, const CipherBackend& b);
+/// ProtocolError for a classic cipher whose exponent is outside the codec's
+/// range, or a gh cipher not at the layout's exponent.
 Status DecodeGradBatch(const Message& m, const CipherBackend& b,
                        GradBatchPayload* p);
 

@@ -80,17 +80,17 @@ class EncHistogramTest : public ::testing::TestWithParam<bool> {
   };
   PackInputs MakePackInputs() const {
     PackInputs in;
-    in.classic = BuildEncryptedHistogram(binned_, layout_, instances_,
-                                         g_ciphers_, h_ciphers_, *backend_,
-                                         /*reordered=*/true, nullptr);
+    in.classic = BuildEncryptedHistogramParallel(
+        binned_, layout_, instances_, g_ciphers_, h_ciphers_, *backend_,
+        /*reordered=*/true, nullptr, /*pool=*/nullptr);
     auto gh_layout =
         MakeGhPackLayout(codec_, data_.rows(), /*value_bound=*/1.0,
                          backend_->plain_modulus().BitLength());
     EXPECT_TRUE(gh_layout.ok()) << gh_layout.status().ToString();
     in.gh_layout = gh_layout.value();
-    in.gh = BuildEncryptedHistogramGh(binned_, layout_, instances_,
-                                      EncryptGh(in.gh_layout), *backend_,
-                                      /*reordered=*/true, nullptr);
+    in.gh = BuildEncryptedHistogramGhParallel(
+        binned_, layout_, instances_, EncryptGh(in.gh_layout), *backend_,
+        /*reordered=*/true, nullptr, /*pool=*/nullptr);
     return in;
   }
 
@@ -108,9 +108,9 @@ class EncHistogramTest : public ::testing::TestWithParam<bool> {
 TEST_P(EncHistogramTest, MatchesPlaintextHistogram) {
   for (bool reordered : {false, true}) {
     AccumulatorStats stats;
-    EncryptedHistogram enc = BuildEncryptedHistogram(
+    EncryptedHistogram enc = BuildEncryptedHistogramParallel(
         binned_, layout_, instances_, g_ciphers_, h_ciphers_, *backend_,
-        reordered, &stats);
+        reordered, &stats, /*pool=*/nullptr);
     size_t decryptions = 0;
     auto hist = DecryptRawHistogram(enc.g_bins, enc.h_bins, layout_,
                                     *backend_, &decryptions);
@@ -126,10 +126,12 @@ TEST_P(EncHistogramTest, MatchesPlaintextHistogram) {
 
 TEST_P(EncHistogramTest, ReorderedCutsScalings) {
   AccumulatorStats naive_stats, reordered_stats;
-  BuildEncryptedHistogram(binned_, layout_, instances_, g_ciphers_,
-                          h_ciphers_, *backend_, false, &naive_stats);
-  BuildEncryptedHistogram(binned_, layout_, instances_, g_ciphers_,
-                          h_ciphers_, *backend_, true, &reordered_stats);
+  BuildEncryptedHistogramParallel(binned_, layout_, instances_, g_ciphers_,
+                                  h_ciphers_, *backend_, false, &naive_stats,
+                                  /*pool=*/nullptr);
+  BuildEncryptedHistogramParallel(binned_, layout_, instances_, g_ciphers_,
+                                  h_ciphers_, *backend_, true,
+                                  &reordered_stats, /*pool=*/nullptr);
   // Re-ordered: at most E-1 scalings per bin per statistic.
   const size_t e = static_cast<size_t>(codec_.num_exponents());
   EXPECT_LE(reordered_stats.scalings, 2 * layout_.total_bins() * (e - 1));
@@ -138,9 +140,9 @@ TEST_P(EncHistogramTest, ReorderedCutsScalings) {
 }
 
 TEST_P(EncHistogramTest, PackedRoundTripMatchesRaw) {
-  EncryptedHistogram enc = BuildEncryptedHistogram(
+  EncryptedHistogram enc = BuildEncryptedHistogramParallel(
       binned_, layout_, instances_, g_ciphers_, h_ciphers_, *backend_,
-      /*reordered=*/true, nullptr);
+      /*reordered=*/true, nullptr, /*pool=*/nullptr);
   AccumulatorStats pack_stats;
   auto packed = PackHistogram(enc, layout_, data_.rows(),
                               /*grad_bound=*/1.0, *backend_, &pack_stats);
@@ -168,9 +170,9 @@ TEST_P(EncHistogramTest, SubsetOfInstances) {
   // Histogram over half the instances must match the plaintext restriction.
   std::vector<uint32_t> subset;
   for (size_t i = 0; i < instances_.size(); i += 2) subset.push_back(i);
-  EncryptedHistogram enc = BuildEncryptedHistogram(
+  EncryptedHistogram enc = BuildEncryptedHistogramParallel(
       binned_, layout_, subset, g_ciphers_, h_ciphers_, *backend_, true,
-      nullptr);
+      nullptr, /*pool=*/nullptr);
   auto hist =
       DecryptRawHistogram(enc.g_bins, enc.h_bins, layout_, *backend_, nullptr);
   ASSERT_TRUE(hist.ok());
@@ -188,11 +190,12 @@ TEST_P(EncHistogramTest, GhModeMatchesClassicAndPlaintext) {
   const std::vector<Cipher> gh_ciphers = EncryptGh(*gh_layout);
 
   AccumulatorStats gh_stats, classic_stats;
-  EncryptedHistogram enc = BuildEncryptedHistogramGh(
+  EncryptedHistogram enc = BuildEncryptedHistogramGhParallel(
       binned_, layout_, instances_, gh_ciphers, *backend_, /*reordered=*/true,
-      &gh_stats);
-  BuildEncryptedHistogram(binned_, layout_, instances_, g_ciphers_, h_ciphers_,
-                          *backend_, true, &classic_stats);
+      &gh_stats, /*pool=*/nullptr);
+  BuildEncryptedHistogramParallel(binned_, layout_, instances_, g_ciphers_,
+                                  h_ciphers_, *backend_, true, &classic_stats,
+                                  /*pool=*/nullptr);
   // The tentpole accounting claim: half the homomorphic additions.
   EXPECT_EQ(2 * gh_stats.hadds, classic_stats.hadds);
 

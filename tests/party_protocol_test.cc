@@ -224,6 +224,103 @@ TEST(PartyAKeyTest, EvenPaillierModulusEndsRun) {
   EXPECT_FALSE(after.ok()) << MessageTypeName(after->type);
 }
 
+/// A hostile gradient stream: the batches B sends for the first tree.
+struct GradStreamCase {
+  const char* name;
+  std::function<std::vector<GradBatchPayload>(const CipherBackend&, size_t)>
+      batches;
+};
+
+// Classic g/h batch of rows [start, start + count).
+GradBatchPayload ClassicBatch(const CipherBackend& backend, size_t start,
+                              size_t count) {
+  Rng rng(start + 1);
+  GradBatchPayload p;
+  p.start = start;
+  for (size_t i = 0; i < count; ++i) {
+    p.g.push_back(backend.Encrypt(0.25, &rng));
+    p.h.push_back(backend.Encrypt(0.5, &rng));
+  }
+  return p;
+}
+
+GradBatchPayload GhBatch(const CipherBackend& backend, size_t rows) {
+  auto layout = MakeGhPackLayout(backend.codec(), rows, /*value_bound=*/1.0,
+                                 backend.plain_modulus().BitLength());
+  EXPECT_TRUE(layout.ok()) << layout.status().ToString();
+  Rng rng(1);
+  GradBatchPayload p;
+  p.gh = true;
+  p.gh_layout = layout.value();
+  for (size_t i = 0; i < rows; ++i) {
+    Cipher c;
+    c.exponent = p.gh_layout.exponent;
+    c.data = backend.EncryptRaw(EncodeGhPair(p.gh_layout, 0.25, 0.5), &rng);
+    p.gh_ciphers.push_back(std::move(c));
+  }
+  return p;
+}
+
+class PartyAGradStreamTest : public ::testing::TestWithParam<GradStreamCase> {
+};
+
+TEST_P(PartyAGradStreamTest, EndsWithProtocolError) {
+  FedConfig config = MockConfig();
+  config.reordered = true;
+  const Dataset data = SmallData(64, 4);
+  auto [a_end, b_end] = ChannelEndpoint::CreatePair(WithDeadline());
+  PartyAEngine engine(config, data, a_end.get(), /*party_index=*/0);
+  Status a_status;
+  std::thread a_thread([&] { a_status = engine.Run(); });
+
+  b_end->Send(Message{MessageType::kPublicKey, {}});
+  Result<Message> layout_msg = b_end->Receive();
+  ASSERT_TRUE(layout_msg.ok()) << layout_msg.status().ToString();
+  ASSERT_EQ(layout_msg->type, MessageType::kLayout);
+
+  MockBackend backend(config.MakeCodec());
+  for (const GradBatchPayload& batch : GetParam().batches(backend, 64)) {
+    b_end->Send(EncodeGradBatch(batch, backend));
+  }
+  a_thread.join();
+  EXPECT_EQ(a_status.code(), StatusCode::kProtocolError)
+      << a_status.ToString();
+  // No root histogram: the next thing B sees is A's error close.
+  Result<Message> after = b_end->Receive();
+  EXPECT_FALSE(after.ok()) << MessageTypeName(after->type);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, PartyAGradStreamTest,
+    ::testing::Values(
+        // Rows [0, 32) twice: as many rows as the tree has, half of them
+        // never sent.
+        GradStreamCase{"RepeatedBatch",
+                       [](const CipherBackend& b, size_t) {
+                         return std::vector<GradBatchPayload>{
+                             ClassicBatch(b, 0, 32), ClassicBatch(b, 0, 32)};
+                       }},
+        GradStreamCase{"SkippedRows",
+                       [](const CipherBackend& b, size_t) {
+                         return std::vector<GradBatchPayload>{
+                             ClassicBatch(b, 0, 16), ClassicBatch(b, 32, 32)};
+                       }},
+        GradStreamCase{"ClassicExponentOutOfRange",
+                       [](const CipherBackend& b, size_t rows) {
+                         GradBatchPayload p = ClassicBatch(b, 0, rows);
+                         p.g[5].exponent = 99;
+                         return std::vector<GradBatchPayload>{p};
+                       }},
+        GradStreamCase{"GhExponentOffLayout",
+                       [](const CipherBackend& b, size_t rows) {
+                         GradBatchPayload p = GhBatch(b, rows);
+                         p.gh_ciphers[5].exponent = 99;
+                         return std::vector<GradBatchPayload>{p};
+                       }}),
+    [](const ::testing::TestParamInfo<GradStreamCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // ---------------------------------------------------------------------------
 // Party B against a scripted, relaunched A
 // ---------------------------------------------------------------------------
