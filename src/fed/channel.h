@@ -179,7 +179,7 @@ class ChannelEndpoint : public MessagePort {
   /// OK + *got=false: nothing deliverable yet. Error: the channel is closed
   /// (same statuses as Receive). Handy for polling loops and tests; the
   /// training engines themselves use blocking Receive — Party A learns of
-  /// aborted optimistic work through the ordered kVerdicts/kDecisions stream
+  /// aborted optimistic work through the ordered kDecisions stream
   /// (hist_epoch_ corrections), not by polling.
   Status TryReceive(Message* out, bool* got) override;
 

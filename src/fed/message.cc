@@ -19,8 +19,6 @@ const char* MessageTypeName(MessageType type) {
       return "Decisions";
     case MessageType::kOptPlacements:
       return "OptPlacements";
-    case MessageType::kVerdicts:
-      return "Verdicts";
     case MessageType::kPlacement:
       return "Placement";
     case MessageType::kTreeDone:
@@ -61,9 +59,10 @@ const char* MessageTypeName(MessageType type) {
 namespace {
 
 /// True for every MessageType value the protocol defines; DecodeFrame uses
-/// this to reject frames whose type byte was corrupted into a gap value.
+/// this to reject frames whose type byte was corrupted into a gap value
+/// (including the retired 7).
 bool IsKnownMessageType(uint8_t raw) {
-  return raw >= 1 && raw <= 23;
+  return raw >= 1 && raw <= 23 && raw != 7;
 }
 
 void PutU32Le(std::vector<uint8_t>* buf, uint32_t v) {

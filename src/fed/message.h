@@ -17,9 +17,9 @@ enum class MessageType : uint8_t {
   kLayout = 2,          ///< A -> B: histogram layout (bins per feature)
   kGradBatch = 3,       ///< B -> A: encrypted gradient/hessian batch
   kNodeHistogram = 4,   ///< A -> B: encrypted histogram of one node
-  kDecisions = 5,       ///< B -> A: split decisions for one layer (sequential)
+  kDecisions = 5,       ///< B -> A: resolved split decisions for one layer
   kOptPlacements = 6,   ///< B -> A: optimistic split placements (optimistic)
-  kVerdicts = 7,        ///< B -> A: validation verdicts for one layer
+  // 7 is retired: never reuse it, an older peer could still send it.
   kPlacement = 8,       ///< A -> B: instance placement for an A-owned split
   kTreeDone = 9,        ///< B -> A: tree finished
   kTrainDone = 10,      ///< B -> A: training finished

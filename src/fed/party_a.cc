@@ -586,17 +586,6 @@ Status PartyAEngine::HandleDecisions(const Message& msg) {
   return Status::OK();
 }
 
-Status PartyAEngine::HandleVerdicts(const Message& msg) {
-  VerdictsPayload verdicts;
-  VF2_RETURN_IF_ERROR(DecodeVerdicts(msg, &verdicts));
-  for (const NodeVerdict& v : verdicts.verdicts) {
-    if (!v.use_a || v.owner != party_index_) continue;
-    VF2_RETURN_IF_ERROR(SendPlacement(verdicts.tree, verdicts.layer, v.node,
-                                      v.feature, v.bin, v.default_left));
-  }
-  return Status::OK();
-}
-
 Status PartyAEngine::RunTree(Message first_grad_msg) {
   node_instances_.clear();
   hist_epoch_.clear();
@@ -626,9 +615,6 @@ Status PartyAEngine::RunTree(Message first_grad_msg) {
       case MessageType::kDecisions:
       case MessageType::kOptPlacements:
         VF2_RETURN_IF_ERROR(HandleDecisions(msg));
-        break;
-      case MessageType::kVerdicts:
-        VF2_RETURN_IF_ERROR(HandleVerdicts(msg));
         break;
       default:
         return Status::ProtocolError(

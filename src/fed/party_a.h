@@ -86,7 +86,6 @@ class PartyAEngine {
   /// exist are an optimistic guess being corrected: their epoch is bumped and
   /// their histograms are redone.
   Status HandleDecisions(const Message& msg);
-  Status HandleVerdicts(const Message& msg);
 
   bool ChildrenNeedHists(uint32_t layer) const {
     // Children of layer `layer` live on layer+1; they get histograms only if

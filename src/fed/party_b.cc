@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "bigint/modarith.h"
@@ -285,6 +286,11 @@ Status PartyBEngine::CollectHistograms(uint32_t layer,
       bool known = false;
       for (const NodeState& ns : nodes) known |= ns.id == payload.node;
       if (!known) return Status::ProtocolError("histogram for unknown node");
+      if (payload.gh != config_.gh_pack) {
+        return Status::ProtocolError(
+            payload.gh ? "gh-packed histogram on an unpacked gradient stream"
+                       : "classic histogram on a gh-packed gradient stream");
+      }
 
       Stopwatch dec_timer;
       obs::TraceSpan span("phase", "decrypt");
@@ -292,10 +298,6 @@ Status PartyBEngine::CollectHistograms(uint32_t layer,
         span.AddArg("node", static_cast<int64_t>(payload.node));
         span.AddArg("party", static_cast<int64_t>(p));
         span.AddArg("packed", static_cast<int64_t>(payload.packed ? 1 : 0));
-      }
-      if (payload.gh && !config_.gh_pack) {
-        return Status::ProtocolError(
-            "gh-packed histogram on an unpacked gradient stream");
       }
       // The decrypt helpers bump this on the calling thread only (the pool
       // parallelizes CRT halves, not the counter), so a stack local is safe.
@@ -462,7 +464,6 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
     }
 
     std::vector<NodeState> children;
-    PartyHistograms hists;
     if (config_.optimistic) {
       // --- optimistic pre-split by B's own best (§4.2) ----------------------
       obs::TraceSpan opt_span("phase", "opt_split");
@@ -487,107 +488,42 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
         Broadcast(EncodeDecisions(opt, MessageType::kOptPlacements));
       }
       opt_span.End();
+    }
 
-      // --- receive + validate (FindSplitA) ----------------------------------
-      VF2_RETURN_IF_ERROR(CollectHistograms(layer, active, &hists));
-      VerdictsPayload verdicts;
-      verdicts.tree = tree_id;
-      verdicts.layer = layer;
-      std::vector<PendingA> dirty;
-      {
-        PhaseClock clock(m_.phase_find_split, "find_split", m_.live);
-        for (NodeState& node : active) {
-          const ASplit a = BestASplit(node, hists);
-          NodeVerdict v;
-          v.node = node.id;
-          if (a.split.valid() && a.split.gain > node.best_b.gain) {
-            // Dirty: A's split wins. Roll back the optimistic action.
-            v.use_a = true;
-            v.owner = a.owner;
-            v.feature = a.split.feature;
-            v.bin = a.split.bin;
-            v.default_left = a.split.default_left;
-            if (node.best_b.valid()) {
-              // B split it optimistically: reuse the children ids; their
-              // contents are redone.
-              v.left = tree->node(node.id).left;
-              v.right = tree->node(node.id).right;
-              std::erase_if(children, [&](const NodeState& c) {
-                return c.id == v.left || c.id == v.right;
-              });
-              ++hist_epoch_[v.left];
-              ++hist_epoch_[v.right];
-            } else {
-              v.left = tree->AddNode();
-              v.right = tree->AddNode();
-            }
-            RecordSplit(a.split, a.owner, node.id, v.left, v.right, tree);
-            dirty.push_back({&node, a.owner, v.left, v.right, dirty.size()});
-            m_.dirty_nodes->Add(1);
-          } else if (node.best_b.valid()) {
-            m_.splits_b->Add(1);
-          } else {
-            FinalizeLeaf(node, tree);
-          }
-          verdicts.verdicts.push_back(v);
-        }
-      }
-      Broadcast(EncodeVerdicts(verdicts));
-
-      // --- placements for dirty nodes, then broadcast corrections -----------
-      if (!dirty.empty()) {
-        DecisionsPayload corrections;
-        corrections.tree = tree_id;
-        corrections.layer = layer;
-        for (const PendingA& d : dirty) {
-          // One "rollback" span per dirty node: wait for the owner's real
-          // placement, then redo the split B guessed wrong.
-          obs::TraceSpan rollback_span("phase", "rollback");
-          if (rollback_span.active()) {
-            rollback_span.AddArg("node", static_cast<int64_t>(d.node->id));
-            rollback_span.AddArg("owner", static_cast<int64_t>(d.owner));
-          }
-          NodeDecision correction;
-          correction.node = d.node->id;
-          correction.action = NodeAction::kSplitResolved;
-          correction.left = d.left;
-          correction.right = d.right;
-          VF2_ASSIGN_OR_RETURN(correction.placement,
-                               ReceivePlacement(d.owner, *d.node));
-          SplitChildren(*d.node, d.left, d.right, correction.placement,
-                        &children);
-          corrections.decisions.push_back(std::move(correction));
-          m_.splits_a->Add(1);
-        }
-        Broadcast(EncodeDecisions(corrections, MessageType::kDecisions));
-      }
-    } else {
-      // --- sequential SecureBoost-style layer (VF-GBDT) ---------------------
-      VF2_RETURN_IF_ERROR(CollectHistograms(layer, active, &hists));
-      DecisionsPayload resolved;
-      resolved.tree = tree_id;
-      resolved.layer = layer;
-      std::vector<DecisionsPayload> queries(inboxes_.size());
-      std::vector<PendingA> pending;
-
-      obs::TraceSpan split_span("phase", "find_split");
-      if (split_span.active()) {
-        split_span.AddArg("layer", static_cast<int64_t>(layer));
-        split_span.AddArg("nodes", static_cast<int64_t>(active.size()));
-      }
-      Stopwatch timer;
+    // --- FindSplitA: the better of A's and B's best split wins -------------
+    // The optimistic schedule already split (and announced) every node on
+    // B's own split, so its decisions carry only the nodes an A split won
+    // back; the sequential schedule decides every node here.
+    PartyHistograms hists;
+    VF2_RETURN_IF_ERROR(CollectHistograms(layer, active, &hists));
+    DecisionsPayload decisions;
+    decisions.tree = tree_id;
+    decisions.layer = layer;
+    std::vector<DecisionsPayload> queries(inboxes_.size());
+    std::vector<PendingSplit> b_won, a_won;
+    {
+      PhaseClock clock(m_.phase_find_split, "find_split", m_.live);
       for (NodeState& node : active) {
         const ASplit a = BestASplit(node, hists);
+        const bool a_wins = a.split.valid() && a.split.gain > node.best_b.gain;
         NodeDecision d;
         d.node = node.id;
-        if (node.best_b.valid() && node.best_b.gain >= a.split.gain) {
-          d = SplitOnB(node, tree);
-          SplitChildren(node, d.left, d.right, d.placement, &children);
-          m_.splits_b->Add(1);
-        } else if (a.split.valid()) {
+        if (a_wins) {
           d.action = NodeAction::kSplitResolved;  // placement filled later
-          d.left = tree->AddNode();
-          d.right = tree->AddNode();
+          if (config_.optimistic && node.best_b.valid()) {
+            // Dirty: B split it early. Reuse the children ids; their
+            // contents are redone.
+            d.left = tree->node(node.id).left;
+            d.right = tree->node(node.id).right;
+            std::erase_if(children, [&](const NodeState& c) {
+              return c.id == d.left || c.id == d.right;
+            });
+            ++hist_epoch_[d.left];
+            ++hist_epoch_[d.right];
+          } else {
+            d.left = tree->AddNode();
+            d.right = tree->AddNode();
+          }
           RecordSplit(a.split, a.owner, node.id, d.left, d.right, tree);
           NodeDecision q = d;
           q.action = NodeAction::kSplitQuery;
@@ -595,31 +531,53 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
           q.bin = a.split.bin;
           q.default_left = a.split.default_left;
           queries[a.owner].decisions.push_back(q);
-          pending.push_back(
-              {&node, a.owner, d.left, d.right, resolved.decisions.size()});
+          a_won.push_back({&node, a.owner, decisions.decisions.size()});
           m_.splits_a->Add(1);
+          if (config_.optimistic) m_.dirty_nodes->Add(1);
+        } else if (node.best_b.valid()) {
+          if (!config_.optimistic) {
+            d = SplitOnB(node, tree);
+            b_won.push_back(
+                {&node, party_b_index_, decisions.decisions.size()});
+          }
+          m_.splits_b->Add(1);
         } else {
           FinalizeLeaf(node, tree);
         }
-        resolved.decisions.push_back(std::move(d));
+        if (a_wins || !config_.optimistic) {
+          decisions.decisions.push_back(std::move(d));
+        }
       }
-      m_.phase_find_split->Observe(timer.ElapsedSeconds());
-      split_span.End();
+    }
+    for (const PendingSplit& s : b_won) {
+      const NodeDecision& d = decisions.decisions[s.decision];
+      SplitChildren(*s.node, d.left, d.right, d.placement, &children);
+    }
 
-      // Query owners for placements of A-won splits.
-      for (size_t p = 0; p < inboxes_.size(); ++p) {
-        if (queries[p].decisions.empty()) continue;
-        queries[p].tree = tree_id;
-        queries[p].layer = layer;
-        inboxes_[p].Send(
-            EncodeDecisions(queries[p], MessageType::kSplitQueries));
+    // --- placements of A-won splits from their owners ----------------------
+    for (size_t p = 0; p < inboxes_.size(); ++p) {
+      if (queries[p].decisions.empty()) continue;
+      queries[p].tree = tree_id;
+      queries[p].layer = layer;
+      inboxes_[p].Send(EncodeDecisions(queries[p], MessageType::kSplitQueries));
+    }
+    for (const PendingSplit& s : a_won) {
+      // Optimistic: one "rollback" span per dirty node — wait for the
+      // owner's real placement, then redo the split B guessed wrong.
+      std::optional<obs::TraceSpan> rollback_span;
+      if (config_.optimistic) {
+        rollback_span.emplace("phase", "rollback");
+        if (rollback_span->active()) {
+          rollback_span->AddArg("node", static_cast<int64_t>(s.node->id));
+          rollback_span->AddArg("owner", static_cast<int64_t>(s.owner));
+        }
       }
-      for (const PendingA& pa : pending) {
-        Bitmap& placement = resolved.decisions[pa.decision].placement;
-        VF2_ASSIGN_OR_RETURN(placement, ReceivePlacement(pa.owner, *pa.node));
-        SplitChildren(*pa.node, pa.left, pa.right, placement, &children);
-      }
-      Broadcast(EncodeDecisions(resolved, MessageType::kDecisions));
+      NodeDecision& d = decisions.decisions[s.decision];
+      VF2_ASSIGN_OR_RETURN(d.placement, ReceivePlacement(s.owner, *s.node));
+      SplitChildren(*s.node, d.left, d.right, d.placement, &children);
+    }
+    if (!decisions.decisions.empty()) {
+      Broadcast(EncodeDecisions(decisions, MessageType::kDecisions));
     }
     active = std::move(children);
   }

@@ -90,11 +90,11 @@ class PartyBEngine {
     SplitCandidate split;
     uint32_t owner = 0;
   };
-  /// An A-won split whose placement B still has to fetch from its owner.
-  struct PendingA {
+  /// A layer split whose children are not partitioned yet: B-won (owner =
+  /// B's index) or waiting for its A owner's placement.
+  struct PendingSplit {
     NodeState* node;
     uint32_t owner;
-    int32_t left, right;
     size_t decision;  ///< index of the node's decision in the broadcast
   };
 

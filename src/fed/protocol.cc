@@ -374,58 +374,6 @@ Status DecodeDecisions(const Message& m, DecisionsPayload* p) {
   return Status::OK();
 }
 
-Message EncodeVerdicts(const VerdictsPayload& p) {
-  ByteWriter w;
-  w.PutU32(p.tree);
-  w.PutU32(p.layer);
-  w.PutU64(p.verdicts.size());
-  for (const NodeVerdict& v : p.verdicts) {
-    w.PutI32(v.node);
-    w.PutU8(v.use_a ? 1 : 0);
-    if (v.use_a) {
-      w.PutU32(v.owner);
-      w.PutU32(v.feature);
-      w.PutU32(v.bin);
-      w.PutU8(v.default_left ? 1 : 0);
-      w.PutI32(v.left);
-      w.PutI32(v.right);
-    }
-  }
-  return {MessageType::kVerdicts, w.Release()};
-}
-
-Status DecodeVerdicts(const Message& m, VerdictsPayload* p) {
-  ByteReader r(m.payload);
-  VF2_RETURN_IF_ERROR(r.GetU32(&p->tree));
-  VF2_RETURN_IF_ERROR(r.GetU32(&p->layer));
-  uint64_t n = 0;
-  VF2_RETURN_IF_ERROR(r.GetU64(&n));
-  if (n > r.remaining() / 5) {  // min serialized NodeVerdict size
-    return Status::Corruption("verdict count exceeds payload");
-  }
-  p->verdicts.clear();
-  p->verdicts.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    NodeVerdict v;
-    VF2_RETURN_IF_ERROR(r.GetI32(&v.node));
-    uint8_t use_a = 0;
-    VF2_RETURN_IF_ERROR(r.GetU8(&use_a));
-    v.use_a = use_a != 0;
-    if (v.use_a) {
-      VF2_RETURN_IF_ERROR(r.GetU32(&v.owner));
-      VF2_RETURN_IF_ERROR(r.GetU32(&v.feature));
-      VF2_RETURN_IF_ERROR(r.GetU32(&v.bin));
-      uint8_t dl = 0;
-      VF2_RETURN_IF_ERROR(r.GetU8(&dl));
-      v.default_left = dl != 0;
-      VF2_RETURN_IF_ERROR(r.GetI32(&v.left));
-      VF2_RETURN_IF_ERROR(r.GetI32(&v.right));
-    }
-    p->verdicts.push_back(v);
-  }
-  return Status::OK();
-}
-
 Message EncodePlacement(const PlacementPayload& p) {
   ByteWriter w;
   w.PutU32(p.tree);

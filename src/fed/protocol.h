@@ -332,28 +332,6 @@ struct DecisionsPayload {
 Message EncodeDecisions(const DecisionsPayload& p, MessageType type);
 Status DecodeDecisions(const Message& m, DecisionsPayload* p);
 
-/// Optimistic-validation verdict for one node (§4.2).
-struct NodeVerdict {
-  int32_t node = 0;
-  /// false: the optimistic action (B's split or leaf) stands.
-  /// true: Party `owner`'s split won — the node is dirty.
-  bool use_a = false;
-  uint32_t owner = 0;  ///< A-party index owning the winning split
-  uint32_t feature = 0;
-  uint32_t bin = 0;
-  bool default_left = true;
-  int32_t left = -1;  ///< children ids (pre-existing or freshly allocated)
-  int32_t right = -1;
-};
-
-struct VerdictsPayload {
-  uint32_t tree = 0;
-  uint32_t layer = 0;
-  std::vector<NodeVerdict> verdicts;
-};
-Message EncodeVerdicts(const VerdictsPayload& p);
-Status DecodeVerdicts(const Message& m, VerdictsPayload* p);
-
 struct PlacementPayload {
   uint32_t tree = 0;
   uint32_t layer = 0;

@@ -352,8 +352,8 @@ TEST(InboxTest, ReceiveDrainsBufferFirst) {
   auto [a, b] = ChannelEndpoint::CreatePair();
   Inbox inbox(b.get());
   a->Send(Make(MessageType::kNodeHistogram, 1));
-  a->Send(Make(MessageType::kVerdicts, 2));
-  EXPECT_EQ(inbox.ReceiveType(MessageType::kVerdicts)->payload[0], 2);
+  a->Send(Make(MessageType::kSplitQueries, 2));
+  EXPECT_EQ(inbox.ReceiveType(MessageType::kSplitQueries)->payload[0], 2);
   a->Send(Make(MessageType::kTreeDone, 3));
   EXPECT_EQ(inbox.Receive()->payload[0], 1);  // buffered one comes first
   EXPECT_EQ(inbox.Receive()->payload[0], 3);

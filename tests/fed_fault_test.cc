@@ -84,7 +84,7 @@ FedConfig FastConfig() {
 // The ISSUE's headline scenario: one A party's link dies mid-tree. Train
 // must return a non-OK status within bounded wall-clock time with all party
 // threads joined — the old behavior was a permanent deadlock (B waiting for
-// a histogram that never comes, the healthy A waiting for B's verdicts).
+// a histogram that never comes, the healthy A waiting for B's decisions).
 TEST(FedFaultTest, PartyADeathFailsTrainingInsteadOfHanging) {
   Fixture f = MakeFixture(600, 12, {0.34, 0.33, 0.33}, 61);
   FedConfig config = FastConfig();

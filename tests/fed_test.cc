@@ -104,8 +104,8 @@ TEST(FedTrainerTest, FederatedBeatsPartyBOnly) {
   EXPECT_NEAR(fed_auc, full_auc, 0.05) << "FL should match co-located";
 }
 
-// {total parties, workers per party}: 3 parties give each verdict an owner
-// that the other A party must skip; 4 workers run every pooled build path.
+// {total parties, workers per party}: with 3 parties each owner query goes
+// to one A party and not the other; 4 workers run every pooled build path.
 class OptimisticParityTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
@@ -448,7 +448,7 @@ TEST(FedTrainerTest, OptimisticLeafCorrectionPath) {
   // Force the trickiest rollback path: B's features are pure noise, so B
   // optimistically declares LEAVES (its own gains fall under gamma) that
   // validation later converts into A-owned splits — children created fresh
-  // by the verdict, not reused.
+  // by the correction, not reused.
   Rng rng(71);
   std::vector<std::vector<Entry>> rows;
   std::vector<float> labels;

@@ -39,10 +39,6 @@ TEST(DecoderFuzzTest, RandomPayloadsNeverCrash) {
     DecisionsPayload decisions;
     (void)DecodeDecisions(msg, &decisions);
 
-    msg.type = MessageType::kVerdicts;
-    VerdictsPayload verdicts;
-    (void)DecodeVerdicts(msg, &verdicts);
-
     msg.type = MessageType::kPlacement;
     PlacementPayload placement;
     (void)DecodePlacement(msg, &placement);

@@ -81,20 +81,6 @@ NodeDecision Query(int32_t node, uint32_t feature, uint32_t bin) {
   return d;
 }
 
-Message Verdict(int32_t node, uint32_t feature, uint32_t bin) {
-  VerdictsPayload p;
-  NodeVerdict v;
-  v.node = node;
-  v.use_a = true;
-  v.owner = 0;  // the engine under test
-  v.feature = feature;
-  v.bin = bin;
-  v.left = 1;
-  v.right = 2;
-  p.verdicts.push_back(v);
-  return EncodeVerdicts(p);
-}
-
 uint32_t NumFeatures(const LayoutPayload& l) {
   return static_cast<uint32_t>(l.bins_per_feature.size());
 }
@@ -162,8 +148,6 @@ INSTANTIATE_TEST_SUITE_P(
                       return Decisions(MessageType::kSplitQueries,
                                        Query(7, 0, 0));
                     }},
-        HostileCase{"VerdictsUnknownNode", MessageType::kVerdicts,
-                    [](const LayoutPayload&) { return Verdict(7, 0, 0); }},
         HostileCase{"SplitQueriesFeatureOutOfRange",
                     MessageType::kSplitQueries,
                     [](const LayoutPayload& l) {
@@ -180,14 +164,6 @@ INSTANTIATE_TEST_SUITE_P(
                       return Decisions(MessageType::kSplitQueries,
                                        Query(0, 0, UINT32_MAX));
                     }},
-        HostileCase{"VerdictsFeatureOutOfRange", MessageType::kVerdicts,
-                    [](const LayoutPayload& l) {
-                      return Verdict(0, NumFeatures(l), 0);
-                    }},
-        HostileCase{"VerdictsBinOutOfRange", MessageType::kVerdicts,
-                    [](const LayoutPayload& l) {
-                      return Verdict(0, 0, LastBin(l));
-                    }},
         HostileCase{"QueryInsideOptPlacements", MessageType::kOptPlacements,
                     [](const LayoutPayload&) {
                       return Decisions(MessageType::kOptPlacements,
@@ -197,6 +173,11 @@ INSTANTIATE_TEST_SUITE_P(
                     [](const LayoutPayload&) {
                       return Decisions(MessageType::kDecisions,
                                        Query(0, 0, 0));
+                    }},
+        // 7 once carried optimistic verdicts; the value is retired.
+        HostileCase{"RetiredType7", static_cast<MessageType>(7),
+                    [](const LayoutPayload&) {
+                      return Message{static_cast<MessageType>(7), {1, 2}};
                     }}),
     [](const ::testing::TestParamInfo<HostileCase>& info) {
       return std::string(info.param.name);
@@ -420,6 +401,133 @@ TEST(PartyBRelaunchTest, AcceptsTheOriginalLayout) {
   Status st = RunBAgainstRelaunchedA({4, 4});
   EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
 }
+
+
+// ---------------------------------------------------------------------------
+// Party B against a scripted A
+// ---------------------------------------------------------------------------
+
+/// A hostile frame from a scripted A. The script announces one feature with
+/// two bins that splits the rows by label, so its split beats any of B's and
+/// B asks it for the placement. A always answers with a classic raw root
+/// histogram: on a gh-packed stream that histogram is the hostile frame.
+struct BHostileCase {
+  const char* name;
+  bool gh_stream;  ///< B streams gh-packed gradients
+  /// Edits the histogram before A sends it (null: send it as built).
+  std::function<void(NodeHistogramPayload*)> hist;
+  /// Edits A's placement reply to B's split query (null: B must fail before
+  /// it queries).
+  std::function<void(PlacementPayload*)> placement;
+  const char* error;  ///< expected in B's status message
+};
+
+class PartyBHostileFrameTest : public ::testing::TestWithParam<BHostileCase> {
+};
+
+TEST_P(PartyBHostileFrameTest, EndsWithProtocolError) {
+  const BHostileCase& c = GetParam();
+  FedConfig config = MockConfig();
+  config.gh_pack = c.gh_stream;
+  const Dataset data = SmallData(64, 3);
+  auto [a_end, b_end] = ChannelEndpoint::CreatePair(WithDeadline());
+  PartyBEngine engine(config, data, {b_end.get()});
+  Status b_status;
+  std::thread b_thread([&] { b_status = engine.Run().status(); });
+
+  Result<Message> key = a_end->Receive();
+  ASSERT_TRUE(key.ok()) << key.status().ToString();
+  ASSERT_EQ(key->type, MessageType::kPublicKey);
+  a_end->Send(Layout({2}));
+  Result<Message> grad_msg = a_end->Receive();
+  ASSERT_TRUE(grad_msg.ok()) << grad_msg.status().ToString();
+  ASSERT_EQ(grad_msg->type, MessageType::kGradBatch);
+  MockBackend backend(config.MakeCodec());
+  GradBatchPayload grads;
+  ASSERT_TRUE(DecodeGradBatch(*grad_msg, backend, &grads).ok());
+  ASSERT_EQ(grads.gh, c.gh_stream);
+
+  // Bin 0 holds the positive rows, bin 1 the rest.
+  double g[2] = {0, 0};
+  double h[2] = {0, 0};
+  Bitmap left(data.rows());
+  for (size_t i = 0; i < data.rows(); ++i) {
+    const size_t bin = data.labels[i] > 0.5 ? 0 : 1;
+    if (bin == 0) left.Set(i);
+    if (grads.gh) {
+      Result<GhSlots> row = DecodeGhSlots(
+          grads.gh_layout, backend.DecryptRaw(grads.gh_ciphers[i].data));
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      g[bin] += row->g;
+      h[bin] += row->h;
+    } else {
+      g[bin] += backend.Decrypt(grads.g[i]);
+      h[bin] += backend.Decrypt(grads.h[i]);
+    }
+  }
+  Rng rng(3);
+  NodeHistogramPayload hist;
+  for (size_t bin = 0; bin < 2; ++bin) {
+    hist.g_bins.push_back(backend.Encrypt(g[bin], &rng));
+    hist.h_bins.push_back(backend.Encrypt(h[bin], &rng));
+  }
+  if (c.hist) c.hist(&hist);
+  a_end->Send(EncodeNodeHistogram(hist, backend));
+
+  if (c.placement) {
+    Result<Message> query = a_end->Receive();
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    ASSERT_EQ(query->type, MessageType::kSplitQueries)
+        << MessageTypeName(query->type);
+    PlacementPayload reply;
+    reply.placement = std::move(left);
+    c.placement(&reply);
+    a_end->Send(EncodePlacement(reply));
+  }
+  // B either refuses the frame (and closes the link) or carries on; end the
+  // run either way.
+  Result<Message> next = a_end->Receive();
+  if (next.ok()) a_end->Close(Status::Internal("B accepted the frame"));
+  b_thread.join();
+  EXPECT_EQ(b_status.code(), StatusCode::kProtocolError)
+      << b_status.ToString();
+  EXPECT_NE(b_status.message().find(c.error), std::string::npos)
+      << b_status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Frames, PartyBHostileFrameTest,
+    ::testing::Values(
+        BHostileCase{"HistogramWrongLayer", false,
+                     [](NodeHistogramPayload* h) { h->layer = 1; }, nullptr,
+                     "wrong layer"},
+        BHostileCase{"HistogramFromFutureEpoch", false,
+                     [](NodeHistogramPayload* h) { h->epoch = 1; }, nullptr,
+                     "from the future"},
+        BHostileCase{"HistogramUnknownNode", false,
+                     [](NodeHistogramPayload* h) { h->node = 7; }, nullptr,
+                     "unknown node"},
+        BHostileCase{"GhHistogramOnClassicStream", false,
+                     [](NodeHistogramPayload* h) {
+                       h->gh = true;
+                       h->gh_bins = std::move(h->g_bins);
+                       h->g_bins.clear();
+                       h->h_bins.clear();
+                     },
+                     nullptr, "gh-packed histogram on an unpacked"},
+        BHostileCase{"ClassicHistogramOnGhStream", true, nullptr, nullptr,
+                     "classic histogram on a gh-packed"},
+        BHostileCase{"PlacementWrongNode", false, nullptr,
+                     [](PlacementPayload* p) { p->node = 5; },
+                     "placement for wrong node"},
+        BHostileCase{"PlacementWrongSize", false, nullptr,
+                     [](PlacementPayload* p) {
+                       p->placement = Bitmap(p->placement.size() - 1);
+                     },
+                     "placement size mismatch"}),
+    [](const ::testing::TestParamInfo<BHostileCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace vf2boost

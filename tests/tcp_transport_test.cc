@@ -217,12 +217,12 @@ TEST(TcpMessagePortTest, PeerCloseDrainsBufferedFramesThenUnavailable) {
   TcpMessagePort b(fb, net);
   {
     TcpMessagePort a(fa, net);
-    a.Send(Msg(MessageType::kVerdicts, {4, 2}));
+    a.Send(Msg(MessageType::kSplitQueries, {4, 2}));
     a.Close(Status::OK());  // FIN; the sent frame is still in flight
   }
   Result<Message> r1 = b.Receive();
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_EQ(r1->type, MessageType::kVerdicts);
+  EXPECT_EQ(r1->type, MessageType::kSplitQueries);
   Result<Message> r2 = b.Receive();
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kUnavailable);
