@@ -43,8 +43,10 @@ LrRun Run(const bench::BenchFixture& f, bool reordered, bool packing) {
                  result.status().ToString().c_str());
     std::abort();
   }
-  run.scalings = result->stats.scalings;
-  run.decryptions = result->stats.decryptions;
+  run.scalings = static_cast<size_t>(
+      obs::PartySum(result->metrics, "party_", "scalings"));
+  run.decryptions = static_cast<size_t>(
+      obs::PartySum(result->metrics, "party_", "decryptions"));
   auto joint = result->ToJointModel(f.spec);
   if (joint.ok()) {
     run.auc = Auc(joint->PredictRaw(f.valid.features), f.valid.labels);

@@ -48,9 +48,9 @@ RootRun RunRoot(const bench::BenchFixture& f, bool blaster, bool reordered) {
     std::fprintf(stderr, "run failed: %s\n", result.status().ToString().c_str());
     std::abort();
   }
-  run.enc = result->stats.party_b.encrypt;
-  run.hadd = result->stats.party_a.build_hist;
-  run.scalings = static_cast<double>(result->stats.scalings);
+  run.enc = obs::PartySum(result->metrics, "party_b", "phase/encrypt");
+  run.hadd = obs::PartySum(result->metrics, "party_a", "phase/build_hist");
+  run.scalings = obs::PartySum(result->metrics, "party_", "scalings");
   return run;
 }
 

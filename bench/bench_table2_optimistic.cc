@@ -43,11 +43,11 @@ TreeRun RunTree(const bench::BenchFixture& f, bool optimistic, bool packing) {
   }
   TreeRun run;
   run.seconds = clock.ElapsedSeconds();
+  const double splits_b = obs::PartySum(result->metrics, "party_b", "splits_b");
   const double splits =
-      static_cast<double>(result->stats.splits_a + result->stats.splits_b);
-  run.split_b_share =
-      splits == 0 ? 0 : result->stats.splits_b / splits;
-  run.dirty = static_cast<double>(result->stats.dirty_nodes);
+      obs::PartySum(result->metrics, "party_b", "splits_a") + splits_b;
+  run.split_b_share = splits == 0 ? 0 : splits_b / splits;
+  run.dirty = obs::PartySum(result->metrics, "party_b", "dirty_nodes");
   return run;
 }
 

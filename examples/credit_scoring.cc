@@ -87,12 +87,18 @@ int main() {
   std::printf("bank-only AUC          : %.4f\n", bank_auc);
   std::printf("federated AUC          : %.4f  (+%.4f from the platform)\n",
               fed_auc, fed_auc - bank_auc);
-  const FedStats& s = result->stats;
+  auto total = [&](const char* party, const char* name) {
+    return obs::PartySum(result->metrics, party, name);
+  };
   std::printf("ciphertext traffic     : %.2f MB A->B, %.2f MB B->A\n",
-              s.bytes_a_to_b / 1e6, s.bytes_b_to_a / 1e6);
-  std::printf("crypto ops             : %zu enc, %zu dec, %zu hadd\n",
-              s.encryptions, s.decryptions, s.hadds);
-  std::printf("splits platform/bank   : %zu / %zu (dirty rolled back: %zu)\n",
-              s.splits_a, s.splits_b, s.dirty_nodes);
+              total("party_a", "bytes_sent") / 1e6,
+              total("party_b", "bytes_sent") / 1e6);
+  std::printf("crypto ops             : %.0f enc, %.0f dec, %.0f hadd\n",
+              total("party_", "encryptions"), total("party_", "decryptions"),
+              total("party_", "hadds"));
+  std::printf("splits platform/bank   : %.0f / %.0f "
+              "(dirty rolled back: %.0f)\n",
+              total("party_", "splits_a"), total("party_", "splits_b"),
+              total("party_", "dirty_nodes"));
   return 0;
 }

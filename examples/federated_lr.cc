@@ -60,10 +60,16 @@ int main() {
     std::printf("B-only LR AUC      : %.4f\n",
                 Auc(b_only->PredictRaw(b_valid.features), valid.labels));
   }
-  const FedStats& s = result->stats;
-  std::printf("crypto: %zu enc, %zu dec, %zu hadd, %zu scalings, %zu packs\n",
-              s.encryptions, s.decryptions, s.hadds, s.scalings, s.packs);
-  std::printf("traffic: %.2f MB + %.2f MB\n", s.bytes_a_to_b / 1e6,
-              s.bytes_b_to_a / 1e6);
+  auto total = [&](const char* party, const char* name) {
+    return obs::PartySum(result->metrics, party, name);
+  };
+  std::printf("crypto: %.0f enc, %.0f dec, %.0f hadd, %.0f scalings, "
+              "%.0f packs\n",
+              total("party_", "encryptions"), total("party_", "decryptions"),
+              total("party_", "hadds"), total("party_", "scalings"),
+              total("party_", "packs"));
+  std::printf("traffic: %.2f MB + %.2f MB\n",
+              total("party_a", "bytes_sent") / 1e6,
+              total("party_b", "bytes_sent") / 1e6);
   return 0;
 }

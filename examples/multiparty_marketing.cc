@@ -72,9 +72,9 @@ int main() {
     std::printf("advertiser + %zu partner(s):  AUC %.4f  (traffic %.2f MB, "
                 "partner splits %zu)\n",
                 partners, auc,
-                (result->stats.bytes_a_to_b + result->stats.bytes_b_to_a) /
-                    1e6,
-                result->stats.splits_a);
+                obs::PartySum(result->metrics, "party_", "bytes_sent") / 1e6,
+                static_cast<size_t>(
+                    obs::PartySum(result->metrics, "party_b", "splits_a")));
   }
   return 0;
 }

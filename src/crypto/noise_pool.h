@@ -34,9 +34,8 @@ namespace vf2boost {
 class NoisePool {
  public:
   /// Counter snapshot. The live counters are std::atomic (consumers and
-  /// producers bump them from many threads concurrently — the FedStats
-  /// single-writer rule in fed/protocol.h); stats() copies them into this
-  /// plain struct, readable at any time without tearing.
+  /// producers bump them from many threads concurrently); stats() copies
+  /// them into this plain struct, readable at any time without tearing.
   struct Stats {
     uint64_t hits = 0;      ///< Takes served from the pool
     uint64_t misses = 0;    ///< Takes computed inline (pool was empty)

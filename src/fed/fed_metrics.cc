@@ -1,7 +1,5 @@
 #include "fed/fed_metrics.h"
 
-#include "fed/protocol.h"
-
 namespace vf2boost {
 
 PartyMetrics PartyMetrics::Create(obs::MetricsRegistry* registry,
@@ -47,40 +45,6 @@ PartyMetrics PartyMetrics::Create(obs::MetricsRegistry* registry,
   m.phase_find_split = registry->GetHistogram(prefix + "/phase/find_split");
   m.phase_comm_wait = registry->GetHistogram(prefix + "/phase/comm_wait");
   return m;
-}
-
-FedStats PartyMetrics::Snapshot(bool is_b) const {
-  FedStats s;
-  s.encryptions = encryptions->value();
-  s.decryptions = decryptions->value();
-  s.hadds = hadds->value();
-  s.scalings = scalings->value();
-  s.packs = packs->value();
-  s.splits_a = splits_a->value();
-  s.splits_b = splits_b->value();
-  s.leaves = leaves->value();
-  s.optimistic_splits = optimistic_splits->value();
-  s.dirty_nodes = dirty_nodes->value();
-  s.redone_hist_builds = redone_hist_builds->value();
-  s.inbox_high_water = static_cast<size_t>(inbox_high_water->value());
-  s.noise_pool_hits = noise_pool_hits->value();
-  s.noise_pool_misses = noise_pool_misses->value();
-  s.noise_pool_produced = noise_pool_produced->value();
-  s.reconnects = reconnects->value();
-  s.trees_resumed = trees_resumed->value();
-  PhaseTimes& pt = is_b ? s.party_b : s.party_a;
-  pt.encrypt = phase_encrypt->sum();
-  pt.build_hist = phase_build_hist->sum();
-  pt.pack = phase_pack->sum();
-  pt.decrypt = phase_decrypt->sum();
-  pt.find_split = phase_find_split->sum();
-  pt.comm_wait = phase_comm_wait->sum();
-  if (is_b) {
-    s.bytes_b_to_a = static_cast<size_t>(bytes_sent->value());
-  } else {
-    s.bytes_a_to_b = static_cast<size_t>(bytes_sent->value());
-  }
-  return s;
 }
 
 }  // namespace vf2boost

@@ -12,16 +12,14 @@
 
 namespace vf2boost {
 
-struct FedStats;
-
 /// \brief The metric handles one party engine touches during training.
 ///
-/// This is the single source of truth for protocol counters and phase
-/// timings: engines bump these (atomic) handles from whichever thread does
-/// the work, and the legacy FedStats snapshot is DERIVED from them once at
-/// the end of a run (PhaseTimes fields are the sums of the corresponding
-/// latency histograms). Handles resolve once at engine construction, so the
-/// per-event cost is a relaxed atomic op.
+/// The registry is the single source of truth for protocol counters and
+/// phase timings: engines bump these (atomic) handles from whichever thread
+/// does the work, and readers take a MetricsRegistry::Snapshot once the
+/// engines have joined (obs::PartySum adds one name up across parties).
+/// Handles resolve once at engine construction, so the per-event cost is a
+/// relaxed atomic op.
 struct PartyMetrics {
   obs::Counter* encryptions = nullptr;
   obs::Counter* decryptions = nullptr;
@@ -40,12 +38,11 @@ struct PartyMetrics {
   obs::Counter* noise_pool_misses = nullptr;
   obs::Counter* noise_pool_produced = nullptr;
   obs::Gauge* noise_pool_fill = nullptr;
-  /// High-water task-queue depth of the party's worker pool (registry-only;
-  /// FedStats has no legacy slot for it).
+  /// High-water task-queue depth of the party's worker pool.
   obs::Gauge* pool_queue_high_water = nullptr;
-  /// Instantaneous busy-worker count and configured pool size (registry-
-  /// only). busy/size is the utilization /statusz shows; queue depth alone
-  /// cannot distinguish "saturated" from "idle".
+  /// Instantaneous busy-worker count and configured pool size. busy/size
+  /// is the utilization /statusz shows; queue depth alone cannot
+  /// distinguish "saturated" from "idle".
   obs::Gauge* pool_busy_workers = nullptr;
   obs::Gauge* pool_size = nullptr;
   /// Session-layer recovery: completed link re-establishments and (Party B)
@@ -64,7 +61,7 @@ struct PartyMetrics {
   /// (2.0 when gh-packed, 1.0 classic) — the pack ratio a report attributes
   /// decrypt-wall savings to.
   obs::Gauge* gh_pack_ratio = nullptr;
-  /// Trees fully trained by this engine (B side; registry-only). Divides
+  /// Trees fully trained by this engine (B side). Divides
   /// `ciphers_sent` into the per-tree cipher traffic a report shows.
   obs::Counter* trees_finished = nullptr;
 
@@ -84,10 +81,6 @@ struct PartyMetrics {
   /// Registers every handle under `prefix` (e.g. "party_a0", "party_b").
   static PartyMetrics Create(obs::MetricsRegistry* registry,
                              const std::string& prefix);
-
-  /// Derives the legacy FedStats snapshot. `is_b` selects which PhaseTimes
-  /// slot (party_a vs party_b) receives the phase-histogram sums.
-  FedStats Snapshot(bool is_b) const;
 };
 
 /// \brief Times one protocol phase: observes `hist` with the elapsed

@@ -1,6 +1,5 @@
 #include "fed/fed_trainer.h"
 
-#include <algorithm>
 #include <string>
 #include <thread>
 
@@ -9,7 +8,6 @@
 #include "fed/party_b.h"
 #include "fed/session.h"
 #include "obs/build_info.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
 namespace vf2boost {
@@ -102,10 +100,12 @@ Result<FedTrainResult> FedTrainer::Train(
       const uint64_t session_id = fingerprint ^ (0x5e55ULL + p);
       a_ends.push_back(std::make_unique<SessionChannel>(
           broker.get(), p, /*a_side=*/true, session_id,
-          static_cast<uint32_t>(p), fingerprint, nets[p], std::move(a)));
+          static_cast<uint32_t>(p), fingerprint, nets[p], std::move(a),
+          config.metrics));
       b_ends.push_back(std::make_unique<SessionChannel>(
           broker.get(), p, /*a_side=*/false, session_id,
-          static_cast<uint32_t>(num_a), fingerprint, nets[p], std::move(b)));
+          static_cast<uint32_t>(num_a), fingerprint, nets[p], std::move(b),
+          config.metrics));
     } else {
       a_ends.push_back(std::move(a));
       b_ends.push_back(std::move(b));
@@ -161,20 +161,7 @@ Result<FedTrainResult> FedTrainer::Train(
   FedTrainResult out;
   out.model = std::move(b_result->model);
   out.log = std::move(b_result->log);
-  out.stats = b_result->stats;
-  for (size_t p = 0; p < num_a; ++p) {
-    const FedStats& a = engines[p]->stats();
-    out.stats.hadds += a.hadds;
-    out.stats.scalings += a.scalings;
-    out.stats.packs += a.packs;
-    out.stats.redone_hist_builds += a.redone_hist_builds;
-    out.stats.inbox_high_water =
-        std::max(out.stats.inbox_high_water, a.inbox_high_water);
-    out.stats.party_a += a.party_a;
-    out.stats.reconnects += a.reconnects;
-    out.stats.bytes_a_to_b += a_ends[p]->sent_stats().bytes;
-    out.party_a_cuts.push_back(engines[p]->cuts());
-  }
+  for (const auto& engine : engines) out.party_a_cuts.push_back(engine->cuts());
   // Per-direction channel gauges (after join: stats are final). Sums over
   // every link generation when the session layer replaced endpoints.
   for (size_t p = 0; p < num_a; ++p) {
@@ -192,6 +179,7 @@ Result<FedTrainResult> FedTrainer::Train(
     export_direction("/to_b", a_ends[p]->sent_stats());
     export_direction("/from_b", b_ends[p]->sent_stats());
   }
+  out.metrics = config.metrics->Snapshot();
   return out;
 }
 

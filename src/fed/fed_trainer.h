@@ -8,6 +8,7 @@
 #include "fed/protocol.h"
 #include "gbdt/trainer.h"
 #include "gbdt/tree.h"
+#include "obs/metrics_registry.h"
 
 namespace vf2boost {
 
@@ -18,8 +19,11 @@ struct FedTrainResult {
   GbdtModel model;
   /// Party B's per-tree telemetry (train loss, elapsed seconds).
   std::vector<EvalRecord> log;
-  /// Merged counters from all parties plus channel byte counts.
-  FedStats stats;
+  /// The run's metrics registry once every engine has joined: each party's
+  /// counters and phase timings under its prefix ("party_a0/hadds",
+  /// "party_b/phase/encrypt"), plus the per-channel byte gauges. Add one
+  /// name up across parties with obs::PartySum.
+  std::vector<obs::MetricSample> metrics;
   /// Split-candidate values of each A party, indexed by party. Only the
   /// evaluation harness uses these — in a deployment they stay private.
   std::vector<BinCuts> party_a_cuts;

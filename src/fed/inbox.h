@@ -22,7 +22,7 @@ namespace vf2boost {
 /// A failing or over-chatty peer would otherwise grow that buffer without
 /// bound, so the buffer is capped: exceeding `max_buffered` pending messages
 /// fails the receive with ResourceExhausted. The high-water mark is exported
-/// through FedStats for capacity planning.
+/// as the `<party>/inbox_high_water` gauge for capacity planning.
 class Inbox {
  public:
   /// `max_buffered` = 0 disables the cap.

@@ -154,7 +154,6 @@ Status PartyAEngine::Run() {
       static_cast<double>(inbox_.buffered_high_water()));
   m_.bytes_sent->Set(
       static_cast<double>(inbox_.port()->sent_stats().bytes));
-  stats_ = m_.Snapshot(/*is_b=*/false);
   guard.SetStatus(status);
   return status;
 }

@@ -35,8 +35,6 @@ class PartyAEngine {
 
   Status Run();
 
-  /// A-side operation counters and phase timings (valid after Run).
-  const FedStats& stats() const { return stats_; }
   /// This party's split candidate values — needed to turn bin-granular
   /// federated model nodes back into thresholds (harness only).
   const BinCuts& cuts() const { return cuts_; }
@@ -123,11 +121,9 @@ class PartyAEngine {
   /// boundary advertised in session hellos and written to checkpoints.
   int64_t last_completed_tree_ = -1;
 
-  // Live counters/timings are registry handles (see FedStats threading
-  // contract in protocol.h); stats_ is derived from them after Run.
+  // Counters and phase timings are registry handles (fed_metrics.h).
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
   PartyMetrics m_;
-  FedStats stats_;
   obs::LiveStatus live_;  ///< live position for the ops endpoints
   std::unique_ptr<obs::OpsServer> ops_;
   uint64_t metrics_seq_ = 0;  ///< kMetricsDelta sequence (engine lifetime)

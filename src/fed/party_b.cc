@@ -851,8 +851,6 @@ Result<PartyBResult> PartyBEngine::RunInternal() {
     m_.noise_pool_produced->Add(ps.produced);
     m_.noise_pool_fill->Set(static_cast<double>(noise_pool_->fill()));
   }
-  stats_ = m_.Snapshot(/*is_b=*/true);
-  result.stats = stats_;
   return result;
 }
 

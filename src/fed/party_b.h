@@ -27,7 +27,6 @@ struct PartyBResult {
   /// carry (owner_party, local feature, split bin) only.
   GbdtModel model;
   std::vector<EvalRecord> log;
-  FedStats stats;
 };
 
 /// \brief Party B: the active (label-owning) party.
@@ -149,11 +148,9 @@ class PartyBEngine {
   std::vector<GradPair> grads_;
   std::map<int32_t, uint32_t> hist_epoch_;
 
-  // Live counters/timings are registry handles (see FedStats threading
-  // contract in protocol.h); stats_ is derived from them after training.
+  // Counters and phase timings are registry handles (fed_metrics.h).
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
   PartyMetrics m_;
-  FedStats stats_;
   obs::LiveStatus live_;             ///< live position for the ops endpoints
   obs::RemoteMetrics remote_metrics_;  ///< A-party snapshots (federation)
   std::unique_ptr<obs::OpsServer> ops_;

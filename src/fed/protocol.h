@@ -99,7 +99,7 @@ struct FedConfig {
   /// External metrics registry shared by every engine of the run. When null,
   /// FedTrainer provides a per-run registry internally (and engines built
   /// directly, e.g. in tests, create their own). All protocol counters and
-  /// phase timings live in the registry — FedStats below is a derived
+  /// phase timings live in the registry, and FedTrainResult::metrics is its
   /// snapshot. Trace recording is orthogonal: install an obs::TraceRecorder
   /// globally (TraceRecorder::Install) before Train to capture spans.
   obs::MetricsRegistry* metrics = nullptr;
@@ -175,69 +175,6 @@ struct FedConfig {
     c.mock_crypto = true;
     return c;
   }
-};
-
-/// Wall-clock seconds per protocol phase, per party.
-struct PhaseTimes {
-  double encrypt = 0;
-  double build_hist = 0;
-  double pack = 0;
-  double decrypt = 0;
-  double find_split = 0;
-  double comm_wait = 0;
-
-  PhaseTimes& operator+=(const PhaseTimes& o) {
-    encrypt += o.encrypt;
-    build_hist += o.build_hist;
-    pack += o.pack;
-    decrypt += o.decrypt;
-    find_split += o.find_split;
-    comm_wait += o.comm_wait;
-    return *this;
-  }
-};
-
-/// Counters published by a training run (ablation tables & tests).
-///
-/// Threading contract (single-writer rule): FedStats is a plain snapshot
-/// struct with NO internal synchronization. Live counters that may be
-/// touched off the engine thread (worker-pool tasks, noise-pool producers,
-/// channel internals) live in atomic homes — obs::MetricsRegistry handles
-/// or NoisePool's atomic Stats — and are merged into a FedStats exactly
-/// once, by the owning engine thread, after its helper threads have
-/// finished (PartyMetrics::Snapshot). Code must never write a FedStats
-/// field from more than one thread, and must never write one while another
-/// thread can read it.
-struct FedStats {
-  size_t encryptions = 0;
-  size_t decryptions = 0;
-  size_t hadds = 0;
-  size_t scalings = 0;
-  size_t packs = 0;
-  size_t splits_a = 0;  ///< tree splits owned by A parties
-  size_t splits_b = 0;  ///< tree splits owned by B
-  size_t leaves = 0;
-  size_t optimistic_splits = 0;
-  size_t dirty_nodes = 0;          ///< optimistic splits rolled back
-  size_t redone_hist_builds = 0;   ///< A-side node hists rebuilt after dirt
-  size_t bytes_a_to_b = 0;
-  size_t bytes_b_to_a = 0;
-  /// Largest number of messages any party's Inbox ever had parked while
-  /// waiting for a specific type (see FedConfig::max_inbox_buffered).
-  size_t inbox_high_water = 0;
-  /// Noise-pool counters (B side, real crypto only): encryptions served a
-  /// pre-computed nonce / forced to compute one inline / nonces produced by
-  /// the background workers.
-  uint64_t noise_pool_hits = 0;
-  uint64_t noise_pool_misses = 0;
-  uint64_t noise_pool_produced = 0;
-  /// Session-layer recovery: completed link re-establishments (kHello
-  /// handshakes) across all parties, and trees Party B skipped at startup
-  /// because a checkpoint already carried them.
-  size_t reconnects = 0;
-  size_t trees_resumed = 0;
-  PhaseTimes party_a;
-  PhaseTimes party_b;
 };
 
 // --- payload codecs ---------------------------------------------------------

@@ -105,7 +105,8 @@ SessionChannel::SessionChannel(ChannelFactory* factory, size_t channel_index,
                                bool a_side, uint64_t session_id,
                                uint32_t party, uint64_t config_fingerprint,
                                const NetworkConfig& config,
-                               std::unique_ptr<MessagePort> initial)
+                               std::unique_ptr<MessagePort> initial,
+                               obs::MetricsRegistry* metrics)
     : factory_(factory),
       channel_index_(channel_index),
       a_side_(a_side),
@@ -114,6 +115,10 @@ SessionChannel::SessionChannel(ChannelFactory* factory, size_t channel_index,
       fingerprint_(config_fingerprint),
       config_(config),
       ep_(std::move(initial)),
+      heartbeats_sent_(metrics->GetCounter("session/heartbeats_sent")),
+      heartbeats_received_(
+          metrics->GetCounter("session/heartbeats_received")),
+      liveness_trips_(metrics->GetCounter("session/liveness_trips")),
       backoff_rng_(config.fault_seed ^ (a_side ? 0xA'5e55ULL : 0xB'5e55ULL) ^
                    (channel_index * 0x9E3779B97F4A7C15ULL)) {
   link_ready_.store(ep_ != nullptr, std::memory_order_release);
@@ -161,24 +166,10 @@ void SessionChannel::HeartbeatLoop() {
     lock.unlock();
     if (std::shared_ptr<MessagePort> ep = SnapshotEp(); ep != nullptr) {
       ep->Send(Message{MessageType::kHeartbeat, {}});
-      hb_sent_local_.fetch_add(1, std::memory_order_relaxed);
-      if (auto* c = hb_sent_counter_.load(std::memory_order_relaxed)) {
-        c->Add();
-      }
+      heartbeats_sent_->Add();
     }
     lock.lock();
   }
-}
-
-void SessionChannel::BindMetrics(obs::MetricsRegistry* registry) {
-  hb_sent_counter_.store(registry->GetCounter("session/heartbeats_sent"),
-                         std::memory_order_relaxed);
-  hb_received_counter_.store(
-      registry->GetCounter("session/heartbeats_received"),
-      std::memory_order_relaxed);
-  liveness_trips_counter_.store(
-      registry->GetCounter("session/liveness_trips"),
-      std::memory_order_relaxed);
 }
 
 void SessionChannel::Send(Message msg) {
@@ -199,10 +190,7 @@ Result<Message> SessionChannel::Receive() {
         // Consumed below the engine's inbox regardless of the local config:
         // a peer with heartbeats on while ours are off must not leak beacons
         // into the protocol stream.
-        hb_received_local_.fetch_add(1, std::memory_order_relaxed);
-        if (auto* c = hb_received_counter_.load(std::memory_order_relaxed)) {
-          c->Add();
-        }
+        heartbeats_received_->Add();
         continue;
       }
       return r;
@@ -216,10 +204,7 @@ Result<Message> SessionChannel::Receive() {
       // IsTransientFault -> Reestablish machinery recovers from.
       const double silence = SecondsSinceInbound();
       if (silence <= budget) continue;
-      liveness_trips_local_.fetch_add(1, std::memory_order_relaxed);
-      if (auto* c = liveness_trips_counter_.load(std::memory_order_relaxed)) {
-        c->Add();
-      }
+      liveness_trips_->Add();
       obs::FlightRecorder::RecordEvent(
           obs::FlightRecorder::Kind::kLiveness,
           static_cast<uint32_t>(channel_index_),
@@ -250,10 +235,7 @@ Status SessionChannel::TryReceive(Message* out, bool* got) {
     if (st.ok() && *got) {
       TouchInbound();
       if (IsHeartbeatFrame(out->type)) {
-        hb_received_local_.fetch_add(1, std::memory_order_relaxed);
-        if (auto* c = hb_received_counter_.load(std::memory_order_relaxed)) {
-          c->Add();
-        }
+        heartbeats_received_->Add();
         continue;  // beacon consumed; poll again for a real message
       }
     }

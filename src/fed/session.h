@@ -123,11 +123,17 @@ class SessionChannel : public MessagePort {
   /// `initial` is the run's first-generation link; it may be null (a
   /// multi-process runner that has not dialed yet), in which case the first
   /// Reestablish brings the link up. `party` is the owner's party index
-  /// (A: 0..n-1, B: n) advertised in hellos.
+  /// (A: 0..n-1, B: n) advertised in hellos. The channel counts into
+  /// "session/heartbeats_sent", "session/heartbeats_received" and
+  /// "session/liveness_trips" of `metrics` (borrowed; must outlive the
+  /// channel). Channels sharing a registry share the counters, so the
+  /// exported numbers are per-process totals, matching the transport/tcp/*
+  /// convention.
   SessionChannel(ChannelFactory* factory, size_t channel_index, bool a_side,
                  uint64_t session_id, uint32_t party,
                  uint64_t config_fingerprint, const NetworkConfig& config,
-                 std::unique_ptr<MessagePort> initial);
+                 std::unique_ptr<MessagePort> initial,
+                 obs::MetricsRegistry* metrics);
   ~SessionChannel() override;
 
   void Send(Message msg) override;
@@ -156,27 +162,6 @@ class SessionChannel : public MessagePort {
   size_t reconnects() const { return reconnects_; }
   /// Rendezvous attempts consumed out of config.reconnect_max_attempts.
   int attempts_used() const { return attempts_used_; }
-
-  /// Registers the channel's liveness counters ("session/heartbeats_sent",
-  /// "session/heartbeats_received", "session/liveness_trips") in `registry`
-  /// (borrowed; must outlive the channel). Multiple channels bound to the
-  /// same registry share the counters — GetCounter dedups by name — so the
-  /// exported numbers are per-process totals, matching the transport/tcp/*
-  /// convention.
-  void BindMetrics(obs::MetricsRegistry* registry);
-
-  /// Heartbeat beacons this channel sent / inbound beacons it consumed /
-  /// times the liveness budget tripped. Mirrors of the bound counters that
-  /// work without a registry (unit tests).
-  uint64_t heartbeats_sent() const {
-    return hb_sent_local_.load(std::memory_order_relaxed);
-  }
-  uint64_t heartbeats_received() const {
-    return hb_received_local_.load(std::memory_order_relaxed);
-  }
-  uint64_t liveness_trips() const {
-    return liveness_trips_local_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// Current-endpoint snapshot; safe against the beacon thread and against
@@ -214,12 +199,9 @@ class SessionChannel : public MessagePort {
   std::condition_variable hb_cv_;
   bool hb_stop_ = false;
 
-  std::atomic<obs::Counter*> hb_sent_counter_{nullptr};
-  std::atomic<obs::Counter*> hb_received_counter_{nullptr};
-  std::atomic<obs::Counter*> liveness_trips_counter_{nullptr};
-  std::atomic<uint64_t> hb_sent_local_{0};
-  std::atomic<uint64_t> hb_received_local_{0};
-  std::atomic<uint64_t> liveness_trips_local_{0};
+  obs::Counter* const heartbeats_sent_;
+  obs::Counter* const heartbeats_received_;
+  obs::Counter* const liveness_trips_;
 
   obs::ClockSync* clock_sync_ = nullptr;
   ChannelStats retired_stats_;  // sums of replaced endpoints' sent_stats

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "crypto/accumulator.h"
 #include "crypto/packing.h"
+#include "fed/fed_metrics.h"
 #include "fed/inbox.h"
 
 namespace vf2boost {
@@ -113,20 +114,23 @@ Status DecodeGradReply(const Message& m, std::vector<double>* values) {
 /// (the label owner injects the -0.5*yhat term) and the bias column.
 class LrPeer {
  public:
+  /// Counts into `metrics` under "party_b" (label owner) or "party_a0".
   LrPeer(const FedLrConfig& config, const Dataset& data, bool is_label_owner,
-         ChannelEndpoint* channel, uint64_t rng_salt)
+         ChannelEndpoint* channel, uint64_t rng_salt,
+         obs::MetricsRegistry* metrics)
       : config_(config),
         data_(data),
         is_label_owner_(is_label_owner),
         inbox_(channel),
         rng_(config.seed * 31337 + rng_salt),
-        weights_(data.columns(), 0.0) {}
+        weights_(data.columns(), 0.0),
+        m_(PartyMetrics::Create(metrics,
+                                is_label_owner ? "party_b" : "party_a0")) {}
 
   Status Run();
 
   const std::vector<double>& weights() const { return weights_; }
   double bias() const { return bias_; }
-  const FedStats& stats() const { return stats_; }
 
  private:
   Status Setup();
@@ -154,7 +158,7 @@ class LrPeer {
   std::unique_ptr<CipherBackend> peer_;  // peer's public key only
   std::vector<double> weights_;
   double bias_ = 0;
-  FedStats stats_;
+  PartyMetrics m_;
 };
 
 Status LrPeer::Setup() {
@@ -252,8 +256,8 @@ Status LrPeer::BuildGradRequest(const std::vector<uint32_t>& batch,
   double max_abs = 1.0;
   for (size_t s = 0; s < slots; ++s) {
     Cipher sum = acc[s]->Finalize();
-    stats_.hadds += acc[s]->stats().hadds;
-    stats_.scalings += acc[s]->stats().scalings;
+    m_.hadds->Add(acc[s]->stats().hadds);
+    m_.scalings->Add(acc[s]->stats().scalings);
     sum = acc_backend->ScaleTo(sum, target_exponent);
     // Mask: positive, statistically hiding, also serves as the nonneg shift.
     // Bound the slot value: |grad part| <= sum_i |x| * |z|; use a generous
@@ -261,7 +265,7 @@ Status LrPeer::BuildGradRequest(const std::vector<uint32_t>& batch,
     req->masks[s] = 1024.0 * (1.0 + rng_.NextDouble() * kMaskRange);
     const Cipher mask_cipher =
         acc_backend->EncryptAt(req->masks[s], target_exponent, &rng_);
-    stats_.encryptions += 1;
+    m_.encryptions->Add();
     sum.data = acc_backend->HAddRaw(sum.data, mask_cipher.data);
     req->ciphers[s] = std::move(sum);
     max_abs = std::max(max_abs, req->masks[s]);
@@ -287,7 +291,7 @@ Status LrPeer::BuildGradRequest(const std::vector<uint32_t>& batch,
         auto packed = PackCiphers(group, slot_bits, *acc_backend);
         VF2_RETURN_IF_ERROR(packed.status());
         req->packs.push_back(std::move(packed).value());
-        stats_.packs += 1;
+        m_.packs->Add();
       }
       req->packed = true;
       req->ciphers.clear();
@@ -304,12 +308,12 @@ Status LrPeer::AnswerGradRequest(const GradRequest& req,
       auto slots = DecryptPacked(pc, *own_);
       VF2_RETURN_IF_ERROR(slots.status());
       out->insert(out->end(), slots->begin(), slots->end());
-      stats_.decryptions += 1;
+      m_.decryptions->Add();
     }
   } else {
     for (const Cipher& c : req.ciphers) {
       out->push_back(own_->Decrypt(c));
-      stats_.decryptions += 1;
+      m_.decryptions->Add();
     }
   }
   return Status::OK();
@@ -345,7 +349,7 @@ Status LrPeer::RunBatch(const std::vector<uint32_t>& batch) {
       term -= 0.5 * yhat;
     }
     own_partials.push_back(own_->Encrypt(term, &rng_));
-    stats_.encryptions += 1;
+    m_.encryptions->Add();
   }
   {
     ByteWriter w;
@@ -376,7 +380,7 @@ Status LrPeer::RunBatch(const std::vector<uint32_t>& batch) {
     }
     const Cipher mine = peer_->EncryptAt(term, peer_partials[k].exponent,
                                          &rng_);
-    stats_.encryptions += 1;
+    m_.encryptions->Add();
     Cipher zi;
     zi.exponent = peer_partials[k].exponent;
     zi.data = peer_->HAddRaw(peer_partials[k].data, mine.data);
@@ -431,7 +435,7 @@ Status LrPeer::RunLoop() {
   inbox_.Send(Message{MessageType::kLrDone, {}});
   VF2_ASSIGN_OR_RETURN(Message msg, inbox_.ReceiveType(MessageType::kLrDone));
   (void)msg;
-  stats_.bytes_a_to_b += inbox_.port()->sent_stats().bytes;
+  m_.bytes_sent->Set(static_cast<double>(inbox_.port()->sent_stats().bytes));
   return Status::OK();
 }
 
@@ -494,10 +498,11 @@ Result<FedLrResult> FedLrTrainer::Train(const Dataset& party_a,
   }
 
   auto [a_end, b_end] = ChannelEndpoint::CreatePair(config_.network);
+  obs::MetricsRegistry registry;
   LrPeer peer_a(config_, party_a, /*is_label_owner=*/false, a_end.get(),
-                /*rng_salt=*/1);
+                /*rng_salt=*/1, &registry);
   LrPeer peer_b(config_, party_b, /*is_label_owner=*/true, b_end.get(),
-                /*rng_salt=*/2);
+                /*rng_salt=*/2, &registry);
 
   Status a_status;
   std::thread a_thread([&] { a_status = peer_a.Run(); });
@@ -510,14 +515,7 @@ Result<FedLrResult> FedLrTrainer::Train(const Dataset& party_a,
   result.weights_a = peer_a.weights();
   result.weights_b = peer_b.weights();
   result.bias = peer_b.bias();
-  result.stats = peer_b.stats();
-  result.stats.hadds += peer_a.stats().hadds;
-  result.stats.scalings += peer_a.stats().scalings;
-  result.stats.packs += peer_a.stats().packs;
-  result.stats.encryptions += peer_a.stats().encryptions;
-  result.stats.decryptions += peer_a.stats().decryptions;
-  result.stats.bytes_b_to_a = peer_b.stats().bytes_a_to_b;
-  result.stats.bytes_a_to_b = peer_a.stats().bytes_a_to_b;
+  result.metrics = registry.Snapshot();
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include "data/partition.h"
 #include "fed/protocol.h"
 #include "fedlr/lr_model.h"
+#include "obs/metrics_registry.h"
 
 namespace vf2boost {
 
@@ -55,7 +56,10 @@ struct FedLrResult {
   std::vector<double> weights_a;
   std::vector<double> weights_b;
   double bias = 0;  ///< lives with the label owner (B)
-  FedStats stats;
+  /// The run's counters once both parties have joined, under "party_a0/"
+  /// and "party_b/" (encryptions, decryptions, hadds, scalings, packs and
+  /// bytes_sent; see obs::PartySum).
+  std::vector<obs::MetricSample> metrics;
 
   /// Joint evaluation view (harness only): weights mapped to global column
   /// ids per the training partition.

@@ -9,11 +9,10 @@ namespace obs {
 
 /// \brief Lock-free live view of one party engine's training position.
 ///
-/// The engine thread is the only writer (the single-writer rule from
-/// fed/protocol.h extends to this struct); the ops server reads concurrently
+/// The engine thread is the only writer; the ops server reads concurrently
 /// with relaxed loads. Readers may observe a tree/layer/phase triple that is
 /// one step stale or torn across fields — acceptable for a status page,
-/// which is why this is not part of FedStats.
+/// which is why this is not part of the metrics registry.
 ///
 /// Phase names must be string literals (static storage duration): PhaseClock
 /// passes its trace_name, so a reader can dereference the pointer at any

@@ -109,6 +109,21 @@ size_t MetricsRegistry::size() const {
   return entries_.size();
 }
 
+double PartySum(const std::vector<MetricSample>& samples,
+                const std::string& party_prefix, const std::string& name) {
+  double total = 0;
+  for (const MetricSample& s : samples) {
+    const size_t slash = s.name.find('/');
+    if (slash == std::string::npos || slash < party_prefix.size() ||
+        s.name.compare(0, party_prefix.size(), party_prefix) != 0 ||
+        s.name.compare(slash + 1, std::string::npos, name) != 0) {
+      continue;
+    }
+    total += s.kind == MetricSample::Kind::kHistogram ? s.sum : s.value;
+  }
+  return total;
+}
+
 std::string PartyArtifactPath(const std::string& path,
                               const std::string& party) {
   const size_t slash = path.find_last_of('/');

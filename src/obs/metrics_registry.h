@@ -109,6 +109,13 @@ struct MetricSample {
   std::vector<uint64_t> buckets;
 };
 
+/// Adds up `<party>/<name>` over every sample whose party (the name up to
+/// its first '/') starts with `party_prefix`: "party_" selects every party,
+/// "party_a" the A parties, "party_b" Party B. A counter or gauge
+/// contributes its value, a histogram its sum; an absent name gives 0.
+double PartySum(const std::vector<MetricSample>& samples,
+                const std::string& party_prefix, const std::string& name);
+
 /// Inserts a party suffix before the path's extension so per-party artifact
 /// files from a multi-process run never collide in a shared directory:
 ///   PartyArtifactPath("out/metrics.json", "party_b") == "out/metrics.party_b.json"

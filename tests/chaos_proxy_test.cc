@@ -437,9 +437,9 @@ Result<std::string> TrainThroughProxy(FedConfig config,
   const uint64_t fp = config.Fingerprint();
   const uint64_t session_id = fp ^ 0x5e55ULL;
   SessionChannel a_port(dialer->get(), 0, /*a_side=*/true, session_id,
-                        /*party=*/0, fp, net, /*initial=*/nullptr);
+                        /*party=*/0, fp, net, /*initial=*/nullptr, &registry);
   SessionChannel b_port(listener->get(), 0, /*a_side=*/false, session_id,
-                        /*party=*/1, fp, net, /*initial=*/nullptr);
+                        /*party=*/1, fp, net, /*initial=*/nullptr, &registry);
 
   Status a_status;
   std::thread a_thread([&] {

@@ -216,7 +216,8 @@ TEST(FedRecoveryTest, ReconnectHealsMidTreeLinkDeath) {
       /*timeout_seconds=*/120);
   ASSERT_TRUE(finished) << "recovery drill hung";
   ASSERT_TRUE(r_faulty.ok()) << r_faulty.status().ToString();
-  EXPECT_GE(r_faulty->stats.reconnects, 1u)
+  EXPECT_GE(obs::PartySum(r_faulty->metrics, "party_", "session/reconnects"),
+            1)
       << "link death never triggered a reconnect (kill_after too high?)";
 
   const auto p_clean = Predictions(*r_clean, f);
@@ -228,6 +229,33 @@ TEST(FedRecoveryTest, ReconnectHealsMidTreeLinkDeath) {
   // Gradient encryption draws from a per-tree rng stream, so even the tree
   // that was interrupted and retrained serializes identically.
   EXPECT_EQ(JointModelText(*r_clean, f), JointModelText(*r_faulty, f));
+}
+
+// In-process session channels count their heartbeats into the run's shared
+// registry under the same "session/*" names a TCP process exports, and the
+// beacons never change the model.
+TEST(FedRecoveryTest, InProcessSessionsExportHeartbeatCounters) {
+  Fixture f = MakeFixture(400, 10, {0.5, 0.5}, 75);
+  FedConfig clean = FastConfig();
+  FedConfig beating = clean;
+  beating.network.default_deadline_seconds = 2;
+  beating.network.reconnect_max_attempts = 4;
+  beating.network.latency_seconds = 0.005;  // keeps the run beacon-long
+  beating.network.heartbeat_interval_seconds = 0.002;
+  obs::MetricsRegistry registry;
+  beating.metrics = &registry;
+
+  auto r_clean = FedTrainer(clean).Train(f.shards);
+  ASSERT_TRUE(r_clean.ok()) << r_clean.status().ToString();
+  Result<FedTrainResult> result = Status::Internal("train never ran");
+  ASSERT_TRUE(RunWithWatchdog(
+      [&] { result = FedTrainer(beating).Train(f.shards); },
+      /*timeout_seconds=*/60));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(registry.GetCounter("session/heartbeats_sent")->value(), 0u);
+  EXPECT_GT(registry.GetCounter("session/heartbeats_received")->value(), 0u);
+  EXPECT_EQ(registry.GetCounter("session/liveness_trips")->value(), 0u);
+  EXPECT_EQ(JointModelText(*result, f), JointModelText(*r_clean, f));
 }
 
 // Without a reconnect budget the same outage is fatal — but the checkpoint
@@ -264,7 +292,9 @@ TEST(FedRecoveryTest, CheckpointResumeMatchesFaultFree) {
   resume.resume = true;
   auto r_resumed = FedTrainer(resume).Train(f.shards);
   ASSERT_TRUE(r_resumed.ok()) << r_resumed.status().ToString();
-  EXPECT_GE(r_resumed->stats.trees_resumed, ckpt->completed_trees);
+  EXPECT_GE(
+      obs::PartySum(r_resumed->metrics, "party_b", "session/trees_resumed"),
+      ckpt->completed_trees);
   ASSERT_EQ(r_resumed->log.size(), clean.gbdt.num_trees);
 
   const auto p_ref = Predictions(*r_ref, f);

@@ -42,6 +42,13 @@ Fixture MakeFixture(size_t rows, size_t cols, double density,
   return f;
 }
 
+// Sums counter `name` over the parties selected by `party` in a run's
+// metrics (see obs::PartySum).
+size_t Count(const FedTrainResult& r, const char* name,
+             const char* party = "party_") {
+  return static_cast<size_t>(obs::PartySum(r.metrics, party, name));
+}
+
 FedConfig FastConfig() {
   FedConfig config;
   config.mock_crypto = true;
@@ -64,9 +71,9 @@ TEST(FedTrainerTest, MockSequentialLearns) {
   EXPECT_GT(auc, 0.70) << "federated model failed to learn";
 
   // Both parties contribute splits.
-  EXPECT_GT(result->stats.splits_a, 0u);
-  EXPECT_GT(result->stats.splits_b, 0u);
-  EXPECT_GT(result->stats.leaves, 0u);
+  EXPECT_GT(Count(*result, "splits_a"), 0u);
+  EXPECT_GT(Count(*result, "splits_b"), 0u);
+  EXPECT_GT(Count(*result, "leaves"), 0u);
   // Train loss decreases across trees.
   EXPECT_LT(result->log.back().train_loss, result->log.front().train_loss);
 }
@@ -135,9 +142,10 @@ TEST_P(OptimisticParityTest, OptimisticMatchesSequentialExactly) {
     ASSERT_DOUBLE_EQ(p_seq[i], p_opt[i]) << "instance " << i;
   }
   // With balanced features, a sizable share of optimistic splits is dirty.
-  EXPECT_GT(r_opt->stats.dirty_nodes, 0u);
-  EXPECT_GT(r_opt->stats.optimistic_splits, r_opt->stats.dirty_nodes);
-  EXPECT_EQ(r_seq->stats.dirty_nodes, 0u);
+  EXPECT_GT(Count(*r_opt, "dirty_nodes"), 0u);
+  EXPECT_GT(Count(*r_opt, "optimistic_splits"),
+            Count(*r_opt, "dirty_nodes"));
+  EXPECT_EQ(Count(*r_seq, "dirty_nodes"), 0u);
   // Every party, B included, owns some split of the optimistic model.
   std::vector<size_t> owned(parties, 0);
   for (const Tree& tree : r_opt->model.trees) {
@@ -168,9 +176,9 @@ TEST(FedTrainerTest, DirtyRateTracksFeatureRatio) {
     config.optimistic = true;
     auto r = FedTrainer(config).Train(f.shards);
     EXPECT_TRUE(r.ok());
-    const double total = static_cast<double>(r->stats.dirty_nodes +
-                                             r->stats.splits_b);
-    return total == 0 ? 0.0 : r->stats.dirty_nodes / total;
+    const double total =
+        static_cast<double>(Count(*r, "dirty_nodes") + Count(*r, "splits_b"));
+    return total == 0 ? 0.0 : Count(*r, "dirty_nodes") / total;
   };
   const double rate_a_heavy = dirty_rate({0.8, 0.2}, 31);
   const double rate_b_heavy = dirty_rate({0.2, 0.8}, 31);
@@ -198,9 +206,11 @@ TEST(FedTrainerTest, PackingPreservesQualityAndCutsBytes) {
       Auc(j_packed->PredictRaw(f.valid.features), f.valid.labels);
   EXPECT_NEAR(auc_raw, auc_packed, 0.02);
 
-  EXPECT_GT(r_packed->stats.packs, 0u);
-  EXPECT_LT(r_packed->stats.decryptions, r_raw->stats.decryptions / 2);
-  EXPECT_LT(r_packed->stats.bytes_a_to_b, r_raw->stats.bytes_a_to_b);
+  EXPECT_GT(Count(*r_packed, "packs"), 0u);
+  EXPECT_LT(Count(*r_packed, "decryptions"),
+            Count(*r_raw, "decryptions") / 2);
+  EXPECT_LT(Count(*r_packed, "bytes_sent", "party_a"),
+            Count(*r_raw, "bytes_sent", "party_a"));
 }
 
 TEST(FedTrainerTest, ReorderedReducesScalings) {
@@ -214,7 +224,8 @@ TEST(FedTrainerTest, ReorderedReducesScalings) {
   auto r_reordered = FedTrainer(reordered).Train(f.shards);
   ASSERT_TRUE(r_naive.ok());
   ASSERT_TRUE(r_reordered.ok());
-  EXPECT_LT(r_reordered->stats.scalings, r_naive->stats.scalings / 2);
+  EXPECT_LT(Count(*r_reordered, "scalings"),
+            Count(*r_naive, "scalings") / 2);
 }
 
 TEST(FedTrainerTest, BlasterSplitsGradTraffic) {
@@ -251,8 +262,8 @@ TEST(FedTrainerTest, FullVf2BoostStackLearns) {
   auto joint = result->ToJointModel(f.spec);
   ASSERT_TRUE(joint.ok());
   EXPECT_GT(Auc(joint->PredictRaw(f.valid.features), f.valid.labels), 0.70);
-  EXPECT_GT(result->stats.packs, 0u);
-  EXPECT_GT(result->stats.optimistic_splits, 0u);
+  EXPECT_GT(Count(*result, "packs"), 0u);
+  EXPECT_GT(Count(*result, "optimistic_splits"), 0u);
 }
 
 TEST(FedTrainerTest, GhPackedModelIsByteIdenticalToUnpacked) {
@@ -282,8 +293,9 @@ TEST(FedTrainerTest, GhPackedModelIsByteIdenticalToUnpacked) {
 
   // And the point of the exercise: gh packing halves the gradient-stream
   // encryptions (plus shared per-node constants on each side).
-  EXPECT_LT(r_gh->stats.encryptions, r_classic->stats.encryptions);
-  EXPECT_LT(r_gh->stats.bytes_b_to_a, r_classic->stats.bytes_b_to_a);
+  EXPECT_LT(Count(*r_gh, "encryptions"), Count(*r_classic, "encryptions"));
+  EXPECT_LT(Count(*r_gh, "bytes_sent", "party_b"),
+            Count(*r_classic, "bytes_sent", "party_b"));
 }
 
 TEST(FedTrainerTest, RealPaillierGhPackedMatchesMock) {
@@ -322,8 +334,8 @@ TEST(FedTrainerTest, RealPaillierEndToEnd) {
   config.gbdt.max_bins = 6;
   auto result = FedTrainer(config).Train(f.shards);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->stats.encryptions, 0u);
-  EXPECT_GT(result->stats.decryptions, 0u);
+  EXPECT_GT(Count(*result, "encryptions"), 0u);
+  EXPECT_GT(Count(*result, "decryptions"), 0u);
 
   // The exact same run under mock crypto must produce the same tree
   // decisions (the cryptosystem is computation-transparent).
@@ -378,8 +390,8 @@ TEST(FedTrainerTest, StarvedNoisePoolDoesNotChangeTheModel) {
   ASSERT_TRUE(fed.ok()) << fed.status().ToString();
   auto hungry = FedTrainer(starved).Train(f.shards);
   ASSERT_TRUE(hungry.ok()) << hungry.status().ToString();
-  EXPECT_GT(hungry->stats.noise_pool_misses,
-            fed->stats.noise_pool_misses);
+  EXPECT_GT(Count(*hungry, "noise_pool/misses"),
+            Count(*fed, "noise_pool/misses"));
   EXPECT_EQ(ModelToString(hungry->model), ModelToString(fed->model));
 }
 
@@ -487,8 +499,9 @@ TEST(FedTrainerTest, OptimisticLeafCorrectionPath) {
 
   // Nearly every split belongs to A; B's optimistic actions were leaves
   // that validation overturned.
-  EXPECT_GT(r_opt->stats.splits_a, 0u);
-  EXPECT_GT(r_opt->stats.dirty_nodes, r_opt->stats.optimistic_splits)
+  EXPECT_GT(Count(*r_opt, "splits_a"), 0u);
+  EXPECT_GT(Count(*r_opt, "dirty_nodes"),
+            Count(*r_opt, "optimistic_splits"))
       << "expected leaf->split corrections beyond rolled-back B splits";
 
   // Still exactly equivalent to the sequential protocol.

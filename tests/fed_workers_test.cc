@@ -197,7 +197,7 @@ TEST(FedWorkersTest, MultiWorkerWithAllOptimizationsAndRealCrypto) {
   auto result = FedTrainer(config).Train(f.shards);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->model.trees.size(), 2u);
-  EXPECT_GT(result->stats.encryptions, 0u);
+  EXPECT_GT(obs::PartySum(result->metrics, "party_b", "encryptions"), 0);
 }
 
 }  // namespace

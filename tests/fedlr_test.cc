@@ -10,6 +10,11 @@
 namespace vf2boost {
 namespace {
 
+// Sums counter `name` over both parties of an LR run (see obs::PartySum).
+size_t Count(const FedLrResult& r, const char* name) {
+  return static_cast<size_t>(obs::PartySum(r.metrics, "party_", name));
+}
+
 struct LrFixture {
   Dataset train;
   Dataset valid;
@@ -164,7 +169,7 @@ TEST(FedLrTest, ReorderedReducesScalings) {
   auto r1 = FedLrTrainer(reordered).Train(f.shard_a, f.shard_b);
   ASSERT_TRUE(r0.ok());
   ASSERT_TRUE(r1.ok());
-  EXPECT_LT(r1->stats.scalings, r0->stats.scalings / 2)
+  EXPECT_LT(Count(*r1, "scalings"), Count(*r0, "scalings") / 2)
       << "the paper's §5.1 claim carries to LR";
   // Same model either way.
   auto j0 = r0->ToJointModel(f.spec);
@@ -187,8 +192,8 @@ TEST(FedLrTest, PackingCutsDecryptionsAndBytes) {
   auto r1 = FedLrTrainer(packed).Train(f.shard_a, f.shard_b);
   ASSERT_TRUE(r0.ok());
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_GT(r1->stats.packs, 0u);
-  EXPECT_LT(r1->stats.decryptions, r0->stats.decryptions);
+  EXPECT_GT(Count(*r1, "packs"), 0u);
+  EXPECT_LT(Count(*r1, "decryptions"), Count(*r0, "decryptions"));
   auto j0 = r0->ToJointModel(f.spec);
   auto j1 = r1->ToJointModel(f.spec);
   for (size_t j = 0; j < j0->weights.size(); ++j) {

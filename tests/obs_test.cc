@@ -321,6 +321,39 @@ TEST(MetricsRegistryTest, SnapshotFiltersByPrefixAndCarriesBuckets) {
   EXPECT_EQ(reg.Snapshot("").size(), reg.size());
 }
 
+TEST(MetricsRegistryTest, PartySumSelectsPartiesByPrefix) {
+  MetricsRegistry reg;
+  reg.GetCounter("party_a0/hadds")->Add(5);
+  reg.GetCounter("party_a1/hadds")->Add(7);
+  reg.GetCounter("party_b/hadds")->Add(11);
+  reg.GetGauge("party_a0/bytes_sent", "bytes")->Set(100);
+  reg.GetGauge("party_b/bytes_sent", "bytes")->Set(30);
+  reg.GetHistogram("party_a0/phase/encrypt")->Observe(0.25);
+  reg.GetHistogram("party_a1/phase/encrypt")->Observe(0.5);
+  reg.GetHistogram("party_b/phase/encrypt")->Observe(2.0);
+  // Same leaf name outside a party, and names the exact match must skip.
+  reg.GetCounter("transport/hadds")->Add(1000);
+  reg.GetCounter("party_a0/hadds_extra")->Add(1000);
+  reg.GetCounter("party_b/session/hadds")->Add(1000);
+  const auto samples = reg.Snapshot();
+
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_", "hadds"), 23);
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_a", "hadds"), 12);
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_a1", "hadds"), 7);
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_b", "hadds"), 11);
+  // Gauges contribute their value, histograms their sum.
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_", "bytes_sent"), 130);
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_a", "phase/encrypt"), 0.75);
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_b", "phase/encrypt"), 2.0);
+  // The name after the first '/' must match exactly.
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_b", "session/hadds"), 1000);
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_", "phase"), 0);
+  // Absent names and parties give 0.
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_", "scalings"), 0);
+  EXPECT_DOUBLE_EQ(obs::PartySum(samples, "party_c", "hadds"), 0);
+  EXPECT_DOUBLE_EQ(obs::PartySum({}, "party_", "hadds"), 0);
+}
+
 TEST(MetricsRegistryTest, PartyArtifactPathSplicesBeforeExtension) {
   EXPECT_EQ(obs::PartyArtifactPath("out/metrics.json", "party_b"),
             "out/metrics.party_b.json");
@@ -477,11 +510,19 @@ TEST(TraceTest, TracedFedRunProducesBalancedTrace) {
                            "decrypt", "find_split", "pack"}) {
     EXPECT_GT(summary.span_counts[name], 0u) << "missing span " << name;
   }
-  // The shared registry saw the same run the trace did.
-  EXPECT_EQ(registry.GetCounter("party_b/encryptions")->value(),
-            result->stats.encryptions);
-  EXPECT_EQ(registry.GetCounter("party_b/leaves")->value(),
-            result->stats.leaves);
+  // The result carries the shared registry's contents at the end of the run.
+  const std::vector<obs::MetricSample> after = registry.Snapshot();
+  ASSERT_EQ(result->metrics.size(), after.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    const obs::MetricSample& got = result->metrics[i];
+    EXPECT_EQ(got.name, after[i].name);
+    EXPECT_EQ(got.kind, after[i].kind) << got.name;
+    EXPECT_EQ(got.value, after[i].value) << got.name;
+    EXPECT_EQ(got.count, after[i].count) << got.name;
+    EXPECT_EQ(got.sum, after[i].sum) << got.name;
+  }
+  EXPECT_GT(obs::PartySum(result->metrics, "party_b", "encryptions"), 0);
+  EXPECT_GT(obs::PartySum(result->metrics, "party_b", "leaves"), 0);
   // The text gantt renders a row per traced thread.
   const std::string gantt = obs::RenderTraceGantt(rec, 60);
   EXPECT_NE(gantt.find("party B"), std::string::npos) << gantt;

@@ -12,6 +12,10 @@ namespace {
 
 using Clock = ChannelEndpoint::Clock;
 
+uint64_t CounterValue(obs::MetricsRegistry* registry, const char* name) {
+  return registry->GetCounter(name)->value();
+}
+
 NetworkConfig RecoverableNet() {
   NetworkConfig net;
   net.default_deadline_seconds = 0.1;
@@ -21,20 +25,23 @@ NetworkConfig RecoverableNet() {
   return net;
 }
 
-// Builds both halves of one resilient channel over a shared broker.
+// Builds both halves of one resilient channel over a shared broker; each
+// side counts into its own registry, as two processes would.
 struct SessionPair {
   explicit SessionPair(const NetworkConfig& net,
                        uint64_t fingerprint_a = 77, uint64_t fingerprint_b = 77)
       : broker({net}) {
     auto [ea, eb] = ChannelEndpoint::CreatePair(net);
-    a = std::make_unique<SessionChannel>(&broker, 0, /*a_side=*/true,
-                                         /*session_id=*/1234, /*party=*/0,
-                                         fingerprint_a, net, std::move(ea));
-    b = std::make_unique<SessionChannel>(&broker, 0, /*a_side=*/false,
-                                         /*session_id=*/1234, /*party=*/1,
-                                         fingerprint_b, net, std::move(eb));
+    a = std::make_unique<SessionChannel>(
+        &broker, 0, /*a_side=*/true, /*session_id=*/1234, /*party=*/0,
+        fingerprint_a, net, std::move(ea), &a_metrics);
+    b = std::make_unique<SessionChannel>(
+        &broker, 0, /*a_side=*/false, /*session_id=*/1234, /*party=*/1,
+        fingerprint_b, net, std::move(eb), &b_metrics);
   }
   SessionBroker broker;
+  obs::MetricsRegistry a_metrics;
+  obs::MetricsRegistry b_metrics;
   std::unique_ptr<SessionChannel> a;
   std::unique_ptr<SessionChannel> b;
 };
@@ -184,11 +191,13 @@ TEST(SessionHeartbeatTest, BeaconsFlowAndNeverSurfaceFromReceive) {
   a_net.heartbeat_interval_seconds = 0.02;
   NetworkConfig b_net = RecoverableNet();
   SessionBroker broker({a_net});
+  obs::MetricsRegistry a_metrics, b_metrics;
   auto [ea, eb] = ChannelEndpoint::CreatePair(a_net);
   SessionChannel a(&broker, 0, /*a_side=*/true, /*session_id=*/1, /*party=*/0,
-                   /*fingerprint=*/7, a_net, std::move(ea));
+                   /*fingerprint=*/7, a_net, std::move(ea), &a_metrics);
   SessionChannel b(&broker, 0, /*a_side=*/false, /*session_id=*/1,
-                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb));
+                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb),
+                   &b_metrics);
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   Message m;
@@ -199,8 +208,8 @@ TEST(SessionHeartbeatTest, BeaconsFlowAndNeverSurfaceFromReceive) {
   Result<Message> r = b.Receive();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->type, MessageType::kGradBatch);
-  EXPECT_GE(a.heartbeats_sent(), 1u);
-  EXPECT_GE(b.heartbeats_received(), 1u);
+  EXPECT_GE(CounterValue(&a_metrics, "session/heartbeats_sent"), 1u);
+  EXPECT_GE(CounterValue(&b_metrics, "session/heartbeats_received"), 1u);
 }
 
 TEST(SessionHeartbeatTest, TryReceiveDrainsBeaconsWithoutSurfacingThem) {
@@ -212,7 +221,8 @@ TEST(SessionHeartbeatTest, TryReceiveDrainsBeaconsWithoutSurfacingThem) {
   bool got = true;
   ASSERT_TRUE(pair.b->TryReceive(&out, &got).ok());
   EXPECT_FALSE(got);  // nothing but beacons arrived
-  EXPECT_GE(pair.b->heartbeats_received(), 1u);
+  EXPECT_GE(CounterValue(&pair.b_metrics, "session/heartbeats_received"),
+            1u);
 }
 
 TEST(SessionHeartbeatTest, LivenessBudgetTripsOnSilentPeerAndLinkHeals) {
@@ -226,11 +236,13 @@ TEST(SessionHeartbeatTest, LivenessBudgetTripsOnSilentPeerAndLinkHeals) {
   a_net.liveness_budget_seconds = 0.2;
   NetworkConfig b_net = RecoverableNet();
   SessionBroker broker({a_net});
+  obs::MetricsRegistry a_metrics, b_metrics;
   auto [ea, eb] = ChannelEndpoint::CreatePair(a_net);
   SessionChannel a(&broker, 0, /*a_side=*/true, /*session_id=*/1, /*party=*/0,
-                   /*fingerprint=*/7, a_net, std::move(ea));
+                   /*fingerprint=*/7, a_net, std::move(ea), &a_metrics);
   SessionChannel b(&broker, 0, /*a_side=*/false, /*session_id=*/1,
-                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb));
+                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb),
+                   &b_metrics);
 
   Stopwatch timer;
   Result<Message> r = a.Receive();
@@ -241,7 +253,7 @@ TEST(SessionHeartbeatTest, LivenessBudgetTripsOnSilentPeerAndLinkHeals) {
   EXPECT_TRUE(IsTransientFault(r.status()));
   EXPECT_NE(r.status().message().find("liveness"), std::string::npos);
   EXPECT_GE(timer.ElapsedSeconds(), 0.2);
-  EXPECT_EQ(a.liveness_trips(), 1u);
+  EXPECT_EQ(CounterValue(&a_metrics, "session/liveness_trips"), 1u);
 
   // And the standard reconnect machinery heals the session afterwards.
   Result<HelloPayload> from_b = Status::Unavailable("pending");
@@ -268,11 +280,13 @@ TEST(SessionHeartbeatTest, TrafficKeepsTheBudgetFromTripping) {
   a_net.liveness_budget_seconds = 0.3;
   NetworkConfig b_net = RecoverableNet();
   SessionBroker broker({a_net});
+  obs::MetricsRegistry a_metrics, b_metrics;
   auto [ea, eb] = ChannelEndpoint::CreatePair(a_net);
   SessionChannel a(&broker, 0, /*a_side=*/true, /*session_id=*/1, /*party=*/0,
-                   /*fingerprint=*/7, a_net, std::move(ea));
+                   /*fingerprint=*/7, a_net, std::move(ea), &a_metrics);
   SessionChannel b(&broker, 0, /*a_side=*/false, /*session_id=*/1,
-                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb));
+                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb),
+                   &b_metrics);
   std::thread feeder([&] {
     for (int i = 0; i < 5; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -288,7 +302,7 @@ TEST(SessionHeartbeatTest, TrafficKeepsTheBudgetFromTripping) {
     EXPECT_EQ(r->payload[0], static_cast<uint8_t>(i));
   }
   feeder.join();
-  EXPECT_EQ(a.liveness_trips(), 0u);
+  EXPECT_EQ(CounterValue(&a_metrics, "session/liveness_trips"), 0u);
 }
 
 TEST(SessionChannelTest, CleanCloseLeavesBrokerRunning) {

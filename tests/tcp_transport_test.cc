@@ -452,10 +452,11 @@ TEST(TcpSessionDrillTest, LinkDeathMidTrainingRecoversWithIdenticalModel) {
         const uint64_t fp = config.Fingerprint();
         const uint64_t session_id = fp ^ 0x5e55ULL;
         SessionChannel a_port(dialer->get(), 0, /*a_side=*/true, session_id,
-                              /*party=*/0, fp, net, /*initial=*/nullptr);
+                              /*party=*/0, fp, net, /*initial=*/nullptr,
+                              &registry);
         SessionChannel b_port(listener->get(), 0, /*a_side=*/false,
                               session_id, /*party=*/1, fp, net,
-                              /*initial=*/nullptr);
+                              /*initial=*/nullptr, &registry);
 
         Status a_status;
         std::thread a_thread([&] {
@@ -504,9 +505,11 @@ TEST(TcpSessionDrillTest, NeedsSetupFlagCrossesHelloExchange) {
         auto dialer =
             TcpChannelFactory::Dial("127.0.0.1", (*listener)->port(), 0, net);
         ASSERT_TRUE(dialer.ok());
-        SessionChannel a_port(dialer->get(), 0, true, 99, 0, 7, net, nullptr);
+        obs::MetricsRegistry registry;
+        SessionChannel a_port(dialer->get(), 0, true, 99, 0, 7, net, nullptr,
+                              &registry);
         SessionChannel b_port(listener->get(), 0, false, 99, 1, 7, net,
-                              nullptr);
+                              nullptr, &registry);
         Result<HelloPayload> from_a = Status::Unavailable("pending");
         std::thread b_thread(
             [&] { from_a = b_port.Reestablish(3); });

@@ -1,6 +1,9 @@
 #ifndef VF2BOOST_TOOLS_FLAGS_H_
 #define VF2BOOST_TOOLS_FLAGS_H_
 
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -52,13 +55,33 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  /// Decimal, or hexadecimal after a 0x prefix (--fault-seed 0x5eed). A
+  /// value that is not one whole integer aborts naming the flag.
   long GetInt(const std::string& key, long fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atol(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const std::string& v = it->second;
+    const bool hex =
+        v.size() > 2 && v[0] == '0' && (v[1] == 'x' || v[1] == 'X');
+    const char* last = v.data() + v.size();
+    long n = 0;
+    const auto [end, ec] =
+        std::from_chars(v.data() + (hex ? 2 : 0), last, n, hex ? 16 : 10);
+    if (ec != std::errc() || end != last) BadValue(key, "an integer");
+    return n;
   }
+  /// Any finite strtod number; anything else aborts naming the flag.
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* v = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double d = std::strtod(v, &end);
+    if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(d)) {
+      BadValue(key, "a number");
+    }
+    return d;
   }
   bool GetBool(const std::string& key, bool fallback = false) const {
     const auto it = values_.find(key);
@@ -81,6 +104,10 @@ class Flags {
   }
 
  private:
+  void BadValue(const std::string& key, const char* what) const {
+    Die("--" + key + " wants " + what + ", got '" + GetString(key) + "'");
+  }
+
   void Die(const std::string& msg) const {
     std::fprintf(stderr, "error: %s\n", msg.c_str());
     PrintHelp();

@@ -324,9 +324,8 @@ int main(int argc, char** argv) {
       auto session = std::make_unique<SessionChannel>(
           factory, channel, a_side, fingerprint ^ (0x5e55ULL + channel),
           party_id, fingerprint, config.network,
-          /*initial=*/nullptr);
+          /*initial=*/nullptr, &registry);
       session->set_clock_sync(clock_sync);
-      session->BindMetrics(&registry);
       Result<HelloPayload> peer = session->Reestablish(-1, needs_setup);
       if (!peer.ok()) return peer.status();
       return std::unique_ptr<MessagePort>(std::move(session));
@@ -459,11 +458,7 @@ int main(int argc, char** argv) {
       FedTrainResult fed;
       fed.model = std::move(b_result->model);
       fed.log = std::move(b_result->log);
-      fed.stats = b_result->stats;
-      // B's engine stats only know what B sent; the inbound volume lives in
-      // the transport's frame counters.
-      fed.stats.bytes_a_to_b =
-          registry.GetCounter("transport/tcp/bytes_read")->value();
+      fed.metrics = registry.Snapshot();
       // The A parties' split-candidate cuts are needed to evaluate the joint
       // model. Binning is deterministic, and this process holds the full
       // joined file, so B recomputes them instead of shipping them (in a
@@ -493,13 +488,25 @@ int main(int argc, char** argv) {
     std::printf("tree %3zu  %7.2fs  train_loss %.5f\n", rec.tree_index + 1,
                 rec.elapsed_seconds, rec.train_loss);
   }
-  const FedStats& s = result->stats;
+  auto count = [&](const char* name) {
+    return static_cast<size_t>(obs::PartySum(result->metrics, "party_", name));
+  };
+  // Over TCP, B's registry holds only B's counters: the inbound volume is in
+  // the transport's frame counters.
+  const double bytes_a_to_b =
+      tcp_listen
+          ? static_cast<double>(
+                registry.GetCounter("transport/tcp/bytes_read")->value())
+          : obs::PartySum(result->metrics, "party_a", "bytes_sent");
   std::printf("traffic A->B %.2f MB, B->A %.2f MB; enc %zu dec %zu hadd %zu "
               "scalings %zu packs %zu\n",
-              s.bytes_a_to_b / 1e6, s.bytes_b_to_a / 1e6, s.encryptions,
-              s.decryptions, s.hadds, s.scalings, s.packs);
-  std::printf("splits A %zu / B %zu, leaves %zu, dirty %zu\n", s.splits_a,
-              s.splits_b, s.leaves, s.dirty_nodes);
+              bytes_a_to_b / 1e6,
+              obs::PartySum(result->metrics, "party_b", "bytes_sent") / 1e6,
+              count("encryptions"), count("decryptions"), count("hadds"),
+              count("scalings"), count("packs"));
+  std::printf("splits A %zu / B %zu, leaves %zu, dirty %zu\n",
+              count("splits_a"), count("splits_b"), count("leaves"),
+              count("dirty_nodes"));
 
   if (recorder != nullptr) {
     if (flags.Has("trace-out")) {
