@@ -11,15 +11,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction/Reset.
+  /// Elapsed seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

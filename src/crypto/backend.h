@@ -54,10 +54,6 @@ class CipherBackend {
   virtual BigInt EncryptPublicRaw(const BigInt& m) const = 0;
   /// Homomorphic negation: Dec(NegRaw(c)) = -m mod n (one SMul by n-1).
   virtual BigInt NegRaw(const BigInt& data) const;
-  /// Homomorphic subtraction: Dec(HSubRaw(a,b)) = m_a - m_b mod n.
-  BigInt HSubRaw(const BigInt& a, const BigInt& b) const {
-    return HAddRaw(a, NegRaw(b));
-  }
   /// Horner chain of the §5.2 pack: c_0 ⊕ 2^M ⊗ (c_1 ⊕ 2^M ⊗ (… c_{t-1})),
   /// M = shift_bits, over the slots' raw data (exponents are ignored).
   /// The default runs one SMulRaw and one HAddRaw per step; the Paillier

@@ -15,27 +15,17 @@ namespace vf2boost {
 
 PartyAEngine::PartyAEngine(const FedConfig& config, const Dataset& data,
                            MessagePort* channel, uint32_t party_index)
-    : config_(config),
+    : PartyRuntime(config, PartyRole::A(party_index)),
       data_(data),
-      inbox_(channel, config.max_inbox_buffered),
+      inbox_(channel, kMaxInboxBuffered),
       party_index_(party_index),
       rng_(config.seed * 7919 + party_index + 1) {
-  if (config_.metrics == nullptr) {
-    // Engines built directly (tests, drills) get a private registry so the
-    // handles below always resolve; FedTrainer injects a shared one.
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    config_.metrics = owned_metrics_.get();
-  }
-  m_ = PartyMetrics::Create(config_.metrics,
-                            "party_a" + std::to_string(party_index));
-  m_.live = &live_;
   clock_sync_ = config_.clock_sync_state;
   if (clock_sync_ == nullptr) {
     owned_clock_sync_ = std::make_unique<obs::ClockSync>();
     clock_sync_ = owned_clock_sync_.get();
   }
-  clock_sync_->BindMetrics(config_.metrics,
-                           "party_a" + std::to_string(party_index));
+  clock_sync_->BindMetrics(config_.metrics, role_.metric_prefix);
   // Pong ingestion is sideband traffic like kMetricsDelta on B: consumed at
   // whatever receive it arrives under, never buffered against the cap.
   inbox_.SetSideband(MessageType::kClockPong, [this](Message msg) {
@@ -50,12 +40,6 @@ PartyAEngine::PartyAEngine(const FedConfig& config, const Dataset& data,
       rec->SetClockSync(party_index_ + 1, clock_sync_->ToMeta());
     }
   });
-  if (config_.workers_per_party > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.workers_per_party);
-    pool_->SetQueueDepthGauge(m_.pool_queue_high_water);
-    pool_->SetBusyWorkersGauge(m_.pool_busy_workers);
-    m_.pool_size->Set(static_cast<double>(pool_->num_threads()));
-  }
 }
 
 Status PartyAEngine::Setup() {
@@ -106,56 +90,7 @@ Status PartyAEngine::ReplaySetup(const Message& msg) {
 }
 
 Status PartyAEngine::Run() {
-  // Trace/log attribution for this engine's thread: pid = party index + 1
-  // (pid 0 is the trainer), "[party A<p>]" log prefix. Restored on exit (A
-  // runs on its own thread, but drills may reuse one).
-  obs::ThreadPartyScope party_scope(
-      party_index_ + 1, "party A" + std::to_string(party_index_));
-  // Whatever way this engine exits — clean kTrainDone, protocol error,
-  // channel failure — the close guard wakes the peer so it never deadlocks
-  // waiting on a dead party.
-  ChannelCloseGuard guard(inbox_.port(),
-                          "party A" + std::to_string(party_index_));
-  {
-    // Always on: stall detector when the budget is positive, resource
-    // accountant (party_a<i>/os/* gauges) either way.
-    obs::StallWatchdog::Options wd;
-    wd.budget_seconds = config_.stall_budget_seconds;
-    wd.live = &live_;
-    wd.registry = config_.metrics;
-    wd.metric_prefix = "party_a" + std::to_string(party_index_);
-    wd.on_stall = [this] {
-      // Records last position AND (via Record's boundary auto-persist)
-      // flushes the flight recorder to disk while the process still lives.
-      obs::FlightRecorder::RecordEvent(
-          obs::FlightRecorder::Kind::kWatchdog, 0,
-          static_cast<int64_t>(watchdog_.seconds_since_progress()),
-          live_.tree(), live_.phase());
-    };
-    watchdog_.Start(std::move(wd));
-  }
-  StartOpsServer();
-  live_.SetState(obs::LiveStatus::State::kTraining);
-  Status status = RunLoop();
-  live_.SetState(status.ok() ? obs::LiveStatus::State::kDone
-                             : obs::LiveStatus::State::kFailed);
-  watchdog_.Stop();
-  if (!status.ok()) {
-    // Failure post-mortem: make sure the ring reaches disk even when no
-    // progress boundary ever persisted it.
-    if (auto* fr = obs::FlightRecorder::Current(); fr != nullptr) {
-      obs::FlightRecorder::RecordEvent(
-          obs::FlightRecorder::Kind::kStateChange, 0, live_.tree(),
-          live_.layer(), "run failed");
-      fr->Persist();
-    }
-  }
-  m_.inbox_high_water->Max(
-      static_cast<double>(inbox_.buffered_high_water()));
-  m_.bytes_sent->Set(
-      static_cast<double>(inbox_.port()->sent_stats().bytes));
-  guard.SetStatus(status);
-  return status;
+  return RunParty(std::span(&inbox_, 1), [this] { return RunLoop(); });
 }
 
 Status PartyAEngine::RunLoop() {
@@ -213,25 +148,6 @@ Status PartyAEngine::RunOnce(bool* done) {
   return Status::OK();
 }
 
-void PartyAEngine::StartOpsServer() {
-  if (config_.ops_port <= 0) return;
-  obs::OpsServerOptions opts;
-  opts.port = config_.ops_port + 1 + static_cast<int>(party_index_);
-  opts.bind_address = config_.ops_bind;
-  opts.party_label = "A" + std::to_string(party_index_);
-  opts.metric_prefix = "party_a" + std::to_string(party_index_);
-  opts.registry = config_.metrics;
-  opts.live = &live_;
-  opts.watchdog = &watchdog_;
-  auto server = obs::OpsServer::Start(opts);
-  if (!server.ok()) {
-    VF2_LOG(Warn) << "party A" << party_index_ << " ops server disabled: "
-                  << server.status().ToString();
-    return;
-  }
-  ops_ = std::move(server).value();
-}
-
 void PartyAEngine::SendClockPings(int count) {
   if (!config_.clock_sync || obs::TraceRecorder::Current() == nullptr) return;
   for (int i = 0; i < count; ++i) {
@@ -246,8 +162,7 @@ void PartyAEngine::SendMetricsDelta(bool final_frame) {
   delta.party = party_index_;
   delta.seq = ++metrics_seq_;
   delta.final_frame = final_frame;
-  delta.samples = config_.metrics->Snapshot(
-      "party_a" + std::to_string(party_index_) + "/");
+  delta.samples = config_.metrics->Snapshot(role_.metric_prefix + "/");
   inbox_.Send(EncodeMetricsDelta(delta));
 }
 

@@ -8,13 +8,10 @@
 
 #include "data/dataset.h"
 #include "fed/enc_histogram.h"
-#include "fed/fed_metrics.h"
 #include "fed/inbox.h"
+#include "fed/party_runtime.h"
 #include "fed/protocol.h"
 #include "obs/clock_sync.h"
-#include "obs/live_status.h"
-#include "obs/ops_server.h"
-#include "obs/watchdog.h"
 
 namespace vf2boost {
 
@@ -27,7 +24,7 @@ namespace vf2boost {
 ///
 /// Run() executes the whole training conversation and returns when Party B
 /// signals kTrainDone. Thread-compatible: one engine per thread.
-class PartyAEngine {
+class PartyAEngine : private PartyRuntime {
  public:
   /// `party_index` is this party's id (0-based among A parties).
   PartyAEngine(const FedConfig& config, const Dataset& data,
@@ -59,9 +56,6 @@ class PartyAEngine {
   Status Recover(const Status& cause);
   Status LoadCheckpointIfResuming();
   Status MaybeWriteCheckpoint();
-  /// Starts the ops HTTP server on config.ops_port + 1 + party_index (best
-  /// effort: a bind failure is logged, never fails training).
-  void StartOpsServer();
   /// Piggybacks this party's cumulative metric snapshot to B (kMetricsDelta).
   void SendMetricsDelta(bool final_frame);
   /// Fires `count` kClockPing probes at B (sideband; answered with
@@ -91,7 +85,6 @@ class PartyAEngine {
     return layer + 2 < static_cast<uint32_t>(config_.gbdt.num_layers);
   }
 
-  FedConfig config_;
   const Dataset& data_;
   Inbox inbox_;
   uint32_t party_index_;
@@ -100,7 +93,6 @@ class PartyAEngine {
   BinnedMatrix binned_;
   FeatureLayout layout_;
   std::unique_ptr<CipherBackend> backend_;
-  std::unique_ptr<ThreadPool> pool_;  // intra-party workers (config > 1)
   Rng rng_;
 
   // Per-tree state.
@@ -121,17 +113,11 @@ class PartyAEngine {
   /// boundary advertised in session hellos and written to checkpoints.
   int64_t last_completed_tree_ = -1;
 
-  // Counters and phase timings are registry handles (fed_metrics.h).
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
-  PartyMetrics m_;
-  obs::LiveStatus live_;  ///< live position for the ops endpoints
-  std::unique_ptr<obs::OpsServer> ops_;
   uint64_t metrics_seq_ = 0;  ///< kMetricsDelta sequence (engine lifetime)
   /// Clock alignment against B (borrowed from config.clock_sync_state when a
   /// driver shares one with the session layer, else privately owned).
   std::unique_ptr<obs::ClockSync> owned_clock_sync_;
   obs::ClockSync* clock_sync_ = nullptr;
-  obs::StallWatchdog watchdog_;
 };
 
 }  // namespace vf2boost

@@ -38,21 +38,15 @@ Result<FeatureLayout> DecodeALayout(const Message& msg) {
 
 PartyBEngine::PartyBEngine(const FedConfig& config, const Dataset& data,
                            std::vector<MessagePort*> channels)
-    : config_(config),
+    // The ops server reads remote_metrics_ only inside Run, so handing the
+    // shell its address before the member is built is safe.
+    : PartyRuntime(config,
+                   PartyRole::B(static_cast<uint32_t>(channels.size()),
+                                &remote_metrics_)),
       data_(data),
       party_b_index_(static_cast<uint32_t>(channels.size())),
       rng_(config.seed) {
-  for (MessagePort* c : channels) {
-    inboxes_.emplace_back(c, config.max_inbox_buffered);
-  }
-  if (config_.metrics == nullptr) {
-    // Engines built directly (tests, drills) get a private registry so the
-    // handles below always resolve; FedTrainer injects a shared one.
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    config_.metrics = owned_metrics_.get();
-  }
-  m_ = PartyMetrics::Create(config_.metrics, "party_b");
-  m_.live = &live_;
+  for (MessagePort* c : channels) inboxes_.emplace_back(c, kMaxInboxBuffered);
   for (size_t p = 0; p < inboxes_.size(); ++p) {
     // Metric deltas are sideband traffic: consumed at ingestion on whichever
     // thread receives, never buffered against the inbox cap.
@@ -85,12 +79,6 @@ PartyBEngine::PartyBEngine(const FedConfig& config, const Dataset& data,
       pong.t3 = obs::TraceNowMicros();
       inboxes_[p].Send(EncodeClockPong(pong));
     });
-  }
-  if (config_.workers_per_party > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.workers_per_party);
-    pool_->SetQueueDepthGauge(m_.pool_queue_high_water);
-    pool_->SetBusyWorkersGauge(m_.pool_busy_workers);
-    m_.pool_size->Set(static_cast<double>(pool_->num_threads()));
   }
 }
 
@@ -127,15 +115,14 @@ Status PartyBEngine::Setup() {
     auto pb =
         std::make_unique<PaillierBackend>(kp->pub, config_.MakeCodec());
     pb->SetPrivateKey(kp->priv);
-    if (config_.noise_pool_workers > 0 && config_.noise_pool_capacity > 0) {
+    if (config_.noise_pool_capacity > 0) {
       // Per-tree nonce demand: gh packing halves it (one cipher per row),
       // so don't pre-compute obfuscators that can never be consumed.
       const size_t demand = std::max<size_t>(
           1, data_.rows() * (config_.gh_pack ? 1 : 2));
       noise_pool_ = std::make_shared<NoisePool>(
           kp->pub, std::min<size_t>(config_.noise_pool_capacity, demand),
-          config_.noise_pool_workers,
-          config_.seed ^ 0x6e6f697365ULL);  // "noise"
+          /*workers=*/1, config_.seed ^ 0x6e6f697365ULL);  // "noise"
       noise_pool_->SetFillGauge(m_.noise_pool_fill);
       pb->SetNoisePool(noise_pool_);
     }
@@ -591,58 +578,11 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
 }
 
 Result<PartyBResult> PartyBEngine::Run() {
-  // Trace/log attribution: B runs on the caller's (trainer's) thread, so the
-  // scope restores the previous binding on exit. pid = party index + 1 (B
-  // comes last; pid 0 is the trainer).
-  obs::ThreadPartyScope party_scope(party_b_index_ + 1, "party B");
-  if (auto* rec = obs::TraceRecorder::Current(); rec != nullptr) {
-    // B's clock is the merge reference: its trace timestamps are never
-    // shifted, every A party's offset is expressed against it.
-    obs::TraceRecorder::ClockSyncMeta meta;
-    meta.reference = true;
-    rec->SetClockSync(party_b_index_ + 1, meta);
-  }
-  {
-    // Always on: with a positive stall budget this is the stall detector
-    // from PR 8; with budget <= 0 it still runs as the resource accountant
-    // feeding the party_b/os/* gauges.
-    obs::StallWatchdog::Options wd;
-    wd.budget_seconds = config_.stall_budget_seconds;
-    wd.live = &live_;
-    wd.registry = config_.metrics;
-    wd.metric_prefix = "party_b";
-    wd.on_stall = [this] {
-      obs::FlightRecorder::RecordEvent(
-          obs::FlightRecorder::Kind::kWatchdog, 0,
-          static_cast<int64_t>(watchdog_.seconds_since_progress()),
-          live_.tree(), live_.phase());
-    };
-    watchdog_.Start(std::move(wd));
-  }
-  StartOpsServer();
-  live_.SetState(obs::LiveStatus::State::kTraining);
-  Result<PartyBResult> result = RunInternal();
-  live_.SetState(result.ok() ? obs::LiveStatus::State::kDone
-                             : obs::LiveStatus::State::kFailed);
-  watchdog_.Stop();
-  if (!result.ok()) {
-    if (auto* fr = obs::FlightRecorder::Current(); fr != nullptr) {
-      obs::FlightRecorder::RecordEvent(
-          obs::FlightRecorder::Kind::kStateChange, 0, live_.tree(),
-          live_.layer(), "run failed");
-      fr->Persist();
-    }
-  }
-  // Close every channel so A engines blocked on their inboxes fail with the
-  // root cause instead of hanging (clean closes drain pending messages, so
-  // the final kTrainDone still arrives).
-  const Status close_status =
-      result.ok() ? Status::OK()
-                  : Status::Aborted("party B failed: " +
-                                    result.status().ToString());
-  for (Inbox& inbox : inboxes_) {
-    inbox.port()->Close(close_status);
-  }
+  PartyBResult result;
+  VF2_RETURN_IF_ERROR(RunParty(inboxes_, [&]() -> Status {
+    VF2_ASSIGN_OR_RETURN(result, RunInternal());
+    return Status::OK();
+  }));
   return result;
 }
 
@@ -745,29 +685,6 @@ Status PartyBEngine::ResyncSessions(int64_t last_completed) {
   return Status::OK();
 }
 
-void PartyBEngine::StartOpsServer() {
-  if (config_.ops_port <= 0) return;
-  obs::OpsServerOptions opts;
-  opts.port = config_.ops_port;
-  opts.bind_address = config_.ops_bind;
-  opts.party_label = "B";
-  // Empty prefix: B's endpoints expose the whole shared registry, giving a
-  // cluster view when the trainer runs in-process and the federated remote
-  // view otherwise.
-  opts.metric_prefix = "";
-  opts.registry = config_.metrics;
-  opts.remote = &remote_metrics_;
-  opts.live = &live_;
-  opts.watchdog = &watchdog_;
-  auto server = obs::OpsServer::Start(opts);
-  if (!server.ok()) {
-    VF2_LOG(Warn) << "party B ops server disabled: "
-                  << server.status().ToString();
-    return;
-  }
-  ops_ = std::move(server).value();
-}
-
 void PartyBEngine::DrainFederatedMetrics() {
   for (size_t p = 0; p < inboxes_.size(); ++p) {
     // Each A party sends its final delta right before closing cleanly; keep
@@ -782,6 +699,13 @@ void PartyBEngine::DrainFederatedMetrics() {
 }
 
 Result<PartyBResult> PartyBEngine::RunInternal() {
+  if (auto* rec = obs::TraceRecorder::Current(); rec != nullptr) {
+    // B's clock is the merge reference: its trace timestamps are never
+    // shifted, every A party's offset is expressed against it.
+    obs::TraceRecorder::ClockSyncMeta meta;
+    meta.reference = true;
+    rec->SetClockSync(party_b_index_ + 1, meta);
+  }
   VF2_RETURN_IF_ERROR(Setup());
 
   PartyBResult result;
@@ -834,14 +758,6 @@ Result<PartyBResult> PartyBEngine::RunInternal() {
   // The final per-party metric frames ride behind kTrainDone; collect them
   // before Run() closes the ports so the ordering can't drop them.
   if (config_.federate_metrics) DrainFederatedMetrics();
-
-  size_t bytes_sent = 0;
-  for (Inbox& inbox : inboxes_) {
-    bytes_sent += inbox.port()->sent_stats().bytes;
-    m_.inbox_high_water->Max(
-        static_cast<double>(inbox.buffered_high_water()));
-  }
-  m_.bytes_sent->Set(static_cast<double>(bytes_sent));
   if (noise_pool_ != nullptr) {
     // Merge the pool's atomic counters into the registry exactly once, after
     // the last Encrypt (producers may still run, but consumers are done).

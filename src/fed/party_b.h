@@ -5,19 +5,15 @@
 #include <memory>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "data/dataset.h"
-#include "fed/fed_metrics.h"
 #include "fed/inbox.h"
+#include "fed/party_runtime.h"
 #include "fed/protocol.h"
 #include "gbdt/loss.h"
 #include "gbdt/split.h"
 #include "gbdt/trainer.h"
 #include "gbdt/tree.h"
-#include "obs/live_status.h"
-#include "obs/ops_server.h"
 #include "obs/remote_metrics.h"
-#include "obs/watchdog.h"
 
 namespace vf2boost {
 
@@ -35,7 +31,7 @@ struct PartyBResult {
 /// statistics, decrypts Party A histograms, performs global split finding,
 /// and — under the optimistic protocol — splits ahead of validation and
 /// rolls back dirty nodes (§4.2).
-class PartyBEngine {
+class PartyBEngine : private PartyRuntime {
  public:
   /// One inbox per A party, in party-index order. B's own party index is
   /// channels.size() (it comes last).
@@ -75,9 +71,6 @@ class PartyBEngine {
   /// Drops partial-tree protocol state and re-establishes every session at
   /// the `last_completed` tree boundary.
   Status ResyncSessions(int64_t last_completed);
-  /// Starts the ops HTTP server on config.ops_port (best effort: a bind
-  /// failure is logged, never fails training).
-  void StartOpsServer();
   /// Receives every A party's final kMetricsDelta frame: blocks per inbox
   /// until the peer's clean close (clean closes drain queued traffic first,
   /// so the final frame arrives deterministically).
@@ -123,7 +116,6 @@ class PartyBEngine {
   void FinalizeLeaf(const NodeState& node, Tree* tree);
   GradPair SumGrads(const std::vector<uint32_t>& instances) const;
 
-  FedConfig config_;
   const Dataset& data_;
   std::vector<Inbox> inboxes_;
   uint32_t party_b_index_;
@@ -141,20 +133,12 @@ class PartyBEngine {
   std::unique_ptr<CipherBackend> backend_;
   std::shared_ptr<NoisePool> noise_pool_;  // real crypto only; may be null
   std::unique_ptr<Loss> loss_;
-  std::unique_ptr<ThreadPool> pool_;  // intra-party workers (config > 1)
   Rng rng_;
 
   std::vector<double> scores_;
   std::vector<GradPair> grads_;
   std::map<int32_t, uint32_t> hist_epoch_;
-
-  // Counters and phase timings are registry handles (fed_metrics.h).
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
-  PartyMetrics m_;
-  obs::LiveStatus live_;             ///< live position for the ops endpoints
   obs::RemoteMetrics remote_metrics_;  ///< A-party snapshots (federation)
-  std::unique_ptr<obs::OpsServer> ops_;
-  obs::StallWatchdog watchdog_;
 };
 
 }  // namespace vf2boost

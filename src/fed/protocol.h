@@ -67,12 +67,11 @@ struct FedConfig {
   /// by workers are merged into global ones (§3.2).
   size_t workers_per_party = 1;
 
-  /// Background threads pre-computing obfuscation nonces on Party B so
-  /// Encrypt degenerates to one modular multiply (§4.1 pipelining extended
-  /// one stage earlier). 0 disables the pool (nonces computed inline).
-  /// Ignored under mock_crypto.
-  size_t noise_pool_workers = 1;
-  /// Nonces the pool keeps ready; producers refill below capacity/2.
+  /// Nonces Party B's noise pool keeps ready: one background thread
+  /// pre-computes obfuscation nonces so Encrypt degenerates to one modular
+  /// multiply (§4.1 pipelining extended one stage earlier), refilling below
+  /// capacity/2. 0 disables the pool (nonces computed inline). Ignored
+  /// under mock_crypto.
   size_t noise_pool_capacity = 8192;
 
   NetworkConfig network;
@@ -80,10 +79,6 @@ struct FedConfig {
   /// network_per_party[p] when present, `network` otherwise. Lets failure
   /// drills degrade or kill one party's link while the rest stay healthy.
   std::vector<NetworkConfig> network_per_party;
-  /// Cap on messages an Inbox parks while waiting for a specific type
-  /// (0 = unlimited). Exceeding it fails training with ResourceExhausted
-  /// instead of buffering a misbehaving peer without bound.
-  size_t max_inbox_buffered = 4096;
   uint64_t seed = 42;
 
   /// Directory for durable tree-boundary checkpoints (see fed/checkpoint.h).

@@ -102,6 +102,28 @@ TEST(FedFaultTest, PartyADeathFailsTrainingInsteadOfHanging) {
   EXPECT_FALSE(result.status().message().empty());
 }
 
+// A failed run still leaves its exit gauges behind: B had streamed the first
+// tree's gradients before A0's link died, and a shared registry must show
+// that traffic (it used to be recorded only when B succeeded).
+TEST(FedFaultTest, FailedRunStillRecordsPartyBTraffic) {
+  Fixture f = MakeFixture(600, 12, {0.34, 0.33, 0.33}, 61);
+  FedConfig config = FastConfig();
+  config.network.default_deadline_seconds = 0.5;
+  NetworkConfig dead = config.network;
+  dead.kill_after_messages = 4;
+  config.network_per_party = {dead};
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+
+  Result<FedTrainResult> result = Status::Internal("train never ran");
+  const bool finished = RunWithWatchdog(
+      [&] { result = FedTrainer(config).Train(f.shards); },
+      /*timeout_seconds=*/60);
+  ASSERT_TRUE(finished) << "FedTrainer::Train hung after party A death";
+  ASSERT_FALSE(result.ok()) << "training succeeded over a dead link?";
+  EXPECT_GT(obs::PartySum(registry.Snapshot(), "party_b", "bytes_sent"), 0);
+}
+
 // Same drill with the healthy-side roles flipped: B's own outbound links all
 // die, so every A party starves simultaneously.
 TEST(FedFaultTest, AllLinksDeadStillTerminates) {

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace vf2boost {
@@ -83,6 +85,30 @@ class Flags {
     }
     return d;
   }
+  /// `<prefix><decimal index>`, e.g. --party a1 with prefix 'a'; anything
+  /// else aborts naming the flag. The flag must be present.
+  size_t GetIndexed(const std::string& key, char prefix) const {
+    const std::string v = GetString(key);
+    unsigned long n = 0;
+    if (v.empty() || v[0] != prefix ||
+        !ParseDecimal(std::string_view(v).substr(1), &n)) {
+      BadValue(key, std::string(1, prefix) + "<index>");
+    }
+    return n;
+  }
+  /// `HOST:PORT` with a decimal PORT in [1, 65535]; anything else aborts
+  /// naming the flag. The flag must be present.
+  std::pair<std::string, int> GetHostPort(const std::string& key) const {
+    const std::string v = GetString(key);
+    const size_t colon = v.rfind(':');
+    unsigned long port = 0;
+    if (colon == std::string::npos || colon == 0 ||
+        !ParseDecimal(std::string_view(v).substr(colon + 1), &port) ||
+        port < 1 || port > 65535) {
+      BadValue(key, "HOST:PORT with PORT in [1, 65535]");
+    }
+    return {v.substr(0, colon), static_cast<int>(port)};
+  }
   bool GetBool(const std::string& key, bool fallback = false) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
@@ -104,7 +130,14 @@ class Flags {
   }
 
  private:
-  void BadValue(const std::string& key, const char* what) const {
+  /// True when `v` is one whole unsigned decimal number that fits `*n`.
+  static bool ParseDecimal(std::string_view v, unsigned long* n) {
+    const char* last = v.data() + v.size();
+    const auto [end, ec] = std::from_chars(v.data(), last, *n);
+    return ec == std::errc() && end == last;
+  }
+
+  void BadValue(const std::string& key, const std::string& what) const {
     Die("--" + key + " wants " + what + ", got '" + GetString(key) + "'");
   }
 

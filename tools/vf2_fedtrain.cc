@@ -114,6 +114,12 @@ int main(int argc, char** argv) {
        {"no-clock-sync", "disable kClockPing offset probes (traced TCP runs "
                          "negotiate clock offsets by default)"}});
   flags.Require({"data"});
+  // Parsed before any data is loaded or any dial is made, so a malformed
+  // party or port exits at once instead of running as A0 or dialing port 0.
+  const size_t a_index = flags.Has("party") ? flags.GetIndexed("party", 'a')
+                                            : 0;
+  std::pair<std::string, int> connect_to;
+  if (flags.Has("connect")) connect_to = flags.GetHostPort("connect");
 
   auto train = LoadLibsvm(flags.GetString("data"));
   if (!train.ok()) {
@@ -218,9 +224,8 @@ int main(int argc, char** argv) {
   std::string party_file_tag;
   if (flags.Has("listen")) {
     party_file_tag = "party_b";
-  } else if (flags.Has("connect")) {
-    const std::string pf = flags.GetString("party", "");
-    if (!pf.empty()) party_file_tag = "party_" + pf;
+  } else if (flags.Has("connect") && flags.Has("party")) {
+    party_file_tag = "party_a" + std::to_string(a_index);
   }
   // Flight recorder: black-box ring dumped on failure paths, SIGTERM, the
   // watchdog, and coarse progress boundaries (SIGKILL insurance).
@@ -340,22 +345,13 @@ int main(int argc, char** argv) {
   Result<FedTrainResult> result = Status::Internal("not trained");
   if (tcp_connect) {
     // ---- one A party over TCP ---------------------------------------------
-    const std::string party_flag = flags.GetString("party", "");
-    if (party_flag.size() < 2 || party_flag[0] != 'a') {
+    if (!flags.Has("party")) {
       std::fprintf(stderr, "--connect needs --party a0, a1, ...\n");
       return 1;
     }
-    const size_t a_index =
-        static_cast<size_t>(std::atoi(party_flag.c_str() + 1));
     if (a_index >= num_a) {
-      std::fprintf(stderr, "--party %s out of range for --parties %zu\n",
-                   party_flag.c_str(), parties);
-      return 1;
-    }
-    const std::string hostport = flags.GetString("connect");
-    const size_t colon = hostport.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "--connect wants HOST:PORT\n");
+      std::fprintf(stderr, "--party a%zu out of range for --parties %zu\n",
+                   a_index, parties);
       return 1;
     }
     if (Status st = config.Validate(); !st.ok()) {
@@ -370,9 +366,9 @@ int main(int argc, char** argv) {
     // estimator, so the trace metadata always carries the best offset.
     auto clock_sync = std::make_unique<obs::ClockSync>();
     config.clock_sync_state = clock_sync.get();
-    auto factory = TcpChannelFactory::Dial(
-        hostport.substr(0, colon), std::atoi(hostport.c_str() + colon + 1),
-        a_index, config.network, &registry);
+    auto factory = TcpChannelFactory::Dial(connect_to.first,
+                                           connect_to.second, a_index,
+                                           config.network, &registry);
     if (!factory.ok()) {
       std::fprintf(stderr, "%s\n", factory.status().ToString().c_str());
       return 1;
@@ -389,7 +385,8 @@ int main(int argc, char** argv) {
                    port.status().ToString().c_str());
       return 1;
     }
-    std::printf("party A%zu connected to %s\n", a_index, hostport.c_str());
+    std::printf("party A%zu connected to %s\n", a_index,
+                flags.GetString("connect").c_str());
     PartyAEngine engine(config, (*shards)[a_index], port->get(),
                         static_cast<uint32_t>(a_index));
     Status st = engine.Run();
