@@ -2,7 +2,7 @@
 #define VF2BOOST_CRYPTO_ACCUMULATOR_H_
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "crypto/backend.h"
@@ -38,7 +38,9 @@ class CipherAccumulator {
 
 /// \brief Baseline accumulation (paper Fig. 8, top): ciphers are folded into
 /// the running sum in arrival order, rescaling on every exponent mismatch —
-/// O(N * (E-1)/E) expected scalings for E distinct exponents.
+/// O(N * (E-1)/E) expected scalings for E distinct exponents. A lower
+/// exponent cipher is scaled up and folded; a higher one makes the running
+/// sum materialize, scale up and restart the workspace.
 class NaiveCipherAccumulator : public CipherAccumulator {
  public:
   explicit NaiveCipherAccumulator(const CipherBackend* backend)
@@ -48,12 +50,13 @@ class NaiveCipherAccumulator : public CipherAccumulator {
   Cipher Finalize() override;
 
  private:
-  std::optional<Cipher> sum_;
+  CipherWorkspace sum_;
+  int32_t exponent_ = 0;  // of sum_, once it holds a cipher
 };
 
 /// \brief Re-ordered accumulation (paper §5.1): one workspace per distinct
-/// exponent; Add never rescales, Finalize merges the E workspaces with at
-/// most E-1 scalings.
+/// exponent; Add never rescales, Finalize folds the lower E-1 workspaces,
+/// each materialized and scaled once, into the highest one.
 class ReorderedCipherAccumulator : public CipherAccumulator {
  public:
   explicit ReorderedCipherAccumulator(const CipherBackend* backend);
@@ -63,7 +66,7 @@ class ReorderedCipherAccumulator : public CipherAccumulator {
 
  private:
   // workspaces_[e - min_exponent] accumulates ciphers with exponent e.
-  std::vector<std::optional<Cipher>> workspaces_;
+  std::vector<CipherWorkspace> workspaces_;
   int min_exponent_;
 };
 

@@ -71,15 +71,17 @@ Cipher CipherBackend::ScaleTo(const Cipher& c, int target_exponent) const {
   return out;
 }
 
-BigInt CipherBackend::NegRaw(const BigInt& data) const {
-  return SMulRaw(plain_modulus() - BigInt(1), data);
+void CipherBackend::Fold(CipherWorkspace* ws, const BigInt& c) const {
+  if (ws->count++ == 0) {
+    ws->sum = c;
+  } else {
+    ws->sum = HAddRaw(ws->sum, c);
+  }
 }
 
-Cipher CipherBackend::HSub(const Cipher& a, const Cipher& b,
-                           size_t* scalings) const {
-  Cipher neg_b = b;
-  neg_b.data = NegRaw(b.data);
-  return HAdd(a, neg_b, scalings);
+BigInt CipherBackend::Materialize(const CipherWorkspace& ws) const {
+  VF2_DCHECK(ws.count > 0);
+  return ws.sum;
 }
 
 Cipher CipherBackend::HAdd(const Cipher& a, const Cipher& b,

@@ -25,6 +25,18 @@ struct Cipher {
   int32_t exponent = 0;
 };
 
+/// \brief Running homomorphic sum of same-exponent ciphers in a backend's
+/// working form: one workspace of an accumulator (paper §5.1). Filled with
+/// CipherBackend::Fold and read with CipherBackend::Materialize, which
+/// yields the residue a chain of HAddRaw would.
+struct CipherWorkspace {
+  size_t count = 0;  ///< ciphers folded in so far
+  /// Paillier: the lazy Montgomery product (PaillierPublicKey::FoldRaw).
+  std::vector<uint64_t> limbs;
+  /// Mock: the running sum itself.
+  BigInt sum;
+};
+
 /// \brief Abstract homomorphic-arithmetic backend.
 ///
 /// Two implementations: PaillierBackend (real cryptography) and MockBackend
@@ -52,8 +64,11 @@ class CipherBackend {
   virtual BigInt SMulRaw(const BigInt& k, const BigInt& data) const = 0;
   /// Deterministic encryption of a public constant (no obfuscation).
   virtual BigInt EncryptPublicRaw(const BigInt& m) const = 0;
-  /// Homomorphic negation: Dec(NegRaw(c)) = -m mod n (one SMul by n-1).
-  virtual BigInt NegRaw(const BigInt& data) const;
+  /// Folds c into `ws` (one HAdd once ws holds a cipher). The default keeps
+  /// an HAddRaw chain in ws->sum; Paillier keeps a lazy Montgomery product.
+  virtual void Fold(CipherWorkspace* ws, const BigInt& c) const;
+  /// The sum of a non-empty workspace, equal to the HAddRaw chain's.
+  virtual BigInt Materialize(const CipherWorkspace& ws) const;
   /// Horner chain of the §5.2 pack: c_0 ⊕ 2^M ⊗ (c_1 ⊕ 2^M ⊗ (… c_{t-1})),
   /// M = shift_bits, over the slots' raw data (exponents are ignored).
   /// The default runs one SMulRaw and one HAddRaw per step; the Paillier
@@ -89,9 +104,6 @@ class CipherBackend {
   /// Exponent-aligning homomorphic addition. If `scalings` is non-null it is
   /// incremented when an alignment scaling was needed.
   Cipher HAdd(const Cipher& a, const Cipher& b, size_t* scalings) const;
-
-  /// Exponent-aligning homomorphic subtraction (a - b).
-  Cipher HSub(const Cipher& a, const Cipher& b, size_t* scalings) const;
 
   // --- wire format -----------------------------------------------------------
   void SerializeCipher(const Cipher& c, ByteWriter* w) const;
@@ -136,6 +148,12 @@ class PaillierBackend : public CipherBackend {
   }
   BigInt EncryptPublicRaw(const BigInt& m) const override {
     return pub_.EncryptUnobfuscated(m);
+  }
+  void Fold(CipherWorkspace* ws, const BigInt& c) const override {
+    pub_.FoldRaw(&ws->limbs, ws->count++, c);
+  }
+  BigInt Materialize(const CipherWorkspace& ws) const override {
+    return pub_.MaterializeRaw(ws.limbs, ws.count);
   }
   BigInt HornerRaw(std::span<const Cipher> slots,
                    size_t shift_bits) const override;

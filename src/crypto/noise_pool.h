@@ -21,10 +21,10 @@ namespace vf2boost {
 /// Even with short-exponent obfuscation a nonce costs tens of Montgomery
 /// multiplies; this pool moves that work off the critical path. Producer
 /// threads keep up to `capacity` nonces ready and refill whenever the pool
-/// drains below half, so `Encrypt`/`Rerandomize` on the consumer side
-/// degenerate to one modular multiply while nonce generation overlaps the
-/// previous batch's transfer and accumulation (paper §4.1 pipelining,
-/// extended one stage earlier).
+/// drains below half, so `Encrypt` on the consumer side degenerates to one
+/// modular multiply while nonce generation overlaps the previous batch's
+/// transfer and accumulation (paper §4.1 pipelining, extended one stage
+/// earlier).
 ///
 /// Thread-safe: any number of concurrent consumers (Take) and producers.
 /// A Take on an empty pool never blocks — it computes the nonce inline from

@@ -1,5 +1,6 @@
 #include "crypto/paillier.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "bigint/prime.h"
@@ -40,6 +41,70 @@ PaillierPublicKey::PaillierPublicKey(BigInt n)
   hs_ = mont_n2_->Pow(h, n_);
   obf_table_ = std::make_shared<const FixedBasePowTable>(
       mont_n2_, hs_, kObfuscationExpBits);
+  // R^(2^i + 1) for every bit of a 64-bit fold count: entry 0 is R², and
+  // each Montgomery square doubles the power of R it stands for.
+  const size_t k = mont_n2_->num_limbs();
+  auto r_pow2 = std::make_shared<std::vector<uint64_t>>(64 * k);
+  std::copy(mont_n2_->r2_raw(), mont_n2_->r2_raw() + k, r_pow2->data());
+  for (size_t i = 1; i < 64; ++i) {
+    const uint64_t* prev = r_pow2->data() + (i - 1) * k;
+    mont_n2_->MulReduceRaw(prev, prev, r_pow2->data() + i * k);
+  }
+  r_pow2_ = std::move(r_pow2);
+}
+
+void PaillierPublicKey::LoadReduced(const BigInt& c, uint64_t* out) const {
+  if (c.IsNegative() || c.Compare(n2_) >= 0) {
+    mont_n2_->LoadRaw(Mod(c, n2_), out);
+  } else {
+    mont_n2_->LoadRaw(c, out);
+  }
+}
+
+BigInt PaillierPublicKey::MulModN2(const BigInt& a, const BigInt& b) const {
+  const MontgomeryContext& ctx = *mont_n2_;
+  const size_t k = ctx.num_limbs();
+  thread_local std::vector<uint64_t> scratch;
+  if (scratch.size() < 2 * k) scratch.resize(2 * k);
+  LoadReduced(a, scratch.data());
+  LoadReduced(b, scratch.data() + k);
+  std::vector<uint64_t> out(k);
+  ctx.MulReduceRaw(scratch.data(), scratch.data() + k, out.data());
+  ctx.MulReduceRaw(out.data(), ctx.r2_raw(), out.data());
+  return BigInt::FromLimbs(std::move(out));
+}
+
+void PaillierPublicKey::FoldRaw(std::vector<uint64_t>* acc, size_t count,
+                                const BigInt& c) const {
+  const MontgomeryContext& ctx = *mont_n2_;
+  const size_t k = ctx.num_limbs();
+  if (count == 0) {
+    acc->resize(k);
+    LoadReduced(c, acc->data());
+    return;
+  }
+  thread_local std::vector<uint64_t> scratch;
+  if (scratch.size() < k) scratch.resize(k);
+  LoadReduced(c, scratch.data());
+  ctx.MulReduceRaw(acc->data(), scratch.data(), acc->data());
+}
+
+BigInt PaillierPublicKey::MaterializeRaw(const std::vector<uint64_t>& acc,
+                                         size_t count) const {
+  VF2_DCHECK(count >= 1);
+  const MontgomeryContext& ctx = *mont_n2_;
+  const size_t k = ctx.num_limbs();
+  std::vector<uint64_t> out(acc.begin(), acc.end());
+  // acc = ∏c·R^−(count−1); each set bit i of count−1 is paid back by one
+  // multiply with R^(2^i + 1), which leaves R^(2^i) after the R⁻¹ of the
+  // reduction.
+  const uint64_t deficit = count - 1;
+  for (size_t i = 0; i < 64; ++i) {
+    if ((deficit >> i) & 1) {
+      ctx.MulReduceRaw(out.data(), r_pow2_->data() + i * k, out.data());
+    }
+  }
+  return BigInt::FromLimbs(std::move(out));
 }
 
 BigInt PaillierPublicKey::MakeNonce(Rng* rng) const {
@@ -53,9 +118,8 @@ BigInt PaillierPublicKey::MakeNonce(Rng* rng) const {
 BigInt PaillierPublicKey::EncryptWithNonce(const BigInt& m,
                                            const BigInt& nonce) const {
   VF2_DCHECK(!m.IsNegative() && m.Compare(n_) < 0);
-  // c = (1 + m*n) * nonce mod n^2, with g = n+1.
-  const BigInt gm = Mod(BigInt(1) + m * n_, n2_);
-  return Mod(gm * nonce, n2_);
+  // c = (1 + m*n) * nonce mod n^2, with g = n+1; 1 + m*n < n^2 for m < n.
+  return MulModN2(BigInt(1) + m * n_, nonce);
 }
 
 BigInt PaillierPublicKey::Encrypt(const BigInt& m, Rng* rng) const {
@@ -64,11 +128,11 @@ BigInt PaillierPublicKey::Encrypt(const BigInt& m, Rng* rng) const {
 
 BigInt PaillierPublicKey::EncryptUnobfuscated(const BigInt& m) const {
   VF2_DCHECK(!m.IsNegative() && m.Compare(n_) < 0);
-  return Mod(BigInt(1) + m * n_, n2_);
+  return BigInt(1) + m * n_;  // below n^2 for m < n
 }
 
 BigInt PaillierPublicKey::HAdd(const BigInt& c1, const BigInt& c2) const {
-  return Mod(c1 * c2, n2_);
+  return MulModN2(c1, c2);
 }
 
 BigInt PaillierPublicKey::SMul(const BigInt& k, const BigInt& c) const {
@@ -86,13 +150,8 @@ BigInt PaillierPublicKey::HornerPow2(std::span<const BigInt* const> slots,
   if (scratch.size() < 2 * k) scratch.resize(2 * k);
   uint64_t* acc = scratch.data();
   uint64_t* slot = acc + k;
-  // Wire ciphers need not be reduced; HAdd and Pow reduce them too.
   auto to_mont = [&](const BigInt& c, uint64_t* out) {
-    if (c.IsNegative() || c.Compare(n2_) >= 0) {
-      ctx.LoadRaw(Mod(c, n2_), out);
-    } else {
-      ctx.LoadRaw(c, out);
-    }
+    LoadReduced(c, out);
     ctx.MulReduceRaw(out, ctx.r2_raw(), out);
   };
   to_mont(*slots.back(), acc);
@@ -102,15 +161,6 @@ BigInt PaillierPublicKey::HornerPow2(std::span<const BigInt* const> slots,
     ctx.MulReduceRaw(acc, slot, acc);
   }
   return ctx.FromMontRaw(acc);
-}
-
-BigInt PaillierPublicKey::Rerandomize(const BigInt& c, Rng* rng) const {
-  return RerandomizeWithNonce(c, MakeNonce(rng));
-}
-
-BigInt PaillierPublicKey::RerandomizeWithNonce(const BigInt& c,
-                                               const BigInt& nonce) const {
-  return Mod(c * nonce, n2_);
 }
 
 void PaillierPublicKey::Serialize(ByteWriter* w) const {

@@ -75,22 +75,36 @@ class PaillierPublicKey {
   BigInt HornerPow2(std::span<const BigInt* const> slots,
                     size_t shift_bits) const;
 
-  /// Re-randomization: a fresh, unlinkable encryption of the same plaintext
-  /// (c * nonce mod n^2). Used to obfuscate derived ciphers (e.g. histogram
-  /// bins built from deterministic zero encryptions) before transmission.
-  BigInt Rerandomize(const BigInt& c, Rng* rng) const;
-  /// Re-randomization with a caller-provided nonce (one modular multiply).
-  BigInt RerandomizeWithNonce(const BigInt& c, const BigInt& nonce) const;
+  /// Lazy product of ciphers, the accumulator workspace of HAdds (paper
+  /// §5.1). `acc` holds `count` folded ciphers as ∏c·R^−(count−1) mod n² in
+  /// num_limbs() raw limbs (R = 2^(64·num_limbs())), so each fold after the
+  /// first is exactly one Montgomery multiply and nothing divides. `count`
+  /// is the number of ciphers folded before c; at 0, `acc` is sized and c
+  /// loaded (reduced mod n² first if it is not already).
+  void FoldRaw(std::vector<uint64_t>* acc, size_t count, const BigInt& c) const;
+  /// The plain residue ∏c mod n² of a workspace holding `count` >= 1
+  /// ciphers, i.e. acc·R^count·R⁻¹: one multiply per set bit of count−1.
+  BigInt MaterializeRaw(const std::vector<uint64_t>& acc, size_t count) const;
 
   void Serialize(ByteWriter* w) const;
   static Result<PaillierPublicKey> Deserialize(ByteReader* r);
 
  private:
+  /// a·b mod n², two Montgomery multiplies (a·b·R⁻¹, then ·R²·R⁻¹).
+  BigInt MulModN2(const BigInt& a, const BigInt& b) const;
+  /// Loads c mod n² into num_limbs() raw limbs; a wire cipher need not be
+  /// reduced, and the Montgomery kernels need inputs below n².
+  void LoadReduced(const BigInt& c, uint64_t* out) const;
+
   BigInt n_;
   BigInt n2_;
   BigInt hs_;  ///< (-y^2)^n mod n^2, the fixed obfuscation base
   std::shared_ptr<const MontgomeryContext> mont_n2_;
   std::shared_ptr<const FixedBasePowTable> obf_table_;  ///< base hs_
+  /// Entry i (num_limbs() limbs each) is R^(2^i + 1) mod n², the Montgomery
+  /// form of R^(2^i): a multiply by it lifts a workspace's R^−(count−1) by
+  /// R^(2^i).
+  std::shared_ptr<const std::vector<uint64_t>> r_pow2_;
 };
 
 /// \brief Private half: CRT-accelerated decryption.

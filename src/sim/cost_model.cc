@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "crypto/accumulator.h"
 #include "crypto/backend.h"
 #include "crypto/packing.h"
 #include "crypto/paillier.h"
@@ -43,7 +44,14 @@ CostModel CostModel::Calibrate(size_t key_bits, double bandwidth_mbps,
 
   m.t_enc = TimePerCall([&] { backend.Encrypt(0.37, &rng); });
   m.t_dec = TimePerCall([&] { backend.Decrypt(c1); });
-  m.t_hadd = TimePerCall([&] { c1.data = backend.HAddRaw(c1.data, c2.data); });
+  // An HAdd as the §5.1 accumulator pays it: a same-exponent Add into a
+  // workspace, one Montgomery multiply (a pairwise HAddRaw costs two).
+  constexpr int kAdds = 256;
+  m.t_hadd = TimePerCall([&] {
+               ReorderedCipherAccumulator acc(&backend);
+               for (int i = 0; i < kAdds; ++i) acc.Add(c2);
+             }) /
+             kAdds;
   m.t_scale = TimePerCall([&] { backend.ScaleTo(low, 9); });
   const BigInt scalar(123456789);
   m.t_smul = TimePerCall([&] { backend.SMulRaw(scalar, c2.data); });

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "bigint/modarith.h"
+#include "common/bytes.h"
 #include "crypto/paillier.h"
 
 namespace vf2boost {
@@ -125,6 +132,135 @@ INSTANTIATE_TEST_SUITE_P(MockAndPaillier, AccumulatorTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Paillier" : "Mock";
+                         });
+
+// Exact oracle for the lazy Montgomery product: with real Paillier, each
+// strategy's sum must be the residue a sequential Mod(acc * c, n^2) fold
+// yields, byte for byte. Decrypting to the same value is not enough: the
+// wire bytes must not change, and a result off by an n-th power residue
+// still decrypts right. Scalings in the oracle are plain ModExp by B^diff.
+class AccumulatorOracleTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    Rng krng(900 + GetParam());
+    auto kp = PaillierKeyPair::Generate(GetParam(), &krng);
+    ASSERT_TRUE(kp.ok());
+    backend_ = std::make_unique<PaillierBackend>(kp->pub, codec_);
+    n2_ = kp->pub.n_squared();
+  }
+
+  Cipher Enc(int exponent) {
+    return backend_->EncryptAt(rng_.NextGaussian(), exponent, &rng_);
+  }
+  // The same residue, as a wire cipher that was never reduced mod n^2.
+  Cipher Unreduced(Cipher c) const {
+    c.data = c.data + n2_;
+    return c;
+  }
+  BigInt Scale(const BigInt& c, int from, int to) const {
+    return ModExp(c, codec_.ScaleFactor(to - from), n2_);
+  }
+  std::vector<uint8_t> Bytes(const Cipher& c) const {
+    ByteWriter w;
+    backend_->SerializeCipher(c, &w);
+    return w.Release();
+  }
+
+  // Arrival-order fold, rescaling on every exponent mismatch.
+  Cipher NaiveOracle(const std::vector<Cipher>& cs) const {
+    Cipher acc{Mod(cs[0].data, n2_), cs[0].exponent};
+    for (size_t i = 1; i < cs.size(); ++i) {
+      const Cipher& c = cs[i];
+      if (c.exponent == acc.exponent) {
+        acc.data = Mod(acc.data * c.data, n2_);
+      } else if (c.exponent < acc.exponent) {
+        acc.data = Mod(acc.data * Scale(c.data, c.exponent, acc.exponent), n2_);
+      } else {
+        acc.data = Mod(Scale(acc.data, acc.exponent, c.exponent) * c.data, n2_);
+        acc.exponent = c.exponent;
+      }
+    }
+    return acc;
+  }
+
+  // One fold per exponent, merged from the highest exponent down.
+  Cipher ReorderedOracle(const std::vector<Cipher>& cs) const {
+    std::map<int, BigInt, std::greater<int>> per_exponent;
+    for (const Cipher& c : cs) {
+      auto it = per_exponent.find(c.exponent);
+      if (it == per_exponent.end()) {
+        per_exponent.emplace(c.exponent, Mod(c.data, n2_));
+      } else {
+        it->second = Mod(it->second * c.data, n2_);
+      }
+    }
+    const int top = per_exponent.begin()->first;
+    Cipher sum{per_exponent.begin()->second, top};
+    for (auto it = std::next(per_exponent.begin()); it != per_exponent.end();
+         ++it) {
+      sum.data = Mod(sum.data * Scale(it->second, it->first, top), n2_);
+    }
+    return sum;
+  }
+
+  FixedPointCodec codec_{16, 4, 4};
+  std::unique_ptr<PaillierBackend> backend_;
+  BigInt n2_;
+  Rng rng_{31};
+};
+
+TEST_P(AccumulatorOracleTest, SameExponentSumsMatchTheModFold) {
+  std::vector<Cipher> pool;
+  for (int i = 0; i < 257; ++i) pool.push_back(Enc(5));
+  for (size_t count : {1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 257}) {
+    std::vector<Cipher> stream(pool.begin(), pool.begin() + count);
+    // Unreduced inputs on both the load (first) and the fold (last) path.
+    stream.front() = Unreduced(stream.front());
+    stream.back() = Unreduced(stream.back());
+    const std::vector<uint8_t> expect = Bytes(NaiveOracle(stream));
+    for (bool reordered : {false, true}) {
+      AccumulatorStats stats;
+      const Cipher sum = SumCiphers(stream, *backend_, reordered, &stats);
+      EXPECT_EQ(Bytes(sum), expect)
+          << "count=" << count << " reordered=" << reordered;
+      EXPECT_EQ(stats.hadds, count - 1);
+      EXPECT_EQ(stats.scalings, 0u);
+    }
+  }
+}
+
+TEST_P(AccumulatorOracleTest, MixedExponentSumsMatchTheModFold) {
+  // Runs of several ciphers per exponent, so the naive running sum holds
+  // many ciphers each time it is materialized and scaled up (ascending),
+  // and every lower cipher is scaled into a long-lived product
+  // (descending). The random order mixes both branches.
+  const std::vector<std::pair<int, int>> runs = {
+      {4, 5}, {5, 9}, {6, 3}, {7, 64}};
+  std::vector<Cipher> ascending;
+  for (const auto& [exponent, count] : runs) {
+    for (int i = 0; i < count; ++i) ascending.push_back(Enc(exponent));
+  }
+  std::vector<Cipher> descending(ascending.rbegin(), ascending.rend());
+  std::vector<Cipher> random;
+  for (int i = 0; i < 65; ++i) random.push_back(backend_->Encrypt(0.5, &rng_));
+  for (auto* stream : {&ascending, &descending, &random}) {
+    (*stream)[stream->size() / 2] = Unreduced((*stream)[stream->size() / 2]);
+    const char* order = stream == &ascending    ? "ascending"
+                        : stream == &descending ? "descending"
+                                                : "random";
+    EXPECT_EQ(Bytes(SumCiphers(*stream, *backend_, false)),
+              Bytes(NaiveOracle(*stream)))
+        << order;
+    EXPECT_EQ(Bytes(SumCiphers(*stream, *backend_, true)),
+              Bytes(ReorderedOracle(*stream)))
+        << order;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyBits, AccumulatorOracleTest,
+                         ::testing::Values(256, 1024),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "Key" + std::to_string(info.param);
                          });
 
 TEST(AccumulatorDeathTest, OutOfRangeExponentIsRejected) {

@@ -1,5 +1,6 @@
-// Property tests cross-checking src/bigint against GMP. GMP is used ONLY
-// here, as an independent oracle — the library itself never links it.
+// Property tests cross-checking src/bigint, and the Paillier products built
+// on it, against GMP. GMP is used ONLY here, as an independent oracle — the
+// library itself never links it.
 
 #include <gmp.h>
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
 #include "common/random.h"
+#include "crypto/paillier.h"
 
 namespace vf2boost {
 namespace {
@@ -158,6 +160,50 @@ TEST_P(BigIntOracleKernel, PowMatchesGmp) {
       Gmp gb(base), ge(exp), gm(m), out;
       mpz_powm(out.get(), gb.get(), ge.get(), gm.get());
       EXPECT_EQ(ctx.Pow(base, exp).ToDecString(), out.Str())
+          << bits << " bits, i=" << i;
+    }
+  }
+  SetMontKernel(saved);
+}
+
+// The Paillier products that run on those kernels, against mpz_mul +
+// mpz_mod: HAdd (c1 * c2 mod n^2, including an unreduced wire cipher) and
+// EncryptWithNonce ((1 + m*n) * nonce mod n^2). Neither needs n = pq, so a
+// random odd n stands in for a key.
+TEST_P(BigIntOracleKernel, PaillierProductsMatchGmp) {
+  if (!GetParam().supported()) {
+    GTEST_SKIP() << "cpu lacks " << GetParam().features;
+  }
+  const MontKernel saved = GetMontKernel();
+  SetMontKernel(GetParam().kernel);
+  Rng rng(1015);
+  for (size_t bits : {1024u, 2048u}) {
+    BigInt n = BigInt::Random(bits - 1, &rng) + (BigInt(1) << (bits - 1));
+    if (n.IsEven()) n += BigInt(1);
+    const PaillierPublicKey pub(n);
+    const BigInt& n2 = pub.n_squared();
+    EXPECT_EQ(MontKernelFor(MontgomeryContext(n2).num_limbs()),
+              GetParam().kernel)
+        << bits;
+    Gmp gn(n), gn2(n2);
+    for (int i = 0; i < 6; ++i) {
+      BigInt c1 = BigInt::RandomBelow(n2, &rng);
+      const BigInt c2 = BigInt::RandomBelow(n2, &rng);
+      if (i == 0) c1 += n2;  // wire ciphers need not be reduced
+      Gmp g1(c1), g2(c2), out;
+      mpz_mul(out.get(), g1.get(), g2.get());
+      mpz_mod(out.get(), out.get(), gn2.get());
+      EXPECT_EQ(pub.HAdd(c1, c2).ToDecString(), out.Str())
+          << bits << " bits, i=" << i;
+
+      const BigInt m = i == 1 ? n - BigInt(1) : BigInt::RandomBelow(n, &rng);
+      const BigInt nonce = BigInt::RandomBelow(n2, &rng);
+      Gmp gm(m), gnonce(nonce), enc;
+      mpz_mul(enc.get(), gm.get(), gn.get());
+      mpz_add_ui(enc.get(), enc.get(), 1);
+      mpz_mul(enc.get(), enc.get(), gnonce.get());
+      mpz_mod(enc.get(), enc.get(), gn2.get());
+      EXPECT_EQ(pub.EncryptWithNonce(m, nonce).ToDecString(), enc.Str())
           << bits << " bits, i=" << i;
     }
   }

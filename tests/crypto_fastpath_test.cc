@@ -95,12 +95,12 @@ TEST_F(CryptoFastPathTest, NoncesAreUnitsAndDistinct) {
   const BigInt n1 = kp_.pub.MakeNonce(&rng_);
   const BigInt n2 = kp_.pub.MakeNonce(&rng_);
   EXPECT_NE(n1, n2);
-  // Dec(E(m; nonce)) == m already proves the n-th-power property; check an
-  // explicit rerandomization round-trip as well.
+  // Dec(E(m; nonce)) == m proves the n-th-power property.
   const BigInt m(424242);
-  const BigInt c = kp_.pub.Encrypt(m, &rng_);
-  const BigInt c2 = kp_.pub.RerandomizeWithNonce(c, n1);
-  EXPECT_NE(c, c2);
+  const BigInt c1 = kp_.pub.EncryptWithNonce(m, n1);
+  const BigInt c2 = kp_.pub.EncryptWithNonce(m, n2);
+  EXPECT_NE(c1, c2);
+  EXPECT_EQ(kp_.priv.Decrypt(c1), m);
   EXPECT_EQ(kp_.priv.Decrypt(c2), m);
 }
 

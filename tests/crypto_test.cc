@@ -256,45 +256,5 @@ TEST(BackendTest, PaillierWithoutPrivateKeyCannotDecrypt) {
   EXPECT_NEAR(party_b.Decrypt(sum), 4.0, 1e-6);
 }
 
-TEST_F(PaillierTest, RerandomizeIsUnlinkableButDecryptsSame) {
-  BigInt c = kp_.pub.Encrypt(BigInt(321), &rng_);
-  BigInt c2 = kp_.pub.Rerandomize(c, &rng_);
-  BigInt c3 = kp_.pub.Rerandomize(c, &rng_);
-  EXPECT_NE(c, c2);
-  EXPECT_NE(c2, c3);
-  EXPECT_EQ(kp_.priv.Decrypt(c2), BigInt(321));
-  EXPECT_EQ(kp_.priv.Decrypt(c3), BigInt(321));
-  // A deterministic (unobfuscated) cipher becomes probabilistic.
-  BigInt det = kp_.pub.EncryptUnobfuscated(BigInt(9));
-  EXPECT_NE(kp_.pub.Rerandomize(det, &rng_), det);
-}
-
-TEST_P(BackendParamTest, HSubComputesDifference) {
-  Cipher a = backend_->EncryptAt(5.5, 9, &rng_);
-  Cipher b = backend_->EncryptAt(2.25, 9, &rng_);
-  size_t scalings = 0;
-  Cipher diff = backend_->HSub(a, b, &scalings);
-  EXPECT_NEAR(backend_->Decrypt(diff), 3.25, 1e-6);
-  // Negative results work too (wrap through the top range).
-  Cipher neg = backend_->HSub(b, a, &scalings);
-  EXPECT_NEAR(backend_->Decrypt(neg), -3.25, 1e-6);
-}
-
-TEST_P(BackendParamTest, HSubAlignsExponents) {
-  Cipher a = backend_->EncryptAt(4.0, 8, &rng_);
-  Cipher b = backend_->EncryptAt(1.5, 10, &rng_);
-  size_t scalings = 0;
-  Cipher diff = backend_->HSub(a, b, &scalings);
-  EXPECT_EQ(scalings, 1u);
-  EXPECT_NEAR(backend_->Decrypt(diff), 2.5, 1e-6);
-}
-
-TEST_P(BackendParamTest, NegRawNegates) {
-  Cipher a = backend_->EncryptAt(7.0, 9, &rng_);
-  Cipher neg = a;
-  neg.data = backend_->NegRaw(a.data);
-  EXPECT_NEAR(backend_->Decrypt(neg), -7.0, 1e-6);
-}
-
 }  // namespace
 }  // namespace vf2boost
