@@ -728,14 +728,29 @@ BigInt FixedBasePowTable::Pow(const BigInt& exp) const {
   thread_local std::vector<uint64_t> acc;
   if (acc.size() < k_) acc.resize(k_);
   std::copy(ctx_->one_raw(), ctx_->one_raw() + k_, acc.data());
+  const std::vector<uint64_t>& e = exp.limbs();
+  const uint64_t mask = (uint64_t{1} << window_bits_) - 1;
   const size_t windows =
       std::min(num_windows_, (exp.BitLength() + window_bits_ - 1) / window_bits_);
+  bool first = true;
   for (size_t i = 0; i < windows; ++i) {
-    size_t digit = 0;
-    for (size_t s = window_bits_; s-- > 0;) {
-      digit = (digit << 1) | (exp.TestBit(i * window_bits_ + s) ? 1 : 0);
+    // Digit i is bits [w*i, w*i + w) of exp; it may straddle two limbs.
+    const size_t bit = i * window_bits_;
+    const size_t limb = bit / 64, shift = bit % 64;
+    uint64_t word = e[limb] >> shift;
+    if (shift + window_bits_ > 64 && limb + 1 < e.size()) {
+      word |= e[limb + 1] << (64 - shift);
     }
-    if (digit) ctx_->MulReduceRaw(acc.data(), Entry(i, digit), acc.data());
+    const size_t digit = word & mask;
+    if (digit == 0) continue;
+    const uint64_t* entry = Entry(i, digit);
+    if (first) {
+      // The first factor replaces the 1 without a multiply: R·e·R⁻¹ = e.
+      std::copy(entry, entry + k_, acc.data());
+      first = false;
+    } else {
+      ctx_->MulReduceRaw(acc.data(), entry, acc.data());
+    }
   }
   return ctx_->FromMontRaw(acc.data());
 }

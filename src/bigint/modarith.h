@@ -158,22 +158,28 @@ class MontgomeryContext {
 ///
 /// For a base that never changes — the Paillier obfuscation generator
 /// h^n mod n^2 — precomputes base^(d * 2^(w*i)) for every window position i
-/// and digit d, so an exponentiation is just one Montgomery multiply per
-/// nonzero window and **zero squarings**. A 256-bit exponent at the default
-/// 4-bit window costs <= 64 multiplies versus ~307 for windowed
-/// square-and-multiply (256 squarings + ~51 multiplies).
+/// and w-bit digit d, so an exponentiation is just one Montgomery multiply
+/// per nonzero window and **zero squarings**. A 256-bit exponent costs <= 32
+/// multiplies at w = 8 (the Paillier nonce table) and <= 64 at w = 4, versus
+/// ~307 for windowed square-and-multiply (256 squarings + ~51 multiplies).
+/// The table holds ceil(max_exp_bits/w) * (2^w - 1) residues: 8160 at w = 8
+/// and 256 bits, i.e. 2 MB on the 2048-bit ring of a 1024-bit key.
 class FixedBasePowTable {
  public:
-  /// Builds the table for exponents in [0, 2^max_exp_bits). The context is
-  /// shared (not copied); it must describe the modulus `base` lives under.
+  /// Builds the table for exponents in [0, 2^max_exp_bits) with
+  /// window_bits-bit digits (1..8). The context is shared (not copied); it
+  /// must describe the modulus `base` lives under.
   FixedBasePowTable(std::shared_ptr<const MontgomeryContext> ctx, BigInt base,
-                    size_t max_exp_bits, size_t window_bits = 4);
+                    size_t max_exp_bits, size_t window_bits);
 
   /// base^exp mod m. exp must be in [0, 2^max_exp_bits).
   BigInt Pow(const BigInt& exp) const;
 
   const BigInt& base() const { return base_; }
   size_t max_exp_bits() const { return max_exp_bits_; }
+  /// The precomputed Montgomery residues, window-major, num_limbs() limbs
+  /// each. Every kernel builds the same limbs.
+  const std::vector<uint64_t>& entries() const { return table_; }
 
  private:
   const uint64_t* Entry(size_t window, size_t digit) const {

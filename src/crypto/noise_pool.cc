@@ -8,27 +8,22 @@
 
 namespace vf2boost {
 
-NoisePool::NoisePool(PaillierPublicKey pub, size_t capacity, size_t workers,
-                     uint64_t seed)
+NoisePool::NoisePool(PaillierPublicKey pub, size_t capacity, uint64_t seed)
     : pub_(std::move(pub)),
       capacity_(capacity == 0 ? 1 : capacity),
-      low_water_(capacity_ / 2),
       seed_(seed),
       miss_rng_(seed ^ 0x6d6973736573ULL) {  // "misses"
-  workers_.reserve(workers);
   // Producer CPU shows up in profiles as its own phase, attributed to the
   // party that owns the pool (inherited from the constructing thread).
   const obs::PhaseTag creator = obs::CurrentPhaseTag();
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i, creator] {
-      obs::ProfilerRegisterCurrentThread();
-      obs::PhaseTag* tag = obs::MutablePhaseTag();
-      *tag = creator;
-      tag->phase = "noise_precompute";
-      tag->tree = -1;
-      ProducerLoop(i);
-    });
-  }
+  producer_ = std::thread([this, creator] {
+    obs::ProfilerRegisterCurrentThread();
+    obs::PhaseTag* tag = obs::MutablePhaseTag();
+    *tag = creator;
+    tag->phase = "noise_precompute";
+    tag->tree = -1;
+    ProducerLoop();
+  });
 }
 
 NoisePool::~NoisePool() {
@@ -37,7 +32,15 @@ NoisePool::~NoisePool() {
     shutdown_ = true;
   }
   refill_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
+  producer_.join();
+}
+
+void NoisePool::AddDemand(uint64_t nonces) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    unmet_demand_ += nonces;
+  }
+  refill_cv_.notify_one();
 }
 
 void NoisePool::SetFillGauge(obs::Gauge* gauge) {
@@ -58,26 +61,28 @@ void NoisePool::PublishFill(size_t fill) {
   }
 }
 
-void NoisePool::ProducerLoop(size_t worker_index) {
-  // Each worker draws exponents from its own deterministic stream.
-  Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (worker_index + 1)));
+void NoisePool::ProducerLoop() {
+  pub_.PrepareNonces();  // the one-off table build, before any demand
+  Rng rng(seed_ ^ 0x9e3779b97f4a7c15ULL);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     refill_cv_.wait(lock, [&] {
-      return shutdown_ || ready_.size() <= low_water_;
+      return shutdown_ || (unmet_demand_ > 0 && ready_.size() < capacity_);
     });
     if (shutdown_) return;
-    while (!shutdown_ && ready_.size() < capacity_) {
-      lock.unlock();
-      BigInt nonce = pub_.MakeNonce(&rng);  // the expensive part, unlocked
-      lock.lock();
-      ready_.push_back(std::move(nonce));
-      produced_.fetch_add(1, std::memory_order_relaxed);
-      const size_t fill = ready_.size();
-      lock.unlock();
-      PublishFill(fill);
-      lock.lock();
-    }
+    lock.unlock();
+    BigInt nonce = pub_.MakeNonce(&rng);  // the expensive part, unlocked
+    lock.lock();
+    // Misses may have covered the rest of the demand meanwhile: a nonce no
+    // Take is left to consume is dropped, not counted.
+    if (unmet_demand_ == 0) continue;
+    --unmet_demand_;
+    ready_.push_back(std::move(nonce));
+    produced_.fetch_add(1, std::memory_order_relaxed);
+    const size_t fill = ready_.size();
+    lock.unlock();
+    PublishFill(fill);
+    lock.lock();
   }
 }
 
@@ -89,13 +94,13 @@ BigInt NoisePool::Take() {
       ready_.pop_front();
       hits_.fetch_add(1, std::memory_order_relaxed);
       const size_t fill = ready_.size();
-      if (fill <= low_water_) refill_cv_.notify_all();
       lock.unlock();
+      if (fill + 1 == capacity_) refill_cv_.notify_one();  // room again
       PublishFill(fill);
       return nonce;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    refill_cv_.notify_all();
+    if (unmet_demand_ > 0) --unmet_demand_;
   }
   PublishFill(0);
   // Only the seed draw is serialized; concurrent misses compute in parallel.

@@ -7,7 +7,6 @@
 #include <deque>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "bigint/bigint.h"
 #include "common/random.h"
@@ -18,42 +17,51 @@ namespace vf2boost {
 
 /// \brief Background pre-compute pool of Paillier obfuscation nonces.
 ///
-/// Even with short-exponent obfuscation a nonce costs tens of Montgomery
-/// multiplies; this pool moves that work off the critical path. Producer
-/// threads keep up to `capacity` nonces ready and refill whenever the pool
-/// drains below half, so `Encrypt` on the consumer side degenerates to one
-/// modular multiply while nonce generation overlaps the previous batch's
-/// transfer and accumulation (paper §4.1 pipelining, extended one stage
-/// earlier).
+/// Even on the window-8 table a nonce costs 32 Montgomery multiplies; this
+/// pool moves that work off the critical path. One producer thread first
+/// builds the key's nonce table (PrepareNonces) as soon as the pool exists,
+/// off the consumer threads, then keeps up to `capacity` nonces ready,
+/// refilling as consumers take. `Encrypt` on the consumer side degenerates
+/// to one modular multiply while nonce generation overlaps the previous
+/// batch's transfer and accumulation (paper §4.1 pipelining, extended one
+/// stage earlier).
 ///
-/// Thread-safe: any number of concurrent consumers (Take) and producers.
-/// A Take on an empty pool never blocks — it computes the nonce inline from
-/// the pool's own miss stream and counts a miss. Callers' rngs are never
-/// touched, so whatever else they sample (codec exponents) does not depend
-/// on how often the pool ran dry.
+/// The producer makes no more nonces than the run will take: it stops once
+/// `produced + misses` reaches the demand announced through AddDemand, so
+/// it never computes nonces nobody uses while the peers' work needs the
+/// cores. Takes beyond that demand (a retrained tree) are served inline.
+///
+/// Thread-safe: any number of concurrent consumers (Take). A Take on an
+/// empty pool never blocks — it computes the nonce inline from the pool's
+/// own miss stream and counts a miss. Callers' rngs are never touched, so
+/// whatever else they sample (codec exponents) does not depend on how often
+/// the pool ran dry.
 class NoisePool {
  public:
-  /// Counter snapshot. The live counters are std::atomic (consumers and
-  /// producers bump them from many threads concurrently); stats() copies
-  /// them into this plain struct, readable at any time without tearing.
+  /// Counter snapshot. The live counters are std::atomic (consumers and the
+  /// producer bump them concurrently); stats() copies them into this plain
+  /// struct, readable at any time without tearing.
   struct Stats {
     uint64_t hits = 0;      ///< Takes served from the pool
     uint64_t misses = 0;    ///< Takes computed inline (pool was empty)
-    uint64_t produced = 0;  ///< nonces pre-computed by background workers
+    uint64_t produced = 0;  ///< nonces pre-computed by the producer
   };
 
-  /// Starts `workers` producer threads that keep up to `capacity` nonces
-  /// ready. `seed` derives each worker's deterministic exponent stream.
-  /// `workers` may be 0 (every Take computes inline — useful in tests).
-  NoisePool(PaillierPublicKey pub, size_t capacity, size_t workers,
-            uint64_t seed);
+  /// Starts the producer thread, which builds the key's nonce table and
+  /// then waits for demand. `seed` derives its deterministic exponent
+  /// stream and the miss stream. Until AddDemand, every Take misses.
+  NoisePool(PaillierPublicKey pub, size_t capacity, uint64_t seed);
   ~NoisePool();
 
   NoisePool(const NoisePool&) = delete;
   NoisePool& operator=(const NoisePool&) = delete;
 
+  /// Announces `nonces` more Takes. The producer stops once produced plus
+  /// missed nonces reach the total announced.
+  void AddDemand(uint64_t nonces);
+
   /// Pops a pre-computed nonce, or computes one inline from the pool's miss
-  /// stream when the pool is empty. Never blocks on producers.
+  /// stream when the pool is empty. Never blocks on the producer.
   BigInt Take();
 
   Stats stats() const;
@@ -68,18 +76,19 @@ class NoisePool {
   void SetFillGauge(obs::Gauge* gauge);
 
  private:
-  void ProducerLoop(size_t worker_index);
+  void ProducerLoop();
   /// Publishes `fill` to the gauge and (throttled) to the trace recorder.
   void PublishFill(size_t fill);
 
   const PaillierPublicKey pub_;  // by value: pool never dangles off a backend
   const size_t capacity_;
-  const size_t low_water_;  // refill trigger: capacity/2
   const uint64_t seed_;
 
   mutable std::mutex mu_;
   std::condition_variable refill_cv_;
   std::deque<BigInt> ready_;
+  /// Announced Takes not yet covered by a produced or missed nonce.
+  uint64_t unmet_demand_ = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> produced_{0};
@@ -89,7 +98,7 @@ class NoisePool {
 
   std::mutex miss_mu_;
   Rng miss_rng_;  // seeds the nonces computed inline on a miss
-  std::vector<std::thread> workers_;
+  std::thread producer_;
 };
 
 }  // namespace vf2boost

@@ -1,6 +1,7 @@
 #include "crypto/paillier.h"
 
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 #include "bigint/prime.h"
@@ -25,22 +26,16 @@ uint64_t ObfuscationSeed(const BigInt& n) {
 
 }  // namespace
 
+struct PaillierPublicKey::NonceTable {
+  std::once_flag once;
+  std::unique_ptr<const FixedBasePowTable> table;  // base h_s
+};
+
 PaillierPublicKey::PaillierPublicKey(BigInt n)
     : n_(std::move(n)),
       n2_(n_ * n_),
-      mont_n2_(std::make_shared<MontgomeryContext>(n2_)) {
-  // h = -y^2 mod n for a public y in Z_n^*; h_s = h^n mod n^2. One full
-  // S-bit exponentiation at key setup buys every later nonce the short
-  // fixed-base path.
-  Rng rng(ObfuscationSeed(n_));
-  BigInt y;
-  do {
-    y = BigInt::RandomBelow(n_ - BigInt(1), &rng) + BigInt(1);
-  } while (!Gcd(y, n_).IsOne());
-  const BigInt h = n_ - Mod(y * y, n_);  // -y^2 mod n, nonzero since y in Z_n^*
-  hs_ = mont_n2_->Pow(h, n_);
-  obf_table_ = std::make_shared<const FixedBasePowTable>(
-      mont_n2_, hs_, kObfuscationExpBits);
+      mont_n2_(std::make_shared<MontgomeryContext>(n2_)),
+      nonces_(std::make_shared<NonceTable>()) {
   // R^(2^i + 1) for every bit of a 64-bit fold count: entry 0 is R², and
   // each Montgomery square doubles the power of R it stands for.
   const size_t k = mont_n2_->num_limbs();
@@ -52,6 +47,26 @@ PaillierPublicKey::PaillierPublicKey(BigInt n)
   }
   r_pow2_ = std::move(r_pow2);
 }
+
+const FixedBasePowTable& PaillierPublicKey::nonce_table() const {
+  VF2_CHECK(nonces_ != nullptr) << "nonce drawn from an empty Paillier key";
+  std::call_once(nonces_->once, [this] {
+    // h = -y^2 mod n for a public y in Z_n^*; h_s = h^n mod n^2. One full
+    // S-bit exponentiation buys every later nonce the short fixed-base path.
+    Rng rng(ObfuscationSeed(n_));
+    BigInt y;
+    do {
+      y = BigInt::RandomBelow(n_ - BigInt(1), &rng) + BigInt(1);
+    } while (!Gcd(y, n_).IsOne());
+    const BigInt h = n_ - Mod(y * y, n_);  // -y^2 mod n, nonzero: y in Z_n^*
+    nonces_->table = std::make_unique<const FixedBasePowTable>(
+        mont_n2_, mont_n2_->Pow(h, n_), kObfuscationExpBits,
+        kNonceWindowBits);
+  });
+  return *nonces_->table;
+}
+
+void PaillierPublicKey::PrepareNonces() const { nonce_table(); }
 
 void PaillierPublicKey::LoadReduced(const BigInt& c, uint64_t* out) const {
   if (c.IsNegative() || c.Compare(n2_) >= 0) {
@@ -112,7 +127,7 @@ BigInt PaillierPublicKey::MakeNonce(Rng* rng) const {
   do {
     x = BigInt::Random(kObfuscationExpBits, rng);
   } while (x.IsZero());  // x = 0 would yield the unobfuscated nonce 1
-  return obf_table_->Pow(x);
+  return nonce_table().Pow(x);
 }
 
 BigInt PaillierPublicKey::EncryptWithNonce(const BigInt& m,

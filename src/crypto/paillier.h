@@ -20,12 +20,17 @@ namespace vf2boost {
 /// Uses the standard g = n + 1 simplification, so encryption is
 /// `c = (1 + m*n) * r mod n^2` for an obfuscation nonce r. Nonces come from
 /// the DJN-style short-exponent scheme [Damgård-Jurik-Nielsen '10, §4.2]:
-/// the key precomputes `h_s = (-y^2)^n mod n^2` for a public y in Z_n^*, and
-/// a fresh nonce is `h_s^x` for a *short* random x of kObfuscationExpBits
-/// (twice the statistical-security parameter) instead of a full S-bit
-/// exponent — evaluated through a fixed-base window table with zero
-/// squarings. Montgomery contexts and the fixed-base table are precomputed
-/// once per key and shared.
+/// `h_s = (-y^2)^n mod n^2` for a public y in Z_n^*, and a fresh nonce is
+/// `h_s^x` for a *short* random x of kObfuscationExpBits (twice the
+/// statistical-security parameter) instead of a full S-bit exponent —
+/// evaluated through a window-8 fixed-base table with zero squarings, 32
+/// multiplies per nonce.
+///
+/// h_s and that table (2 MB at a 1024-bit key, 4 MB at 2048) are built once,
+/// by the first MakeNonce on the key or any copy of it, and shared by every
+/// copy; concurrent first uses build them once. A key that only adds and
+/// scales ciphers — Party A's — never builds them. The Montgomery context
+/// of n^2 and the fold-count table are built with the key and shared too.
 class PaillierPublicKey {
  public:
   /// Statistical-security parameter of the short-exponent obfuscation; the
@@ -33,6 +38,8 @@ class PaillierPublicKey {
   /// statistical indistinguishability from full-exponent nonces).
   static constexpr size_t kStatisticalSecurityBits = 128;
   static constexpr size_t kObfuscationExpBits = 2 * kStatisticalSecurityBits;
+  /// Digit width of the nonce table: 32 multiplies per 256-bit exponent.
+  static constexpr size_t kNonceWindowBits = 8;
 
   PaillierPublicKey() = default;
   explicit PaillierPublicKey(BigInt n);
@@ -49,8 +56,14 @@ class PaillierPublicKey {
 
   /// Draws a fresh obfuscation nonce h_s^x mod n^2 (x short random
   /// exponent). Pre-generating nonces (see NoisePool) turns Encrypt into a
-  /// single modular multiply on the critical path.
+  /// single modular multiply on the critical path. The first call on a key
+  /// builds the nonce table (see PrepareNonces).
   BigInt MakeNonce(Rng* rng) const;
+
+  /// Builds h_s and the nonce table now, unless a MakeNonce or
+  /// PrepareNonces on this key (or a copy) already has; blocks until they
+  /// are ready. Lets the keyholder pay the build off its critical path.
+  void PrepareNonces() const;
 
   /// Encrypts with a caller-provided nonce from MakeNonce (or a NoisePool):
   /// c = (1 + m*n) * nonce mod n^2.
@@ -96,11 +109,14 @@ class PaillierPublicKey {
   /// reduced, and the Montgomery kernels need inputs below n².
   void LoadReduced(const BigInt& c, uint64_t* out) const;
 
+  /// The fixed-base table of h_s, built on first use (defined in the .cc).
+  struct NonceTable;
+  const FixedBasePowTable& nonce_table() const;
+
   BigInt n_;
   BigInt n2_;
-  BigInt hs_;  ///< (-y^2)^n mod n^2, the fixed obfuscation base
   std::shared_ptr<const MontgomeryContext> mont_n2_;
-  std::shared_ptr<const FixedBasePowTable> obf_table_;  ///< base hs_
+  std::shared_ptr<NonceTable> nonces_;  ///< shared by every copy of the key
   /// Entry i (num_limbs() limbs each) is R^(2^i + 1) mod n², the Montgomery
   /// form of R^(2^i): a multiply by it lifts a workspace's R^−(count−1) by
   /// R^(2^i).

@@ -116,13 +116,12 @@ Status PartyBEngine::Setup() {
         std::make_unique<PaillierBackend>(kp->pub, config_.MakeCodec());
     pb->SetPrivateKey(kp->priv);
     if (config_.noise_pool_capacity > 0) {
-      // Per-tree nonce demand: gh packing halves it (one cipher per row),
-      // so don't pre-compute obfuscators that can never be consumed.
-      const size_t demand = std::max<size_t>(
-          1, data_.rows() * (config_.gh_pack ? 1 : 2));
+      // The pool's producer starts building the nonce table now, off the
+      // thread that sends the key; the run's demand follows once the trees
+      // left are known. No more than one tree's nonces are held.
       noise_pool_ = std::make_shared<NoisePool>(
-          kp->pub, std::min<size_t>(config_.noise_pool_capacity, demand),
-          /*workers=*/1, config_.seed ^ 0x6e6f697365ULL);  // "noise"
+          kp->pub, std::min(config_.noise_pool_capacity, NoncesPerTree()),
+          config_.seed ^ 0x6e6f697365ULL);  // "noise"
       noise_pool_->SetFillGauge(m_.noise_pool_fill);
       pb->SetNoisePool(noise_pool_);
     }
@@ -153,6 +152,11 @@ Status PartyBEngine::Setup() {
     a_layouts_.push_back(std::move(fl));
   }
   return Status::OK();
+}
+
+size_t PartyBEngine::NoncesPerTree() const {
+  // One gh-packed cipher per row, or a g and an h cipher.
+  return data_.rows() * (config_.gh_pack ? 1 : 2);
 }
 
 void PartyBEngine::Broadcast(const Message& msg) {
@@ -715,6 +719,10 @@ Result<PartyBResult> PartyBEngine::RunInternal() {
 
   size_t start_tree = 0;
   VF2_RETURN_IF_ERROR(LoadCheckpointIfResuming(&result, &start_tree));
+  if (noise_pool_ != nullptr && start_tree < config_.gbdt.num_trees) {
+    noise_pool_->AddDemand(NoncesPerTree() *
+                           (config_.gbdt.num_trees - start_tree));
+  }
   const bool recoverable = SessionsRecoverable();
 
   Stopwatch clock;

@@ -91,6 +91,8 @@ class PartyBEngine : private PartyRuntime {
   };
 
   Status TrainOneTree(uint32_t tree_id, Tree* tree);
+  /// Ciphers EncryptAndSendGradients makes per tree, each with one nonce.
+  size_t NoncesPerTree() const;
   void EncryptAndSendGradients(uint32_t tree_id);
   /// Collects the expected-epoch histogram of every node in `nodes` from
   /// every A party.

@@ -67,11 +67,12 @@ struct FedConfig {
   /// by workers are merged into global ones (§3.2).
   size_t workers_per_party = 1;
 
-  /// Nonces Party B's noise pool keeps ready: one background thread
-  /// pre-computes obfuscation nonces so Encrypt degenerates to one modular
-  /// multiply (§4.1 pipelining extended one stage earlier), refilling below
-  /// capacity/2. 0 disables the pool (nonces computed inline). Ignored
-  /// under mock_crypto.
+  /// Nonces Party B's noise pool keeps ready (at most one tree's worth):
+  /// one background thread pre-computes obfuscation nonces so Encrypt
+  /// degenerates to one modular multiply (§4.1 pipelining extended one
+  /// stage earlier), refilling as they are taken until the run's remaining
+  /// trees are covered. 0 disables the pool (nonces computed inline).
+  /// Ignored under mock_crypto.
   size_t noise_pool_capacity = 8192;
 
   NetworkConfig network;

@@ -55,16 +55,7 @@ void StallWatchdog::Watch() {
   while (!stop_requested_) {
     cv_.wait_for(lock, poll, [this] { return stop_requested_; });
     if (stop_requested_) break;
-    if (g_rss_ != nullptr) {
-      // Resource accountant: one /proc + getrusage sample per tick keeps
-      // memory/CPU trending on /metrics even when the profiler is off.
-      const ResourceUsage u = SampleResourceUsage();
-      g_rss_->Set(static_cast<double>(u.rss_bytes));
-      g_peak_rss_->Set(static_cast<double>(u.peak_rss_bytes));
-      g_cpu_user_->Set(u.cpu_user_seconds);
-      g_cpu_sys_->Set(u.cpu_sys_seconds);
-      g_heap_->Set(static_cast<double>(u.heap_allocated_bytes));
-    }
+    SampleResources();
     const LiveStatus::State state = live.state();
     const int64_t tree = live.tree();
     const int64_t layer = live.layer();
@@ -111,6 +102,21 @@ void StallWatchdog::Watch() {
       stalled_.store(true, std::memory_order_release);
     }
   }
+  // A last sample at stop: a run shorter than a tick, or memory taken after
+  // the last one, still reaches the exported os/* gauges.
+  SampleResources();
+}
+
+void StallWatchdog::SampleResources() {
+  if (g_rss_ == nullptr) return;
+  // Resource accountant: one /proc + getrusage sample per tick keeps
+  // memory/CPU trending on /metrics even when the profiler is off.
+  const ResourceUsage u = SampleResourceUsage();
+  g_rss_->Set(static_cast<double>(u.rss_bytes));
+  g_peak_rss_->Set(static_cast<double>(u.peak_rss_bytes));
+  g_cpu_user_->Set(u.cpu_user_seconds);
+  g_cpu_sys_->Set(u.cpu_sys_seconds);
+  g_heap_->Set(static_cast<double>(u.heap_allocated_bytes));
 }
 
 }  // namespace obs

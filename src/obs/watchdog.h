@@ -40,7 +40,8 @@ class StallWatchdog {
     const LiveStatus* live = nullptr;
     /// When set, `<metric_prefix>/watchdog/seconds_since_progress` (gauge)
     /// and `<metric_prefix>/watchdog/stalls` (counter) are exported, plus
-    /// process-level resource gauges sampled every poll tick:
+    /// process-level resource gauges sampled every poll tick and once more
+    /// when the watchdog stops:
     /// `<metric_prefix>/os/rss_bytes`, `.../os/peak_rss_bytes`,
     /// `.../os/cpu_seconds/user`, `.../os/cpu_seconds/sys` and
     /// `.../os/heap_allocated_bytes` — memory/CPU trending on /metrics for
@@ -77,6 +78,8 @@ class StallWatchdog {
 
  private:
   void Watch();
+  /// Sets the os/* gauges from one resource sample (no-op without them).
+  void SampleResources();
 
   Options options_;
   std::thread thread_;

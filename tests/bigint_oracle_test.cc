@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/modarith.h"
@@ -106,8 +107,8 @@ TEST(BigIntOracle, ModExpPaillierShapedOperands) {
 }
 
 TEST(BigIntOracle, FixedBasePowMatchesGmp) {
-  // The fixed-base window table used for short-exponent Paillier nonces:
-  // same operand shape (odd 2S-bit modulus, fixed base, 256-bit exponents).
+  // The fixed-base window table at window 4, on the operand shape of
+  // Paillier nonces (odd 2S-bit modulus, fixed base, 256-bit exponents).
   Rng rng(1006);
   for (size_t s : {256u, 512u}) {
     BigInt p = GeneratePrime(s / 2, &rng);
@@ -115,7 +116,7 @@ TEST(BigIntOracle, FixedBasePowMatchesGmp) {
     BigInt n2 = p * q * p * q;
     auto ctx = std::make_shared<MontgomeryContext>(n2);
     BigInt base = BigInt::RandomBelow(n2, &rng);
-    FixedBasePowTable table(ctx, base, 256);
+    FixedBasePowTable table(ctx, base, 256, 4);
     for (int i = 0; i < 20; ++i) {
       // Sweep lengths, including degenerate exponents.
       BigInt exp = i == 0 ? BigInt(0) : BigInt::Random(1 + (i * 29) % 256, &rng);
@@ -124,6 +125,42 @@ TEST(BigIntOracle, FixedBasePowMatchesGmp) {
       EXPECT_EQ(table.Pow(exp).ToDecString(), out.Str())
           << "bits=" << s << " i=" << i;
       EXPECT_EQ(table.Pow(exp), ctx->Pow(base, exp));
+    }
+  }
+}
+
+TEST(BigIntOracle, NonceWindowPowMatchesGmp) {
+  // The table at the window Paillier nonces use, on the n^2 rings of 1024-
+  // and 2048-bit keys (a random odd n stands in for pq): exponent 0, every
+  // digit 0xFF, digits 0x00/0xFF alternating, the top bit alone, full
+  // 256-bit exponents and shorter ones.
+  const size_t window = PaillierPublicKey::kNonceWindowBits;
+  const size_t exp_bits = PaillierPublicKey::kObfuscationExpBits;
+  Rng rng(1009);
+  for (size_t s : {1024u, 2048u}) {
+    BigInt n = BigInt::Random(s - 1, &rng) + (BigInt(1) << (s - 1));
+    if (n.IsEven()) n += BigInt(1);
+    const BigInt n2 = n * n;
+    auto ctx = std::make_shared<MontgomeryContext>(n2);
+    const BigInt base = BigInt::RandomBelow(n2, &rng);
+    const FixedBasePowTable table(ctx, base, exp_bits, window);
+    const BigInt all_ones = (BigInt(1) << exp_bits) - BigInt(1);
+    std::vector<BigInt> exps = {BigInt(0), BigInt(1), BigInt(0xFF), all_ones,
+                                BigInt::FromLimbs(std::vector<uint64_t>(
+                                    exp_bits / 64, 0xFF00FF00FF00FF00ULL)),
+                                BigInt(1) << (exp_bits - 1)};
+    for (int i = 0; i < 4; ++i) {
+      exps.push_back(BigInt::Random(exp_bits - 1, &rng) +
+                     (BigInt(1) << (exp_bits - 1)));
+      exps.push_back(BigInt::Random(1 + 61 * i, &rng));
+    }
+    for (size_t i = 0; i < exps.size(); ++i) {
+      Gmp gb(base), ge(exps[i]), gm(n2), out;
+      mpz_powm(out.get(), gb.get(), ge.get(), gm.get());
+      EXPECT_EQ(table.Pow(exps[i]).ToDecString(), out.Str())
+          << s << "-bit key, exponent " << i;
+      EXPECT_EQ(table.Pow(exps[i]), ctx->Pow(base, exps[i]))
+          << s << "-bit key, exponent " << i;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -118,11 +119,13 @@ TEST_F(CryptoFastPathTest, DeserializedKeyMakesCompatibleCiphers) {
 }
 
 TEST_F(CryptoFastPathWideKeyTest, NoisePoolRoundTripConcurrent) {
-  // Concurrent producers and consumers: every nonce taken from the pool must
-  // decrypt its cipher correctly, and the stats must add up.
-  NoisePool pool(kp_.pub, /*capacity=*/64, /*workers=*/2, /*seed=*/99);
+  // The producer against concurrent consumers: every nonce taken from the
+  // pool must decrypt its cipher correctly, and the producer must make
+  // exactly the nonces the misses left to it.
   constexpr int kConsumers = 4;
   constexpr int kPerConsumer = 50;
+  NoisePool pool(kp_.pub, /*capacity=*/64, /*seed=*/99);
+  pool.AddDemand(kConsumers * kPerConsumer);
   std::atomic<int> failures{0};
   std::vector<std::thread> consumers;
   for (int t = 0; t < kConsumers; ++t) {
@@ -139,10 +142,12 @@ TEST_F(CryptoFastPathWideKeyTest, NoisePoolRoundTripConcurrent) {
   EXPECT_EQ(failures.load(), 0);
   const NoisePool::Stats stats = pool.stats();
   EXPECT_EQ(stats.hits + stats.misses, kConsumers * kPerConsumer);
+  EXPECT_EQ(stats.produced + stats.misses, kConsumers * kPerConsumer);
+  EXPECT_EQ(pool.fill(), 0u);
 }
 
-TEST_F(CryptoFastPathTest, NoisePoolWithZeroWorkersFallsBackInline) {
-  NoisePool pool(kp_.pub, /*capacity=*/8, /*workers=*/0, /*seed=*/5);
+TEST_F(CryptoFastPathTest, NoisePoolWithoutDemandFallsBackInline) {
+  NoisePool pool(kp_.pub, /*capacity=*/8, /*seed=*/5);
   const BigInt m(777);
   const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take());
   EXPECT_EQ(kp_.priv.Decrypt(c), m);
@@ -157,7 +162,7 @@ TEST_F(CryptoFastPathTest, PoolMissesLeaveTheCallersExponentStreamAlone) {
   // codec exponents, so a timing-dependent miss count would change them.
   PaillierBackend backend(kp_.pub, FixedPointCodec(16, 8, 4));
   backend.SetPrivateKey(kp_.priv);
-  backend.SetNoisePool(std::make_shared<NoisePool>(kp_.pub, 8, 0, 3));
+  backend.SetNoisePool(std::make_shared<NoisePool>(kp_.pub, 8, 3));
   Rng used(21), expected(21);
   for (int i = 0; i < 16; ++i) {
     const Cipher c = backend.Encrypt(0.5, &used);
@@ -170,13 +175,52 @@ TEST_F(CryptoFastPathTest, PoolMissesLeaveTheCallersExponentStreamAlone) {
 TEST_F(CryptoFastPathTest, PooledBackendEncryptionDecrypts) {
   PaillierBackend backend(kp_.pub, FixedPointCodec());
   backend.SetPrivateKey(kp_.priv);
-  backend.SetNoisePool(std::make_shared<NoisePool>(kp_.pub, 32, 1, 7));
+  auto pool = std::make_shared<NoisePool>(kp_.pub, 32, 7);
+  pool->AddDemand(20);
+  backend.SetNoisePool(pool);
   for (int i = 0; i < 20; ++i) {
     const double v = (i - 10) * 0.375;
     EXPECT_NEAR(backend.Decrypt(backend.Encrypt(v, &rng_)), v, 1e-6);
   }
-  const NoisePool::Stats stats = backend.noise_pool()->stats();
+  const NoisePool::Stats stats = pool->stats();
   EXPECT_EQ(stats.hits + stats.misses, 20u);
+  EXPECT_EQ(stats.produced + stats.misses, 20u);
+}
+
+TEST_F(CryptoFastPathWideKeyTest, ConcurrentFirstNoncesBuildOneTable) {
+  // A key fresh off the wire has no nonce table yet: four threads encrypt
+  // at once, so the first MakeNonce calls race to build it. Each must get
+  // the keyholder's nonces (same h_s, same table) and decryptable ciphers.
+  ByteWriter w;
+  kp_.pub.Serialize(&w);
+  const std::vector<uint8_t> bytes = w.Release();
+  ByteReader r(bytes);
+  auto fresh = PaillierPublicKey::Deserialize(&r);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::vector<std::vector<BigInt>> plain(kThreads), ciphers(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(500 + t);
+      start.arrive_and_wait();
+      for (int i = 0; i < kPerThread; ++i) {
+        plain[t].push_back(BigInt::RandomBelow(fresh->n(), &rng));
+        ciphers[t].push_back(fresh->Encrypt(plain[t].back(), &rng));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    Rng rng(500 + t);
+    for (int i = 0; i < kPerThread; ++i) {
+      const BigInt m = BigInt::RandomBelow(kp_.pub.n(), &rng);
+      EXPECT_EQ(ciphers[t][i], kp_.pub.Encrypt(m, &rng)) << t << "/" << i;
+      EXPECT_EQ(kp_.priv.Decrypt(ciphers[t][i]), plain[t][i]) << t << "/" << i;
+    }
+  }
 }
 
 TEST_F(CryptoFastPathWideKeyTest, DecryptBatchMatchesSerial) {

@@ -395,6 +395,36 @@ TEST(FedTrainerTest, StarvedNoisePoolDoesNotChangeTheModel) {
   EXPECT_EQ(ModelToString(hungry->model), ModelToString(fed->model));
 }
 
+TEST(FedTrainerTest, NoisePoolMakesExactlyTheNoncesTheRunTakes) {
+  // B announces the run's demand (rows x ciphers per row x trees) and the
+  // producer stops there, so no nonce is made that no encryption takes:
+  // produced + misses == encryptions, whether the pool keeps a tree's worth
+  // ready or starves at one. Neither changes a byte of the model.
+  Fixture f = MakeFixture(150, 6, 0.8, {0.5, 0.5}, 39);
+  for (FedConfig config : {FedConfig::Vf2Boost(), FedConfig::VfGbdt()}) {
+    SCOPED_TRACE(config.gh_pack ? "gh-packed VF2Boost" : "classic VF-GBDT");
+    config.paillier_bits = 256;
+    config.gbdt.num_trees = 2;
+    config.gbdt.num_layers = 3;
+    config.gbdt.max_bins = 6;
+    FedConfig starved = config;
+    starved.noise_pool_capacity = 1;
+
+    auto fed = FedTrainer(config).Train(f.shards);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    auto hungry = FedTrainer(starved).Train(f.shards);
+    ASSERT_TRUE(hungry.ok()) << hungry.status().ToString();
+    EXPECT_EQ(Count(*fed, "encryptions", "party_b"),
+              f.shards.back().rows() * (config.gh_pack ? 1 : 2) * 2);
+    for (const FedTrainResult* r : {&*fed, &*hungry}) {
+      EXPECT_EQ(Count(*r, "noise_pool/produced", "party_b") +
+                    Count(*r, "noise_pool/misses", "party_b"),
+                Count(*r, "encryptions", "party_b"));
+    }
+    EXPECT_EQ(ModelToString(hungry->model), ModelToString(fed->model));
+  }
+}
+
 TEST(FedTrainerTest, ThreeParties) {
   Fixture f = MakeFixture(1500, 24, 0.5, {0.34, 0.33, 0.33}, 41);
   FedConfig config = FastConfig();

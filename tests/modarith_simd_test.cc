@@ -141,22 +141,30 @@ TEST_P(ModArithKernelTest, PowMatchesScalar) {
 }
 
 // The table stores Montgomery residues under R = 2^(64k), which every
-// kernel shares: a table built under one kernel evaluates under another.
+// kernel shares: every kernel builds the same table bytes, and a table built
+// under one kernel evaluates under another. Window 8 is the Paillier nonce
+// table, on the n^2 rings of 1024- and 2048-bit keys.
 TEST_P(ModArithKernelTest, FixedBaseTableIsSharedAcrossKernels) {
   Rng rng(4711);
-  auto ctx = std::make_shared<const MontgomeryContext>(
-      RandomOddModulus(2048, &rng));
-  const BigInt base = BigInt::RandomBelow(ctx->modulus(), &rng);
-  SetMontKernel(MontKernel::kScalar);
-  const FixedBasePowTable scalar_built(ctx, base, 256);
-  const FixedBasePowTable kernel_built =
-      Under(*ctx, [&] { return FixedBasePowTable(ctx, base, 256); });
-  for (int i = 0; i < 8; ++i) {
-    const BigInt exp = BigInt::Random(1 + 36 * i, &rng);
+  const std::pair<size_t, size_t> kShapes[] = {{2048, 4}, {2048, 8}, {4096, 8}};
+  for (const auto& [bits, window] : kShapes) {
+    SCOPED_TRACE(std::to_string(bits) + "-bit ring, window " +
+                 std::to_string(window));
+    auto ctx = std::make_shared<const MontgomeryContext>(
+        RandomOddModulus(bits, &rng));
+    const BigInt base = BigInt::RandomBelow(ctx->modulus(), &rng);
     SetMontKernel(MontKernel::kScalar);
-    const BigInt want = ctx->Pow(base, exp);
-    EXPECT_EQ(kernel_built.Pow(exp), want) << i;
-    EXPECT_EQ(Under(*ctx, [&] { return scalar_built.Pow(exp); }), want) << i;
+    const FixedBasePowTable scalar_built(ctx, base, 256, window);
+    const FixedBasePowTable kernel_built = Under(
+        *ctx, [&] { return FixedBasePowTable(ctx, base, 256, window); });
+    EXPECT_EQ(kernel_built.entries(), scalar_built.entries());
+    for (int i = 0; i < 8; ++i) {
+      const BigInt exp = BigInt::Random(1 + 36 * i, &rng);
+      SetMontKernel(MontKernel::kScalar);
+      const BigInt want = ctx->Pow(base, exp);
+      EXPECT_EQ(kernel_built.Pow(exp), want) << i;
+      EXPECT_EQ(Under(*ctx, [&] { return scalar_built.Pow(exp); }), want) << i;
+    }
   }
 }
 

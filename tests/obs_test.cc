@@ -800,5 +800,22 @@ TEST(WatchdogTest, IdleAndDoneStatesNeverStall) {
   wd.Stop();
 }
 
+TEST(WatchdogTest, StopSamplesResourcesOnce) {
+  // A run shorter than one poll tick still exports its resource gauges:
+  // the watchdog samples once more when it stops.
+  obs::LiveStatus live;
+  MetricsRegistry reg;
+  obs::StallWatchdog wd;
+  obs::StallWatchdog::Options options;
+  options.poll_interval_seconds = 3600;
+  options.live = &live;
+  options.registry = &reg;
+  options.metric_prefix = "party_b";
+  wd.Start(std::move(options));
+  wd.Stop();
+  EXPECT_GT(reg.GetGauge("party_b/os/peak_rss_bytes", "B")->value(), 0.0);
+  EXPECT_GT(reg.GetGauge("party_b/os/rss_bytes", "B")->value(), 0.0);
+}
+
 }  // namespace
 }  // namespace vf2boost
