@@ -155,18 +155,6 @@ BigInt Mod(const BigInt& a, const BigInt& m) {
   return r;
 }
 
-BigInt ModAdd(const BigInt& a, const BigInt& b, const BigInt& m) {
-  BigInt r = a + b;
-  if (r.Compare(m) >= 0) r -= m;
-  return r;
-}
-
-BigInt ModSub(const BigInt& a, const BigInt& b, const BigInt& m) {
-  BigInt r = a - b;
-  if (r.IsNegative()) r += m;
-  return r;
-}
-
 BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m) {
   return Mod(a * b, m);
 }

@@ -43,10 +43,6 @@ const char* MontKernelName(MontKernel kernel);
 /// Canonical residue of a mod m, in [0, m). m must be positive.
 BigInt Mod(const BigInt& a, const BigInt& m);
 
-/// (a + b) mod m with both inputs already reduced.
-BigInt ModAdd(const BigInt& a, const BigInt& b, const BigInt& m);
-/// (a - b) mod m with both inputs already reduced.
-BigInt ModSub(const BigInt& a, const BigInt& b, const BigInt& m);
 /// (a * b) mod m.
 BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m);
 

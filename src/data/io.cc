@@ -91,73 +91,4 @@ Status SaveLibsvm(const Dataset& data, const std::string& path) {
   return out.good() ? Status::OK() : Status::IOError("write failed: " + path);
 }
 
-Result<Dataset> ParseCsv(const std::string& text,
-                         const std::string& label_column) {
-  std::istringstream lines(text);
-  std::string line;
-  if (!std::getline(lines, line)) return Status::Corruption("empty CSV");
-
-  // Header.
-  std::vector<std::string> header;
-  {
-    std::istringstream cells(line);
-    std::string cell;
-    while (std::getline(cells, cell, ',')) header.push_back(cell);
-  }
-  int label_idx = -1;
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == label_column) label_idx = static_cast<int>(i);
-  }
-  if (label_idx < 0) {
-    return Status::NotFound("label column '" + label_column + "' not in CSV");
-  }
-
-  std::vector<std::vector<Entry>> rows;
-  std::vector<float> labels;
-  size_t lineno = 1;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::istringstream cells(line);
-    std::string cell;
-    std::vector<Entry> row;
-    uint32_t feature = 0;
-    size_t col = 0;
-    float label = 0;
-    while (std::getline(cells, cell, ',')) {
-      float v;
-      if (!ParseFloat(cell, &v)) {
-        return Status::Corruption("bad cell '" + cell + "' at line " +
-                                  std::to_string(lineno));
-      }
-      if (static_cast<int>(col) == label_idx) {
-        label = v;
-      } else {
-        if (v != 0.0f) row.push_back({feature, v});
-        ++feature;
-      }
-      ++col;
-    }
-    if (col != header.size()) {
-      return Status::Corruption("wrong cell count at line " +
-                                std::to_string(lineno));
-    }
-    rows.push_back(std::move(row));
-    labels.push_back(label);
-  }
-  Dataset out;
-  auto m = CsrMatrix::FromRows(rows, header.size() - 1);
-  VF2_RETURN_IF_ERROR(m.status());
-  out.features = std::move(m).value();
-  out.labels = std::move(labels);
-  return out;
-}
-
-Result<Dataset> LoadCsv(const std::string& path,
-                        const std::string& label_column) {
-  auto text = ReadFile(path);
-  VF2_RETURN_IF_ERROR(text.status());
-  return ParseCsv(text.value(), label_column);
-}
-
 }  // namespace vf2boost

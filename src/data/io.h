@@ -19,16 +19,6 @@ Result<Dataset> ParseLibsvm(const std::string& text);
 /// Writes a dataset in LIBSVM format.
 Status SaveLibsvm(const Dataset& data, const std::string& path);
 
-/// Reads a dense CSV with a header row. `label_column` names the label
-/// column; all other columns must be numeric features. Zero cells are kept
-/// sparse.
-Result<Dataset> LoadCsv(const std::string& path,
-                        const std::string& label_column);
-
-/// Parses CSV text directly (used by tests).
-Result<Dataset> ParseCsv(const std::string& text,
-                         const std::string& label_column);
-
 }  // namespace vf2boost
 
 #endif  // VF2BOOST_DATA_IO_H_

@@ -43,14 +43,6 @@ const char* MessageTypeName(MessageType type) {
       return "ClockPong";
     case MessageType::kHeartbeat:
       return "Heartbeat";
-    case MessageType::kLrPartial:
-      return "LrPartial";
-    case MessageType::kLrGradRequest:
-      return "LrGradRequest";
-    case MessageType::kLrGradReply:
-      return "LrGradReply";
-    case MessageType::kLrDone:
-      return "LrDone";
   }
   return "Unknown";
 }
@@ -59,10 +51,11 @@ const char* MessageTypeName(MessageType type) {
 namespace {
 
 /// True for every MessageType value the protocol defines; DecodeFrame uses
-/// this to reject frames whose type byte was corrupted into a gap value
-/// (including the retired 7).
+/// this to reject frames whose type byte was corrupted into a gap value,
+/// including the retired 7 and 20-23.
 bool IsKnownMessageType(uint8_t raw) {
-  return raw >= 1 && raw <= 23 && raw != 7;
+  return raw >= 1 && raw <= static_cast<uint8_t>(MessageType::kHeartbeat) &&
+         raw != 7;
 }
 
 void PutU32Le(std::vector<uint8_t>* buf, uint32_t v) {

@@ -46,11 +46,7 @@ enum class MessageType : uint8_t {
   /// quiet. Observability/liveness only: never buffered, never part of the
   /// training state machine, excluded from FedConfig::Fingerprint().
   kHeartbeat = 19,
-  // Vertical federated logistic regression (paper §5 Discussions).
-  kLrPartial = 20,      ///< encrypted per-instance partial score terms
-  kLrGradRequest = 21,  ///< encrypted masked gradient accumulations
-  kLrGradReply = 22,    ///< plaintext masked gradients (decrypted by peer)
-  kLrDone = 23,         ///< LR training finished
+  // 20-23 are retired: never reuse them, an older peer could still send them.
 };
 
 /// Human-readable type name (logging / stats).

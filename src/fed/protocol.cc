@@ -145,8 +145,6 @@ constexpr uint8_t kHistFormatPacked = 1;
 constexpr uint8_t kHistFormatGhRaw = 2;
 constexpr uint8_t kHistFormatGhPacked = 3;
 
-}  // namespace
-
 void PutCipherVector(const std::vector<Cipher>& v, const CipherBackend& b,
                      ByteWriter* w) {
   w->PutU64(v.size());
@@ -171,6 +169,8 @@ Status GetCipherVector(ByteReader* r, const CipherBackend& b,
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Message EncodeGradBatch(const GradBatchPayload& p, const CipherBackend& b) {
   ByteWriter w;

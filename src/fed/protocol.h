@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/bitmap.h"
-#include "common/bytes.h"
 #include "crypto/backend.h"
 #include "crypto/packing.h"
 #include "fed/channel.h"
@@ -178,13 +177,6 @@ struct FedConfig {
 // Every cross-party payload has an Encode function producing a Message and a
 // Decode function returning Status on corrupt input. Cipher fields need the
 // backend for (de)serialization.
-
-/// Length-prefixed cipher vector wire helpers (shared by the GBDT payloads
-/// and the federated-LR extension).
-void PutCipherVector(const std::vector<Cipher>& v, const CipherBackend& b,
-                     ByteWriter* w);
-Status GetCipherVector(ByteReader* r, const CipherBackend& b,
-                       std::vector<Cipher>* v);
 
 struct GradBatchPayload {
   uint32_t tree = 0;

@@ -63,16 +63,4 @@ std::vector<double> GbdtModel::PredictProba(const CsrMatrix& x) const {
   return scores;
 }
 
-std::vector<std::vector<int32_t>> GbdtModel::PredictLeaves(
-    const CsrMatrix& x) const {
-  std::vector<std::vector<int32_t>> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out[r].reserve(trees.size());
-    for (const Tree& tree : trees) {
-      out[r].push_back(tree.PredictLeaf(x, r));
-    }
-  }
-  return out;
-}
-
 }  // namespace vf2boost

@@ -58,7 +58,6 @@ class Tree {
   double Predict(const CsrMatrix& x, size_t row) const;
 
   /// Index of the leaf the row lands in (same traversal as Predict).
-  /// Leaf indices feed GBDT->LR stacking and model introspection.
   int32_t PredictLeaf(const CsrMatrix& x, size_t row) const;
 
  private:
@@ -77,10 +76,6 @@ struct GbdtModel {
                                  size_t num_trees = 0) const;
   /// Sigmoid probabilities (logistic objective).
   std::vector<double> PredictProba(const CsrMatrix& x) const;
-
-  /// Leaf index per (row, tree) — the classic GBDT feature transform
-  /// (Facebook's GBDT+LR): each column is one tree's categorical leaf id.
-  std::vector<std::vector<int32_t>> PredictLeaves(const CsrMatrix& x) const;
 };
 
 }  // namespace vf2boost

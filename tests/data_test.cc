@@ -118,27 +118,6 @@ TEST(LibsvmTest, RejectsMalformed) {
   EXPECT_FALSE(LoadLibsvm("/nonexistent/file.libsvm").ok());
 }
 
-TEST(CsvTest, ParsesHeaderAndLabels) {
-  const std::string text =
-      "age,income,label\n"
-      "30,0,1\n"
-      "0,55.5,0\n";
-  auto data = ParseCsv(text, "label");
-  ASSERT_TRUE(data.ok()) << data.status().ToString();
-  EXPECT_EQ(data->rows(), 2u);
-  EXPECT_EQ(data->columns(), 2u);
-  EXPECT_EQ(data->labels, (std::vector<float>{1, 0}));
-  EXPECT_EQ(data->features.At(0, 0), 30.0f);
-  EXPECT_EQ(data->features.At(1, 1), 55.5f);
-  EXPECT_EQ(data->features.nnz(), 2u);  // zeros stay sparse
-}
-
-TEST(CsvTest, RejectsMissingLabelAndBadCells) {
-  EXPECT_FALSE(ParseCsv("a,b\n1,2\n", "label").ok());
-  EXPECT_FALSE(ParseCsv("a,label\nfoo,1\n", "label").ok());
-  EXPECT_FALSE(ParseCsv("a,label\n1\n", "label").ok());
-}
-
 TEST(QuantileTest, ExactModeSmallInput) {
   QuantileSketch sketch(1000);
   for (int i = 100; i >= 1; --i) sketch.Add(static_cast<float>(i));

@@ -201,18 +201,23 @@ TEST(FedConfigTest, TrainerRejectsInvalidConfig) {
 }
 
 TEST(MessageTest, AllTypeNamesResolve) {
-  const auto last = static_cast<uint8_t>(MessageType::kLrDone);
+  const auto last = static_cast<uint8_t>(MessageType::kHeartbeat);
   for (uint8_t t = 1; t <= last; ++t) {
-    // 7 is retired: no name, and no frame decodes to it.
     EXPECT_EQ(std::string(MessageTypeName(static_cast<MessageType>(t))) ==
                   "Unknown",
               t == 7)
         << int{t};
   }
-  Message retired{static_cast<MessageType>(7), {}};
-  Message out{};
-  EXPECT_EQ(DecodeFrame(EncodeFrame(retired), &out).code(),
-            StatusCode::kCorruption);
+  // 7 and 20-23 are retired: no name, and no frame decodes to them.
+  for (uint8_t t : {7, 20, 21, 22, 23}) {
+    EXPECT_STREQ(MessageTypeName(static_cast<MessageType>(t)), "Unknown")
+        << int{t};
+    Message retired{static_cast<MessageType>(t), {}};
+    Message out{};
+    EXPECT_EQ(DecodeFrame(EncodeFrame(retired), &out).code(),
+              StatusCode::kCorruption)
+        << int{t};
+  }
 }
 
 TEST(MessageTest, MetricsDeltaFramesRoundTripOnTheWire) {
@@ -222,8 +227,8 @@ TEST(MessageTest, MetricsDeltaFramesRoundTripOnTheWire) {
   ASSERT_TRUE(DecodeFrame(EncodeFrame(msg), &out).ok());
   EXPECT_EQ(out.type, MessageType::kMetricsDelta);
   EXPECT_EQ(out.payload, msg.payload);
-  // Heartbeats (19) filled the last gap; the first slot past the dense
-  // range stays an unknown wire type.
+  // Heartbeats (19) are the last live type; the first slot past the
+  // retired 20-23 stays an unknown wire type too.
   Message beat{MessageType::kHeartbeat, {}};
   ASSERT_TRUE(DecodeFrame(EncodeFrame(beat), &out).ok());
   EXPECT_EQ(out.type, MessageType::kHeartbeat);

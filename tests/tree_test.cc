@@ -81,38 +81,6 @@ TEST(TreeTest, PredictLeafMatchesPredict) {
   }
 }
 
-TEST(TreeTest, PredictLeavesShape) {
-  SyntheticSpec spec;
-  spec.rows = 300;
-  spec.cols = 8;
-  spec.density = 0.5;
-  spec.seed = 44;
-  Dataset data = GenerateSynthetic(spec);
-  GbdtParams params;
-  params.num_trees = 4;
-  params.num_layers = 4;
-  auto model = GbdtTrainer(params).Train(data);
-  ASSERT_TRUE(model.ok());
-  const auto leaves = model->PredictLeaves(data.features);
-  ASSERT_EQ(leaves.size(), data.rows());
-  for (const auto& per_tree : leaves) {
-    ASSERT_EQ(per_tree.size(), 4u);
-    for (size_t t = 0; t < 4; ++t) {
-      EXPECT_TRUE(model->trees[t].node(per_tree[t]).is_leaf());
-    }
-  }
-  // Reconstructing scores from leaf weights must reproduce PredictRaw.
-  const auto scores = model->PredictRaw(data.features);
-  for (size_t r = 0; r < data.rows(); ++r) {
-    double s = model->base_score;
-    for (size_t t = 0; t < 4; ++t) {
-      s += params.learning_rate *
-           model->trees[t].node(leaves[r][t]).weight;
-    }
-    ASSERT_DOUBLE_EQ(s, scores[r]);
-  }
-}
-
 TEST(TreeTest, PredictRawTreePrefix) {
   SyntheticSpec spec;
   spec.rows = 200;
