@@ -38,10 +38,6 @@ class CsrMatrix {
     const double cells = static_cast<double>(rows()) * columns();
     return cells == 0 ? 0.0 : nnz() / cells;
   }
-  /// Average nonzeros per row (the paper's `d`).
-  double AvgRowNnz() const {
-    return rows() == 0 ? 0.0 : static_cast<double>(nnz()) / rows();
-  }
 
   /// Nonzero column indices of row i (ascending).
   std::span<const uint32_t> RowColumns(size_t i) const {

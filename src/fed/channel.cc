@@ -183,10 +183,6 @@ Result<Message> ChannelEndpoint::Receive() {
   return ReceiveInternal(std::nullopt);
 }
 
-Result<Message> ChannelEndpoint::ReceiveUntil(Clock::time_point deadline) {
-  return ReceiveInternal(deadline);
-}
-
 Message ChannelEndpoint::PopFront(std::unique_lock<std::mutex>* lock) {
   const uint64_t flow_id = FlowId(in_->flow_dir, in_->items.front().seq);
   Message msg = std::move(in_->items.front().msg);
@@ -237,22 +233,6 @@ Result<Message> ChannelEndpoint::ReceiveInternal(
       }
     }
   }
-}
-
-Status ChannelEndpoint::TryReceive(Message* out, bool* got) {
-  *got = false;
-  std::unique_lock<std::mutex> lock(shared_->mu);
-  if (shared_->closed && !shared_->close_status.ok()) {
-    return shared_->close_status;
-  }
-  if (in_->items.empty()) {
-    if (shared_->closed) return Status::Aborted("channel closed");
-    return Status::OK();
-  }
-  if (Clock::now() < in_->items.front().deliver) return Status::OK();
-  *out = PopFront(&lock);
-  *got = true;
-  return Status::OK();
 }
 
 void ChannelEndpoint::Close(Status status) {

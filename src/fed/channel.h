@@ -118,7 +118,6 @@ class MessagePort {
 
   virtual void Send(Message msg) = 0;
   virtual Result<Message> Receive() = 0;
-  virtual Status TryReceive(Message* out, bool* got) = 0;
   virtual void Close(Status status) = 0;
   virtual bool closed() const = 0;
   virtual ChannelStats sent_stats() const = 0;
@@ -172,19 +171,8 @@ class ChannelEndpoint : public MessagePort {
   ///  - DeadlineExceeded when default_deadline_seconds elapses first.
   Result<Message> Receive() override;
 
-  /// Receive with an explicit deadline (overrides the config default).
-  Result<Message> ReceiveUntil(Clock::time_point deadline);
-
-  /// Non-blocking variant. OK + *got=true: *out holds the next message.
-  /// OK + *got=false: nothing deliverable yet. Error: the channel is closed
-  /// (same statuses as Receive). Handy for polling loops and tests; the
-  /// training engines themselves use blocking Receive — Party A learns of
-  /// aborted optimistic work through the ordered kDecisions stream
-  /// (hist_epoch_ corrections), not by polling.
-  Status TryReceive(Message* out, bool* got) override;
-
   /// Closes the whole duplex channel: wakes every blocked receiver on BOTH
-  /// ends and makes subsequent Receive/TryReceive calls fail as described
+  /// ends and makes subsequent Receive calls fail as described
   /// above. `status` records why; an engine that failed passes its error so
   /// the peer sees the root cause within one receive call. The first close
   /// wins; later calls are no-ops.

@@ -1,13 +1,12 @@
 #include "fed/fed_trainer.h"
 
+#include <chrono>
 #include <string>
 #include <thread>
 
 #include "common/logging.h"
 #include "fed/party_a.h"
 #include "fed/party_b.h"
-#include "fed/session.h"
-#include "obs/build_info.h"
 #include "obs/trace.h"
 
 namespace vf2boost {
@@ -41,6 +40,43 @@ Result<GbdtModel> FedTrainResult::ToJointModel(
   return joint;
 }
 
+FedTrainResult MakeFedTrainResult(PartyBResult b,
+                                  const std::vector<Dataset>& parties,
+                                  const FedConfig& config) {
+  FedTrainResult out;
+  out.model = std::move(b.model);
+  out.log = std::move(b.log);
+  for (size_t p = 0; p + 1 < parties.size(); ++p) {
+    out.party_a_cuts.push_back(
+        ComputeBinCuts(parties[p].features, config.gbdt.max_bins));
+  }
+  out.metrics = config.metrics->Snapshot();
+  return out;
+}
+
+Result<std::unique_ptr<MessagePort>> ConnectChannel(
+    ChannelFactory* factory, const FedConfig& config, size_t num_a,
+    size_t channel, bool a_side, double timeout_seconds) {
+  const NetworkConfig& net = config.NetworkFor(channel);
+  if (net.reconnect_max_attempts == 0) {
+    return factory->Reconnect(
+        channel, a_side,
+        ChannelEndpoint::Clock::now() +
+            std::chrono::duration_cast<ChannelEndpoint::Clock::duration>(
+                std::chrono::duration<double>(timeout_seconds)));
+  }
+  const uint64_t fingerprint = config.Fingerprint();
+  auto session = std::make_unique<SessionChannel>(
+      factory, channel, a_side, fingerprint ^ (0x5e55ULL + channel),
+      static_cast<uint32_t>(a_side ? channel : num_a), fingerprint, net,
+      /*initial=*/nullptr, config.metrics);
+  if (a_side) session->set_clock_sync(config.clock_sync_state);
+  Result<HelloPayload> peer =
+      session->Reestablish(/*last_completed_tree=*/-1, /*needs_setup=*/a_side);
+  if (!peer.ok()) return peer.status();
+  return std::unique_ptr<MessagePort>(std::move(session));
+}
+
 Result<FedTrainResult> FedTrainer::Train(
     const std::vector<Dataset>& parties) const {
   // The trainer thread is trace pid 0; engines rebind to pid = party + 1
@@ -54,7 +90,6 @@ Result<FedTrainResult> FedTrainer::Train(
   obs::MetricsRegistry local_registry;
   FedConfig config = config_;
   if (config.metrics == nullptr) config.metrics = &local_registry;
-  obs::RegisterBuildInfo(config.metrics);
   if (parties.size() < 2) {
     return Status::InvalidArgument("need at least two parties");
   }
@@ -76,55 +111,30 @@ Result<FedTrainResult> FedTrainer::Train(
     }
   }
 
-  // One duplex channel per A party, with optional per-party network faults.
-  // When any channel has a reconnect budget, a session broker is stood up
-  // and every endpoint is wrapped in a SessionChannel so engines can
-  // re-establish dead links at tree boundaries.
+  // Every party brings its links up through the broker exactly as a TCP
+  // process does through its TcpChannelFactory. Both sides are threads of
+  // this process, so the rendezvous only waits for thread start-up; a side
+  // that cannot come up shuts the broker down so its peers fail fast.
+  constexpr double kRendezvousSeconds = 30;
   std::vector<NetworkConfig> nets;
-  bool any_resilient = false;
-  for (size_t p = 0; p < num_a; ++p) {
-    nets.push_back(p < config.network_per_party.size()
-                       ? config.network_per_party[p]
-                       : config.network);
-    if (nets.back().reconnect_max_attempts > 0) any_resilient = true;
-  }
-  std::unique_ptr<SessionBroker> broker;
-  if (any_resilient) broker = std::make_unique<SessionBroker>(nets);
-  const uint64_t fingerprint = config.Fingerprint();
-  std::vector<std::unique_ptr<MessagePort>> a_ends, b_ends;
-  for (size_t p = 0; p < num_a; ++p) {
-    auto [a, b] = ChannelEndpoint::CreatePair(nets[p]);
-    if (any_resilient) {
-      // Session ids only need to be stable across both sides of one run and
-      // distinct across channels; resumed runs re-derive the same ids.
-      const uint64_t session_id = fingerprint ^ (0x5e55ULL + p);
-      a_ends.push_back(std::make_unique<SessionChannel>(
-          broker.get(), p, /*a_side=*/true, session_id,
-          static_cast<uint32_t>(p), fingerprint, nets[p], std::move(a),
-          config.metrics));
-      b_ends.push_back(std::make_unique<SessionChannel>(
-          broker.get(), p, /*a_side=*/false, session_id,
-          static_cast<uint32_t>(num_a), fingerprint, nets[p], std::move(b),
-          config.metrics));
-    } else {
-      a_ends.push_back(std::move(a));
-      b_ends.push_back(std::move(b));
-    }
-  }
-
-  // Build every engine before spawning any thread: the vector must not
-  // reallocate while worker threads hold references into it.
-  std::vector<std::unique_ptr<PartyAEngine>> engines;
-  for (size_t p = 0; p < num_a; ++p) {
-    engines.push_back(std::make_unique<PartyAEngine>(
-        config, parties[p], a_ends[p].get(), static_cast<uint32_t>(p)));
-  }
+  for (size_t p = 0; p < num_a; ++p) nets.push_back(config.NetworkFor(p));
+  SessionBroker broker(std::move(nets));
+  std::vector<std::unique_ptr<MessagePort>> a_ends(num_a);
   std::vector<Status> a_status(num_a);
   std::vector<std::thread> threads;
   for (size_t p = 0; p < num_a; ++p) {
-    PartyAEngine* engine = engines[p].get();
-    threads.emplace_back([&a_status, engine, p] {
-      a_status[p] = engine->Run();
+    threads.emplace_back([&, p] {
+      auto port = ConnectChannel(&broker, config, num_a, p, /*a_side=*/true,
+                                 kRendezvousSeconds);
+      if (port.ok()) {
+        a_ends[p] = std::move(port).value();
+        a_status[p] = PartyAEngine(config, parties[p], a_ends[p].get(),
+                                   static_cast<uint32_t>(p))
+                          .Run();
+      } else {
+        a_status[p] = port.status();
+        broker.Shutdown(a_status[p]);
+      }
       if (!a_status[p].ok()) {
         VF2_LOG(Error) << "party A" << p
                        << " failed: " << a_status[p].ToString();
@@ -132,10 +142,25 @@ Result<FedTrainResult> FedTrainer::Train(
     });
   }
 
-  std::vector<MessagePort*> b_channel_ptrs;
-  for (auto& e : b_ends) b_channel_ptrs.push_back(e.get());
-  PartyBEngine party_b_engine(config, party_b, std::move(b_channel_ptrs));
-  Result<PartyBResult> b_result = party_b_engine.Run();
+  std::vector<std::unique_ptr<MessagePort>> b_ends;
+  Result<PartyBResult> b_result = Status::Internal("party B never ran");
+  for (size_t p = 0; p < num_a; ++p) {
+    auto port = ConnectChannel(&broker, config, num_a, p, /*a_side=*/false,
+                               kRendezvousSeconds);
+    if (!port.ok()) {
+      b_result = port.status();
+      broker.Shutdown(port.status());
+      for (auto& e : b_ends) e->Close(port.status());
+      break;
+    }
+    b_ends.push_back(std::move(port).value());
+  }
+  if (b_ends.size() == num_a) {
+    std::vector<MessagePort*> b_channel_ptrs;
+    for (auto& e : b_ends) b_channel_ptrs.push_back(e.get());
+    b_result =
+        PartyBEngine(config, party_b, std::move(b_channel_ptrs)).Run();
+  }
 
   // Joining is always safe: every engine closes its channel on exit, so a
   // failure on either side wakes the peer's blocked receives — A threads
@@ -158,10 +183,6 @@ Result<FedTrainResult> FedTrainer::Train(
     return Status::Aborted("federated training failed: " + failures);
   }
 
-  FedTrainResult out;
-  out.model = std::move(b_result->model);
-  out.log = std::move(b_result->log);
-  for (const auto& engine : engines) out.party_a_cuts.push_back(engine->cuts());
   // Per-direction channel gauges (after join: stats are final). Sums over
   // every link generation when the session layer replaced endpoints.
   for (size_t p = 0; p < num_a; ++p) {
@@ -179,8 +200,7 @@ Result<FedTrainResult> FedTrainer::Train(
     export_direction("/to_b", a_ends[p]->sent_stats());
     export_direction("/from_b", b_ends[p]->sent_stats());
   }
-  out.metrics = config.metrics->Snapshot();
-  return out;
+  return MakeFedTrainResult(std::move(b_result).value(), parties, config);
 }
 
 }  // namespace vf2boost

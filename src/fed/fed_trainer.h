@@ -6,6 +6,7 @@
 #include "data/binning.h"
 #include "data/partition.h"
 #include "fed/protocol.h"
+#include "fed/session.h"
 #include "gbdt/trainer.h"
 #include "gbdt/tree.h"
 #include "obs/metrics_registry.h"
@@ -34,12 +35,39 @@ struct FedTrainResult {
   Result<GbdtModel> ToJointModel(const VerticalSplitSpec& spec) const;
 };
 
+struct PartyBResult;
+
+/// Assembles a run's result from Party B's outcome. `parties` holds every
+/// shard, A parties first: each A party's cuts are recomputed from its shard
+/// (binning is deterministic, so they are the cuts it trained with), and
+/// the result's `metrics` is a snapshot of config.metrics (must be set).
+FedTrainResult MakeFedTrainResult(PartyBResult b,
+                                  const std::vector<Dataset>& parties,
+                                  const FedConfig& config);
+
+/// Brings up one side of the first link of `channel` (the A party's index)
+/// through `factory` — the only way a party gets its links, in process
+/// (SessionBroker) and over TCP (TcpChannelFactory) alike. The channel's
+/// network config is config.NetworkFor(channel). With a reconnect budget the
+/// port is a SessionChannel whose first Reestablish runs the kHello
+/// handshake under a session id derived from Fingerprint() and the channel,
+/// the same on both sides and across resumed runs; the A side advertises
+/// needs_setup (a relaunched A gets the setup phase replayed; at a cold
+/// start B ignores it) and feeds config.clock_sync_state. Without a budget
+/// it is the factory's raw port, failing fast, and the peer gets
+/// `timeout_seconds` to show up. Party ids in hellos: A<i> is i, B is num_a.
+/// config.metrics must be set: a session counts into it.
+Result<std::unique_ptr<MessagePort>> ConnectChannel(
+    ChannelFactory* factory, const FedConfig& config, size_t num_a,
+    size_t channel, bool a_side, double timeout_seconds);
+
 /// \brief Drives a full vertical federated training run in-process.
 ///
-/// Spawns one thread per A party (each running a PartyAEngine against its
-/// own channel endpoint) and runs the PartyBEngine on the calling thread —
-/// the in-process equivalent of the paper's two-data-center deployment, with
-/// the channel modeling the WAN.
+/// Spawns one thread per A party (each bringing its link up through a
+/// SessionBroker with ConnectChannel and running a PartyAEngine on it) and
+/// runs the PartyBEngine on the calling thread — the in-process equivalent
+/// of the paper's two-data-center deployment, with the channel modeling the
+/// WAN.
 class FedTrainer {
  public:
   explicit FedTrainer(const FedConfig& config) : config_(config) {}

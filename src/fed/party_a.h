@@ -32,10 +32,6 @@ class PartyAEngine : private PartyRuntime {
 
   Status Run();
 
-  /// This party's split candidate values — needed to turn bin-granular
-  /// federated model nodes back into thresholds (harness only).
-  const BinCuts& cuts() const { return cuts_; }
-
  private:
   Status Setup();
   /// Builds the cipher backend from B's kPublicKey and answers with this

@@ -1,6 +1,7 @@
 #include "fed/party_runtime.h"
 
 #include "common/logging.h"
+#include "obs/build_info.h"
 #include "obs/flight_recorder.h"
 #include "obs/ops_server.h"
 #include "obs/trace.h"
@@ -38,6 +39,7 @@ PartyRuntime::PartyRuntime(const FedConfig& config, PartyRole role)
   // Engines built directly (tests, drills) get a private registry so the
   // handles always resolve; FedTrainer injects a shared one.
   if (owned_metrics_ != nullptr) config_.metrics = owned_metrics_.get();
+  obs::RegisterBuildInfo(config_.metrics);
   m_ = PartyMetrics::Create(config_.metrics, role_.metric_prefix);
   m_.live = &live_;
   if (config_.workers_per_party > 1) {

@@ -44,8 +44,8 @@ struct PartyRole {
 /// parties, so the engines derive from this and keep only protocol state.
 ///
 /// For the engine's lifetime the shell owns the metric handles (in a
-/// private registry when the config brings none), the live position and the
-/// worker pool. RunParty() wraps one training run in the rest of the shell.
+/// private registry when the config brings none; either way the registry
+/// gets the build/info entries), the live position and the worker pool. RunParty() wraps one training run in the rest of the shell.
 class PartyRuntime {
  private:
   /// Declared first so it outlives the handles and the pool's gauges.

@@ -79,6 +79,10 @@ struct FedConfig {
   /// network_per_party[p] when present, `network` otherwise. Lets failure
   /// drills degrade or kill one party's link while the rest stay healthy.
   std::vector<NetworkConfig> network_per_party;
+  const NetworkConfig& NetworkFor(size_t channel) const {
+    return channel < network_per_party.size() ? network_per_party[channel]
+                                              : network;
+  }
   uint64_t seed = 42;
 
   /// Directory for durable tree-boundary checkpoints (see fed/checkpoint.h).

@@ -49,9 +49,10 @@ Result<std::unique_ptr<MessagePort>> SessionBroker::Reconnect(
   if (!s.heal_armed) {
     // The outage clock starts at the first replacement request — the link
     // comes back heal_after_seconds later no matter how often either side
-    // retries in between.
+    // retries in between. The first generation has no outage to wait out.
     s.heal_armed = true;
-    s.heal_at = Clock::now() + Seconds(s.config.heal_after_seconds);
+    s.heal_at = Clock::now();
+    if (s.generation > 0) s.heal_at += Seconds(s.config.heal_after_seconds);
   }
   cv_.notify_all();
   for (;;) {
@@ -68,10 +69,10 @@ Result<std::unique_ptr<MessagePort>> SessionBroker::Reconnect(
     }
     const auto now = Clock::now();
     if (s.want_a && s.want_b && now >= s.heal_at) {
-      NetworkConfig healed = s.config;
+      NetworkConfig link = s.config;
       // The drill's deterministic link death fires once; replacements stay up.
-      healed.kill_after_messages = 0;
-      auto pair = ChannelEndpoint::CreatePair(healed);
+      if (s.generation++ > 0) link.kill_after_messages = 0;
+      auto pair = ChannelEndpoint::CreatePair(link);
       s.ready_a = std::move(pair.first);
       s.ready_b = std::move(pair.second);
       s.want_a = s.want_b = false;
@@ -221,25 +222,6 @@ Result<Message> SessionChannel::Receive() {
                                  std::to_string(budget) + "s)");
     }
     return r.status();
-  }
-}
-
-Status SessionChannel::TryReceive(Message* out, bool* got) {
-  for (;;) {
-    std::shared_ptr<MessagePort> ep = SnapshotEp();
-    if (ep == nullptr) {
-      *got = false;
-      return Status::Unavailable("session link is down");
-    }
-    Status st = ep->TryReceive(out, got);
-    if (st.ok() && *got) {
-      TouchInbound();
-      if (IsHeartbeatFrame(out->type)) {
-        heartbeats_received_->Add();
-        continue;  // beacon consumed; poll again for a real message
-      }
-    }
-    return st;
   }
 }
 

@@ -41,21 +41,22 @@ class ChannelFactory {
 };
 
 /// \brief In-process ChannelFactory: the rendezvous point where both sides
-/// of a dead channel meet to get a replacement ChannelEndpoint pair — the
-/// in-process stand-in for the gateway message queues coming back up after a
-/// WAN outage.
+/// of a channel meet to get a ChannelEndpoint pair — the in-process stand-in
+/// for the gateway message queues coming up, and coming back up after a WAN
+/// outage.
 ///
 /// One broker serves every channel of a training run; each channel has one
 /// rendezvous slot, indexed by A-party. Reconnect blocks until (a) the peer
-/// side also asks, and (b) the configured heal-after delay since the first
-/// request has elapsed — then a new endpoint pair is cut and each caller
-/// receives its half. Replacement links are created with link death disarmed
-/// (`kill_after_messages = 0`): a drill's deterministic outage fires once,
-/// the healed link stays up.
+/// side also asks, and (b) on a replacement link, the configured heal-after
+/// delay since the first request has elapsed — then a new endpoint pair is
+/// cut and each caller receives its half. Like TcpChannelFactory, the first
+/// generation honors the drill's `kill_after_messages` and replacements are
+/// cut with it disarmed: a deterministic outage fires once, the healed link
+/// stays up.
 class SessionBroker : public ChannelFactory {
  public:
-  /// `configs[i]` is the network config replacement links of channel i are
-  /// created with (the session layer disarms kill_after_messages on them).
+  /// `configs[i]` is the network config the links of channel i are created
+  /// with.
   explicit SessionBroker(std::vector<NetworkConfig> configs);
 
   Result<std::unique_ptr<MessagePort>> Reconnect(
@@ -69,10 +70,11 @@ class SessionBroker : public ChannelFactory {
     NetworkConfig config;
     bool want_a = false;
     bool want_b = false;
-    /// Earliest instant a replacement pair may be cut; armed by the first
-    /// request after a death (models the outage lasting heal_after_seconds).
+    /// Earliest instant a pair may be cut; armed by the first request
+    /// (models a replacement's outage lasting heal_after_seconds).
     ChannelEndpoint::Clock::time_point heal_at{};
     bool heal_armed = false;
+    size_t generation = 0;  ///< pairs cut so far
     std::unique_ptr<ChannelEndpoint> ready_a;
     std::unique_ptr<ChannelEndpoint> ready_b;
   };
@@ -120,15 +122,15 @@ class SessionBroker : public ChannelFactory {
 /// of Paillier crunching) keeps the link alive through its beacons.
 class SessionChannel : public MessagePort {
  public:
-  /// `initial` is the run's first-generation link; it may be null (a
-  /// multi-process runner that has not dialed yet), in which case the first
-  /// Reestablish brings the link up. `party` is the owner's party index
-  /// (A: 0..n-1, B: n) advertised in hellos. The channel counts into
-  /// "session/heartbeats_sent", "session/heartbeats_received" and
-  /// "session/liveness_trips" of `metrics` (borrowed; must outlive the
-  /// channel). Channels sharing a registry share the counters, so the
-  /// exported numbers are per-process totals, matching the transport/tcp/*
-  /// convention.
+  /// `initial` is a first-generation link the caller already holds; null
+  /// (what ConnectChannel in fed/fed_trainer.h passes) means the first
+  /// Reestablish brings the link up through the factory. `party` is the
+  /// owner's party index (A: 0..n-1, B: n) advertised in hellos. The
+  /// channel counts into "session/heartbeats_sent",
+  /// "session/heartbeats_received" and "session/liveness_trips" of
+  /// `metrics` (borrowed; must outlive the channel). Channels sharing a
+  /// registry share the counters, so the exported numbers are per-process
+  /// totals, matching the transport/tcp/* convention.
   SessionChannel(ChannelFactory* factory, size_t channel_index, bool a_side,
                  uint64_t session_id, uint32_t party,
                  uint64_t config_fingerprint, const NetworkConfig& config,
@@ -138,7 +140,6 @@ class SessionChannel : public MessagePort {
 
   void Send(Message msg) override;
   Result<Message> Receive() override;
-  Status TryReceive(Message* out, bool* got) override;
   /// Closes the current endpoint. A non-OK close also shuts the factory
   /// down: the owning engine failed terminally, so the peer's pending and
   /// future rendezvous must fail fast instead of burning their budget.

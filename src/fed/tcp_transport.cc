@@ -247,22 +247,6 @@ Result<Message> TcpMessagePort::Receive() {
   }
 }
 
-Status TcpMessagePort::TryReceive(Message* out, bool* got) {
-  *got = false;
-  if (closed_.load(std::memory_order_relaxed)) {
-    return Status::Aborted("channel closed");
-  }
-  VF2_RETURN_IF_ERROR(TakeFrame(out, got));
-  if (*got) {
-    NoteReceived(*out);
-    return Status::OK();
-  }
-  VF2_RETURN_IF_ERROR(FillBuffer(0));
-  VF2_RETURN_IF_ERROR(TakeFrame(out, got));
-  if (*got) NoteReceived(*out);
-  return Status::OK();
-}
-
 void TcpMessagePort::NoteReceived(const Message& msg) {
   if (IsHeartbeatFrame(msg.type)) return;  // beacons stay out of trace + ring
   if (auto* rec = obs::TraceRecorder::Current();

@@ -81,7 +81,6 @@ class TcpMessagePort : public MessagePort {
 
   void Send(Message msg) override;
   Result<Message> Receive() override;
-  Status TryReceive(Message* out, bool* got) override;
   /// Half-closes the socket (FIN) and wakes any blocked Receive — local and
   /// remote. The status itself cannot ride a raw socket: a terminal peer
   /// failure surfaces here as Unavailable, not as the peer's root cause.

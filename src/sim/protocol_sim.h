@@ -19,7 +19,6 @@ struct SimWorkload {
   double workers = 8;          ///< workers per party
   double parties_a = 1;        ///< number of A parties
 
-  double NnzPerInstanceA() const { return density * features_a; }
   double NnzPerInstanceB() const { return density * features_b; }
 };
 

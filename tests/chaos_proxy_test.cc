@@ -410,9 +410,9 @@ struct ProxyRunCounters {
 };
 
 // Trains `config` with party A dialing B through a ChaosProxy started from
-// `options` (its upstream port is filled in here). Both ends are
-// SessionChannels with a reconnect budget, so the proxy's faults cost
-// retries, not the run. Returns B's model text.
+// `options` (its upstream port is filled in here). With the reconnect budget
+// set here, ConnectChannel makes both ends SessionChannels, so the proxy's
+// faults cost retries, not the run. Returns B's model text.
 Result<std::string> TrainThroughProxy(FedConfig config,
                                       const std::vector<Dataset>& shards,
                                       ChaosProxy::Options options,
@@ -434,28 +434,27 @@ Result<std::string> TrainThroughProxy(FedConfig config,
                                         &registry);
   if (!dialer.ok()) return dialer.status();
 
-  const uint64_t fp = config.Fingerprint();
-  const uint64_t session_id = fp ^ 0x5e55ULL;
-  SessionChannel a_port(dialer->get(), 0, /*a_side=*/true, session_id,
-                        /*party=*/0, fp, net, /*initial=*/nullptr, &registry);
-  SessionChannel b_port(listener->get(), 0, /*a_side=*/false, session_id,
-                        /*party=*/1, fp, net, /*initial=*/nullptr, &registry);
-
+  // Both sides bring their link up exactly as vf2_fedtrain's processes do.
+  config.metrics = &registry;
+  std::unique_ptr<MessagePort> a_port;
   Status a_status;
   std::thread a_thread([&] {
-    Result<HelloPayload> hello = a_port.Reestablish(-1);
-    if (!hello.ok()) {
-      a_status = hello.status();
+    auto port = ConnectChannel(dialer->get(), config, /*num_a=*/1, 0,
+                               /*a_side=*/true, /*timeout_seconds=*/10);
+    if (!port.ok()) {
+      a_status = port.status();
       return;
     }
-    PartyAEngine engine(config, shards[0], &a_port, 0);
-    a_status = engine.Run();
+    a_port = std::move(port).value();
+    a_status = PartyAEngine(config, shards[0], a_port.get(), 0).Run();
   });
+  auto b_port = ConnectChannel(listener->get(), config, /*num_a=*/1, 0,
+                               /*a_side=*/false, /*timeout_seconds=*/10);
   Result<PartyBResult> got = Status::Internal("party B never ran");
-  if (Result<HelloPayload> hello = b_port.Reestablish(-1); hello.ok()) {
-    got = PartyBEngine(config, shards.back(), {&b_port}).Run();
+  if (!b_port.ok()) {
+    got = b_port.status();
   } else {
-    got = hello.status();
+    got = PartyBEngine(config, shards.back(), {b_port->get()}).Run();
   }
   a_thread.join();
   (*proxy)->Stop();
@@ -465,7 +464,11 @@ Result<std::string> TrainThroughProxy(FedConfig config,
     counters->events_fired = (*proxy)->events_fired();
     counters->connections = (*proxy)->connections();
     counters->trees_done = (*proxy)->trees_done();
-    counters->reconnects = a_port.reconnects() + b_port.reconnects();
+    for (MessagePort* port : {a_port.get(), b_port->get()}) {
+      auto* session = dynamic_cast<SessionChannel*>(port);
+      if (session == nullptr) return Status::Internal("link is not a session");
+      counters->reconnects += session->reconnects();
+    }
   }
   return ModelToString(got->model);
 }

@@ -32,7 +32,6 @@ TEST(CsrMatrixTest, BasicAccessors) {
   EXPECT_EQ(m.columns(), 4u);
   EXPECT_EQ(m.nnz(), 5u);
   EXPECT_NEAR(m.Density(), 5.0 / 12.0, 1e-12);
-  EXPECT_NEAR(m.AvgRowNnz(), 5.0 / 3.0, 1e-12);
   EXPECT_EQ(m.At(0, 0), 1.0f);
   EXPECT_EQ(m.At(0, 1), 0.0f);
   EXPECT_EQ(m.At(2, 3), 5.0f);

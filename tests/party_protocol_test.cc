@@ -316,9 +316,6 @@ class RelaunchPort : public MessagePort {
 
   void Send(Message msg) override { current_->Send(std::move(msg)); }
   Result<Message> Receive() override { return current_->Receive(); }
-  Status TryReceive(Message* out, bool* got) override {
-    return current_->TryReceive(out, got);
-  }
   void Close(Status status) override { current_->Close(std::move(status)); }
   bool closed() const override { return current_->closed(); }
   ChannelStats sent_stats() const override { return current_->sent_stats(); }

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -25,6 +26,7 @@
 #include "fed/fed_trainer.h"
 #include "fed/party_a.h"
 #include "fed/party_b.h"
+#include "fed/session.h"
 #include "gbdt/model_io.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -102,25 +104,6 @@ TEST(TcpMessagePortTest, FramesRoundTripBothDirections) {
   EXPECT_EQ(a.sent_stats().messages, 2u);
   EXPECT_GT(a.sent_stats().bytes, big.size());
   EXPECT_EQ(b.sent_stats().messages, 1u);
-}
-
-TEST(TcpMessagePortTest, TryReceiveIsNonBlocking) {
-  auto [fa, fb] = SocketPair();
-  NetworkConfig net;
-  TcpMessagePort a(fa, net), b(fb, net);
-  Message out;
-  bool got = true;
-  ASSERT_TRUE(b.TryReceive(&out, &got).ok());
-  EXPECT_FALSE(got);
-  a.Send(Msg(MessageType::kTreeDone, {7}));
-  // The frame is tiny; one poll round-trip is enough on loopback, but give
-  // the kernel a moment to make it readable.
-  for (int i = 0; i < 100 && !got; ++i) {
-    ASSERT_TRUE(b.TryReceive(&out, &got).ok());
-    if (!got) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(got);
-  EXPECT_EQ(out.type, MessageType::kTreeDone);
 }
 
 TEST(TcpMessagePortTest, ReceiveDeadlineExpiresOnSilentPeer) {
@@ -395,7 +378,9 @@ struct Fixture {
   std::vector<Dataset> shards;  // A party first, B last
 };
 
-Fixture MakeFixture(size_t rows, size_t cols, uint64_t seed) {
+// `fractions` are the parties' column shares, B (the label holder) last.
+Fixture MakeFixture(size_t rows, size_t cols, uint64_t seed,
+                    const std::vector<double>& fractions = {0.5, 0.5}) {
   SyntheticSpec sspec;
   sspec.rows = rows;
   sspec.cols = cols;
@@ -404,8 +389,9 @@ Fixture MakeFixture(size_t rows, size_t cols, uint64_t seed) {
   Fixture f;
   f.train = GenerateSynthetic(sspec);
   Rng rng(seed + 1);
-  f.spec = SplitColumnsRandomly(cols, {0.5, 0.5}, &rng);
-  auto shards = PartitionVertically(f.train, f.spec, /*label_party=*/1);
+  f.spec = SplitColumnsRandomly(cols, fractions, &rng);
+  auto shards =
+      PartitionVertically(f.train, f.spec, /*label_party=*/fractions.size() - 1);
   EXPECT_TRUE(shards.ok());
   f.shards = std::move(shards).value();
   return f;
@@ -442,6 +428,7 @@ TEST(TcpSessionDrillTest, LinkDeathMidTrainingRecoversWithIdenticalModel) {
         config.network = net;
 
         obs::MetricsRegistry registry;
+        config.metrics = &registry;
         auto listener =
             TcpChannelFactory::Listen("127.0.0.1", 0, 1, net, &registry);
         ASSERT_TRUE(listener.ok()) << listener.status().ToString();
@@ -449,42 +436,130 @@ TEST(TcpSessionDrillTest, LinkDeathMidTrainingRecoversWithIdenticalModel) {
             "127.0.0.1", (*listener)->port(), 0, net, &registry);
         ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
 
-        const uint64_t fp = config.Fingerprint();
-        const uint64_t session_id = fp ^ 0x5e55ULL;
-        SessionChannel a_port(dialer->get(), 0, /*a_side=*/true, session_id,
-                              /*party=*/0, fp, net, /*initial=*/nullptr,
-                              &registry);
-        SessionChannel b_port(listener->get(), 0, /*a_side=*/false,
-                              session_id, /*party=*/1, fp, net,
-                              /*initial=*/nullptr, &registry);
-
+        // Both sides bring their link up exactly as vf2_fedtrain's
+        // processes do: a session with no live link yet, whose first
+        // Reestablish dials (A) or accepts (B).
+        std::unique_ptr<MessagePort> a_port;
         Status a_status;
         std::thread a_thread([&] {
-          // Initial bring-up is a Reestablish with no live link yet, exactly
-          // like the multi-process runner.
-          Result<HelloPayload> hello = a_port.Reestablish(-1);
-          if (!hello.ok()) {
-            a_status = hello.status();
+          auto port = ConnectChannel(dialer->get(), config, /*num_a=*/1, 0,
+                                     /*a_side=*/true, /*timeout_seconds=*/10);
+          if (!port.ok()) {
+            a_status = port.status();
             return;
           }
-          PartyAEngine engine(config, f.shards[0], &a_port, 0);
-          a_status = engine.Run();
+          a_port = std::move(port).value();
+          a_status = PartyAEngine(config, f.shards[0], a_port.get(), 0).Run();
         });
-        Result<HelloPayload> hello = b_port.Reestablish(-1);
-        ASSERT_TRUE(hello.ok()) << hello.status().ToString();
-        PartyBEngine engine(config, f.shards[1], {&b_port});
-        Result<PartyBResult> got = engine.Run();
+        auto b_port = ConnectChannel(listener->get(), config, /*num_a=*/1, 0,
+                                     /*a_side=*/false, /*timeout_seconds=*/10);
+        Result<PartyBResult> got = Status::Internal("party B never ran");
+        if (!b_port.ok()) {
+          got = b_port.status();
+        } else {
+          got = PartyBEngine(config, f.shards[1], {b_port->get()}).Run();
+        }
         a_thread.join();
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_TRUE(a_status.ok()) << a_status.ToString();
 
         // The drill actually exercised recovery...
-        EXPECT_GE(a_port.reconnects() + b_port.reconnects(), 2u);
+        auto* a_session = dynamic_cast<SessionChannel*>(a_port.get());
+        auto* b_session = dynamic_cast<SessionChannel*>(b_port->get());
+        ASSERT_NE(a_session, nullptr);
+        ASSERT_NE(b_session, nullptr);
+        EXPECT_GE(a_session->reconnects() + b_session->reconnects(), 2u);
         EXPECT_GE(registry.GetCounter("transport/tcp/redials")->value(), 1u);
         EXPECT_GT(registry.GetCounter("transport/tcp/frames_read")->value(),
                   0u);
         // ...and the faults never leaked into the model.
         EXPECT_EQ(ModelToString(got->model), want);
+      },
+      120.0));
+}
+
+bool HasMetric(const obs::MetricsRegistry& registry, const std::string& name) {
+  for (const obs::MetricSample& s : registry.Snapshot()) {
+    if (s.name == name) return true;
+  }
+  return false;
+}
+
+// Three parties over TCP, each with its own registry as separate processes
+// would have, brought up through ConnectChannel on raw links. A1 dials
+// before A0, so B's listener must park A1's connection until channel 0 has
+// joined; the model must still match the in-process run byte for byte.
+TEST(TcpPartyLaunchTest, ThreePartiesJoinOutOfOrderWithIdenticalModel) {
+  ASSERT_TRUE(RunWithWatchdog(
+      [] {
+        Fixture f = MakeFixture(300, 12, /*seed=*/37, {0.3, 0.3, 0.4});
+        FedConfig config = DrillConfig();
+        auto reference = FedTrainer(config).Train(f.shards);
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+        constexpr size_t kNumA = 2;
+        std::array<obs::MetricsRegistry, kNumA + 1> registries;  // B last
+        std::array<FedConfig, kNumA + 1> configs;
+        for (size_t p = 0; p <= kNumA; ++p) {
+          configs[p] = config;
+          configs[p].metrics = &registries[p];
+        }
+        auto listener = TcpChannelFactory::Listen(
+            "127.0.0.1", 0, kNumA, config.network, &registries[kNumA]);
+        ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+        std::array<std::unique_ptr<TcpChannelFactory>, kNumA> dialers;
+        std::array<std::unique_ptr<MessagePort>, kNumA> a_ports;
+        // A raw link is up once the dialer has connected and sent its
+        // routing preamble, before B accepts, so the order is exact.
+        for (const size_t p : {1, 0}) {
+          auto dialer = TcpChannelFactory::Dial(
+              "127.0.0.1", (*listener)->port(), p, config.network,
+              &registries[p]);
+          ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
+          dialers[p] = std::move(dialer).value();
+          auto port = ConnectChannel(dialers[p].get(), configs[p], kNumA, p,
+                                     /*a_side=*/true, /*timeout_seconds=*/10);
+          ASSERT_TRUE(port.ok()) << port.status().ToString();
+          a_ports[p] = std::move(port).value();
+        }
+        std::vector<std::unique_ptr<MessagePort>> b_ports;
+        std::vector<MessagePort*> b_port_ptrs;
+        for (size_t p = 0; p < kNumA; ++p) {
+          auto port = ConnectChannel(listener->get(), configs[kNumA], kNumA,
+                                     p, /*a_side=*/false,
+                                     /*timeout_seconds=*/10);
+          ASSERT_TRUE(port.ok()) << port.status().ToString();
+          b_port_ptrs.push_back(port->get());
+          b_ports.push_back(std::move(port).value());
+        }
+
+        std::array<Status, kNumA> a_status;
+        std::vector<std::thread> a_threads;
+        for (size_t p = 0; p < kNumA; ++p) {
+          a_threads.emplace_back([&, p] {
+            a_status[p] = PartyAEngine(configs[p], f.shards[p],
+                                       a_ports[p].get(),
+                                       static_cast<uint32_t>(p))
+                              .Run();
+          });
+        }
+        Result<PartyBResult> got =
+            PartyBEngine(configs[kNumA], f.shards.back(), b_port_ptrs).Run();
+        for (auto& t : a_threads) t.join();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        for (const Status& st : a_status) {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+        }
+        EXPECT_EQ(ModelToString(got->model),
+                  ModelToString(reference->model));
+        EXPECT_EQ(registries[kNumA].GetCounter("transport/tcp/accepts")
+                      ->value(),
+                  kNumA);
+        // Every party's registry carries the build identity, A processes
+        // included.
+        for (const obs::MetricsRegistry& registry : registries) {
+          EXPECT_TRUE(HasMetric(registry, "build/info"));
+        }
       },
       120.0));
 }

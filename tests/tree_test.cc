@@ -15,9 +15,9 @@ namespace vf2boost {
 namespace {
 
 // Builds:        f0 < 2.0
-//               /        \
+//               /        \  (f0 >= 2.0)
 //          leaf(-1)    f1 < 5.0 (default-right)
-//                      /      \
+//                      /      \  (f1 >= 5.0)
 //                 leaf(+1)  leaf(+3)
 Tree HandTree() {
   Tree tree;

@@ -18,19 +18,19 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <string>
 
-#include "data/binning.h"
 #include "data/io.h"
 #include "data/partition.h"
 #include "fed/fed_trainer.h"
 #include "fed/party_a.h"
 #include "fed/party_b.h"
-#include "fed/session.h"
+#include "fed/party_runtime.h"
 #include "fed/tcp_transport.h"
 #include "gbdt/model_io.h"
 #include "metrics/metrics.h"
-#include "obs/build_info.h"
 #include "obs/clock_sync.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
@@ -261,46 +261,6 @@ int main(int argc, char** argv) {
       profiler.reset();
     }
   }
-  // Stops the profiler and writes the folded artifact(s). `party` non-empty
-  // = a TCP process owning exactly one party: its file gets the party
-  // spliced into the name (obs::PartyArtifactPath) so two processes sharing
-  // an output dir never clobber each other. In-process runs write the full
-  // profile plus one filtered file per party, same scheme as traces.
-  auto write_profile = [&](const std::string& party,
-                           size_t num_a_parties) -> bool {
-    if (profiler == nullptr) return true;
-    profiler->Stop();
-    const obs::ProfilerStats pstats = profiler->stats();
-    const std::string path = flags.GetString("profile-out");
-    if (!party.empty()) {
-      const std::string pp = obs::PartyArtifactPath(path, party);
-      if (!profiler->WriteFolded(pp)) return false;
-      std::printf("wrote folded cpu profile (%llu samples, %llu dropped) "
-                  "to %s\n",
-                  static_cast<unsigned long long>(pstats.samples),
-                  static_cast<unsigned long long>(pstats.dropped),
-                  pp.c_str());
-      return true;
-    }
-    if (!profiler->WriteFolded(path)) return false;
-    for (size_t p = 0; p < num_a_parties; ++p) {
-      const std::string prefix = "party_a" + std::to_string(p);
-      if (!profiler->WriteFolded(obs::PartyArtifactPath(path, prefix),
-                                 prefix)) {
-        return false;
-      }
-    }
-    if (!profiler->WriteFolded(obs::PartyArtifactPath(path, "party_b"),
-                               "party_b")) {
-      return false;
-    }
-    std::printf("wrote folded cpu profile (%llu samples, %llu dropped) to "
-                "%s (+ per-party *.party_*)\n",
-                static_cast<unsigned long long>(pstats.samples),
-                static_cast<unsigned long long>(pstats.dropped),
-                path.c_str());
-    return true;
-  };
 
   // --- transport selection -------------------------------------------------
   // --listen / --connect switch this process from the in-process simulation
@@ -316,33 +276,9 @@ int main(int argc, char** argv) {
   const size_t num_a = parties - 1;
   const double connect_timeout = flags.GetDouble("connect-timeout", 30.0);
 
-  // Brings one channel up. With a reconnect budget the port is a
-  // SessionChannel (crash recovery; same session-id derivation as the
-  // in-process FedTrainer so resumed processes agree); without one it is the
-  // raw TCP port, preserving PR 1's fail-fast semantics.
-  const uint64_t fingerprint = config.Fingerprint();
-  auto bring_up = [&](TcpChannelFactory* factory, size_t channel, bool a_side,
-                      uint32_t party_id, bool needs_setup,
-                      obs::ClockSync* clock_sync)
-      -> Result<std::unique_ptr<MessagePort>> {
-    if (config.network.reconnect_max_attempts > 0) {
-      auto session = std::make_unique<SessionChannel>(
-          factory, channel, a_side, fingerprint ^ (0x5e55ULL + channel),
-          party_id, fingerprint, config.network,
-          /*initial=*/nullptr, &registry);
-      session->set_clock_sync(clock_sync);
-      Result<HelloPayload> peer = session->Reestablish(-1, needs_setup);
-      if (!peer.ok()) return peer.status();
-      return std::unique_ptr<MessagePort>(std::move(session));
-    }
-    return factory->Reconnect(
-        channel, a_side,
-        ChannelEndpoint::Clock::now() +
-            std::chrono::duration_cast<ChannelEndpoint::Clock::duration>(
-                std::chrono::duration<double>(connect_timeout)));
-  };
-
   Result<FedTrainResult> result = Status::Internal("not trained");
+  std::unique_ptr<MessagePort> a_port;  // --connect: this process's link
+  Status a_status;
   if (tcp_connect) {
     // ---- one A party over TCP ---------------------------------------------
     if (!flags.Has("party")) {
@@ -373,13 +309,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", factory.status().ToString().c_str());
       return 1;
     }
-    // needs_setup is always true from a dialing process: if B is mid-run
-    // (this is a restart after a crash) it replays the setup phase; at a
-    // cold start the flag is read by B's own bring-up and ignored, because
-    // B's engine runs the setup phase anyway.
-    auto port = bring_up(factory->get(), a_index, /*a_side=*/true,
-                         static_cast<uint32_t>(a_index),
-                         /*needs_setup=*/true, clock_sync.get());
+    auto port = ConnectChannel(factory->get(), config, num_a, a_index,
+                               /*a_side=*/true, connect_timeout);
     if (!port.ok()) {
       std::fprintf(stderr, "connecting to party B failed: %s\n",
                    port.status().ToString().c_str());
@@ -387,41 +318,17 @@ int main(int argc, char** argv) {
     }
     std::printf("party A%zu connected to %s\n", a_index,
                 flags.GetString("connect").c_str());
-    PartyAEngine engine(config, (*shards)[a_index], port->get(),
-                        static_cast<uint32_t>(a_index));
-    Status st = engine.Run();
-    if (recorder != nullptr) obs::TraceRecorder::Uninstall();
-    if (!write_profile("party_a" + std::to_string(a_index), num_a)) return 1;
-    if (!st.ok()) {
-      std::fprintf(stderr, "party A%zu failed: %s\n", a_index,
-                   st.ToString().c_str());
-      return 1;
-    }
-    const ChannelStats cs = (*port)->sent_stats();
-    std::printf("party A%zu done: sent %.2f MB in %zu messages\n", a_index,
-                cs.bytes / 1e6, cs.messages);
-    if (recorder != nullptr && flags.Has("trace-out")) {
-      const std::string path = flags.GetString("trace-out");
-      if (!recorder->WriteJson(path)) return 1;
-      std::printf("wrote %zu trace events to %s (merge with "
-                  "vf2_trace_merge)\n",
-                  recorder->num_events(), path.c_str());
-    }
-    if (flags.Has("metrics-out")) {
-      const std::string path = flags.GetString("metrics-out");
-      if (!registry.WriteJson(path)) return 1;
-      std::printf("wrote %zu metrics to %s\n", registry.size(), path.c_str());
-    }
-    return 0;
+    a_port = std::move(port).value();
+    a_status = PartyAEngine(config, (*shards)[a_index], a_port.get(),
+                            static_cast<uint32_t>(a_index))
+                   .Run();
   } else if (tcp_listen) {
     // ---- party B over TCP -------------------------------------------------
     if (Status st = config.Validate(); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    obs::RegisterBuildInfo(&registry);
-    // B is the reference clock and the last trace pid (see the pid map in
-    // the --trace-out writer below).
+    // B is the reference clock and the last trace pid.
     obs::SetProcessTraceNamespace(static_cast<uint32_t>(parties));
     auto factory = TcpChannelFactory::Listen(
         "0.0.0.0", flags.GetInt("listen", 0), num_a, config.network,
@@ -435,9 +342,8 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     std::vector<std::unique_ptr<MessagePort>> ports;
     for (size_t p = 0; p < num_a; ++p) {
-      auto port = bring_up(factory->get(), p, /*a_side=*/false,
-                           static_cast<uint32_t>(num_a),
-                           /*needs_setup=*/false, /*clock_sync=*/nullptr);
+      auto port = ConnectChannel(factory->get(), config, num_a, p,
+                                 /*a_side=*/false, connect_timeout);
       if (!port.ok()) {
         std::fprintf(stderr, "waiting for party A%zu failed: %s\n", p,
                      port.status().ToString().c_str());
@@ -449,23 +355,14 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     std::vector<MessagePort*> port_ptrs;
     for (auto& p : ports) port_ptrs.push_back(p.get());
-    PartyBEngine engine(config, shards->back(), std::move(port_ptrs));
-    Result<PartyBResult> b_result = engine.Run();
+    Result<PartyBResult> b_result =
+        PartyBEngine(config, shards->back(), std::move(port_ptrs)).Run();
     if (b_result.ok()) {
-      FedTrainResult fed;
-      fed.model = std::move(b_result->model);
-      fed.log = std::move(b_result->log);
-      fed.metrics = registry.Snapshot();
-      // The A parties' split-candidate cuts are needed to evaluate the joint
-      // model. Binning is deterministic, and this process holds the full
-      // joined file, so B recomputes them instead of shipping them (in a
-      // real deployment they stay private and the model is served
-      // federated; see fed/serving.h).
-      for (size_t p = 0; p < num_a; ++p) {
-        fed.party_a_cuts.push_back(
-            ComputeBinCuts((*shards)[p].features, config.gbdt.max_bins));
-      }
-      result = std::move(fed);
+      // This process holds the full joined file, so the A parties' cuts
+      // (needed only to evaluate the joint model here; in a deployment they
+      // stay private, see fed/serving.h) are recomputed, not shipped.
+      result = MakeFedTrainResult(std::move(b_result).value(), *shards,
+                                  config);
     } else {
       result = b_result.status();
     }
@@ -473,85 +370,121 @@ int main(int argc, char** argv) {
     result = FedTrainer(config).Train(shards.value());
   }
   if (recorder != nullptr) obs::TraceRecorder::Uninstall();
+
+  // Writes one artifact through `write(path, role)`, `role` naming the
+  // party whose slice goes to `path` (null = all this process holds). An
+  // in-process run holds every party: the whole run goes to `path` and each
+  // party's slice next to it (obs::PartyArtifactPath: trace.party_a0.json,
+  // ...). A TCP process is one party and writes once: to `path`, or with
+  // `tag_own` to the party-spliced path so processes sharing an output dir
+  // never clobber each other.
+  auto write_artifact =
+      [&](const std::string& path, bool tag_own, const std::string& what,
+          const std::function<bool(const std::string&, const PartyRole*)>&
+              write) {
+        const bool one_party = !party_file_tag.empty();
+        const std::string own = one_party && tag_own
+                                    ? obs::PartyArtifactPath(path,
+                                                             party_file_tag)
+                                    : path;
+        if (!write(own, nullptr)) return false;
+        for (size_t p = 0; !one_party && p < parties; ++p) {
+          const PartyRole role =
+              p < num_a ? PartyRole::A(static_cast<uint32_t>(p))
+                        : PartyRole::B(static_cast<uint32_t>(num_a), nullptr);
+          if (!write(obs::PartyArtifactPath(path, role.metric_prefix),
+                     &role)) {
+            return false;
+          }
+        }
+        std::printf("wrote %s to %s%s\n", what.c_str(), own.c_str(),
+                    one_party ? "" : " (+ per-party *.party_*)");
+        return true;
+      };
   // Written before the failure check so a failed run still leaves its
   // profile behind — that is exactly when CPU attribution matters.
-  if (!write_profile(tcp_listen ? "party_b" : "", num_a)) return 1;
-  if (!result.ok()) {
-    std::fprintf(stderr, "training failed: %s\n",
-                 result.status().ToString().c_str());
+  if (profiler != nullptr) {
+    profiler->Stop();
+    const obs::ProfilerStats pstats = profiler->stats();
+    const std::string what =
+        "folded cpu profile (" + std::to_string(pstats.samples) +
+        " samples, " + std::to_string(pstats.dropped) + " dropped)";
+    if (!write_artifact(flags.GetString("profile-out"), /*tag_own=*/true,
+                        what,
+                        [&](const std::string& path, const PartyRole* role) {
+                          return profiler->WriteFolded(
+                              path, role ? role->metric_prefix : "");
+                        })) {
+      return 1;
+    }
+  }
+  if (tcp_connect) {
+    if (!a_status.ok()) {
+      std::fprintf(stderr, "party A%zu failed: %s\n", a_index,
+                   a_status.ToString().c_str());
+      return 1;
+    }
+    const ChannelStats cs = a_port->sent_stats();
+    std::printf("party A%zu done: sent %.2f MB in %zu messages\n", a_index,
+                cs.bytes / 1e6, cs.messages);
+  } else {
+    if (!result.ok()) {
+      std::fprintf(stderr, "training failed: %s\n",
+                   result.status().ToString().c_str());
+      return 1;
+    }
+    for (const EvalRecord& rec : result->log) {
+      std::printf("tree %3zu  %7.2fs  train_loss %.5f\n", rec.tree_index + 1,
+                  rec.elapsed_seconds, rec.train_loss);
+    }
+    auto count = [&](const char* name) {
+      return static_cast<size_t>(
+          obs::PartySum(result->metrics, "party_", name));
+    };
+    // Over TCP, B's registry holds only B's counters: the inbound volume is
+    // in the transport's frame counters.
+    const double bytes_a_to_b =
+        tcp_listen
+            ? static_cast<double>(
+                  registry.GetCounter("transport/tcp/bytes_read")->value())
+            : obs::PartySum(result->metrics, "party_a", "bytes_sent");
+    std::printf("traffic A->B %.2f MB, B->A %.2f MB; enc %zu dec %zu hadd "
+                "%zu scalings %zu packs %zu\n",
+                bytes_a_to_b / 1e6,
+                obs::PartySum(result->metrics, "party_b", "bytes_sent") / 1e6,
+                count("encryptions"), count("decryptions"), count("hadds"),
+                count("scalings"), count("packs"));
+    std::printf("splits A %zu / B %zu, leaves %zu, dirty %zu\n",
+                count("splits_a"), count("splits_b"), count("leaves"),
+                count("dirty_nodes"));
+  }
+
+  // Trace pid i+1 is A_i and pid `parties` is B (pid 0 is the trainer); a
+  // TCP process's trace merges with its peers' via vf2_trace_merge.
+  if (recorder != nullptr && flags.Has("trace-out") &&
+      !write_artifact(flags.GetString("trace-out"), /*tag_own=*/false,
+                      std::to_string(recorder->num_events()) +
+                          " trace events",
+                      [&](const std::string& path, const PartyRole* role) {
+                        return recorder->WriteJson(
+                            path, role ? static_cast<int>(role->trace_pid)
+                                       : -1);
+                      })) {
     return 1;
   }
-  for (const EvalRecord& rec : result->log) {
-    std::printf("tree %3zu  %7.2fs  train_loss %.5f\n", rec.tree_index + 1,
-                rec.elapsed_seconds, rec.train_loss);
+  if (recorder != nullptr && flags.GetBool("gantt")) {
+    std::printf("%s", RenderTraceGantt(*recorder).c_str());
   }
-  auto count = [&](const char* name) {
-    return static_cast<size_t>(obs::PartySum(result->metrics, "party_", name));
-  };
-  // Over TCP, B's registry holds only B's counters: the inbound volume is in
-  // the transport's frame counters.
-  const double bytes_a_to_b =
-      tcp_listen
-          ? static_cast<double>(
-                registry.GetCounter("transport/tcp/bytes_read")->value())
-          : obs::PartySum(result->metrics, "party_a", "bytes_sent");
-  std::printf("traffic A->B %.2f MB, B->A %.2f MB; enc %zu dec %zu hadd %zu "
-              "scalings %zu packs %zu\n",
-              bytes_a_to_b / 1e6,
-              obs::PartySum(result->metrics, "party_b", "bytes_sent") / 1e6,
-              count("encryptions"), count("decryptions"), count("hadds"),
-              count("scalings"), count("packs"));
-  std::printf("splits A %zu / B %zu, leaves %zu, dirty %zu\n",
-              count("splits_a"), count("splits_b"), count("leaves"),
-              count("dirty_nodes"));
-
-  if (recorder != nullptr) {
-    if (flags.Has("trace-out")) {
-      const std::string path = flags.GetString("trace-out");
-      if (!recorder->WriteJson(path)) return 1;
-      std::printf("wrote %zu trace events to %s (load in ui.perfetto.dev)\n",
-                  recorder->num_events(), path.c_str());
-      // Per-party views so concurrent writers never share a file: trace pid
-      // i+1 is A_i, pid `parties` is B (pid 0 is the trainer). Paths get the
-      // party id spliced in before the extension (trace.party_b.json).
-      // Skipped over TCP: each process already IS one party's view, and its
-      // main trace file merges via vf2_trace_merge.
-      if (!tcp_listen) {
-        for (size_t p = 0; p + 1 < parties; ++p) {
-          const std::string ap = obs::PartyArtifactPath(
-              path, "party_a" + std::to_string(p));
-          if (!recorder->WriteJson(ap, static_cast<int>(p) + 1)) return 1;
-        }
-        const std::string bp = obs::PartyArtifactPath(path, "party_b");
-        if (!recorder->WriteJson(bp, static_cast<int>(parties))) return 1;
-        std::printf("wrote per-party traces (*.party_*.json)\n");
-      }
-    }
-    if (flags.GetBool("gantt")) {
-      std::printf("%s", RenderTraceGantt(*recorder).c_str());
-    }
+  if (flags.Has("metrics-out") &&
+      !write_artifact(flags.GetString("metrics-out"), /*tag_own=*/false,
+                      std::to_string(registry.size()) + " metrics",
+                      [&](const std::string& path, const PartyRole* role) {
+                        return registry.WriteJson(
+                            path, role ? role->metric_prefix + "/" : "");
+                      })) {
+    return 1;
   }
-  if (flags.Has("metrics-out")) {
-    const std::string path = flags.GetString("metrics-out");
-    if (!registry.WriteJson(path)) return 1;
-    std::printf("wrote %zu metrics to %s\n", registry.size(), path.c_str());
-    // Same suffix scheme as traces: one filtered dump per party (in-process
-    // runs only; a TCP process holds just its own party's counters).
-    if (!tcp_listen) {
-      for (size_t p = 0; p + 1 < parties; ++p) {
-        const std::string prefix = "party_a" + std::to_string(p);
-        if (!registry.WriteJson(obs::PartyArtifactPath(path, prefix),
-                                prefix + "/")) {
-          return 1;
-        }
-      }
-      if (!registry.WriteJson(obs::PartyArtifactPath(path, "party_b"),
-                              "party_b/")) {
-        return 1;
-      }
-      std::printf("wrote per-party metrics (*.party_*.json)\n");
-    }
-  }
+  if (tcp_connect) return 0;
 
   auto joint = result->ToJointModel(spec);
   if (!joint.ok()) {

@@ -2,9 +2,9 @@
 // optional trace (--trace-out) into per-party and per-tree phase-time
 // attribution, and diffs/gates two benchmark JSON files.
 //
-//   vf2_report --metrics run/metrics.json --trace run/trace.json \
+//   vf2_report --metrics run/metrics.json --trace run/trace.json
 //              --profile run/profile.folded
-//   vf2_report --baseline bench/baselines/BENCH_crypto.json \
+//   vf2_report --baseline bench/baselines/BENCH_crypto.json
 //              --current BENCH_crypto.json --tolerance 0.15 --check
 //
 // Attribution answers the paper's accounting questions: where does wall time

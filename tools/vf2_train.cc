@@ -1,6 +1,6 @@
 // Plain (non-federated) GBDT training CLI.
 //
-//   vf2_train --data train.libsvm --model model.txt --trees 50 \
+//   vf2_train --data train.libsvm --model model.txt --trees 50
 //             --valid valid.libsvm --early-stop 5
 
 #include <cstdio>
