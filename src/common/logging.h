@@ -65,7 +65,13 @@ class LogMessage {
   if (!(cond))                                                        \
   VF2_LOG(Fatal) << "Check failed: " #cond " "
 
+/// Debug-only check. Under NDEBUG the condition is still read, not evaluated,
+/// so a variable only a check uses does not warn as set-but-unused.
+#ifdef NDEBUG
+#define VF2_DCHECK(cond) static_cast<void>(false && (cond))
+#else
 #define VF2_DCHECK(cond) assert(cond)
+#endif
 
 }  // namespace vf2boost
 

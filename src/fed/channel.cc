@@ -140,13 +140,6 @@ void ChannelEndpoint::Send(Message msg) {
       out_->sent.dropped += 1;
       return;
     }
-    // Deterministic link death: the gateway stops forwarding after N
-    // messages.
-    if (cfg.kill_after_messages > 0 &&
-        out_->sent.messages > cfg.kill_after_messages) {
-      out_->sent.dropped += 1;
-      return;
-    }
     const auto now = Clock::now();
     auto deliver = now;
     if (cfg.bandwidth_bytes_per_sec > 0) {
@@ -177,12 +170,6 @@ void ChannelEndpoint::Send(Message msg) {
   }
 }
 
-Result<Message> ChannelEndpoint::Receive() {
-  const double d = shared_->config.default_deadline_seconds;
-  if (d > 0) return ReceiveInternal(Clock::now() + Seconds(d));
-  return ReceiveInternal(std::nullopt);
-}
-
 Message ChannelEndpoint::PopFront(std::unique_lock<std::mutex>* lock) {
   const uint64_t flow_id = FlowId(in_->flow_dir, in_->items.front().seq);
   Message msg = std::move(in_->items.front().msg);
@@ -199,8 +186,11 @@ Message ChannelEndpoint::PopFront(std::unique_lock<std::mutex>* lock) {
   return msg;
 }
 
-Result<Message> ChannelEndpoint::ReceiveInternal(
-    std::optional<Clock::time_point> deadline) {
+Result<Message> ChannelEndpoint::Receive() {
+  std::optional<Clock::time_point> deadline;
+  if (const double d = shared_->config.default_deadline_seconds; d > 0) {
+    deadline = Clock::now() + Seconds(d);
+  }
   std::unique_lock<std::mutex> lock(shared_->mu);
   for (;;) {
     // An error close fails fast, ahead of any still-undrained traffic.

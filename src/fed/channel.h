@@ -33,9 +33,10 @@ struct NetworkConfig {
   /// Default per-call Receive deadline. 0 = block until close; > 0 turns a
   /// silent peer into Status::DeadlineExceeded instead of a hang.
   double default_deadline_seconds = 0;
-  /// Deterministic link death: after this many Send calls per direction the
-  /// link silently drops everything (0 = never). Models a peer data center
-  /// going dark mid-protocol. Honored by both transports.
+  /// Deterministic link death: after this many sends per direction, hello
+  /// and heartbeats included, a channel's first link silently drops
+  /// everything (0 = never); replacement links stay up. Models a peer data
+  /// center going dark mid-protocol. Applied by SessionChannel.
   size_t kill_after_messages = 0;
   /// Seeds the session layer's reconnect backoff jitter (fed/session.h).
   uint64_t fault_seed = 0x5eedULL;
@@ -47,9 +48,10 @@ struct NetworkConfig {
   /// link death and the WAN healing. 0 = heals immediately.
   double heal_after_seconds = 0;
   /// Total re-establishment attempts a SessionChannel may spend over the
-  /// whole run (its reconnect budget). 0 disables the session layer: the
-  /// engines keep PR 1's fail-fast behaviour. Requires a nonzero receive
-  /// deadline, otherwise a dead link is never detected in the first place.
+  /// whole run (its reconnect budget). 0 = none: the link still says hello
+  /// (fingerprint check, heartbeats), but a dead link fails the run fast.
+  /// Requires a nonzero receive deadline, otherwise a dead link is never
+  /// detected in the first place.
   int reconnect_max_attempts = 0;
   /// Exponential backoff with decorrelated jitter between reconnect
   /// attempts: sleep_i = min(cap, uniform(base, 3 * sleep_{i-1})).
@@ -108,10 +110,10 @@ inline bool IsTransientFault(const Status& s) {
 
 /// \brief Abstract duplex message port the engines talk through.
 ///
-/// ChannelEndpoint implements it directly (fail-fast semantics, PR 1);
-/// SessionChannel (fed/session.h) implements it by wrapping a replaceable
-/// ChannelEndpoint and adds crash recovery. Engines hold MessagePort* so the
-/// same protocol code runs over either.
+/// ChannelEndpoint and TcpMessagePort (fed/tcp_transport.h) are links;
+/// SessionChannel (fed/session.h), the port every party gets, wraps a
+/// replaceable link. Engines hold MessagePort* so the same protocol code
+/// runs over any of them.
 class MessagePort {
  public:
   virtual ~MessagePort() = default;
@@ -143,9 +145,8 @@ class MessagePort {
 /// \brief One endpoint of a duplex, ordered message channel — the in-process
 /// stand-in for a Pulsar topic pair between gateways.
 ///
-/// Send never reorders or duplicates; a message sent after the link was
-/// killed (kill_after_messages) is lost, which surfaces as a receive
-/// deadline. Receive blocks until a message is available *and* its simulated
+/// Send never reorders or duplicates; a message sent after close is lost.
+/// Receive blocks until a message is available *and* its simulated
 /// network delivery time has passed, or until the deadline expires, or until
 /// either side calls Close. Thread-safe: one party thread per endpoint.
 class ChannelEndpoint : public MessagePort {
@@ -189,8 +190,6 @@ class ChannelEndpoint : public MessagePort {
   struct Queue;
 
   ChannelEndpoint(std::shared_ptr<Shared> shared, Queue* in, Queue* out);
-
-  Result<Message> ReceiveInternal(std::optional<Clock::time_point> deadline);
   /// Pops the (deliverable) front message of in_ and releases `lock` before
   /// recording the trace flow end.
   Message PopFront(std::unique_lock<std::mutex>* lock);

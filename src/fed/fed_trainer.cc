@@ -1,6 +1,5 @@
 #include "fed/fed_trainer.h"
 
-#include <chrono>
 #include <string>
 #include <thread>
 
@@ -57,23 +56,19 @@ FedTrainResult MakeFedTrainResult(PartyBResult b,
 Result<std::unique_ptr<MessagePort>> ConnectChannel(
     ChannelFactory* factory, const FedConfig& config, size_t num_a,
     size_t channel, bool a_side, double timeout_seconds) {
-  const NetworkConfig& net = config.NetworkFor(channel);
-  if (net.reconnect_max_attempts == 0) {
-    return factory->Reconnect(
-        channel, a_side,
-        ChannelEndpoint::Clock::now() +
-            std::chrono::duration_cast<ChannelEndpoint::Clock::duration>(
-                std::chrono::duration<double>(timeout_seconds)));
-  }
   const uint64_t fingerprint = config.Fingerprint();
   auto session = std::make_unique<SessionChannel>(
       factory, channel, a_side, fingerprint ^ (0x5e55ULL + channel),
-      static_cast<uint32_t>(a_side ? channel : num_a), fingerprint, net,
-      /*initial=*/nullptr, config.metrics);
+      static_cast<uint32_t>(a_side ? channel : num_a), fingerprint,
+      config.NetworkFor(channel), config.metrics);
   if (a_side) session->set_clock_sync(config.clock_sync_state);
   Result<HelloPayload> peer =
-      session->Reestablish(/*last_completed_tree=*/-1, /*needs_setup=*/a_side);
-  if (!peer.ok()) return peer.status();
+      session->Open(timeout_seconds, /*needs_setup=*/a_side);
+  if (!peer.ok()) {
+    // Wakes a peer still waiting on this link or on the factory.
+    session->Close(peer.status());
+    return peer.status();
+  }
   return std::unique_ptr<MessagePort>(std::move(session));
 }
 
@@ -114,7 +109,8 @@ Result<FedTrainResult> FedTrainer::Train(
   // Every party brings its links up through the broker exactly as a TCP
   // process does through its TcpChannelFactory. Both sides are threads of
   // this process, so the rendezvous only waits for thread start-up; a side
-  // that cannot come up shuts the broker down so its peers fail fast.
+  // that cannot come up shuts the broker down (ConnectChannel closes its
+  // session) so its peers fail fast.
   constexpr double kRendezvousSeconds = 30;
   std::vector<NetworkConfig> nets;
   for (size_t p = 0; p < num_a; ++p) nets.push_back(config.NetworkFor(p));
@@ -126,14 +122,12 @@ Result<FedTrainResult> FedTrainer::Train(
     threads.emplace_back([&, p] {
       auto port = ConnectChannel(&broker, config, num_a, p, /*a_side=*/true,
                                  kRendezvousSeconds);
+      a_status[p] = port.status();
       if (port.ok()) {
         a_ends[p] = std::move(port).value();
         a_status[p] = PartyAEngine(config, parties[p], a_ends[p].get(),
                                    static_cast<uint32_t>(p))
                           .Run();
-      } else {
-        a_status[p] = port.status();
-        broker.Shutdown(a_status[p]);
       }
       if (!a_status[p].ok()) {
         VF2_LOG(Error) << "party A" << p
@@ -149,7 +143,6 @@ Result<FedTrainResult> FedTrainer::Train(
                                kRendezvousSeconds);
     if (!port.ok()) {
       b_result = port.status();
-      broker.Shutdown(port.status());
       for (auto& e : b_ends) e->Close(port.status());
       break;
     }

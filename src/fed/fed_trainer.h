@@ -45,18 +45,16 @@ FedTrainResult MakeFedTrainResult(PartyBResult b,
                                   const std::vector<Dataset>& parties,
                                   const FedConfig& config);
 
-/// Brings up one side of the first link of `channel` (the A party's index)
-/// through `factory` — the only way a party gets its links, in process
-/// (SessionBroker) and over TCP (TcpChannelFactory) alike. The channel's
-/// network config is config.NetworkFor(channel). With a reconnect budget the
-/// port is a SessionChannel whose first Reestablish runs the kHello
+/// Brings up one side of the link of `channel` (the A party's index) through
+/// `factory` — the only way a party gets its links, in process
+/// (SessionBroker) and over TCP (TcpChannelFactory) alike. The link is a
+/// SessionChannel on config.NetworkFor(channel) whose Open runs the kHello
 /// handshake under a session id derived from Fingerprint() and the channel,
-/// the same on both sides and across resumed runs; the A side advertises
-/// needs_setup (a relaunched A gets the setup phase replayed; at a cold
-/// start B ignores it) and feeds config.clock_sync_state. Without a budget
-/// it is the factory's raw port, failing fast, and the peer gets
-/// `timeout_seconds` to show up. Party ids in hellos: A<i> is i, B is num_a.
-/// config.metrics must be set: a session counts into it.
+/// so a peer with another configuration is refused (ProtocolError). The A
+/// side advertises needs_setup (a relaunched A gets the setup phase
+/// replayed) and feeds config.clock_sync_state; party ids are i for A<i> and
+/// num_a for B. The peer gets `timeout_seconds` to show up. config.metrics
+/// must be set: the session counts into it.
 Result<std::unique_ptr<MessagePort>> ConnectChannel(
     ChannelFactory* factory, const FedConfig& config, size_t num_a,
     size_t channel, bool a_side, double timeout_seconds);

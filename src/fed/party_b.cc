@@ -761,6 +761,8 @@ Result<PartyBResult> PartyBEngine::RunInternal() {
         obs::FlightRecorder::Kind::kTreeBoundary, party_b_index_,
         static_cast<int64_t>(t), 0, "tree complete");
     VF2_RETURN_IF_ERROR(MaybeWriteCheckpoint(result));
+    // Live progress, logged once the tree is checkpointed.
+    VF2_LOG(Info) << "tree " << t + 1 << " complete";
   }
   Broadcast(Message{MessageType::kTrainDone, {}});
   // The final per-party metric frames ride behind kTrainDone; collect them

@@ -69,10 +69,8 @@ Result<std::unique_ptr<MessagePort>> SessionBroker::Reconnect(
     }
     const auto now = Clock::now();
     if (s.want_a && s.want_b && now >= s.heal_at) {
-      NetworkConfig link = s.config;
-      // The drill's deterministic link death fires once; replacements stay up.
-      if (s.generation++ > 0) link.kill_after_messages = 0;
-      auto pair = ChannelEndpoint::CreatePair(link);
+      ++s.generation;
+      auto pair = ChannelEndpoint::CreatePair(s.config);
       s.ready_a = std::move(pair.first);
       s.ready_b = std::move(pair.second);
       s.want_a = s.want_b = false;
@@ -106,7 +104,6 @@ SessionChannel::SessionChannel(ChannelFactory* factory, size_t channel_index,
                                bool a_side, uint64_t session_id,
                                uint32_t party, uint64_t config_fingerprint,
                                const NetworkConfig& config,
-                               std::unique_ptr<MessagePort> initial,
                                obs::MetricsRegistry* metrics)
     : factory_(factory),
       channel_index_(channel_index),
@@ -115,14 +112,12 @@ SessionChannel::SessionChannel(ChannelFactory* factory, size_t channel_index,
       party_(party),
       fingerprint_(config_fingerprint),
       config_(config),
-      ep_(std::move(initial)),
       heartbeats_sent_(metrics->GetCounter("session/heartbeats_sent")),
       heartbeats_received_(
           metrics->GetCounter("session/heartbeats_received")),
       liveness_trips_(metrics->GetCounter("session/liveness_trips")),
       backoff_rng_(config.fault_seed ^ (a_side ? 0xA'5e55ULL : 0xB'5e55ULL) ^
                    (channel_index * 0x9E3779B97F4A7C15ULL)) {
-  link_ready_.store(ep_ != nullptr, std::memory_order_release);
   last_inbound_us_.store(SteadyMicros(), std::memory_order_relaxed);
   if (config_.heartbeat_interval_seconds > 0) {
     heartbeat_thread_ = std::thread(&SessionChannel::HeartbeatLoop, this);
@@ -147,11 +142,6 @@ void SessionChannel::TouchInbound() {
   last_inbound_us_.store(SteadyMicros(), std::memory_order_relaxed);
 }
 
-double SessionChannel::SecondsSinceInbound() const {
-  const int64_t last = last_inbound_us_.load(std::memory_order_relaxed);
-  return static_cast<double>(SteadyMicros() - last) * 1e-6;
-}
-
 void SessionChannel::HeartbeatLoop() {
   const auto period =
       std::chrono::duration<double>(config_.heartbeat_interval_seconds);
@@ -166,16 +156,33 @@ void SessionChannel::HeartbeatLoop() {
     if (!link_ready_.load(std::memory_order_acquire)) continue;
     lock.unlock();
     if (std::shared_ptr<MessagePort> ep = SnapshotEp(); ep != nullptr) {
-      ep->Send(Message{MessageType::kHeartbeat, {}});
+      SendOn(ep.get(), Message{MessageType::kHeartbeat, {}});
       heartbeats_sent_->Add();
     }
     lock.lock();
   }
 }
 
+void SessionChannel::SendOn(MessagePort* link, Message msg) {
+  {
+    // One count for the engine thread and the beacon thread alike.
+    std::lock_guard<std::mutex> lock(ep_mu_);
+    if (links_ == 1 && config_.kill_after_messages > 0 &&
+        ++first_link_sends_ > config_.kill_after_messages) {
+      // Deterministic link death: the gateway stops forwarding, silently.
+      // The peer notices through its receive deadline.
+      killed_.messages += 1;
+      killed_.bytes += msg.WireBytes();
+      killed_.dropped += 1;
+      return;
+    }
+  }
+  link->Send(std::move(msg));
+}
+
 void SessionChannel::Send(Message msg) {
   if (std::shared_ptr<MessagePort> ep = SnapshotEp(); ep != nullptr) {
-    ep->Send(std::move(msg));
+    SendOn(ep.get(), std::move(msg));
   }
 }
 
@@ -203,7 +210,8 @@ Result<Message> SessionChannel::Receive() {
       // refreshing last_inbound_ through its beacons; only true silence
       // beyond the budget surfaces — as Unavailable, which the engines'
       // IsTransientFault -> Reestablish machinery recovers from.
-      const double silence = SecondsSinceInbound();
+      const int64_t last = last_inbound_us_.load(std::memory_order_relaxed);
+      const double silence = static_cast<double>(SteadyMicros() - last) * 1e-6;
       if (silence <= budget) continue;
       liveness_trips_->Add();
       obs::FlightRecorder::RecordEvent(
@@ -248,10 +256,83 @@ bool SessionChannel::closed() const {
 
 ChannelStats SessionChannel::sent_stats() const {
   ChannelStats total = retired_stats_;
-  if (std::shared_ptr<MessagePort> ep = SnapshotEp(); ep != nullptr) {
-    total += ep->sent_stats();
+  std::shared_ptr<MessagePort> ep;
+  {
+    std::lock_guard<std::mutex> lock(ep_mu_);
+    total += killed_;
+    ep = ep_;
   }
+  if (ep != nullptr) total += ep->sent_stats();
   return total;
+}
+
+Result<HelloPayload> SessionChannel::Open(double timeout_seconds,
+                                          bool needs_setup) {
+  const Clock::time_point deadline = Clock::now() + Seconds(timeout_seconds);
+  return Connect(deadline, /*last_completed_tree=*/-1, needs_setup, deadline);
+}
+
+Result<HelloPayload> SessionChannel::Connect(Clock::time_point deadline,
+                                             int64_t last_completed_tree,
+                                             bool needs_setup,
+                                             Clock::time_point wait_until) {
+  Result<std::unique_ptr<MessagePort>> fresh =
+      factory_->Reconnect(channel_index_, a_side_, deadline);
+  if (!fresh.ok()) return fresh.status();
+  std::shared_ptr<MessagePort> link = std::move(fresh).value();
+  {
+    // Published (so Close can reach it) but not yet "ready": the beacon
+    // thread stays quiet until the hello handshake below completes.
+    std::lock_guard<std::mutex> lock(ep_mu_);
+    ep_ = link;
+    ++links_;
+  }
+  // Prove to each other we are the same session with compatible configs,
+  // and agree on the tree boundary to resume from.
+  HelloPayload mine;
+  mine.session_id = session_id_;
+  mine.party = party_;
+  mine.last_completed_tree = last_completed_tree;
+  mine.config_fingerprint = fingerprint_;
+  mine.needs_setup = needs_setup;
+  const int64_t hello_sent_us = obs::TraceNowMicros();
+  mine.clock_micros = hello_sent_us;
+  SendOn(link.get(), EncodeHello(mine));
+  Result<Message> reply = link->Receive();
+  while (!reply.ok() &&
+         reply.status().code() == StatusCode::kDeadlineExceeded &&
+         Clock::now() < wait_until) {
+    reply = link->Receive();
+  }
+  const int64_t hello_reply_us = obs::TraceNowMicros();
+  if (!reply.ok()) return reply.status();
+  HelloPayload peer;
+  Status st = DecodeHello(reply.value(), &peer);
+  if (!st.ok()) {
+    return Status::ProtocolError("bad hello from peer: " + st.ToString());
+  }
+  // The fingerprint first: the session id is derived from it, so a config
+  // mismatch would otherwise read as a session id mismatch.
+  if (peer.config_fingerprint != fingerprint_) {
+    return Status::ProtocolError(
+        "peer runs an incompatible configuration (fingerprint mismatch)");
+  }
+  if (peer.session_id != session_id_) {
+    return Status::ProtocolError(
+        "hello session id mismatch: peer says " +
+        std::to_string(peer.session_id) + ", this session is " +
+        std::to_string(session_id_));
+  }
+  TouchInbound();  // the peer's hello is inbound traffic: liveness restarts
+  link_ready_.store(true, std::memory_order_release);
+  if (clock_sync_ != nullptr && peer.clock_micros != 0) {
+    // The handshake is symmetric (both Send then Receive), so the peer's
+    // stamp echoes nothing of ours — a degenerate NTP sample bounded by
+    // the whole handshake round trip. Ping/pong rounds refine it later.
+    clock_sync_->AddHelloSample(hello_sent_us, peer.clock_micros,
+                                hello_reply_us);
+  }
+  return peer;
 }
 
 Result<HelloPayload> SessionChannel::Reestablish(int64_t last_completed_tree,
@@ -298,69 +379,23 @@ Result<HelloPayload> SessionChannel::Reestablish(int64_t last_completed_tree,
     if (sleep_s > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
     }
-    Result<std::unique_ptr<MessagePort>> fresh = factory_->Reconnect(
-        channel_index_, a_side_, Clock::now() + Seconds(rendezvous_window));
-    if (!fresh.ok()) {
-      if (IsTransientFault(fresh.status())) continue;  // timed out; retry
-      return fresh.status();  // broker shut down: terminal
+    Result<HelloPayload> peer =
+        Connect(Clock::now() + Seconds(rendezvous_window), last_completed_tree,
+                needs_setup, /*wait_until=*/Clock::time_point{});
+    if (!peer.ok()) {
+      // A timed-out rendezvous or a link that died mid-hello is retried; a
+      // shut-down factory or a refused hello is terminal.
+      if (IsTransientFault(peer.status())) continue;
+      return peer.status();
     }
-    std::shared_ptr<MessagePort> link = std::move(fresh).value();
-    {
-      // Published (so Close can reach it) but not yet "ready": the beacon
-      // thread stays quiet until the hello handshake below completes.
-      std::lock_guard<std::mutex> lock(ep_mu_);
-      ep_ = link;
-    }
-    // Fresh link is up — prove to each other we are the same session with
-    // compatible configs, and agree on the tree boundary to resume from.
-    HelloPayload mine;
-    mine.session_id = session_id_;
-    mine.party = party_;
-    mine.last_completed_tree = last_completed_tree;
-    mine.config_fingerprint = fingerprint_;
-    mine.needs_setup = needs_setup;
-    const int64_t hello_sent_us = obs::TraceNowMicros();
-    mine.clock_micros = hello_sent_us;
-    link->Send(EncodeHello(mine));
-    Result<Message> reply = link->Receive();
-    const int64_t hello_reply_us = obs::TraceNowMicros();
-    if (!reply.ok()) {
-      if (IsTransientFault(reply.status())) continue;  // retry from the top
-      return reply.status();
-    }
-    HelloPayload peer;
-    Status st = DecodeHello(reply.value(), &peer);
-    if (!st.ok()) {
-      return Status::ProtocolError("bad hello from peer: " + st.ToString());
-    }
-    if (peer.session_id != session_id_) {
-      return Status::ProtocolError(
-          "hello session id mismatch: peer says " +
-          std::to_string(peer.session_id) + ", this session is " +
-          std::to_string(session_id_));
-    }
-    if (peer.config_fingerprint != fingerprint_) {
-      return Status::ProtocolError(
-          "peer runs an incompatible configuration (fingerprint mismatch)");
-    }
-    ++reconnects_;
-    TouchInbound();  // the peer's hello is inbound traffic: liveness restarts
-    link_ready_.store(true, std::memory_order_release);
     obs::FlightRecorder::RecordEvent(obs::FlightRecorder::Kind::kReconnect,
                                      static_cast<uint32_t>(channel_index_),
                                      static_cast<int64_t>(attempts_used_),
-                                     peer.last_completed_tree,
+                                     peer->last_completed_tree,
                                      a_side_ ? "hello ok (A)" : "hello ok (B)");
-    if (clock_sync_ != nullptr && peer.clock_micros != 0) {
-      // The handshake is symmetric (both Send then Receive), so the peer's
-      // stamp echoes nothing of ours — a degenerate NTP sample bounded by
-      // the whole handshake round trip. Ping/pong rounds refine it later.
-      clock_sync_->AddHelloSample(hello_sent_us, peer.clock_micros,
-                                  hello_reply_us);
-    }
     VF2_LOG(Info) << "session " << session_id_ << " channel " << channel_index_
                   << (a_side_ ? " (A)" : " (B)") << " re-established, peer at "
-                  << "tree " << peer.last_completed_tree << ", attempt "
+                  << "tree " << peer->last_completed_tree << ", attempt "
                   << attempts_used_ << "/" << config_.reconnect_max_attempts;
     return peer;
   }

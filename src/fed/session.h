@@ -18,9 +18,10 @@
 
 namespace vf2boost {
 
-/// \brief Source of replacement links for the session layer. A side that
-/// wants a fresh link calls Reconnect() and blocks until its peer is
-/// reachable again; what "reachable" means is transport-specific:
+/// \brief Source of a channel's links for the session layer: the first one
+/// (SessionChannel::Open) and every replacement. A side that wants a link
+/// calls Reconnect() and blocks until its peer is reachable; what
+/// "reachable" means is transport-specific:
 /// SessionBroker cuts a fresh in-process ChannelEndpoint pair once both
 /// sides ask, TcpChannelFactory (fed/tcp_transport.h) accepts or redials a
 /// real TCP connection. Thread-safe; Shutdown() aborts all pending and
@@ -49,10 +50,7 @@ class ChannelFactory {
 /// rendezvous slot, indexed by A-party. Reconnect blocks until (a) the peer
 /// side also asks, and (b) on a replacement link, the configured heal-after
 /// delay since the first request has elapsed — then a new endpoint pair is
-/// cut and each caller receives its half. Like TcpChannelFactory, the first
-/// generation honors the drill's `kill_after_messages` and replacements are
-/// cut with it disarmed: a deterministic outage fires once, the healed link
-/// stays up.
+/// cut and each caller receives its half.
 class SessionBroker : public ChannelFactory {
  public:
   /// `configs[i]` is the network config the links of channel i are created
@@ -86,57 +84,55 @@ class SessionBroker : public ChannelFactory {
   Status shutdown_status_;
 };
 
-/// \brief Crash-recovering MessagePort: wraps a replaceable ChannelEndpoint
-/// and, on request, re-establishes the link through a ChannelFactory.
+/// \brief Every party link: a session over a replaceable factory link. Open()
+/// brings generation 0 up, and a peer with another fingerprint or session id
+/// is refused there, whatever the reconnect budget.
 ///
 /// The port itself never retries I/O — Send/Receive delegate to the current
-/// endpoint and surface its errors unchanged, so the engine keeps PR 1's
-/// fail-fast visibility. What changes is what the engine can *do* about a
-/// transient error: call Reestablish(), which
-///   1. closes the current endpoint with Status::Unavailable so a healthy
-///      peer blocked on it fails over immediately instead of waiting out its
-///      deadline,
+/// link and surface its errors unchanged, so without a reconnect budget the
+/// engines fail fast. With one, the engine can answer a transient error by
+/// calling Reestablish(), which
+///   1. closes the current link with Status::Unavailable so a healthy peer
+///      blocked on it fails over at once instead of waiting out its deadline,
 ///   2. sleeps exponential backoff with decorrelated jitter
 ///      (sleep = min(cap, uniform(base, 3 * previous))), deterministic per
 ///      (fault_seed, side),
-///   3. rendezvouses with the peer through the factory under a bounded
-///      per-attempt deadline,
-///   4. exchanges kHello over the fresh endpoint and cross-checks session id
-///      and config fingerprint — a mismatch is a terminal ProtocolError,
+///   3. takes a fresh link from the factory and exchanges kHello on it, as
+///      Open does,
 /// under a total attempt budget of `config.reconnect_max_attempts` for the
-/// port's lifetime. One engine thread drives Send/Receive/Reestablish, like
-/// ChannelEndpoint; when `config.heartbeat_interval_seconds > 0` the channel
-/// additionally runs a background beacon thread (see below), so the current
-/// endpoint is held behind a small mutex.
+/// port's lifetime. One engine thread drives Send/Receive/Reestablish; the
+/// beacon thread (below) sends too, so the current link sits behind a mutex.
 ///
-/// Heartbeat liveness (tentpole of the chaos-hardening PR): with heartbeats
-/// on, a beacon thread sends an empty kHeartbeat every interval while the
-/// link is up; inbound heartbeats are consumed below the engine's inbox and
-/// merely refresh a last-inbound-traffic stamp. With
-/// `liveness_budget_seconds > 0`, Receive converts per-call deadline expiries
-/// into continued waiting while inbound silence is within the budget — and
-/// into Status::Unavailable ("peer liveness budget exhausted") once it is
-/// not. The engines' existing IsTransientFault -> Reestablish machinery then
-/// recovers. Net effect: a half-open or SIGSTOP'd peer is detected by the
-/// session layer within the budget, while a healthy-but-quiet peer (minutes
-/// of Paillier crunching) keeps the link alive through its beacons.
+/// Kill switch (NetworkConfig::kill_after_messages): generation 0 goes silent
+/// after that many sends, hello and beacons included, and counts the rest in
+/// sent_stats().dropped; replacement links are never armed.
+///
+/// Heartbeat liveness: with heartbeats on, a beacon thread sends an empty
+/// kHeartbeat every interval while the link is up; inbound heartbeats are
+/// consumed below the engine's inbox and only refresh a last-inbound stamp.
+/// With `liveness_budget_seconds > 0`, Receive turns per-call deadline
+/// expiries into continued waiting while inbound silence is within the
+/// budget, and into Status::Unavailable ("peer liveness budget exhausted")
+/// once it is not. So a half-open or SIGSTOP'd peer is detected within the
+/// budget, while a healthy-but-quiet peer (minutes of Paillier crunching)
+/// keeps the link alive through its beacons.
 class SessionChannel : public MessagePort {
  public:
-  /// `initial` is a first-generation link the caller already holds; null
-  /// (what ConnectChannel in fed/fed_trainer.h passes) means the first
-  /// Reestablish brings the link up through the factory. `party` is the
-  /// owner's party index (A: 0..n-1, B: n) advertised in hellos. The
-  /// channel counts into "session/heartbeats_sent",
-  /// "session/heartbeats_received" and "session/liveness_trips" of
+  /// The channel has no link until Open(). `party` is the owner's party
+  /// index (A: 0..n-1, B: n) advertised in hellos. The channel counts into
+  /// "session/{heartbeats_sent,heartbeats_received,liveness_trips}" of
   /// `metrics` (borrowed; must outlive the channel). Channels sharing a
-  /// registry share the counters, so the exported numbers are per-process
-  /// totals, matching the transport/tcp/* convention.
+  /// registry share the counters: per-process totals, like transport/tcp/*.
   SessionChannel(ChannelFactory* factory, size_t channel_index, bool a_side,
                  uint64_t session_id, uint32_t party,
                  uint64_t config_fingerprint, const NetworkConfig& config,
-                 std::unique_ptr<MessagePort> initial,
                  obs::MetricsRegistry* metrics);
   ~SessionChannel() override;
+
+  /// Brings generation 0 up: waits up to `timeout_seconds` for the factory's
+  /// first link and the peer's hello, with no backoff and no budget spent,
+  /// and returns that hello. Call once, before any other method.
+  Result<HelloPayload> Open(double timeout_seconds, bool needs_setup);
 
   void Send(Message msg) override;
   Result<Message> Receive() override;
@@ -159,22 +155,24 @@ class SessionChannel : public MessagePort {
   /// the channel. Null (default) disables.
   void set_clock_sync(obs::ClockSync* sync) { clock_sync_ = sync; }
 
-  /// Successful re-establishments (completed hello handshakes).
-  size_t reconnects() const { return reconnects_; }
-  /// Rendezvous attempts consumed out of config.reconnect_max_attempts.
-  int attempts_used() const { return attempts_used_; }
-
  private:
   /// Current-endpoint snapshot; safe against the beacon thread and against
   /// Reestablish swapping generations.
   std::shared_ptr<MessagePort> SnapshotEp() const;
   /// Stamps "inbound traffic seen now" for the liveness clock.
   void TouchInbound();
-  /// Seconds since the last inbound traffic (any frame, beacons included).
-  double SecondsSinceInbound() const;
   /// Body of the beacon thread: every heartbeat interval, send one empty
   /// kHeartbeat on the current endpoint while the link is up.
   void HeartbeatLoop();
+  /// Takes a link from the factory (by `deadline`), publishes it as the
+  /// current generation and runs the hello handshake on it. A receive
+  /// deadline before `wait_until` is waited out: at bring-up the peer may
+  /// still be joining its other links.
+  Result<HelloPayload> Connect(ChannelEndpoint::Clock::time_point deadline,
+                               int64_t last_completed_tree, bool needs_setup,
+                               ChannelEndpoint::Clock::time_point wait_until);
+  /// Sends on `link` unless generation 0's kill switch has fired.
+  void SendOn(MessagePort* link, Message msg);
 
   ChannelFactory* factory_;
   const size_t channel_index_;
@@ -188,6 +186,9 @@ class SessionChannel : public MessagePort {
   /// snapshot while Reestablish retires the generation.
   mutable std::mutex ep_mu_;
   std::shared_ptr<MessagePort> ep_;
+  size_t links_ = 0;             ///< links published; the first is generation 0
+  size_t first_link_sends_ = 0;  ///< sends on generation 0, for the kill switch
+  ChannelStats killed_;          ///< sends the kill switch swallowed
   /// True while the current link generation is usable (false between link
   /// retirement and a completed hello) — the beacon thread only sends on a
   /// ready link so a heartbeat can never race ahead of a handshake hello.
@@ -209,7 +210,6 @@ class SessionChannel : public MessagePort {
   Rng backoff_rng_;
   double prev_backoff_seconds_ = 0;
   int attempts_used_ = 0;
-  size_t reconnects_ = 0;
   std::atomic<bool> terminally_closed_{false};
   Status close_status_;
 };

@@ -95,16 +95,7 @@ void TcpMessagePort::Send(Message msg) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++sent_.messages;
   sent_.bytes += frame.size();
-  ++sends_attempted_;
   if (closed_.load(std::memory_order_relaxed) || write_broken_) {
-    ++sent_.dropped;
-    return;
-  }
-  if (config_.kill_after_messages > 0 &&
-      sends_attempted_ > config_.kill_after_messages) {
-    // Deterministic link death for chaos drills: the bytes silently stop,
-    // exactly like the simulated transport. The peer notices via its receive
-    // deadline.
     ++sent_.dropped;
     return;
   }
@@ -328,7 +319,6 @@ Result<std::unique_ptr<TcpChannelFactory>> TcpChannelFactory::Listen(
   factory->config_ = config;
   factory->metrics_ = TcpTransportMetrics::Create(registry);
   factory->parked_.resize(num_channels);
-  factory->generation_.resize(num_channels, 0);
   return factory;
 }
 
@@ -349,22 +339,11 @@ Result<std::unique_ptr<TcpChannelFactory>> TcpChannelFactory::Dial(
   factory->config_ = config;
   factory->metrics_ = TcpTransportMetrics::Create(registry);
   factory->parked_.resize(channel + 1);
-  factory->generation_.resize(channel + 1, 0);
   return factory;
 }
 
 TcpChannelFactory::~TcpChannelFactory() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-NetworkConfig TcpChannelFactory::LinkConfig(size_t channel) {
-  NetworkConfig link = config_;
-  if (generation_[channel] > 0) {
-    // The drill's deterministic link death fires once; replacements stay up.
-    link.kill_after_messages = 0;
-  }
-  ++generation_[channel];
-  return link;
 }
 
 Result<std::unique_ptr<MessagePort>> TcpChannelFactory::Reconnect(
@@ -422,7 +401,6 @@ Result<std::unique_ptr<MessagePort>> TcpChannelFactory::AcceptChannel(
     // sends the preamble immediately, so a short deadline is plenty.
     NetworkConfig preamble_config = config_;
     preamble_config.default_deadline_seconds = 5.0;
-    preamble_config.kill_after_messages = 0;
     auto port = std::make_unique<TcpMessagePort>(conn, preamble_config,
                                                  metrics_);
     Result<Message> hello = port->Receive();
@@ -438,16 +416,16 @@ Result<std::unique_ptr<MessagePort>> TcpChannelFactory::AcceptChannel(
       continue;
     }
     const size_t got = preamble.party;
-    // Rebuild the port on the same fd with the real per-link config: dup the
+    // Rebuild the port on the same fd with the link's own config: dup the
     // fd so the preamble port's destructor close doesn't tear the link down,
     // and carry over any bytes TCP coalesced in behind the preamble.
     std::vector<uint8_t> residue = port->TakeBuffered();
     const int kept = ::dup(port->fd());
     port.reset();
     if (kept < 0) return Errno("dup");
+    auto real = std::make_unique<TcpMessagePort>(kept, config_, metrics_,
+                                                 std::move(residue));
     std::lock_guard<std::mutex> lock(mu_);
-    auto real = std::make_unique<TcpMessagePort>(kept, LinkConfig(got),
-                                                 metrics_, std::move(residue));
     if (got == channel) {
       return std::unique_ptr<MessagePort>(std::move(real));
     }
@@ -469,11 +447,8 @@ Result<std::unique_ptr<MessagePort>> TcpChannelFactory::DialChannel(
                                       " not reachable before deadline");
     }
     if (metrics_.dials != nullptr) metrics_.dials->Add(1);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (generation_[channel] > 0 && metrics_.redials != nullptr) {
-        metrics_.redials->Add(1);
-      }
+    if (links_dialed_ > 0 && metrics_.redials != nullptr) {
+      metrics_.redials->Add(1);
     }
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return Errno("socket");
@@ -494,12 +469,8 @@ Result<std::unique_ptr<MessagePort>> TcpChannelFactory::DialChannel(
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
       continue;
     }
-    std::unique_ptr<TcpMessagePort> port;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      port = std::make_unique<TcpMessagePort>(fd, LinkConfig(channel),
-                                              metrics_);
-    }
+    ++links_dialed_;
+    auto port = std::make_unique<TcpMessagePort>(fd, config_, metrics_);
     // Routing preamble: tell the listener which channel slot we serve. The
     // session layer's real hello (with session id and fingerprint checks)
     // follows on top of the returned port.

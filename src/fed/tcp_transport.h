@@ -61,16 +61,14 @@ struct TcpTransportMetrics {
 /// Send never blocks on protocol state (TCP backpressure aside) and never
 /// fails loudly: like ChannelEndpoint, a write to a broken connection counts
 /// the message as dropped and the failure surfaces on the peer as a receive
-/// error. NetworkConfig::kill_after_messages is honored (sends silently stop
-/// after N) so the chaos drills run unchanged over TCP. Thread-compatible:
-/// one engine thread per port, plus Close from any thread.
+/// error. Thread-compatible: one engine thread per port, plus Close from any
+/// thread.
 class TcpMessagePort : public MessagePort {
  public:
   /// Takes ownership of connected socket `fd`. Only `config`'s
-  /// default_deadline_seconds and kill_after_messages are honored — fault
-  /// injection stays with the simulated transport. `buffered` seeds the
-  /// inbound buffer with bytes already read off the socket by a predecessor
-  /// port (see TakeBuffered).
+  /// default_deadline_seconds is honored — delay modelling stays with the
+  /// simulated transport. `buffered` seeds the inbound buffer with bytes
+  /// already read off the socket by a predecessor port (see TakeBuffered).
   TcpMessagePort(int fd, const NetworkConfig& config,
                  const TcpTransportMetrics& metrics = {},
                  std::vector<uint8_t> buffered = {});
@@ -114,7 +112,6 @@ class TcpMessagePort : public MessagePort {
   std::atomic<bool> closed_{false};
   bool peer_gone_ = false;           ///< EOF or reset seen on read
   std::vector<uint8_t> rbuf_;        ///< undecoded inbound bytes
-  size_t sends_attempted_ = 0;       ///< for kill_after_messages
   bool write_broken_ = false;        ///< EPIPE/reset seen on write
 
   mutable std::mutex stats_mu_;
@@ -133,10 +130,6 @@ class TcpMessagePort : public MessagePort {
 /// parked connection. The SessionChannel built on top runs its own kHello
 /// handshake with full session/fingerprint validation afterwards; the
 /// preamble is routing only.
-///
-/// Like SessionBroker, replacement links after the first generation are cut
-/// with kill_after_messages disarmed, so a chaos drill's deterministic link
-/// death fires once and the healed link stays up.
 class TcpChannelFactory : public ChannelFactory {
  public:
   /// Party B: binds `bind_address:port` (port 0 = ephemeral, see port()) and
@@ -170,9 +163,6 @@ class TcpChannelFactory : public ChannelFactory {
       size_t channel, ChannelEndpoint::Clock::time_point deadline);
   Result<std::unique_ptr<MessagePort>> DialChannel(
       size_t channel, ChannelEndpoint::Clock::time_point deadline);
-  /// Per-generation network config: the first link honors the drill's
-  /// kill_after_messages, replacements are disarmed.
-  NetworkConfig LinkConfig(size_t channel);
 
   bool listener_ = false;
   std::string host_;          // dialer: peer host
@@ -186,7 +176,7 @@ class TcpChannelFactory : public ChannelFactory {
   Status shutdown_status_;
   bool shutdown_ = false;
   std::vector<std::unique_ptr<TcpMessagePort>> parked_;  // per channel
-  std::vector<size_t> generation_;                       // links cut per channel
+  std::atomic<size_t> links_dialed_{0};  // dialer: for the redials count
 };
 
 }  // namespace vf2boost

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 
@@ -162,16 +163,25 @@ std::string FlightRecorder::ToJson() const {
 }
 
 bool FlightRecorder::Dump(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  // Written aside and renamed over `path`, so a SIGKILL mid-write leaves
+  // the previous dump, never a truncated one.
+  static std::atomic<uint64_t> next_tmp{0};
+  const std::string tmp = path + ".tmp" + std::to_string(next_tmp++);
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) {
-    VF2_LOG(Error) << "cannot open " << path << " for flight-recorder dump";
+    VF2_LOG(Error) << "cannot open " << tmp << " for flight-recorder dump";
     return false;
   }
   const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) VF2_LOG(Error) << "short flight-recorder write to " << path;
-  return ok;
+  const bool written =
+      std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  if (std::fclose(f) == 0 && written &&
+      std::rename(tmp.c_str(), path.c_str()) == 0) {
+    return true;
+  }
+  std::remove(tmp.c_str());
+  VF2_LOG(Error) << "flight-recorder dump to " << path << " failed";
+  return false;
 }
 
 void FlightRecorder::Persist() const {

@@ -191,24 +191,6 @@ TEST(ChannelTest, DeadlineDoesNotFireWhenMessageArrives) {
   EXPECT_EQ(r->payload[0], 4);
 }
 
-// --- link death -------------------------------------------------------------
-
-TEST(ChannelTest, KillAfterMessagesSilencesTheLink) {
-  NetworkConfig net;
-  net.kill_after_messages = 2;
-  net.default_deadline_seconds = 0.05;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  a->Send(Make(MessageType::kGradBatch, 1));
-  a->Send(Make(MessageType::kGradBatch, 2));
-  a->Send(Make(MessageType::kGradBatch, 3));  // link already dead
-  EXPECT_EQ(b->Receive()->payload[0], 1);
-  EXPECT_EQ(b->Receive()->payload[0], 2);
-  Result<Message> r = b->Receive();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(a->sent_stats().dropped, 1u);
-}
-
 TEST(ChannelTest, WireFrameRoundTrips) {
   Message m = Make(MessageType::kNodeHistogram, 42);
   m.payload.push_back(7);

@@ -410,9 +410,9 @@ struct ProxyRunCounters {
 };
 
 // Trains `config` with party A dialing B through a ChaosProxy started from
-// `options` (its upstream port is filled in here). With the reconnect budget
-// set here, ConnectChannel makes both ends SessionChannels, so the proxy's
-// faults cost retries, not the run. Returns B's model text.
+// `options` (its upstream port is filled in here). The reconnect budget set
+// here lets both ends' sessions ride out the proxy's faults, so they cost
+// retries, not the run. Returns B's model text.
 Result<std::string> TrainThroughProxy(FedConfig config,
                                       const std::vector<Dataset>& shards,
                                       ChaosProxy::Options options,
@@ -464,11 +464,8 @@ Result<std::string> TrainThroughProxy(FedConfig config,
     counters->events_fired = (*proxy)->events_fired();
     counters->connections = (*proxy)->connections();
     counters->trees_done = (*proxy)->trees_done();
-    for (MessagePort* port : {a_port.get(), b_port->get()}) {
-      auto* session = dynamic_cast<SessionChannel*>(port);
-      if (session == nullptr) return Status::Internal("link is not a session");
-      counters->reconnects += session->reconnects();
-    }
+    counters->reconnects = static_cast<size_t>(
+        obs::PartySum(registry.Snapshot(), "party_", "session/reconnects"));
   }
   return ModelToString(got->model);
 }

@@ -216,6 +216,15 @@ std::string JointModelText(const FedTrainResult& result, const Fixture& f) {
   return ModelToString(*joint);
 }
 
+double MetricValue(const std::vector<obs::MetricSample>& samples,
+                   const std::string& name) {
+  for (const obs::MetricSample& s : samples) {
+    if (s.name == name) return s.value;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return 0;
+}
+
 // The tentpole drill: a link dies mid-tree, and with a reconnect budget the
 // run must heal and finish — with a model bit-identical to a fault-free run,
 // because both sides retrain the interrupted tree from the last boundary.
@@ -241,6 +250,18 @@ TEST(FedRecoveryTest, ReconnectHealsMidTreeLinkDeath) {
   EXPECT_GE(obs::PartySum(r_faulty->metrics, "party_", "session/reconnects"),
             1)
       << "link death never triggered a reconnect (kill_after too high?)";
+  // The channel gauges count every send of a direction over both link
+  // generations, the ones the kill switch swallowed included.
+  double dropped = 0;
+  for (const std::string dir : {"/to_b", "/from_b"}) {
+    const double sent =
+        MetricValue(r_faulty->metrics, "channel/a0" + dir + "/messages");
+    const double lost =
+        MetricValue(r_faulty->metrics, "channel/a0" + dir + "/dropped");
+    EXPECT_GT(sent, lost) << dir;
+    dropped += lost;
+  }
+  EXPECT_GE(dropped, 1);
 
   const auto p_clean = Predictions(*r_clean, f);
   const auto p_faulty = Predictions(*r_faulty, f);

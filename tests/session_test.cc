@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "common/timer.h"
+#include "fed/fed_trainer.h"
+#include "fed/tcp_transport.h"
 
 namespace vf2boost {
 namespace {
@@ -25,25 +28,35 @@ NetworkConfig RecoverableNet() {
   return net;
 }
 
-// Builds both halves of one resilient channel over a shared broker; each
-// side counts into its own registry, as two processes would.
+// Brings both halves of one channel up through a shared broker, A on a
+// helper thread; each side counts into its own registry, as two processes
+// would. The broker cuts links with A's config.
 struct SessionPair {
-  explicit SessionPair(const NetworkConfig& net,
-                       uint64_t fingerprint_a = 77, uint64_t fingerprint_b = 77)
-      : broker({net}) {
-    auto [ea, eb] = ChannelEndpoint::CreatePair(net);
-    a = std::make_unique<SessionChannel>(
-        &broker, 0, /*a_side=*/true, /*session_id=*/1234, /*party=*/0,
-        fingerprint_a, net, std::move(ea), &a_metrics);
-    b = std::make_unique<SessionChannel>(
-        &broker, 0, /*a_side=*/false, /*session_id=*/1234, /*party=*/1,
-        fingerprint_b, net, std::move(eb), &b_metrics);
+  explicit SessionPair(const NetworkConfig& net, uint64_t fingerprint_a = 77,
+                       uint64_t fingerprint_b = 77)
+      : SessionPair(net, net, fingerprint_a, fingerprint_b) {}
+  SessionPair(const NetworkConfig& a_net, const NetworkConfig& b_net,
+              uint64_t fingerprint_a = 77, uint64_t fingerprint_b = 77)
+      : broker({a_net}),
+        a(std::make_unique<SessionChannel>(
+            &broker, 0, /*a_side=*/true, /*session_id=*/1234, /*party=*/0,
+            fingerprint_a, a_net, &a_metrics)),
+        b(std::make_unique<SessionChannel>(
+            &broker, 0, /*a_side=*/false, /*session_id=*/1234, /*party=*/1,
+            fingerprint_b, b_net, &b_metrics)) {
+    std::thread side_a([this] { a_open = a->Open(5, /*needs_setup=*/true); });
+    b_open = b->Open(5, /*needs_setup=*/false);
+    side_a.join();
   }
+  bool up() const { return a_open.ok() && b_open.ok(); }
+
   SessionBroker broker;
   obs::MetricsRegistry a_metrics;
   obs::MetricsRegistry b_metrics;
   std::unique_ptr<SessionChannel> a;
   std::unique_ptr<SessionChannel> b;
+  Result<HelloPayload> a_open = Status::Unavailable("pending");  ///< B's hello
+  Result<HelloPayload> b_open = Status::Unavailable("pending");  ///< A's hello
 };
 
 // Cuts one pair for channel 0, one side on a helper thread.
@@ -85,22 +98,6 @@ TEST(SessionBrokerTest, HealDelayGatesOnlyReplacementLinks) {
   EXPECT_GE(second_clock.ElapsedSeconds(), 0.25);  // outage lasted ~heal_after
 }
 
-TEST(SessionBrokerTest, KillAfterArmsOnlyTheFirstGeneration) {
-  NetworkConfig net;
-  net.kill_after_messages = 1;
-  net.default_deadline_seconds = 0.05;
-  SessionBroker broker({net});
-  for (int generation = 0; generation < 2; ++generation) {
-    auto [a, b] = Rendezvous(&broker);
-    ASSERT_NE(a, nullptr);
-    a->Send(Message{MessageType::kTreeDone, {1}});
-    a->Send(Message{MessageType::kTreeDone, {2}});
-    EXPECT_TRUE(b->Receive().ok());
-    // The first link dies after one message; its replacement stays up.
-    EXPECT_EQ(b->Receive().ok(), generation > 0) << "generation " << generation;
-  }
-}
-
 TEST(SessionBrokerTest, TimesOutWithoutPeer) {
   SessionBroker broker({NetworkConfig{}});
   auto r = broker.Reconnect(0, true,
@@ -126,8 +123,54 @@ TEST(SessionBrokerTest, ShutdownAbortsPendingAndFutureRendezvous) {
   EXPECT_NE(later.status().message().find("injected"), std::string::npos);
 }
 
+TEST(SessionChannelTest, OpenExchangesHellosWithoutSpendingTheBudget) {
+  NetworkConfig net = RecoverableNet();
+  net.reconnect_max_attempts = 1;
+  // A backoff sleep at bring-up would show as a slow Open.
+  net.reconnect_backoff_base_seconds = 1;
+  net.reconnect_backoff_cap_seconds = 1;
+  Stopwatch clock;
+  SessionPair pair(net);
+  ASSERT_TRUE(pair.up()) << pair.a_open.status().ToString() << " / "
+                         << pair.b_open.status().ToString();
+  EXPECT_LT(clock.ElapsedSeconds(), 0.9);
+  EXPECT_EQ(pair.a_open->party, 1u);
+  EXPECT_EQ(pair.b_open->party, 0u);
+  EXPECT_TRUE(pair.b_open->needs_setup);
+  EXPECT_FALSE(pair.a_open->needs_setup);
+  EXPECT_EQ(pair.b_open->last_completed_tree, -1);
+
+  Message m;
+  m.type = MessageType::kGradBatch;
+  m.payload = {5};
+  pair.a->Send(std::move(m));
+  Result<Message> r = pair.b->Receive();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->payload[0], 5);
+
+  // The one attempt in the budget is still there for a real outage.
+  Result<HelloPayload> healed = Status::Unavailable("pending");
+  std::thread side_a([&] { healed = pair.a->Reestablish(0); });
+  EXPECT_TRUE(pair.b->Reestablish(0).ok());
+  side_a.join();
+  EXPECT_TRUE(healed.ok()) << healed.status().ToString();
+}
+
+TEST(SessionChannelTest, OpenTimesOutWithoutPeer) {
+  SessionBroker broker({NetworkConfig{}});
+  obs::MetricsRegistry metrics;
+  SessionChannel a(&broker, 0, /*a_side=*/true, 1, 0, 7, NetworkConfig{},
+                   &metrics);
+  Stopwatch clock;
+  Result<HelloPayload> r = a.Open(0.1, /*needs_setup=*/true);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(clock.ElapsedSeconds(), 2.0);
+}
+
 TEST(SessionChannelTest, ReestablishReplacesLinkAndExchangesHellos) {
   SessionPair pair(RecoverableNet());
+  ASSERT_TRUE(pair.up());
   Result<HelloPayload> peer_of_a = Status::Unavailable("pending");
   std::thread side_a([&] { peer_of_a = pair.a->Reestablish(3); });
   Result<HelloPayload> peer_of_b = pair.b->Reestablish(3);
@@ -137,8 +180,6 @@ TEST(SessionChannelTest, ReestablishReplacesLinkAndExchangesHellos) {
   EXPECT_EQ(peer_of_a->party, 1u);
   EXPECT_EQ(peer_of_b->party, 0u);
   EXPECT_EQ(peer_of_a->last_completed_tree, 3);
-  EXPECT_EQ(pair.a->reconnects(), 1u);
-  EXPECT_EQ(pair.b->reconnects(), 1u);
 
   // The replacement link carries traffic.
   Message m;
@@ -160,8 +201,8 @@ TEST(SessionChannelTest, StatsAccumulateAcrossGenerations) {
   EXPECT_TRUE(pair.b->Reestablish(0).ok());
   side_a.join();
   pair.a->Send(m);  // second generation traffic
-  // 2 data messages + 1 hello, summed over both link generations.
-  EXPECT_EQ(pair.a->sent_stats().messages, 3u);
+  // 2 data messages + 2 hellos, summed over both link generations.
+  EXPECT_EQ(pair.a->sent_stats().messages, 4u);
 }
 
 TEST(SessionChannelTest, BudgetExhaustionIsUnavailable) {
@@ -174,21 +215,18 @@ TEST(SessionChannelTest, BudgetExhaustionIsUnavailable) {
   Result<HelloPayload> r = pair.a->Reestablish(0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(pair.a->attempts_used(), 1);
+  EXPECT_NE(r.status().message().find("1/1 attempts"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(SessionChannelTest, FingerprintMismatchIsTerminal) {
   SessionPair pair(RecoverableNet(), /*fingerprint_a=*/1,
                    /*fingerprint_b=*/2);
-  Result<HelloPayload> peer_of_a = Status::Unavailable("pending");
-  std::thread side_a([&] { peer_of_a = pair.a->Reestablish(0); });
-  Result<HelloPayload> peer_of_b = pair.b->Reestablish(0);
-  side_a.join();
-  // Both sides must reject the marriage, not retry it.
-  ASSERT_FALSE(peer_of_a.ok());
-  ASSERT_FALSE(peer_of_b.ok());
-  EXPECT_EQ(peer_of_a.status().code(), StatusCode::kProtocolError);
-  EXPECT_EQ(peer_of_b.status().code(), StatusCode::kProtocolError);
+  // Both sides must reject the marriage at bring-up, not retry it.
+  ASSERT_FALSE(pair.a_open.ok());
+  ASSERT_FALSE(pair.b_open.ok());
+  EXPECT_EQ(pair.a_open.status().code(), StatusCode::kProtocolError);
+  EXPECT_EQ(pair.b_open.status().code(), StatusCode::kProtocolError);
 }
 
 TEST(SessionChannelTest, ErrorCloseShutsTheBrokerDown) {
@@ -209,26 +247,20 @@ TEST(SessionHeartbeatTest, BeaconsFlowAndNeverSurfaceFromReceive) {
   NetworkConfig a_net = RecoverableNet();
   a_net.heartbeat_interval_seconds = 0.02;
   NetworkConfig b_net = RecoverableNet();
-  SessionBroker broker({a_net});
-  obs::MetricsRegistry a_metrics, b_metrics;
-  auto [ea, eb] = ChannelEndpoint::CreatePair(a_net);
-  SessionChannel a(&broker, 0, /*a_side=*/true, /*session_id=*/1, /*party=*/0,
-                   /*fingerprint=*/7, a_net, std::move(ea), &a_metrics);
-  SessionChannel b(&broker, 0, /*a_side=*/false, /*session_id=*/1,
-                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb),
-                   &b_metrics);
+  SessionPair pair(a_net, b_net);
+  ASSERT_TRUE(pair.up());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   Message m;
   m.type = MessageType::kGradBatch;
   m.payload = {7};
-  a.Send(std::move(m));
+  pair.a->Send(std::move(m));
   // The beacons queued ahead of the data frame are swallowed, not surfaced.
-  Result<Message> r = b.Receive();
+  Result<Message> r = pair.b->Receive();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->type, MessageType::kGradBatch);
-  EXPECT_GE(CounterValue(&a_metrics, "session/heartbeats_sent"), 1u);
-  EXPECT_GE(CounterValue(&b_metrics, "session/heartbeats_received"), 1u);
+  EXPECT_GE(CounterValue(&pair.a_metrics, "session/heartbeats_sent"), 1u);
+  EXPECT_GE(CounterValue(&pair.b_metrics, "session/heartbeats_received"), 1u);
 }
 
 TEST(SessionHeartbeatTest, LivenessBudgetTripsOnSilentPeerAndLinkHeals) {
@@ -241,14 +273,10 @@ TEST(SessionHeartbeatTest, LivenessBudgetTripsOnSilentPeerAndLinkHeals) {
   a_net.heartbeat_interval_seconds = 0.02;
   a_net.liveness_budget_seconds = 0.2;
   NetworkConfig b_net = RecoverableNet();
-  SessionBroker broker({a_net});
-  obs::MetricsRegistry a_metrics, b_metrics;
-  auto [ea, eb] = ChannelEndpoint::CreatePair(a_net);
-  SessionChannel a(&broker, 0, /*a_side=*/true, /*session_id=*/1, /*party=*/0,
-                   /*fingerprint=*/7, a_net, std::move(ea), &a_metrics);
-  SessionChannel b(&broker, 0, /*a_side=*/false, /*session_id=*/1,
-                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb),
-                   &b_metrics);
+  SessionPair pair(a_net, b_net);
+  ASSERT_TRUE(pair.up());
+  SessionChannel& a = *pair.a;
+  SessionChannel& b = *pair.b;
 
   Stopwatch timer;
   Result<Message> r = a.Receive();
@@ -259,7 +287,7 @@ TEST(SessionHeartbeatTest, LivenessBudgetTripsOnSilentPeerAndLinkHeals) {
   EXPECT_TRUE(IsTransientFault(r.status()));
   EXPECT_NE(r.status().message().find("liveness"), std::string::npos);
   EXPECT_GE(timer.ElapsedSeconds(), 0.2);
-  EXPECT_EQ(CounterValue(&a_metrics, "session/liveness_trips"), 1u);
+  EXPECT_EQ(CounterValue(&pair.a_metrics, "session/liveness_trips"), 1u);
 
   // And the standard reconnect machinery heals the session afterwards.
   Result<HelloPayload> from_b = Status::Unavailable("pending");
@@ -285,14 +313,10 @@ TEST(SessionHeartbeatTest, TrafficKeepsTheBudgetFromTripping) {
   a_net.heartbeat_interval_seconds = 0.05;
   a_net.liveness_budget_seconds = 0.3;
   NetworkConfig b_net = RecoverableNet();
-  SessionBroker broker({a_net});
-  obs::MetricsRegistry a_metrics, b_metrics;
-  auto [ea, eb] = ChannelEndpoint::CreatePair(a_net);
-  SessionChannel a(&broker, 0, /*a_side=*/true, /*session_id=*/1, /*party=*/0,
-                   /*fingerprint=*/7, a_net, std::move(ea), &a_metrics);
-  SessionChannel b(&broker, 0, /*a_side=*/false, /*session_id=*/1,
-                   /*party=*/1, /*fingerprint=*/7, b_net, std::move(eb),
-                   &b_metrics);
+  SessionPair pair(a_net, b_net);
+  ASSERT_TRUE(pair.up());
+  SessionChannel& a = *pair.a;
+  SessionChannel& b = *pair.b;
   std::thread feeder([&] {
     for (int i = 0; i < 5; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -308,7 +332,120 @@ TEST(SessionHeartbeatTest, TrafficKeepsTheBudgetFromTripping) {
     EXPECT_EQ(r->payload[0], static_cast<uint8_t>(i));
   }
   feeder.join();
-  EXPECT_EQ(CounterValue(&a_metrics, "session/liveness_trips"), 0u);
+  EXPECT_EQ(CounterValue(&pair.a_metrics, "session/liveness_trips"), 0u);
+}
+
+// --- kill switch ------------------------------------------------------------
+
+// Drives the kill switch over one factory pair with kill_after_messages = 2.
+// B beacons, so its first link goes silent after its hello and its first
+// beacon; every later send is counted as dropped. The replacement link
+// stays up.
+void ExpectKillSwitchFiresOnce(ChannelFactory* a_factory,
+                               ChannelFactory* b_factory,
+                               const NetworkConfig& net) {
+  NetworkConfig b_net = net;
+  b_net.heartbeat_interval_seconds = 0.005;
+  obs::MetricsRegistry a_metrics, b_metrics;
+  SessionChannel a(a_factory, 0, /*a_side=*/true, 1, 0, 7, net, &a_metrics);
+  SessionChannel b(b_factory, 0, /*a_side=*/false, 1, 1, 7, b_net,
+                   &b_metrics);
+  Result<HelloPayload> a_up = Status::Unavailable("pending");
+  std::thread side_a([&] { a_up = a.Open(5, /*needs_setup=*/true); });
+  Result<HelloPayload> b_up = b.Open(5, /*needs_setup=*/false);
+  side_a.join();
+  ASSERT_TRUE(a_up.ok()) << a_up.status().ToString();
+  ASSERT_TRUE(b_up.ok()) << b_up.status().ToString();
+
+  for (int i = 0; i < 400; ++i) {
+    if (CounterValue(&b_metrics, "session/heartbeats_sent") >= 3) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(CounterValue(&b_metrics, "session/heartbeats_sent"), 3u);
+  b.Send(Message{MessageType::kGradBatch, {1}});
+  // A swallows the one beacon that got through, then hears nothing.
+  Result<Message> r = a.Receive();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(CounterValue(&a_metrics, "session/heartbeats_received"), 1u);
+  const ChannelStats dead = b.sent_stats();
+  EXPECT_EQ(dead.messages - dead.dropped, 2u);  // the hello and one beacon
+  EXPECT_GE(dead.dropped, 3u);  // later beacons and the data frame
+
+  Result<HelloPayload> a_healed = Status::Unavailable("pending");
+  std::thread side_a2([&] { a_healed = a.Reestablish(0); });
+  Result<HelloPayload> b_healed = b.Reestablish(0);
+  side_a2.join();
+  ASSERT_TRUE(a_healed.ok()) << a_healed.status().ToString();
+  ASSERT_TRUE(b_healed.ok()) << b_healed.status().ToString();
+  for (uint8_t i = 1; i <= 5; ++i) {
+    b.Send(Message{MessageType::kGradBatch, {i}});
+  }
+  for (uint8_t i = 1; i <= 5; ++i) {
+    Result<Message> healed = a.Receive();
+    ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+    EXPECT_EQ(healed->payload[0], i);
+  }
+}
+
+NetworkConfig KillAfterTwo() {
+  NetworkConfig net = RecoverableNet();
+  net.default_deadline_seconds = 0.2;
+  net.kill_after_messages = 2;
+  return net;
+}
+
+TEST(SessionKillSwitchTest, FirstLinkDiesOnceOverSessionBroker) {
+  const NetworkConfig net = KillAfterTwo();
+  SessionBroker broker({net});
+  ExpectKillSwitchFiresOnce(&broker, &broker, net);
+}
+
+TEST(SessionKillSwitchTest, FirstLinkDiesOnceOverTcp) {
+  const NetworkConfig net = KillAfterTwo();
+  auto listener = TcpChannelFactory::Listen("127.0.0.1", 0, 1, net);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto dialer =
+      TcpChannelFactory::Dial("127.0.0.1", (*listener)->port(), 0, net);
+  ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
+  ExpectKillSwitchFiresOnce(dialer->get(), listener->get(), net);
+}
+
+// --- bring-up ---------------------------------------------------------------
+
+// Two sides whose configurations differ only in the seed, without a
+// reconnect budget: the hello refuses the link on both sides, naming the
+// cause, so neither side gets a port to start an engine on.
+TEST(SessionBringUpTest, MismatchedSeedIsRefusedOnBothSides) {
+  obs::MetricsRegistry a_metrics, b_metrics;
+  FedConfig a_config;
+  a_config.seed = 42;
+  a_config.metrics = &a_metrics;
+  FedConfig b_config = a_config;
+  b_config.seed = 43;
+  b_config.metrics = &b_metrics;
+  SessionBroker broker({a_config.network});
+  std::atomic<int> engines_started{0};
+  Result<std::unique_ptr<MessagePort>> a_port = Status::Internal("pending");
+  std::thread side_a([&] {
+    a_port = ConnectChannel(&broker, a_config, /*num_a=*/1, 0,
+                            /*a_side=*/true, /*timeout_seconds=*/5);
+    if (a_port.ok()) ++engines_started;
+  });
+  Result<std::unique_ptr<MessagePort>> b_port =
+      ConnectChannel(&broker, b_config, /*num_a=*/1, 0, /*a_side=*/false,
+                     /*timeout_seconds=*/5);
+  if (b_port.ok()) ++engines_started;
+  side_a.join();
+  EXPECT_EQ(engines_started.load(), 0);
+  for (const auto* port : {&a_port, &b_port}) {
+    ASSERT_FALSE(port->ok());
+    EXPECT_EQ(port->status().code(), StatusCode::kProtocolError)
+        << port->status().ToString();
+    EXPECT_NE(port->status().message().find("fingerprint mismatch"),
+              std::string::npos)
+        << port->status().ToString();
+  }
 }
 
 TEST(SessionChannelTest, CleanCloseLeavesBrokerRunning) {

@@ -437,8 +437,7 @@ TEST(TcpSessionDrillTest, LinkDeathMidTrainingRecoversWithIdenticalModel) {
         ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
 
         // Both sides bring their link up exactly as vf2_fedtrain's
-        // processes do: a session with no live link yet, whose first
-        // Reestablish dials (A) or accepts (B).
+        // processes do: a session whose Open dials (A) or accepts (B).
         std::unique_ptr<MessagePort> a_port;
         Status a_status;
         std::thread a_thread([&] {
@@ -464,11 +463,9 @@ TEST(TcpSessionDrillTest, LinkDeathMidTrainingRecoversWithIdenticalModel) {
         ASSERT_TRUE(a_status.ok()) << a_status.ToString();
 
         // The drill actually exercised recovery...
-        auto* a_session = dynamic_cast<SessionChannel*>(a_port.get());
-        auto* b_session = dynamic_cast<SessionChannel*>(b_port->get());
-        ASSERT_NE(a_session, nullptr);
-        ASSERT_NE(b_session, nullptr);
-        EXPECT_GE(a_session->reconnects() + b_session->reconnects(), 2u);
+        EXPECT_GE(obs::PartySum(registry.Snapshot(), "party_",
+                                "session/reconnects"),
+                  2);
         EXPECT_GE(registry.GetCounter("transport/tcp/redials")->value(), 1u);
         EXPECT_GT(registry.GetCounter("transport/tcp/frames_read")->value(),
                   0u);
@@ -486,9 +483,10 @@ bool HasMetric(const obs::MetricsRegistry& registry, const std::string& name) {
 }
 
 // Three parties over TCP, each with its own registry as separate processes
-// would have, brought up through ConnectChannel on raw links. A1 dials
-// before A0, so B's listener must park A1's connection until channel 0 has
-// joined; the model must still match the in-process run byte for byte.
+// would have, each brought up through ConnectChannel on its own thread. A1
+// dials and says hello before A0 starts, so B's listener must park A1's
+// connection until channel 0 has joined; the model must still match the
+// in-process run byte for byte.
 TEST(TcpPartyLaunchTest, ThreePartiesJoinOutOfOrderWithIdenticalModel) {
   ASSERT_TRUE(RunWithWatchdog(
       [] {
@@ -508,43 +506,63 @@ TEST(TcpPartyLaunchTest, ThreePartiesJoinOutOfOrderWithIdenticalModel) {
             "127.0.0.1", 0, kNumA, config.network, &registries[kNumA]);
         ASSERT_TRUE(listener.ok()) << listener.status().ToString();
         std::array<std::unique_ptr<TcpChannelFactory>, kNumA> dialers;
-        std::array<std::unique_ptr<MessagePort>, kNumA> a_ports;
-        // A raw link is up once the dialer has connected and sent its
-        // routing preamble, before B accepts, so the order is exact.
-        for (const size_t p : {1, 0}) {
+        for (size_t p = 0; p < kNumA; ++p) {
           auto dialer = TcpChannelFactory::Dial(
               "127.0.0.1", (*listener)->port(), p, config.network,
               &registries[p]);
           ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
           dialers[p] = std::move(dialer).value();
-          auto port = ConnectChannel(dialers[p].get(), configs[p], kNumA, p,
-                                     /*a_side=*/true, /*timeout_seconds=*/10);
-          ASSERT_TRUE(port.ok()) << port.status().ToString();
-          a_ports[p] = std::move(port).value();
-        }
-        std::vector<std::unique_ptr<MessagePort>> b_ports;
-        std::vector<MessagePort*> b_port_ptrs;
-        for (size_t p = 0; p < kNumA; ++p) {
-          auto port = ConnectChannel(listener->get(), configs[kNumA], kNumA,
-                                     p, /*a_side=*/false,
-                                     /*timeout_seconds=*/10);
-          ASSERT_TRUE(port.ok()) << port.status().ToString();
-          b_port_ptrs.push_back(port->get());
-          b_ports.push_back(std::move(port).value());
         }
 
+        std::array<std::unique_ptr<MessagePort>, kNumA> a_ports;
         std::array<Status, kNumA> a_status;
         std::vector<std::thread> a_threads;
-        for (size_t p = 0; p < kNumA; ++p) {
+        auto launch_a = [&](size_t p) {
           a_threads.emplace_back([&, p] {
+            auto port = ConnectChannel(dialers[p].get(), configs[p], kNumA, p,
+                                       /*a_side=*/true,
+                                       /*timeout_seconds=*/10);
+            if (!port.ok()) {
+              a_status[p] = port.status();
+              return;
+            }
+            a_ports[p] = std::move(port).value();
             a_status[p] = PartyAEngine(configs[p], f.shards[p],
                                        a_ports[p].get(),
                                        static_cast<uint32_t>(p))
                               .Run();
           });
+        };
+        // A1's routing preamble and hello (two frames) are on the wire
+        // before A0 dials, so the join order is exact.
+        launch_a(1);
+        obs::Counter* a1_frames =
+            registries[1].GetCounter("transport/tcp/frames_written");
+        for (int i = 0; i < 1000 && a1_frames->value() < 2; ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
-        Result<PartyBResult> got =
-            PartyBEngine(configs[kNumA], f.shards.back(), b_port_ptrs).Run();
+        EXPECT_GE(a1_frames->value(), 2u);
+        launch_a(0);
+
+        std::vector<std::unique_ptr<MessagePort>> b_ports;
+        std::vector<MessagePort*> b_port_ptrs;
+        Result<PartyBResult> got = Status::Internal("party B never ran");
+        for (size_t p = 0; p < kNumA; ++p) {
+          auto port = ConnectChannel(listener->get(), configs[kNumA], kNumA,
+                                     p, /*a_side=*/false,
+                                     /*timeout_seconds=*/10);
+          if (!port.ok()) {
+            got = port.status();
+            for (auto& joined : b_ports) joined->Close(got.status());
+            break;
+          }
+          b_port_ptrs.push_back(port->get());
+          b_ports.push_back(std::move(port).value());
+        }
+        if (b_ports.size() == kNumA) {
+          got = PartyBEngine(configs[kNumA], f.shards.back(), b_port_ptrs)
+                    .Run();
+        }
         for (auto& t : a_threads) t.join();
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         for (const Status& st : a_status) {
@@ -564,6 +582,51 @@ TEST(TcpPartyLaunchTest, ThreePartiesJoinOutOfOrderWithIdenticalModel) {
       120.0));
 }
 
+// Two processes whose configurations differ only in the seed, without a
+// reconnect budget: both refuse the link at the hello, naming the cause,
+// so neither gets a port to start an engine on.
+TEST(TcpPartyLaunchTest, MismatchedSeedIsRefusedOnBothSides) {
+  ASSERT_TRUE(RunWithWatchdog(
+      [] {
+        obs::MetricsRegistry a_registry, b_registry;
+        FedConfig a_config = DrillConfig();
+        a_config.metrics = &a_registry;
+        FedConfig b_config = a_config;
+        b_config.seed = a_config.seed + 1;
+        b_config.metrics = &b_registry;
+        auto listener = TcpChannelFactory::Listen(
+            "127.0.0.1", 0, 1, b_config.network, &b_registry);
+        ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+        auto dialer = TcpChannelFactory::Dial("127.0.0.1", (*listener)->port(),
+                                              0, a_config.network, &a_registry);
+        ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
+
+        std::atomic<int> engines_started{0};
+        Result<std::unique_ptr<MessagePort>> a_port =
+            Status::Internal("pending");
+        std::thread a_thread([&] {
+          a_port = ConnectChannel(dialer->get(), a_config, /*num_a=*/1, 0,
+                                  /*a_side=*/true, /*timeout_seconds=*/10);
+          if (a_port.ok()) ++engines_started;
+        });
+        Result<std::unique_ptr<MessagePort>> b_port =
+            ConnectChannel(listener->get(), b_config, /*num_a=*/1, 0,
+                           /*a_side=*/false, /*timeout_seconds=*/10);
+        if (b_port.ok()) ++engines_started;
+        a_thread.join();
+        EXPECT_EQ(engines_started.load(), 0);
+        for (const auto* port : {&a_port, &b_port}) {
+          ASSERT_FALSE(port->ok());
+          EXPECT_EQ(port->status().code(), StatusCode::kProtocolError)
+              << port->status().ToString();
+          EXPECT_NE(port->status().message().find("fingerprint mismatch"),
+                    std::string::npos)
+              << port->status().ToString();
+        }
+      },
+      30.0));
+}
+
 // A freshly launched peer advertises needs_setup in its hello; the other
 // side's engine uses that to replay the setup phase. Here we just assert the
 // flag crosses the TCP hello exchange intact.
@@ -581,21 +644,28 @@ TEST(TcpSessionDrillTest, NeedsSetupFlagCrossesHelloExchange) {
             TcpChannelFactory::Dial("127.0.0.1", (*listener)->port(), 0, net);
         ASSERT_TRUE(dialer.ok());
         obs::MetricsRegistry registry;
-        SessionChannel a_port(dialer->get(), 0, true, 99, 0, 7, net, nullptr,
+        SessionChannel a_port(dialer->get(), 0, true, 99, 0, 7, net,
                               &registry);
         SessionChannel b_port(listener->get(), 0, false, 99, 1, 7, net,
-                              nullptr, &registry);
+                              &registry);
         Result<HelloPayload> from_a = Status::Unavailable("pending");
         std::thread b_thread(
-            [&] { from_a = b_port.Reestablish(3); });
-        Result<HelloPayload> from_b =
-            a_port.Reestablish(-1, /*needs_setup=*/true);
+            [&] { from_a = b_port.Open(10, /*needs_setup=*/false); });
+        Result<HelloPayload> from_b = a_port.Open(10, /*needs_setup=*/true);
         b_thread.join();
         ASSERT_TRUE(from_a.ok()) << from_a.status().ToString();
         ASSERT_TRUE(from_b.ok()) << from_b.status().ToString();
         EXPECT_TRUE(from_a->needs_setup);
         EXPECT_EQ(from_a->last_completed_tree, -1);
         EXPECT_FALSE(from_b->needs_setup);
+
+        // A replacement link carries the flag and the tree boundary too.
+        std::thread b_again([&] { from_a = b_port.Reestablish(3); });
+        from_b = a_port.Reestablish(-1, /*needs_setup=*/true);
+        b_again.join();
+        ASSERT_TRUE(from_a.ok()) << from_a.status().ToString();
+        ASSERT_TRUE(from_b.ok()) << from_b.status().ToString();
+        EXPECT_TRUE(from_a->needs_setup);
         EXPECT_EQ(from_b->last_completed_tree, 3);
       },
       30.0));
