@@ -1,6 +1,7 @@
 #include "data/binning.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 #include "data/quantile.h"
@@ -59,6 +60,24 @@ BinnedMatrix BinnedMatrix::FromCsr(const CsrMatrix& x, const BinCuts& cuts) {
     out.row_ptr_.push_back(out.col_idx_.size());
   }
   return out;
+}
+
+uint64_t HashCuts(const BinCuts& cuts) {
+  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;  // FNV prime
+  };
+  mix(cuts.cuts.size());
+  for (const std::vector<float>& feature : cuts.cuts) {
+    mix(feature.size());
+    for (float c : feature) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &c, sizeof(bits));
+      mix(bits);
+    }
+  }
+  return h;
 }
 
 }  // namespace vf2boost

@@ -36,6 +36,9 @@ struct BinCuts {
 BinCuts ComputeBinCuts(const CsrMatrix& x, size_t max_bins,
                        size_t sketch_capacity = 16384);
 
+/// FNV-1a over every cut value: the identity of a party's split state.
+uint64_t HashCuts(const BinCuts& cuts);
+
 /// \brief CSR matrix with values replaced by bin indices — the layout the
 /// histogram builders scan.
 class BinnedMatrix {

@@ -19,9 +19,10 @@ namespace vf2boost {
 ///
 /// The paper's deployment routes all cross-party traffic through gateway
 /// message queues over an unreliable 300 Mbps public link. A zero-initialized
-/// config models an ideal network (tests); benches set the paper's numbers.
-/// Wire faults (corruption, resets, partitions, throttling) are injected on
-/// real sockets by the vf2_chaosd proxy (fed/chaos_proxy.h), not here.
+/// config models an ideal network; tests and examples set small delays.
+/// Paper-scale WAN cost comes from the cost model in src/sim. Wire faults
+/// (corruption, resets, partitions) and throttling are injected on real
+/// sockets by the vf2_chaosd proxy (fed/chaos_proxy.h), not here.
 struct NetworkConfig {
   /// 0 = unlimited. Paper: 300 Mbps = 37.5e6 bytes/s.
   double bandwidth_bytes_per_sec = 0;
@@ -128,16 +129,10 @@ class MessagePort {
   virtual bool resilient() const { return false; }
 
   /// Tears down the current link and blocks until a replacement is up and
-  /// the kHello handshake has completed. `last_completed_tree` is advertised
-  /// to the peer so both sides resume from the same tree boundary; the
-  /// peer's hello is returned. `needs_setup` is advertised in the hello when
-  /// the caller is a freshly launched A process that still needs the setup
-  /// phase (kPublicKey / kLayout) replayed. Only resilient ports implement
-  /// this.
-  virtual Result<HelloPayload> Reestablish(int64_t last_completed_tree,
-                                           bool needs_setup = false) {
-    (void)last_completed_tree;
-    (void)needs_setup;
+  /// the kHello handshake has completed; returns the peer's hello. The
+  /// engines then run their setup exchange on the new link generation. Only
+  /// resilient ports implement this.
+  virtual Result<HelloPayload> Reestablish() {
     return Status::Unimplemented("this port cannot re-establish its link");
   }
 };

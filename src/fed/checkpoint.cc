@@ -1,7 +1,6 @@
 #include "fed/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "common/bytes.h"
@@ -12,7 +11,6 @@ namespace vf2boost {
 namespace {
 
 constexpr uint8_t kRoleB = 'B';
-constexpr uint8_t kRoleA = 'A';
 /// Serialized TreeNode size — the hostile-count guard for node arrays.
 constexpr size_t kNodeBytes = 4 + 4 + 4 + 8 + 4 + 1 + 4 + 8 + 8;
 
@@ -231,41 +229,8 @@ Status DeserializePartyBCheckpoint(const std::vector<uint8_t>& bytes,
   return Status::OK();
 }
 
-std::vector<uint8_t> SerializePartyACheckpoint(const PartyACheckpoint& ckpt) {
-  ByteWriter w;
-  w.PutU8(kRoleA);
-  w.PutU64(ckpt.config_fingerprint);
-  w.PutU32(ckpt.party_index);
-  w.PutU32(ckpt.completed_trees);
-  w.PutU64(ckpt.cuts_hash);
-  return SealContainer(w.Release());
-}
-
-Status DeserializePartyACheckpoint(const std::vector<uint8_t>& bytes,
-                                   PartyACheckpoint* out) {
-  ByteReader r(nullptr, 0);
-  VF2_RETURN_IF_ERROR(OpenContainer(bytes, &r));
-  uint8_t role = 0;
-  VF2_RETURN_IF_ERROR(r.GetU8(&role));
-  if (role != kRoleA) {
-    return Status::Corruption("checkpoint role mismatch: expected party A");
-  }
-  VF2_RETURN_IF_ERROR(r.GetU64(&out->config_fingerprint));
-  VF2_RETURN_IF_ERROR(r.GetU32(&out->party_index));
-  VF2_RETURN_IF_ERROR(r.GetU32(&out->completed_trees));
-  VF2_RETURN_IF_ERROR(r.GetU64(&out->cuts_hash));
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes in party A checkpoint");
-  }
-  return Status::OK();
-}
-
 std::string PartyBCheckpointPath(const std::string& dir) {
   return dir + "/party_b.ckpt";
-}
-
-std::string PartyACheckpointPath(const std::string& dir, uint32_t party) {
-  return dir + "/party_a" + std::to_string(party) + ".ckpt";
 }
 
 Status SavePartyBCheckpoint(const PartyBCheckpoint& ckpt,
@@ -275,46 +240,12 @@ Status SavePartyBCheckpoint(const PartyBCheckpoint& ckpt,
                          SerializePartyBCheckpoint(ckpt));
 }
 
-Status SavePartyACheckpoint(const PartyACheckpoint& ckpt,
-                            const std::string& dir) {
-  VF2_RETURN_IF_ERROR(EnsureDir(dir));
-  return WriteFileAtomic(PartyACheckpointPath(dir, ckpt.party_index),
-                         SerializePartyACheckpoint(ckpt));
-}
-
 Result<PartyBCheckpoint> LoadPartyBCheckpoint(const std::string& dir) {
   VF2_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                        ReadFile(PartyBCheckpointPath(dir)));
   PartyBCheckpoint ckpt;
   VF2_RETURN_IF_ERROR(DeserializePartyBCheckpoint(bytes, &ckpt));
   return ckpt;
-}
-
-Result<PartyACheckpoint> LoadPartyACheckpoint(const std::string& dir,
-                                              uint32_t party) {
-  VF2_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                       ReadFile(PartyACheckpointPath(dir, party)));
-  PartyACheckpoint ckpt;
-  VF2_RETURN_IF_ERROR(DeserializePartyACheckpoint(bytes, &ckpt));
-  return ckpt;
-}
-
-uint64_t HashCuts(const BinCuts& cuts) {
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;  // FNV prime
-  };
-  mix(cuts.cuts.size());
-  for (const std::vector<float>& feature : cuts.cuts) {
-    mix(feature.size());
-    for (float c : feature) {
-      uint32_t bits = 0;
-      std::memcpy(&bits, &c, sizeof(bits));
-      mix(bits);
-    }
-  }
-  return h;
 }
 
 }  // namespace vf2boost

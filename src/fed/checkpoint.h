@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "data/binning.h"
 #include "gbdt/trainer.h"
 #include "gbdt/tree.h"
 
@@ -18,9 +17,10 @@ namespace vf2boost {
 /// trees, the only state that matters is the completed ensemble and Party
 /// B's running scores — everything inside a tree (histograms, placements,
 /// optimistic speculation) is rebuilt from scratch anyway. So Party B
-/// checkpoints {completed trees, scores, eval log} after each tree, Party A
-/// checkpoints {completed-tree count, a hash of its bin cuts}, and a
-/// restarted run resumes at the boundary.
+/// checkpoints {completed trees, scores, eval log} after each tree and a
+/// restarted run resumes at the boundary. Party A keeps no checkpoint: its
+/// cuts follow from its shard, it adopts B's key on every link generation,
+/// and it rebuilds all per-tree state from B's gradient stream.
 ///
 /// On-disk container (little-endian):
 ///   [magic u32 "VF2C"][version u8][payload_len u64][crc32 u32][payload]
@@ -42,45 +42,24 @@ struct PartyBCheckpoint {
   std::vector<EvalRecord> log;
 };
 
-/// Party A's durable state: its split state (cuts) is deterministic from its
-/// data shard, so a fingerprint of the cuts plus the tree count suffices to
-/// prove a restarted A resumes the same run it left.
-struct PartyACheckpoint {
-  uint64_t config_fingerprint = 0;
-  uint32_t party_index = 0;
-  uint32_t completed_trees = 0;
-  uint64_t cuts_hash = 0;
-};
-
 // Serialization (exposed separately from file IO so fuzz tests can feed the
 // decoders hostile bytes directly).
 std::vector<uint8_t> SerializePartyBCheckpoint(const PartyBCheckpoint& ckpt);
 Status DeserializePartyBCheckpoint(const std::vector<uint8_t>& bytes,
                                    PartyBCheckpoint* out);
-std::vector<uint8_t> SerializePartyACheckpoint(const PartyACheckpoint& ckpt);
-Status DeserializePartyACheckpoint(const std::vector<uint8_t>& bytes,
-                                   PartyACheckpoint* out);
 
-/// Checkpoint file locations under a --checkpoint-dir.
+/// Checkpoint file location under a --checkpoint-dir.
 std::string PartyBCheckpointPath(const std::string& dir);
-std::string PartyACheckpointPath(const std::string& dir, uint32_t party);
 
 /// Atomic save (write to a temp file in `dir`, then rename): a crash during
 /// checkpointing leaves the previous checkpoint intact, never a torn file.
 /// Creates `dir` if needed.
 Status SavePartyBCheckpoint(const PartyBCheckpoint& ckpt,
                             const std::string& dir);
-Status SavePartyACheckpoint(const PartyACheckpoint& ckpt,
-                            const std::string& dir);
 
-/// Loaders. NotFound when no checkpoint file exists (callers treat that as
+/// Loader. NotFound when no checkpoint file exists (callers treat that as
 /// "fresh start"); Corruption on a damaged file.
 Result<PartyBCheckpoint> LoadPartyBCheckpoint(const std::string& dir);
-Result<PartyACheckpoint> LoadPartyACheckpoint(const std::string& dir,
-                                              uint32_t party);
-
-/// FNV-1a over a party's bin cut values — the identity of its split state.
-uint64_t HashCuts(const BinCuts& cuts);
 
 }  // namespace vf2boost
 

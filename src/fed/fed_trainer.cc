@@ -62,8 +62,7 @@ Result<std::unique_ptr<MessagePort>> ConnectChannel(
       static_cast<uint32_t>(a_side ? channel : num_a), fingerprint,
       config.NetworkFor(channel), config.metrics);
   if (a_side) session->set_clock_sync(config.clock_sync_state);
-  Result<HelloPayload> peer =
-      session->Open(timeout_seconds, /*needs_setup=*/a_side);
+  Result<HelloPayload> peer = session->Open(timeout_seconds);
   if (!peer.ok()) {
     // Wakes a peer still waiting on this link or on the factory.
     session->Close(peer.status());

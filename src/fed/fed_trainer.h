@@ -51,9 +51,8 @@ FedTrainResult MakeFedTrainResult(PartyBResult b,
 /// SessionChannel on config.NetworkFor(channel) whose Open runs the kHello
 /// handshake under a session id derived from Fingerprint() and the channel,
 /// so a peer with another configuration is refused (ProtocolError). The A
-/// side advertises needs_setup (a relaunched A gets the setup phase
-/// replayed) and feeds config.clock_sync_state; party ids are i for A<i> and
-/// num_a for B. The peer gets `timeout_seconds` to show up. config.metrics
+/// side feeds config.clock_sync_state; party ids are i for A<i> and num_a
+/// for B. The peer gets `timeout_seconds` to show up. config.metrics
 /// must be set: the session counts into it.
 Result<std::unique_ptr<MessagePort>> ConnectChannel(
     ChannelFactory* factory, const FedConfig& config, size_t num_a,

@@ -158,9 +158,7 @@ Message EncodeHello(const HelloPayload& hello) {
   ByteWriter w;
   w.PutU64(hello.session_id);
   w.PutU32(hello.party);
-  w.PutI64(hello.last_completed_tree);
   w.PutU64(hello.config_fingerprint);
-  w.PutU8(hello.needs_setup ? 1 : 0);
   w.PutI64(hello.clock_micros);
   return Message{MessageType::kHello, w.Release()};
 }
@@ -173,11 +171,7 @@ Status DecodeHello(const Message& msg, HelloPayload* out) {
   ByteReader r(msg.payload);
   VF2_RETURN_IF_ERROR(r.GetU64(&out->session_id));
   VF2_RETURN_IF_ERROR(r.GetU32(&out->party));
-  VF2_RETURN_IF_ERROR(r.GetI64(&out->last_completed_tree));
   VF2_RETURN_IF_ERROR(r.GetU64(&out->config_fingerprint));
-  uint8_t needs_setup = 0;
-  VF2_RETURN_IF_ERROR(r.GetU8(&needs_setup));
-  out->needs_setup = needs_setup != 0;
   VF2_RETURN_IF_ERROR(r.GetI64(&out->clock_micros));
   if (!r.AtEnd()) return Status::Corruption("trailing bytes in Hello payload");
   return Status::OK();

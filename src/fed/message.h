@@ -111,23 +111,17 @@ std::vector<uint8_t> EncodeFrame(const Message& msg);
 /// never mis-parsed into a plausible message.
 Status DecodeFrame(const std::vector<uint8_t>& frame, Message* out);
 
-/// \brief kHello body: exchanged over a freshly re-established endpoint so
-/// both parties agree on which session this is, prove they run compatible
-/// configurations, and resynchronize at the last tree boundary both sides
-/// completed. Lives here (not protocol.h) because the session layer below
-/// the protocol needs it.
+/// \brief kHello body: exchanged over every new link generation so both
+/// parties agree on which session this is and prove they run compatible
+/// configurations. The setup exchange (kPublicKey / kLayout) follows it on
+/// every generation, so the hello carries no protocol state. Lives here (not
+/// protocol.h) because the session layer below the protocol needs it.
 struct HelloPayload {
   uint64_t session_id = 0;
   /// Sender's party index (A parties are 0..n-1, B is n).
   uint32_t party = 0;
-  /// Index of the last tree the sender fully completed (-1 = none yet).
-  int64_t last_completed_tree = -1;
   /// FedConfig::Fingerprint() of the sender — both sides must match.
   uint64_t config_fingerprint = 0;
-  /// Sender (an A party) holds no protocol state from before the link died —
-  /// it is a freshly launched process, not a survivor of a link blip — and
-  /// needs the setup phase (kPublicKey / kLayout) replayed before gradients.
-  bool needs_setup = false;
   /// Sender's trace clock (TraceNowMicros) when the hello was built. Seeds
   /// the peer's clock-offset estimate before any ping/pong round completes;
   /// observability only, excluded from session/fingerprint validation.

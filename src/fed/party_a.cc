@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "fed/checkpoint.h"
 #include "fed/placement.h"
 #include "gbdt/loss.h"
 #include "obs/flight_recorder.h"
@@ -18,8 +17,7 @@ PartyAEngine::PartyAEngine(const FedConfig& config, const Dataset& data,
     : PartyRuntime(config, PartyRole::A(party_index)),
       data_(data),
       inbox_(channel, kMaxInboxBuffered),
-      party_index_(party_index),
-      rng_(config.seed * 7919 + party_index + 1) {
+      party_index_(party_index) {
   clock_sync_ = config_.clock_sync_state;
   if (clock_sync_ == nullptr) {
     owned_clock_sync_ = std::make_unique<obs::ClockSync>();
@@ -47,15 +45,20 @@ Status PartyAEngine::Setup() {
   binned_ = BinnedMatrix::FromCsr(data_.features, cuts_);
   layout_ = FeatureLayout::FromCuts(cuts_);
   m_.features->Set(static_cast<double>(layout_.num_features()));
-
-  PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
-  VF2_ASSIGN_OR_RETURN(Message msg,
-                       inbox_.ReceiveType(MessageType::kPublicKey));
-  wait.Stop();
-  return AdoptKeyAndSendLayout(msg);
+  return ExchangeSetup();
 }
 
-Status PartyAEngine::AdoptKeyAndSendLayout(const Message& key_msg) {
+Status PartyAEngine::ExchangeSetup() {
+  PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
+  VF2_ASSIGN_OR_RETURN(Message key_msg, inbox_.Receive());
+  wait.Stop();
+  if (key_msg.type != MessageType::kPublicKey) {
+    return Status::ProtocolError(
+        std::string("party A expected PublicKey on a new link, got ") +
+        MessageTypeName(key_msg.type));
+  }
+  // B's key is adopted afresh on every link generation: a relaunched B
+  // brings its own, and the wire bytes are the authoritative copy.
   if (config_.mock_crypto) {
     backend_ = std::make_unique<MockBackend>(config_.MakeCodec());
   } else {
@@ -69,23 +72,8 @@ Status PartyAEngine::AdoptKeyAndSendLayout(const Message& key_msg) {
   for (uint32_t f = 0; f < layout_.num_features(); ++f) {
     layout_msg.bins_per_feature.push_back(layout_.NumBins(f));
   }
+  layout_msg.cuts_digest = HashCuts(cuts_);
   inbox_.Send(EncodeLayout(layout_msg));
-  return Status::OK();
-}
-
-Status PartyAEngine::ReplaySetup(const Message& msg) {
-  // A fresh B process regenerates its keypair deterministically from
-  // config.seed, so the replayed key matches the one this engine already
-  // holds — but rebuild the backend from the wire bytes anyway: it is the
-  // authoritative copy, and a mismatched relaunch (different seed or config)
-  // must fail loudly at the next decode rather than silently diverge.
-  VF2_RETURN_IF_ERROR(AdoptKeyAndSendLayout(msg));
-  VF2_LOG(Info) << "party A" << party_index_
-                << " setup replayed for relaunched party B (boundary "
-                << last_completed_tree_ << ")";
-  obs::FlightRecorder::RecordEvent(
-      obs::FlightRecorder::Kind::kNote, static_cast<uint32_t>(party_index_),
-      last_completed_tree_, 0, "setup replayed for restarted B");
   return Status::OK();
 }
 
@@ -95,7 +83,6 @@ Status PartyAEngine::Run() {
 
 Status PartyAEngine::RunLoop() {
   VF2_RETURN_IF_ERROR(Setup());
-  VF2_RETURN_IF_ERROR(LoadCheckpointIfResuming());
   // Burst of probes right after setup: the estimate is in place before the
   // first tree's spans are recorded. Refined at every tree boundary.
   SendClockPings(3);
@@ -125,24 +112,16 @@ Status PartyAEngine::RunOnce(bool* done) {
     *done = true;
     return Status::OK();
   }
-  if (msg.type == MessageType::kPublicKey) {
-    // B died and was relaunched: its fresh process reran the setup phase and
-    // this is the replayed key (B restart kills the link, so our Recover()
-    // already re-established the session before this frame could arrive).
-    return ReplaySetup(msg);
-  }
   if (msg.type != MessageType::kGradBatch) {
     return Status::ProtocolError(
         std::string("party A expected GradBatch, got ") +
         MessageTypeName(msg.type));
   }
   VF2_RETURN_IF_ERROR(RunTree(std::move(msg)));
-  last_completed_tree_ = static_cast<int64_t>(current_tree_);
   obs::FlightRecorder::RecordEvent(
       obs::FlightRecorder::Kind::kTreeBoundary,
-      static_cast<uint32_t>(party_index_), last_completed_tree_, 0,
-      "tree complete");
-  VF2_RETURN_IF_ERROR(MaybeWriteCheckpoint());
+      static_cast<uint32_t>(party_index_), static_cast<int64_t>(current_tree_),
+      0, "tree complete");
   if (config_.federate_metrics) SendMetricsDelta(/*final_frame=*/false);
   SendClockPings(1);
   return Status::OK();
@@ -171,69 +150,34 @@ bool PartyAEngine::CanRecover(const Status& st) {
 }
 
 Status PartyAEngine::Recover(const Status& cause) {
-  VF2_LOG(Warn) << "party A" << party_index_
-                << " lost its link (" << cause.ToString()
-                << "), re-establishing at tree boundary "
-                << last_completed_tree_;
+  VF2_LOG(Warn) << "lost the link to party B (" << cause.ToString()
+                << "), re-establishing at the tree boundary";
   // Partial-tree state belongs to the dead link's generation: B restarts
   // the interrupted tree from its gradients, so everything this side built
   // for it is rebuilt from the fresh stream.
-  inbox_.Clear();
   streams_.clear();
   root_builder_.reset();
   node_instances_.clear();
   hist_epoch_.clear();
   live_.SetState(obs::LiveStatus::State::kReconnecting);
   obs::TraceSpan span("phase", "reconnect");
-  VF2_ASSIGN_OR_RETURN(HelloPayload peer,
-                       inbox_.port()->Reestablish(last_completed_tree_));
-  m_.reconnects->Add(1);
+  for (;;) {
+    inbox_.Clear();
+    VF2_RETURN_IF_ERROR(inbox_.port()->Reestablish().status());
+    m_.reconnects->Add(1);
+    // Every link generation starts with the setup exchange. One that dies
+    // with its link is retried on the next; the reconnect budget bounds it.
+    Status st = ExchangeSetup();
+    if (st.ok()) break;
+    if (!CanRecover(st)) return st;
+  }
+  VF2_LOG(Info) << "setup replayed on the new link";
+  obs::FlightRecorder::RecordEvent(
+      obs::FlightRecorder::Kind::kNote, static_cast<uint32_t>(party_index_),
+      0, 0, "setup replayed");
   live_.SetState(obs::LiveStatus::State::kTraining);
   SendClockPings(2);  // fresh link, fresh path: re-estimate
-  // B is authoritative about which tree is replayed next; A's per-tree state
-  // is derived from the incoming gradient stream, so a boundary difference
-  // (e.g. A finished a tree whose kTreeDone B never confirmed) is benign.
-  if (peer.last_completed_tree != last_completed_tree_) {
-    VF2_LOG(Info) << "party A" << party_index_ << " resyncing: peer at tree "
-                  << peer.last_completed_tree << ", local boundary "
-                  << last_completed_tree_;
-  }
   return Status::OK();
-}
-
-Status PartyAEngine::LoadCheckpointIfResuming() {
-  if (!config_.resume || config_.checkpoint_dir.empty()) return Status::OK();
-  Result<PartyACheckpoint> loaded =
-      LoadPartyACheckpoint(config_.checkpoint_dir, party_index_);
-  if (!loaded.ok()) {
-    // No file yet = nothing was checkpointed before the crash: fresh start.
-    if (loaded.status().code() == StatusCode::kNotFound) return Status::OK();
-    return loaded.status();
-  }
-  if (loaded->config_fingerprint != config_.Fingerprint()) {
-    return Status::InvalidArgument(
-        "party A checkpoint was written by a different configuration "
-        "(fingerprint mismatch)");
-  }
-  if (loaded->cuts_hash != HashCuts(cuts_)) {
-    return Status::InvalidArgument(
-        "party A checkpoint was written against different data "
-        "(bin cuts mismatch)");
-  }
-  last_completed_tree_ = static_cast<int64_t>(loaded->completed_trees) - 1;
-  VF2_LOG(Info) << "party A" << party_index_ << " resuming after "
-                << loaded->completed_trees << " checkpointed trees";
-  return Status::OK();
-}
-
-Status PartyAEngine::MaybeWriteCheckpoint() {
-  if (config_.checkpoint_dir.empty()) return Status::OK();
-  PartyACheckpoint ckpt;
-  ckpt.config_fingerprint = config_.Fingerprint();
-  ckpt.party_index = party_index_;
-  ckpt.completed_trees = static_cast<uint32_t>(last_completed_tree_ + 1);
-  ckpt.cuts_hash = HashCuts(cuts_);
-  return SavePartyACheckpoint(ckpt, config_.checkpoint_dir);
 }
 
 Status PartyAEngine::ReceiveGradients(Message first, uint32_t* tree_id) {

@@ -33,25 +33,21 @@ class PartyAEngine : private PartyRuntime {
   Status Run();
 
  private:
+  /// Bins this party's shard, then runs the first link's setup exchange.
   Status Setup();
-  /// Builds the cipher backend from B's kPublicKey and answers with this
-  /// party's feature layout (kLayout).
-  Status AdoptKeyAndSendLayout(const Message& key_msg);
-  /// Handles a mid-run kPublicKey: a relaunched Party B rerunning its setup
-  /// phase. Rebuilds the cipher backend from the replayed key and re-sends
-  /// this party's (unchanged) feature layout so B's setup receive completes.
-  Status ReplaySetup(const Message& msg);
+  /// The setup exchange every link generation starts with: B's kPublicKey
+  /// must be the first frame; A builds its cipher backend from it and
+  /// answers with its feature layout and cuts digest (kLayout).
+  Status ExchangeSetup();
   Status RunLoop();
   /// One top-level protocol step: receive kTrainDone (sets *done) or run one
-  /// tree and checkpoint the boundary.
+  /// tree.
   Status RunOnce(bool* done);
   /// True when `st` is a transient link fault and the port can reconnect.
   bool CanRecover(const Status& st);
-  /// Discards partial-tree state, re-establishes the session link, and
-  /// resynchronizes at the last completed tree boundary.
+  /// Discards partial-tree state, re-establishes the session link and runs
+  /// the setup exchange on it; B then replays the interrupted tree.
   Status Recover(const Status& cause);
-  Status LoadCheckpointIfResuming();
-  Status MaybeWriteCheckpoint();
   /// Piggybacks this party's cumulative metric snapshot to B (kMetricsDelta).
   void SendMetricsDelta(bool final_frame);
   /// Fires `count` kClockPing probes at B (sideband; answered with
@@ -89,7 +85,6 @@ class PartyAEngine : private PartyRuntime {
   BinnedMatrix binned_;
   FeatureLayout layout_;
   std::unique_ptr<CipherBackend> backend_;
-  Rng rng_;
 
   // Per-tree state.
   /// Gradient ciphers by row: {gh} in gh-packed mode, else {g, h}. The mode
@@ -105,9 +100,6 @@ class PartyAEngine : private PartyRuntime {
   std::unordered_map<int32_t, std::vector<uint32_t>> node_instances_;
   std::unordered_map<int32_t, uint32_t> hist_epoch_;
   uint32_t current_tree_ = 0;
-  /// Last tree this party fully processed (kTreeDone seen); the tree
-  /// boundary advertised in session hellos and written to checkpoints.
-  int64_t last_completed_tree_ = -1;
 
   uint64_t metrics_seq_ = 0;  ///< kMetricsDelta sequence (engine lifetime)
   /// Clock alignment against B (borrowed from config.clock_sync_state when a

@@ -141,15 +141,31 @@ Status PartyBEngine::Setup() {
     VF2_RETURN_IF_ERROR(gl.status());
     gh_layout_ = std::move(gl).value();
   }
-  setup_key_msg_ = key_msg;  // kept for replay to restarted A processes
-  Broadcast(key_msg);
-  for (Inbox& inbox : inboxes_) {
-    PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
-    VF2_ASSIGN_OR_RETURN(Message msg,
-                         inbox.ReceiveType(MessageType::kLayout));
-    wait.Stop();
-    VF2_ASSIGN_OR_RETURN(FeatureLayout fl, DecodeALayout(msg));
+  setup_key_msg_ = std::move(key_msg);
+  for (size_t p = 0; p < inboxes_.size(); ++p) {
+    VF2_RETURN_IF_ERROR(ExchangeSetup(p));
+  }
+  return Status::OK();
+}
+
+Status PartyBEngine::ExchangeSetup(size_t p) {
+  Inbox& inbox = inboxes_[p];
+  inbox.Send(setup_key_msg_);
+  PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
+  VF2_ASSIGN_OR_RETURN(Message msg, inbox.ReceiveType(MessageType::kLayout));
+  wait.Stop();
+  VF2_ASSIGN_OR_RETURN(FeatureLayout fl, DecodeALayout(msg));
+  if (p == a_layouts_.size()) {  // this party's first setup: record it
     a_layouts_.push_back(std::move(fl));
+    a_layout_payloads_.push_back(std::move(msg.payload));
+    return Status::OK();
+  }
+  // Same data and config yield the same bins and cuts, byte for byte.
+  if (msg.payload != a_layout_payloads_[p]) {
+    return Status::ProtocolError(
+        "peer A" + std::to_string(p) +
+        " announced a different feature layout (bins or cut values) than "
+        "at its first setup");
   }
   return Status::OK();
 }
@@ -648,41 +664,22 @@ Status PartyBEngine::MaybeWriteCheckpoint(const PartyBResult& result) {
   return SavePartyBCheckpoint(ckpt, config_.checkpoint_dir);
 }
 
-Status PartyBEngine::ResyncSessions(int64_t last_completed) {
+Status PartyBEngine::ResyncSessions() {
   obs::TraceSpan span("phase", "reconnect");
   live_.SetState(obs::LiveStatus::State::kReconnecting);
   hist_epoch_.clear();
-  for (Inbox& inbox : inboxes_) inbox.Clear();
   for (size_t p = 0; p < inboxes_.size(); ++p) {
-    Inbox& inbox = inboxes_[p];
-    Result<HelloPayload> peer = inbox.port()->Reestablish(last_completed);
-    VF2_RETURN_IF_ERROR(peer.status());
-    m_.reconnects->Add(1);
-    if (peer->last_completed_tree != last_completed) {
-      // Benign: the peer crashed at a different point inside the tree. Both
-      // sides restart the in-flight tree from scratch, so only the hello
-      // exchange itself needs to agree on the boundary, which it now does.
-      VF2_LOG(Info) << "peer " << peer->party << " rejoined at tree "
-                    << peer->last_completed_tree << " (local boundary "
-                    << last_completed << ")";
-    }
-    if (peer->needs_setup) {
-      // The peer is a freshly launched process, not a survivor of a link
-      // blip: replay the setup phase so it can rebuild its crypto backend,
-      // and cross-check that its recomputed layout matches the original —
-      // same data and config must yield the same bins.
-      VF2_LOG(Info) << "peer " << peer->party
-                    << " is a fresh process, replaying setup";
-      Message key_copy = setup_key_msg_;
-      inbox.Send(std::move(key_copy));
-      VF2_ASSIGN_OR_RETURN(Message msg,
-                           inbox.ReceiveType(MessageType::kLayout));
-      VF2_ASSIGN_OR_RETURN(FeatureLayout fl, DecodeALayout(msg));
-      if (fl.offsets != a_layouts_[p].offsets) {
-        return Status::ProtocolError(
-            "restarted peer " + std::to_string(peer->party) +
-            " announced a different feature layout than the original run");
-      }
+    // The peer may be a survivor of a link blip or a relaunched process;
+    // both get the setup exchange. One that dies with its link is retried
+    // on the next; the reconnect budget bounds it.
+    for (;;) {
+      inboxes_[p].Clear();
+      VF2_RETURN_IF_ERROR(inboxes_[p].port()->Reestablish().status());
+      m_.reconnects->Add(1);
+      VF2_LOG(Info) << "peer A" << p << " re-established, replaying setup";
+      Status st = ExchangeSetup(p);
+      if (st.ok()) break;
+      if (!IsTransientFault(st)) return st;
     }
   }
   live_.SetState(obs::LiveStatus::State::kTraining);
@@ -744,8 +741,7 @@ Result<PartyBResult> PartyBEngine::RunInternal() {
                     << " failed on a transient fault, resyncing: "
                     << st.ToString();
       scores_ = boundary_scores;
-      VF2_RETURN_IF_ERROR(
-          ResyncSessions(static_cast<int64_t>(t) - 1));
+      VF2_RETURN_IF_ERROR(ResyncSessions());
     }
 
     EvalRecord rec;

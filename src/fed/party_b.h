@@ -59,7 +59,13 @@ class PartyBEngine : private PartyRuntime {
     bool has_hist = false;
   };
 
+  /// Bins B's shard, generates the key, then runs every link's first setup
+  /// exchange.
   Status Setup();
+  /// The setup exchange every link generation starts with: sends A party
+  /// `p` the kPublicKey and receives its kLayout. The first layout is
+  /// recorded; a later one must match it byte for byte (ProtocolError).
+  Status ExchangeSetup(size_t p);
   Result<PartyBResult> RunInternal();
   /// True when every port can re-establish its link (session layer on).
   bool SessionsRecoverable();
@@ -68,9 +74,9 @@ class PartyBEngine : private PartyRuntime {
   Status LoadCheckpointIfResuming(PartyBResult* result, size_t* start_tree);
   /// Writes the tree-boundary checkpoint (no-op without a checkpoint_dir).
   Status MaybeWriteCheckpoint(const PartyBResult& result);
-  /// Drops partial-tree protocol state and re-establishes every session at
-  /// the `last_completed` tree boundary.
-  Status ResyncSessions(int64_t last_completed);
+  /// Drops partial-tree protocol state, re-establishes every session and
+  /// runs the setup exchange on each new link.
+  Status ResyncSessions();
   /// Receives every A party's final kMetricsDelta frame: blocks per inbox
   /// until the peer's clean close (clean closes drain queued traffic first,
   /// so the final frame arrives deterministically).
@@ -126,11 +132,12 @@ class PartyBEngine : private PartyRuntime {
   BinnedMatrix binned_;
   FeatureLayout layout_;
   std::vector<FeatureLayout> a_layouts_;
+  /// Each A party's first kLayout payload, the reference for later ones.
+  std::vector<std::vector<uint8_t>> a_layout_payloads_;
   /// Slot layout of the gh-packed gradient stream (config_.gh_pack only),
   /// sized at Setup against the key and the loss bounds — fail-fast.
   GhPackLayout gh_layout_;
-  /// The kPublicKey message from Setup, kept for replay: a restarted A
-  /// process (hello with needs_setup) missed the original setup phase.
+  /// The kPublicKey message from Setup, sent on every link generation.
   Message setup_key_msg_;
   std::unique_ptr<CipherBackend> backend_;
   std::shared_ptr<NoisePool> noise_pool_;  // real crypto only; may be null

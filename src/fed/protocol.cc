@@ -394,12 +394,14 @@ Status DecodePlacement(const Message& m, PlacementPayload* p) {
 Message EncodeLayout(const LayoutPayload& p) {
   ByteWriter w;
   w.PutU64Vector(p.bins_per_feature);
+  w.PutU64(p.cuts_digest);
   return {MessageType::kLayout, w.Release()};
 }
 
 Status DecodeLayout(const Message& m, LayoutPayload* p) {
   ByteReader r(m.payload);
-  return r.GetU64Vector(&p->bins_per_feature);
+  VF2_RETURN_IF_ERROR(r.GetU64Vector(&p->bins_per_feature));
+  return r.GetU64(&p->cuts_digest);
 }
 
 Message EncodeMetricsDelta(const MetricsDeltaPayload& p) {

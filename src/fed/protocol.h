@@ -87,9 +87,9 @@ struct FedConfig {
 
   /// Directory for durable tree-boundary checkpoints (see fed/checkpoint.h).
   /// Empty = checkpointing off. Party B writes party_b.ckpt after every
-  /// completed tree; each Party A writes party_a<i>.ckpt.
+  /// completed tree; A parties keep no checkpoint and ignore this.
   std::string checkpoint_dir;
-  /// Resume from the checkpoints in checkpoint_dir: Party B restores the
+  /// Resume from the checkpoint in checkpoint_dir: Party B restores the
   /// completed ensemble, its running scores and the eval log, then training
   /// continues at the next tree. A missing checkpoint file means a fresh
   /// start; a fingerprint mismatch (different config or data) fails fast.
@@ -270,8 +270,13 @@ struct PlacementPayload {
 Message EncodePlacement(const PlacementPayload& p);
 Status DecodePlacement(const Message& m, PlacementPayload* p);
 
+/// \brief kLayout body: an A party's answer to kPublicKey on every link
+/// generation. Party B compares later generations' bytes with the first, so
+/// a relaunched A on other data (other bins or other cut values) is refused.
 struct LayoutPayload {
   std::vector<uint64_t> bins_per_feature;
+  /// HashCuts of the sender's bin cuts; B only compares it for equality.
+  uint64_t cuts_digest = 0;
 };
 Message EncodeLayout(const LayoutPayload& p);
 Status DecodeLayout(const Message& m, LayoutPayload* p);

@@ -266,15 +266,12 @@ ChannelStats SessionChannel::sent_stats() const {
   return total;
 }
 
-Result<HelloPayload> SessionChannel::Open(double timeout_seconds,
-                                          bool needs_setup) {
+Result<HelloPayload> SessionChannel::Open(double timeout_seconds) {
   const Clock::time_point deadline = Clock::now() + Seconds(timeout_seconds);
-  return Connect(deadline, /*last_completed_tree=*/-1, needs_setup, deadline);
+  return Connect(deadline, deadline);
 }
 
 Result<HelloPayload> SessionChannel::Connect(Clock::time_point deadline,
-                                             int64_t last_completed_tree,
-                                             bool needs_setup,
                                              Clock::time_point wait_until) {
   Result<std::unique_ptr<MessagePort>> fresh =
       factory_->Reconnect(channel_index_, a_side_, deadline);
@@ -287,14 +284,11 @@ Result<HelloPayload> SessionChannel::Connect(Clock::time_point deadline,
     ep_ = link;
     ++links_;
   }
-  // Prove to each other we are the same session with compatible configs,
-  // and agree on the tree boundary to resume from.
+  // Prove to each other we are the same session with compatible configs.
   HelloPayload mine;
   mine.session_id = session_id_;
   mine.party = party_;
-  mine.last_completed_tree = last_completed_tree;
   mine.config_fingerprint = fingerprint_;
-  mine.needs_setup = needs_setup;
   const int64_t hello_sent_us = obs::TraceNowMicros();
   mine.clock_micros = hello_sent_us;
   SendOn(link.get(), EncodeHello(mine));
@@ -335,8 +329,7 @@ Result<HelloPayload> SessionChannel::Connect(Clock::time_point deadline,
   return peer;
 }
 
-Result<HelloPayload> SessionChannel::Reestablish(int64_t last_completed_tree,
-                                                 bool needs_setup) {
+Result<HelloPayload> SessionChannel::Reestablish() {
   if (terminally_closed_.load(std::memory_order_acquire)) {
     return Status::Aborted("session already closed: " +
                            close_status_.ToString());
@@ -380,8 +373,8 @@ Result<HelloPayload> SessionChannel::Reestablish(int64_t last_completed_tree,
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
     }
     Result<HelloPayload> peer =
-        Connect(Clock::now() + Seconds(rendezvous_window), last_completed_tree,
-                needs_setup, /*wait_until=*/Clock::time_point{});
+        Connect(Clock::now() + Seconds(rendezvous_window),
+                /*wait_until=*/Clock::time_point{});
     if (!peer.ok()) {
       // A timed-out rendezvous or a link that died mid-hello is retried; a
       // shut-down factory or a refused hello is terminal.
@@ -391,11 +384,10 @@ Result<HelloPayload> SessionChannel::Reestablish(int64_t last_completed_tree,
     obs::FlightRecorder::RecordEvent(obs::FlightRecorder::Kind::kReconnect,
                                      static_cast<uint32_t>(channel_index_),
                                      static_cast<int64_t>(attempts_used_),
-                                     peer->last_completed_tree,
+                                     peer->party,
                                      a_side_ ? "hello ok (A)" : "hello ok (B)");
     VF2_LOG(Info) << "session " << session_id_ << " channel " << channel_index_
-                  << (a_side_ ? " (A)" : " (B)") << " re-established, peer at "
-                  << "tree " << peer->last_completed_tree << ", attempt "
+                  << (a_side_ ? " (A)" : " (B)") << " re-established, attempt "
                   << attempts_used_ << "/" << config_.reconnect_max_attempts;
     return peer;
   }

@@ -132,7 +132,7 @@ class SessionChannel : public MessagePort {
   /// Brings generation 0 up: waits up to `timeout_seconds` for the factory's
   /// first link and the peer's hello, with no backoff and no budget spent,
   /// and returns that hello. Call once, before any other method.
-  Result<HelloPayload> Open(double timeout_seconds, bool needs_setup);
+  Result<HelloPayload> Open(double timeout_seconds);
 
   void Send(Message msg) override;
   Result<Message> Receive() override;
@@ -147,8 +147,7 @@ class SessionChannel : public MessagePort {
   bool resilient() const override {
     return config_.reconnect_max_attempts > 0;
   }
-  Result<HelloPayload> Reestablish(int64_t last_completed_tree,
-                                   bool needs_setup = false) override;
+  Result<HelloPayload> Reestablish() override;
 
   /// Feeds every completed hello handshake into `sync` as a coarse clock
   /// sample (see obs::ClockSync::AddHelloSample). Borrowed; must outlive
@@ -169,7 +168,6 @@ class SessionChannel : public MessagePort {
   /// deadline before `wait_until` is waited out: at bring-up the peer may
   /// still be joining its other links.
   Result<HelloPayload> Connect(ChannelEndpoint::Clock::time_point deadline,
-                               int64_t last_completed_tree, bool needs_setup,
                                ChannelEndpoint::Clock::time_point wait_until);
   /// Sends on `link` unless generation 0's kill switch has fired.
   void SendOn(MessagePort* link, Message msg);

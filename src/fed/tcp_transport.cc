@@ -476,7 +476,6 @@ Result<std::unique_ptr<MessagePort>> TcpChannelFactory::DialChannel(
     // follows on top of the returned port.
     HelloPayload preamble;
     preamble.party = static_cast<uint32_t>(channel);
-    preamble.last_completed_tree = -1;
     port->Send(EncodeHello(preamble));
     return std::unique_ptr<MessagePort>(std::move(port));
   }

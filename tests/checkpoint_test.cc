@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "data/binning.h"
 #include "fed/protocol.h"
 
 namespace vf2boost {
@@ -96,25 +97,6 @@ TEST(CheckpointTest, PartyBRoundTripsThroughDisk) {
   newer.trees.push_back(MakeTree(2));
   ASSERT_TRUE(SavePartyBCheckpoint(newer, dir).ok());
   EXPECT_EQ(LoadPartyBCheckpoint(dir)->completed_trees, 3u);
-}
-
-TEST(CheckpointTest, PartyARoundTripsThroughDisk) {
-  const std::string dir = TempDir("a_disk");
-  PartyACheckpoint ckpt;
-  ckpt.config_fingerprint = 0xbeefULL;
-  ckpt.party_index = 1;
-  ckpt.completed_trees = 5;
-  ckpt.cuts_hash = 0x1234abcdULL;
-  ASSERT_TRUE(SavePartyACheckpoint(ckpt, dir).ok());
-  Result<PartyACheckpoint> back = LoadPartyACheckpoint(dir, 1);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->config_fingerprint, ckpt.config_fingerprint);
-  EXPECT_EQ(back->party_index, 1u);
-  EXPECT_EQ(back->completed_trees, 5u);
-  EXPECT_EQ(back->cuts_hash, ckpt.cuts_hash);
-  // Parties do not collide: party 0 has no file in this dir.
-  EXPECT_EQ(LoadPartyACheckpoint(dir, 0).status().code(),
-            StatusCode::kNotFound);
 }
 
 TEST(CheckpointTest, MissingFileIsNotFound) {

@@ -47,11 +47,13 @@ NetworkConfig WithDeadline() {
 // Party A against a scripted B
 // ---------------------------------------------------------------------------
 
-/// What the hostile frame carries, given the layout A announced.
+/// What the hostile frame carries, given the layout A announced, and
+/// whether it comes after the tree's kTreeDone instead of inside the tree.
 struct HostileCase {
   const char* name;
   MessageType type;
   std::function<Message(const LayoutPayload&)> frame;
+  bool after_tree = false;
 };
 
 Message Decisions(MessageType type, NodeDecision d) {
@@ -99,7 +101,8 @@ TEST_P(PartyAHostileFrameTest, EndsWithProtocolError) {
   std::thread a_thread([&] { a_status = engine.Run(); });
 
   // Scripted B: setup, one gradient batch, then the hostile frame once A
-  // has sent the root histogram.
+  // has sent the root histogram (and, for an after-tree case, once B has
+  // ended the tree).
   b_end->Send(Message{MessageType::kPublicKey, {}});
   Result<Message> layout_msg = b_end->Receive();
   ASSERT_TRUE(layout_msg.ok()) << layout_msg.status().ToString();
@@ -119,6 +122,7 @@ TEST_P(PartyAHostileFrameTest, EndsWithProtocolError) {
   Result<Message> hist = b_end->Receive();
   ASSERT_TRUE(hist.ok()) << hist.status().ToString();
   ASSERT_EQ(hist->type, MessageType::kNodeHistogram);
+  if (GetParam().after_tree) b_end->Send(Message{MessageType::kTreeDone, {}});
 
   Message hostile = GetParam().frame(layout);
   ASSERT_EQ(hostile.type, GetParam().type);
@@ -178,7 +182,18 @@ INSTANTIATE_TEST_SUITE_P(
         HostileCase{"RetiredType7", static_cast<MessageType>(7),
                     [](const LayoutPayload&) {
                       return Message{static_cast<MessageType>(7), {1, 2}};
-                    }}),
+                    }},
+        // B's key opens a link generation; anywhere else it is hostile, be
+        // it inside a tree or at a tree boundary on the same link.
+        HostileCase{"PublicKeyMidTree", MessageType::kPublicKey,
+                    [](const LayoutPayload&) {
+                      return Message{MessageType::kPublicKey, {}};
+                    }},
+        HostileCase{"PublicKeyAtTreeBoundary", MessageType::kPublicKey,
+                    [](const LayoutPayload&) {
+                      return Message{MessageType::kPublicKey, {}};
+                    },
+                    /*after_tree=*/true}),
     [](const ::testing::TestParamInfo<HostileCase>& info) {
       return std::string(info.param.name);
     });
@@ -307,8 +322,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 /// A resilient port over two prepared links: Reestablish moves to the second
-/// one and reports the peer as a freshly launched process that needs the
-/// setup phase replayed. Used by B's engine thread only.
+/// one, where B runs the setup exchange again as on every new link. Used by
+/// B's engine thread only.
 class RelaunchPort : public MessagePort {
  public:
   RelaunchPort(ChannelEndpoint* first, ChannelEndpoint* second)
@@ -320,16 +335,11 @@ class RelaunchPort : public MessagePort {
   bool closed() const override { return current_->closed(); }
   ChannelStats sent_stats() const override { return current_->sent_stats(); }
   bool resilient() const override { return true; }
-  Result<HelloPayload> Reestablish(int64_t last_completed_tree,
-                                   bool /*needs_setup*/) override {
+  Result<HelloPayload> Reestablish() override {
     if (next_ == nullptr) return Status::Unavailable("no second link");
     current_ = next_;
     next_ = nullptr;
-    HelloPayload hello;
-    hello.party = 0;
-    hello.last_completed_tree = last_completed_tree;
-    hello.needs_setup = true;
-    return hello;
+    return HelloPayload{};
   }
 
  private:
@@ -337,15 +347,21 @@ class RelaunchPort : public MessagePort {
   ChannelEndpoint* next_;
 };
 
-Message Layout(std::vector<uint64_t> bins) {
+constexpr uint64_t kCutsDigest = 0x5eed;
+
+Message Layout(std::vector<uint64_t> bins,
+               uint64_t cuts_digest = kCutsDigest) {
   LayoutPayload p;
   p.bins_per_feature = std::move(bins);
+  p.cuts_digest = cuts_digest;
   return EncodeLayout(p);
 }
 
 // Plays A up to B's first gradient batch, kills that link, then answers B's
-// setup replay on the second link with `relaunch_bins`. Returns B's status.
-Status RunBAgainstRelaunchedA(std::vector<uint64_t> relaunch_bins) {
+// setup exchange on the second link with `relaunch_bins` and
+// `relaunch_digest`. Returns B's status.
+Status RunBAgainstRelaunchedA(std::vector<uint64_t> relaunch_bins,
+                              uint64_t relaunch_digest = kCutsDigest) {
   FedConfig config = MockConfig();
   const Dataset data = SmallData(64, 3);
   auto [a1, b1] = ChannelEndpoint::CreatePair(WithDeadline());
@@ -367,8 +383,8 @@ Status RunBAgainstRelaunchedA(std::vector<uint64_t> relaunch_bins) {
   expect(a1.get(), MessageType::kGradBatch);
   a1->Close(Status::Unavailable("link lost"));
 
-  expect(a2.get(), MessageType::kPublicKey);  // setup replay
-  a2->Send(Layout(std::move(relaunch_bins)));
+  expect(a2.get(), MessageType::kPublicKey);  // the new link's setup
+  a2->Send(Layout(std::move(relaunch_bins), relaunch_digest));
   // B either refuses the layout (and closes the link) or carries on with
   // the tree; end the run either way.
   Result<Message> next = a2->Receive();
@@ -380,6 +396,15 @@ Status RunBAgainstRelaunchedA(std::vector<uint64_t> relaunch_bins) {
 TEST(PartyBRelaunchTest, RefusesSameFeatureCountWithDifferentBins) {
   // Same feature count and the same total bin count as the original {4, 4}.
   Status st = RunBAgainstRelaunchedA({3, 5});
+  EXPECT_EQ(st.code(), StatusCode::kProtocolError) << st.ToString();
+  EXPECT_NE(st.message().find("different feature layout"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(PartyBRelaunchTest, RefusesSameBinsWithDifferentCuts) {
+  // Same bin counts as the original {4, 4}, but other cut values: another
+  // shard that bins alike.
+  Status st = RunBAgainstRelaunchedA({4, 4}, kCutsDigest + 1);
   EXPECT_EQ(st.code(), StatusCode::kProtocolError) << st.ToString();
   EXPECT_NE(st.message().find("different feature layout"), std::string::npos)
       << st.ToString();

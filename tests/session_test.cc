@@ -44,8 +44,8 @@ struct SessionPair {
         b(std::make_unique<SessionChannel>(
             &broker, 0, /*a_side=*/false, /*session_id=*/1234, /*party=*/1,
             fingerprint_b, b_net, &b_metrics)) {
-    std::thread side_a([this] { a_open = a->Open(5, /*needs_setup=*/true); });
-    b_open = b->Open(5, /*needs_setup=*/false);
+    std::thread side_a([this] { a_open = a->Open(5); });
+    b_open = b->Open(5);
     side_a.join();
   }
   bool up() const { return a_open.ok() && b_open.ok(); }
@@ -136,9 +136,8 @@ TEST(SessionChannelTest, OpenExchangesHellosWithoutSpendingTheBudget) {
   EXPECT_LT(clock.ElapsedSeconds(), 0.9);
   EXPECT_EQ(pair.a_open->party, 1u);
   EXPECT_EQ(pair.b_open->party, 0u);
-  EXPECT_TRUE(pair.b_open->needs_setup);
-  EXPECT_FALSE(pair.a_open->needs_setup);
-  EXPECT_EQ(pair.b_open->last_completed_tree, -1);
+  EXPECT_EQ(pair.a_open->session_id, 1234u);
+  EXPECT_EQ(pair.b_open->config_fingerprint, 77u);
 
   Message m;
   m.type = MessageType::kGradBatch;
@@ -150,8 +149,8 @@ TEST(SessionChannelTest, OpenExchangesHellosWithoutSpendingTheBudget) {
 
   // The one attempt in the budget is still there for a real outage.
   Result<HelloPayload> healed = Status::Unavailable("pending");
-  std::thread side_a([&] { healed = pair.a->Reestablish(0); });
-  EXPECT_TRUE(pair.b->Reestablish(0).ok());
+  std::thread side_a([&] { healed = pair.a->Reestablish(); });
+  EXPECT_TRUE(pair.b->Reestablish().ok());
   side_a.join();
   EXPECT_TRUE(healed.ok()) << healed.status().ToString();
 }
@@ -162,7 +161,7 @@ TEST(SessionChannelTest, OpenTimesOutWithoutPeer) {
   SessionChannel a(&broker, 0, /*a_side=*/true, 1, 0, 7, NetworkConfig{},
                    &metrics);
   Stopwatch clock;
-  Result<HelloPayload> r = a.Open(0.1, /*needs_setup=*/true);
+  Result<HelloPayload> r = a.Open(0.1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(clock.ElapsedSeconds(), 2.0);
@@ -172,14 +171,14 @@ TEST(SessionChannelTest, ReestablishReplacesLinkAndExchangesHellos) {
   SessionPair pair(RecoverableNet());
   ASSERT_TRUE(pair.up());
   Result<HelloPayload> peer_of_a = Status::Unavailable("pending");
-  std::thread side_a([&] { peer_of_a = pair.a->Reestablish(3); });
-  Result<HelloPayload> peer_of_b = pair.b->Reestablish(3);
+  std::thread side_a([&] { peer_of_a = pair.a->Reestablish(); });
+  Result<HelloPayload> peer_of_b = pair.b->Reestablish();
   side_a.join();
   ASSERT_TRUE(peer_of_a.ok()) << peer_of_a.status().ToString();
   ASSERT_TRUE(peer_of_b.ok()) << peer_of_b.status().ToString();
   EXPECT_EQ(peer_of_a->party, 1u);
   EXPECT_EQ(peer_of_b->party, 0u);
-  EXPECT_EQ(peer_of_a->last_completed_tree, 3);
+  EXPECT_EQ(peer_of_a->session_id, 1234u);
 
   // The replacement link carries traffic.
   Message m;
@@ -197,8 +196,8 @@ TEST(SessionChannelTest, StatsAccumulateAcrossGenerations) {
   m.type = MessageType::kGradBatch;
   m.payload = {1};
   pair.a->Send(m);  // first generation traffic
-  std::thread side_a([&] { EXPECT_TRUE(pair.a->Reestablish(0).ok()); });
-  EXPECT_TRUE(pair.b->Reestablish(0).ok());
+  std::thread side_a([&] { EXPECT_TRUE(pair.a->Reestablish().ok()); });
+  EXPECT_TRUE(pair.b->Reestablish().ok());
   side_a.join();
   pair.a->Send(m);  // second generation traffic
   // 2 data messages + 2 hellos, summed over both link generations.
@@ -212,7 +211,7 @@ TEST(SessionChannelTest, BudgetExhaustionIsUnavailable) {
   SessionPair pair(net);
   // No peer ever shows up: the single attempt times out at the rendezvous
   // and the budget is spent.
-  Result<HelloPayload> r = pair.a->Reestablish(0);
+  Result<HelloPayload> r = pair.a->Reestablish();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(r.status().message().find("1/1 attempts"), std::string::npos)
@@ -234,7 +233,7 @@ TEST(SessionChannelTest, ErrorCloseShutsTheBrokerDown) {
   pair.a->Close(Status::Aborted("engine failed"));
   // The peer's future reconnects fail fast with the root cause instead of
   // burning the budget against a side that is gone for good.
-  Result<HelloPayload> r = pair.b->Reestablish(0);
+  Result<HelloPayload> r = pair.b->Reestablish();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kAborted);
 }
@@ -291,8 +290,8 @@ TEST(SessionHeartbeatTest, LivenessBudgetTripsOnSilentPeerAndLinkHeals) {
 
   // And the standard reconnect machinery heals the session afterwards.
   Result<HelloPayload> from_b = Status::Unavailable("pending");
-  std::thread side_b([&] { from_b = b.Reestablish(0); });
-  Result<HelloPayload> from_a = a.Reestablish(0);
+  std::thread side_b([&] { from_b = b.Reestablish(); });
+  Result<HelloPayload> from_a = a.Reestablish();
   side_b.join();
   ASSERT_TRUE(from_a.ok()) << from_a.status().ToString();
   ASSERT_TRUE(from_b.ok()) << from_b.status().ToString();
@@ -351,8 +350,8 @@ void ExpectKillSwitchFiresOnce(ChannelFactory* a_factory,
   SessionChannel b(b_factory, 0, /*a_side=*/false, 1, 1, 7, b_net,
                    &b_metrics);
   Result<HelloPayload> a_up = Status::Unavailable("pending");
-  std::thread side_a([&] { a_up = a.Open(5, /*needs_setup=*/true); });
-  Result<HelloPayload> b_up = b.Open(5, /*needs_setup=*/false);
+  std::thread side_a([&] { a_up = a.Open(5); });
+  Result<HelloPayload> b_up = b.Open(5);
   side_a.join();
   ASSERT_TRUE(a_up.ok()) << a_up.status().ToString();
   ASSERT_TRUE(b_up.ok()) << b_up.status().ToString();
@@ -373,8 +372,8 @@ void ExpectKillSwitchFiresOnce(ChannelFactory* a_factory,
   EXPECT_GE(dead.dropped, 3u);  // later beacons and the data frame
 
   Result<HelloPayload> a_healed = Status::Unavailable("pending");
-  std::thread side_a2([&] { a_healed = a.Reestablish(0); });
-  Result<HelloPayload> b_healed = b.Reestablish(0);
+  std::thread side_a2([&] { a_healed = a.Reestablish(); });
+  Result<HelloPayload> b_healed = b.Reestablish();
   side_a2.join();
   ASSERT_TRUE(a_healed.ok()) << a_healed.status().ToString();
   ASSERT_TRUE(b_healed.ok()) << b_healed.status().ToString();

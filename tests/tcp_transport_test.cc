@@ -627,10 +627,9 @@ TEST(TcpPartyLaunchTest, MismatchedSeedIsRefusedOnBothSides) {
       30.0));
 }
 
-// A freshly launched peer advertises needs_setup in its hello; the other
-// side's engine uses that to replay the setup phase. Here we just assert the
-// flag crosses the TCP hello exchange intact.
-TEST(TcpSessionDrillTest, NeedsSetupFlagCrossesHelloExchange) {
+// Every link generation, the first and each replacement, carries both
+// hellos intact across TCP: party id, session id and config fingerprint.
+TEST(TcpSessionDrillTest, HelloCrossesEveryGeneration) {
   ASSERT_TRUE(RunWithWatchdog(
       [] {
         NetworkConfig net;
@@ -649,24 +648,26 @@ TEST(TcpSessionDrillTest, NeedsSetupFlagCrossesHelloExchange) {
         SessionChannel b_port(listener->get(), 0, false, 99, 1, 7, net,
                               &registry);
         Result<HelloPayload> from_a = Status::Unavailable("pending");
-        std::thread b_thread(
-            [&] { from_a = b_port.Open(10, /*needs_setup=*/false); });
-        Result<HelloPayload> from_b = a_port.Open(10, /*needs_setup=*/true);
+        std::thread b_thread([&] { from_a = b_port.Open(10); });
+        Result<HelloPayload> from_b = a_port.Open(10);
         b_thread.join();
         ASSERT_TRUE(from_a.ok()) << from_a.status().ToString();
         ASSERT_TRUE(from_b.ok()) << from_b.status().ToString();
-        EXPECT_TRUE(from_a->needs_setup);
-        EXPECT_EQ(from_a->last_completed_tree, -1);
-        EXPECT_FALSE(from_b->needs_setup);
+        EXPECT_EQ(from_a->party, 0u);
+        EXPECT_EQ(from_b->party, 1u);
+        EXPECT_EQ(from_a->session_id, 99u);
+        EXPECT_EQ(from_b->config_fingerprint, 7u);
 
-        // A replacement link carries the flag and the tree boundary too.
-        std::thread b_again([&] { from_a = b_port.Reestablish(3); });
-        from_b = a_port.Reestablish(-1, /*needs_setup=*/true);
+        // A replacement link carries them too.
+        std::thread b_again([&] { from_a = b_port.Reestablish(); });
+        from_b = a_port.Reestablish();
         b_again.join();
         ASSERT_TRUE(from_a.ok()) << from_a.status().ToString();
         ASSERT_TRUE(from_b.ok()) << from_b.status().ToString();
-        EXPECT_TRUE(from_a->needs_setup);
-        EXPECT_EQ(from_b->last_completed_tree, 3);
+        EXPECT_EQ(from_a->party, 0u);
+        EXPECT_EQ(from_b->party, 1u);
+        EXPECT_EQ(from_a->session_id, 99u);
+        EXPECT_EQ(from_b->config_fingerprint, 7u);
       },
       30.0));
 }

@@ -75,8 +75,10 @@ int main(int argc, char** argv) {
        {"lr", "learning rate (default 0.1)"},
        {"workers", "intra-party workers (default 1)"},
        {"seed", "partition/crypto seed (default 42)"},
-       {"checkpoint-dir", "write a tree-boundary checkpoint after each tree"},
-       {"resume", "resume from --checkpoint-dir instead of starting fresh"},
+       {"checkpoint-dir", "party B writes a tree-boundary checkpoint here "
+                          "after each tree (A parties keep none)"},
+       {"resume", "party B resumes from --checkpoint-dir instead of "
+                  "starting fresh (no effect on A parties)"},
        {"deadline", "per-receive deadline seconds (0 = block forever)"},
        {"kill-after", "kill each link after N sends per direction (0 = off)"},
        {"heal-after", "seconds a dead link stays down before it can heal"},
