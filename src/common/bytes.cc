@@ -2,6 +2,12 @@
 
 namespace vf2boost {
 
+Status ByteReader::ExpectEnd(const char* what) const {
+  if (AtEnd()) return Status::OK();
+  return Status::Corruption(std::to_string(remaining()) +
+                            " trailing bytes in " + what + " payload");
+}
+
 Status ByteReader::GetRaw(void* p, size_t n) {
   if (n > len_ - pos_) {
     return Status::Corruption("message truncated: need " + std::to_string(n) +

@@ -72,6 +72,10 @@ class ByteReader {
 
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
+  /// The end-of-payload check every decoder finishes with: Corruption
+  /// ("trailing bytes in <what> payload") unless every byte was read, so an
+  /// encoder/decoder mismatch is never decoded as if the bytes were absent.
+  Status ExpectEnd(const char* what) const;
 
  private:
   Status GetRaw(void* p, size_t n);

@@ -47,20 +47,6 @@ std::vector<BigInt> CipherBackend::DecryptRawBatch(
   return out;
 }
 
-std::vector<double> CipherBackend::DecryptBatch(const std::vector<Cipher>& cs,
-                                                ThreadPool* pool) const {
-  VF2_CHECK(can_decrypt()) << "backend has no private key";
-  std::vector<BigInt> raw;
-  raw.reserve(cs.size());
-  for (const Cipher& c : cs) raw.push_back(c.data);
-  const std::vector<BigInt> plain = DecryptRawBatch(raw, pool);
-  std::vector<double> out(cs.size());
-  for (size_t i = 0; i < cs.size(); ++i) {
-    out[i] = codec_.Decode(plain[i], cs[i].exponent, plain_modulus());
-  }
-  return out;
-}
-
 Cipher CipherBackend::ScaleTo(const Cipher& c, int target_exponent) const {
   VF2_CHECK(target_exponent >= c.exponent)
       << "cannot rescale cipher downward";
@@ -108,6 +94,14 @@ void CipherBackend::SerializeCipher(const Cipher& c, ByteWriter* w) const {
 
 Status CipherBackend::DeserializeCipher(ByteReader* r, Cipher* c) const {
   VF2_RETURN_IF_ERROR(r->GetI32(&c->exponent));
+  // Accumulators index a workspace by exponent and B aligns exponents with
+  // ScaleFactor, so one outside the codec's range must not get past here.
+  if (c->exponent < codec_.min_exponent() ||
+      c->exponent > codec_.max_exponent()) {
+    return Status::Corruption("cipher exponent " +
+                              std::to_string(c->exponent) +
+                              " outside the codec range");
+  }
   std::vector<uint64_t> limbs;
   VF2_RETURN_IF_ERROR(r->GetU64Vector(&limbs));
   c->data = BigInt::FromLimbs(std::move(limbs));

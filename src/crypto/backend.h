@@ -91,10 +91,6 @@ class CipherBackend {
   Cipher EncryptPublicAt(double v, int exponent) const;
   /// Decrypts and decodes (requires can_decrypt()).
   double Decrypt(const Cipher& c) const;
-  /// Batch decrypt-and-decode; `pool` parallelizes the CRT halves when
-  /// non-null (requires can_decrypt()).
-  std::vector<double> DecryptBatch(const std::vector<Cipher>& cs,
-                                   ThreadPool* pool) const;
 
   /// Rescales c to a higher exponent via one SMul with B^(diff).
   /// This is the "cipher scaling" operation whose count the re-ordered
@@ -107,6 +103,8 @@ class CipherBackend {
 
   // --- wire format -----------------------------------------------------------
   void SerializeCipher(const Cipher& c, ByteWriter* w) const;
+  /// Corruption when the exponent lies outside the codec's
+  /// [min_exponent, max_exponent].
   Status DeserializeCipher(ByteReader* r, Cipher* c) const;
 
  protected:

@@ -69,19 +69,6 @@ std::vector<BigInt> UnpackPlaintext(const BigInt& plain, size_t slot_bits,
   return out;
 }
 
-std::vector<double> DecodePackedPlain(const PackedCipher& packed,
-                                      const BigInt& plain,
-                                      const CipherBackend& backend) {
-  const std::vector<BigInt> raw =
-      UnpackPlaintext(plain, packed.slot_bits, packed.num_slots);
-  const double scale =
-      std::pow(static_cast<double>(backend.codec().base()), packed.exponent);
-  std::vector<double> out;
-  out.reserve(raw.size());
-  for (const BigInt& v : raw) out.push_back(v.ToDouble() / scale);
-  return out;
-}
-
 Result<std::vector<double>> DecryptPacked(const PackedCipher& packed,
                                           const CipherBackend& backend) {
   if (!backend.can_decrypt()) {
@@ -89,7 +76,14 @@ Result<std::vector<double>> DecryptPacked(const PackedCipher& packed,
   }
   VF2_RETURN_IF_ERROR(
       ValidatePackedShape(packed, backend.plain_modulus().BitLength()));
-  return DecodePackedPlain(packed, backend.DecryptRaw(packed.data), backend);
+  const std::vector<BigInt> raw = UnpackPlaintext(
+      backend.DecryptRaw(packed.data), packed.slot_bits, packed.num_slots);
+  const double scale =
+      std::pow(static_cast<double>(backend.codec().base()), packed.exponent);
+  std::vector<double> out;
+  out.reserve(raw.size());
+  for (const BigInt& v : raw) out.push_back(v.ToDouble() / scale);
+  return out;
 }
 
 }  // namespace vf2boost

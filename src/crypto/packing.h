@@ -51,13 +51,6 @@ Status ValidatePackedShape(const PackedCipher& packed,
 std::vector<BigInt> UnpackPlaintext(const BigInt& plain, size_t slot_bits,
                                     size_t num_slots);
 
-/// Decode half of DecryptPacked: turns an already-decrypted packed plaintext
-/// into decoded slot values. Batch decryption paths decrypt many packs at
-/// once via CipherBackend::DecryptRawBatch and feed each plaintext here.
-std::vector<double> DecodePackedPlain(const PackedCipher& packed,
-                                      const BigInt& plain,
-                                      const CipherBackend& backend);
-
 /// Decrypts a packed cipher and returns the decoded slot values. Slot
 /// plaintexts are unsigned (the protocol shifts them nonnegative before
 /// packing), so decoding never applies the negative-range rule. The pack's

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 
+#include "bigint/modarith.h"
 #include "common/logging.h"
 
 namespace vf2boost {
@@ -45,9 +47,10 @@ Result<std::vector<PackedCipher>> PackPrefixes(
 }
 
 // Checks one received pack stream before anything is decrypted: pack
-// shapes, one shared slot width, and exactly one slot per layout bin.
+// shapes, one shared slot width and exponent, and exactly one slot per
+// layout bin.
 Status CheckPackStream(const std::vector<PackedCipher>& packs,
-                       size_t slot_bits, size_t total_bins,
+                       size_t slot_bits, int exponent, size_t total_bins,
                        const CipherBackend& backend) {
   const size_t modulus_bits = backend.plain_modulus().BitLength();
   size_t slots = 0;
@@ -58,6 +61,12 @@ Status CheckPackStream(const std::vector<PackedCipher>& packs,
                                    " does not match " +
                                    std::to_string(slot_bits));
     }
+    if (pc.exponent != exponent) {
+      return Status::ProtocolError("pack exponent " +
+                                   std::to_string(pc.exponent) +
+                                   " does not match " +
+                                   std::to_string(exponent));
+    }
     VF2_RETURN_IF_ERROR(ValidatePackedShape(pc, modulus_bits));
     slots += pc.num_slots;
   }
@@ -67,6 +76,94 @@ Status CheckPackStream(const std::vector<PackedCipher>& packs,
         std::to_string(total_bins) + " layout bins");
   }
   return Status::OK();
+}
+
+// a − b mod n for a, b in [0, n).
+BigInt SubMod(const BigInt& a, const BigInt& b, const BigInt& n) {
+  return a >= b ? a - b : n - (b - a);
+}
+
+// Decrypts the ciphers of every stream in one DecryptRawBatch, so the pool
+// can spread all the CRT halves, and returns each stream's plaintexts at
+// their ciphers' exponents.
+std::vector<std::vector<PlainValue>> DecryptCipherStreams(
+    const std::vector<const std::vector<Cipher>*>& streams,
+    const CipherBackend& backend, size_t* decryptions, ThreadPool* pool) {
+  std::vector<BigInt> raw;
+  for (const auto* ciphers : streams) {
+    for (const Cipher& c : *ciphers) raw.push_back(c.data);
+  }
+  std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
+  if (decryptions != nullptr) *decryptions += raw.size();
+  std::vector<std::vector<PlainValue>> out(streams.size());
+  size_t next = 0;
+  for (size_t s = 0; s < streams.size(); ++s) {
+    for (const Cipher& c : *streams[s]) {
+      out[s].push_back({std::move(plains[next++]), c.exponent});
+    }
+  }
+  return out;
+}
+
+// The same for §5.2 packs: returns each stream's unpacked slots in order.
+std::vector<std::vector<BigInt>> DecryptPackSlots(
+    const std::vector<const std::vector<PackedCipher>*>& streams,
+    const CipherBackend& backend, size_t* decryptions, ThreadPool* pool) {
+  std::vector<BigInt> raw;
+  for (const auto* packs : streams) {
+    for (const PackedCipher& pc : *packs) raw.push_back(pc.data);
+  }
+  const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
+  if (decryptions != nullptr) *decryptions += raw.size();
+  std::vector<std::vector<BigInt>> out(streams.size());
+  size_t next = 0;
+  for (size_t s = 0; s < streams.size(); ++s) {
+    for (const PackedCipher& pc : *streams[s]) {
+      std::vector<BigInt> slots =
+          UnpackPlaintext(plains[next++], pc.slot_bits, pc.num_slots);
+      out[s].insert(out[s].end(), std::make_move_iterator(slots.begin()),
+                    std::make_move_iterator(slots.end()));
+    }
+  }
+  return out;
+}
+
+// Differences one stream of per-feature prefix slots into per-bin values
+// mod n at `exponent`; each feature's first prefix carries `shift`.
+std::vector<PlainValue> PrefixesToBins(const std::vector<BigInt>& prefix,
+                                       const BigInt& shift, int exponent,
+                                       const FeatureLayout& layout,
+                                       const BigInt& n) {
+  std::vector<PlainValue> bins(layout.total_bins());
+  for (uint32_t f = 0; f < layout.num_features(); ++f) {
+    const BigInt* prev = &shift;
+    for (size_t b = 0; b < layout.NumBins(f); ++b) {
+      const size_t flat = layout.Flat(f, static_cast<uint32_t>(b));
+      bins[flat].value = SubMod(prefix[flat], *prev, n);
+      bins[flat].exponent = exponent;
+      prev = &prefix[flat];
+    }
+  }
+  return bins;
+}
+
+// The integer A added to every g (or h) prefix before packing: the codec's
+// encoding of `shift` at the pack exponent. A legitimate shift is at most a
+// quarter of a slot (PackHistogram sizes slots for twice the shift, plus a
+// guard bit), so a larger one is refused before Encode would abort on it.
+Result<BigInt> PackShift(double shift, int exponent, size_t slot_bits,
+                         const CipherBackend& backend) {
+  const FixedPointCodec& codec = backend.codec();
+  const long double scaled =
+      static_cast<long double>(shift) *
+      powl(static_cast<long double>(codec.base()), exponent);
+  if (!(scaled >= 0) || scaled > 1e36L ||
+      scaled > ldexpl(1.0L, static_cast<int>(slot_bits) - 2)) {
+    return Status::ProtocolError("pack shift " + std::to_string(shift) +
+                                 " does not fit its " +
+                                 std::to_string(slot_bits) + "-bit slots");
+  }
+  return codec.Encode(shift, exponent, backend.plain_modulus());
 }
 
 }  // namespace
@@ -277,82 +374,6 @@ Result<PackedHistogram> PackHistogram(const EncryptedHistogram& hist,
   return out;
 }
 
-Result<Histogram> DecryptRawHistogram(const std::vector<Cipher>& g_bins,
-                                      const std::vector<Cipher>& h_bins,
-                                      const FeatureLayout& layout,
-                                      const CipherBackend& backend,
-                                      size_t* decryptions, ThreadPool* pool) {
-  if (g_bins.size() != layout.total_bins() || h_bins.size() != g_bins.size()) {
-    return Status::ProtocolError("histogram size does not match layout");
-  }
-  // One batch over g then h so the pool sees 4*total independent CRT halves.
-  std::vector<Cipher> batch;
-  batch.reserve(2 * g_bins.size());
-  batch.insert(batch.end(), g_bins.begin(), g_bins.end());
-  batch.insert(batch.end(), h_bins.begin(), h_bins.end());
-  const std::vector<double> values = backend.DecryptBatch(batch, pool);
-  Histogram hist(layout.total_bins());
-  for (size_t i = 0; i < g_bins.size(); ++i) {
-    hist.bin(i).g = values[i];
-    hist.bin(i).h = values[g_bins.size() + i];
-  }
-  if (decryptions != nullptr) *decryptions += 2 * g_bins.size();
-  return hist;
-}
-
-Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
-                                         const FeatureLayout& layout,
-                                         const CipherBackend& backend,
-                                         size_t* decryptions, ThreadPool* pool) {
-  if (!backend.can_decrypt()) {
-    return Status::CryptoError("backend has no private key");
-  }
-  const size_t slot_bits =
-      packed.slot_bits != 0 || packed.g_packs.empty()
-          ? packed.slot_bits
-          : packed.g_packs.front().slot_bits;
-  VF2_RETURN_IF_ERROR(CheckPackStream(packed.g_packs, slot_bits,
-                                      layout.total_bins(), backend));
-  VF2_RETURN_IF_ERROR(CheckPackStream(packed.h_packs, slot_bits,
-                                      layout.total_bins(), backend));
-  // Batch-decrypt every pack (g and h together) in one DecryptRawBatch so the
-  // pool can spread all the CRT halves, then decode serially (cheap).
-  std::vector<BigInt> raw;
-  raw.reserve(packed.g_packs.size() + packed.h_packs.size());
-  for (const PackedCipher& pc : packed.g_packs) raw.push_back(pc.data);
-  for (const PackedCipher& pc : packed.h_packs) raw.push_back(pc.data);
-  const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
-  if (decryptions != nullptr) *decryptions += raw.size();
-
-  size_t next = 0;
-  auto unpack_all = [&](const std::vector<PackedCipher>& packs,
-                        std::vector<double>* values) {
-    for (const PackedCipher& pc : packs) {
-      const std::vector<double> slots =
-          DecodePackedPlain(pc, plains[next++], backend);
-      values->insert(values->end(), slots.begin(), slots.end());
-    }
-  };
-  std::vector<double> g_prefix, h_prefix;
-  unpack_all(packed.g_packs, &g_prefix);
-  unpack_all(packed.h_packs, &h_prefix);
-
-  Histogram hist(layout.total_bins());
-  for (uint32_t f = 0; f < layout.num_features(); ++f) {
-    double prev_g = 0, prev_h = 0;
-    for (size_t b = 0; b < layout.NumBins(f); ++b) {
-      const size_t flat = layout.Flat(f, static_cast<uint32_t>(b));
-      const double g = g_prefix[flat] - packed.shift_g;
-      const double h = h_prefix[flat] - packed.shift_h;
-      hist.bin(flat).g = g - prev_g;
-      hist.bin(flat).h = h - prev_h;
-      prev_g = g;
-      prev_h = h;
-    }
-  }
-  return hist;
-}
-
 Result<std::vector<PackedCipher>> PackGhHistogram(
     const EncryptedHistogram& hist, const FeatureLayout& layout,
     const GhPackLayout& gh_layout, const CipherBackend& backend,
@@ -394,34 +415,77 @@ Result<std::vector<PackedCipher>> PackGhHistogram(
   return PackPrefixes(prefix, slot_bits, capacity, backend, pool);
 }
 
-Result<Histogram> DecryptRawGhHistogram(const std::vector<Cipher>& gh_bins,
-                                        const FeatureLayout& layout,
-                                        const GhPackLayout& gh_layout,
-                                        const CipherBackend& backend,
-                                        size_t* decryptions, ThreadPool* pool) {
+Result<PlainHistogram> DecryptRawPlain(const std::vector<Cipher>& g_bins,
+                                       const std::vector<Cipher>& h_bins,
+                                       const FeatureLayout& layout,
+                                       const CipherBackend& backend,
+                                       size_t* decryptions, ThreadPool* pool) {
+  if (g_bins.size() != layout.total_bins() || h_bins.size() != g_bins.size()) {
+    return Status::ProtocolError("histogram size does not match layout");
+  }
+  if (!backend.can_decrypt()) {
+    return Status::CryptoError("backend has no private key");
+  }
+  std::vector<std::vector<PlainValue>> plain =
+      DecryptCipherStreams({&g_bins, &h_bins}, backend, decryptions, pool);
+  PlainHistogram out;
+  out.g = std::move(plain[0]);
+  out.h = std::move(plain[1]);
+  return out;
+}
+
+Result<PlainHistogram> DecryptPackedPlain(const PackedHistogram& packed,
+                                          const FeatureLayout& layout,
+                                          const CipherBackend& backend,
+                                          size_t* decryptions,
+                                          ThreadPool* pool) {
+  if (!backend.can_decrypt()) {
+    return Status::CryptoError("backend has no private key");
+  }
+  const size_t slot_bits =
+      packed.slot_bits != 0 || packed.g_packs.empty()
+          ? packed.slot_bits
+          : packed.g_packs.front().slot_bits;
+  const int exponent = backend.codec().max_exponent();
+  VF2_RETURN_IF_ERROR(CheckPackStream(packed.g_packs, slot_bits, exponent,
+                                      layout.total_bins(), backend));
+  VF2_RETURN_IF_ERROR(CheckPackStream(packed.h_packs, slot_bits, exponent,
+                                      layout.total_bins(), backend));
+  PlainHistogram out;
+  out.packed = true;
+  // A party with no bins sends no packs, so no slot bounds its shifts.
+  if (layout.total_bins() == 0) return out;
+  VF2_ASSIGN_OR_RETURN(BigInt shift_g,
+                       PackShift(packed.shift_g, exponent, slot_bits, backend));
+  VF2_ASSIGN_OR_RETURN(BigInt shift_h,
+                       PackShift(packed.shift_h, exponent, slot_bits, backend));
+  const std::vector<std::vector<BigInt>> prefix = DecryptPackSlots(
+      {&packed.g_packs, &packed.h_packs}, backend, decryptions, pool);
+  const BigInt& n = backend.plain_modulus();
+  out.g = PrefixesToBins(prefix[0], shift_g, exponent, layout, n);
+  out.h = PrefixesToBins(prefix[1], shift_h, exponent, layout, n);
+  return out;
+}
+
+Result<PlainHistogram> DecryptRawGhPlain(const std::vector<Cipher>& gh_bins,
+                                         const FeatureLayout& layout,
+                                         const CipherBackend& backend,
+                                         size_t* decryptions,
+                                         ThreadPool* pool) {
   if (gh_bins.size() != layout.total_bins()) {
     return Status::ProtocolError("gh histogram size does not match layout");
   }
   if (!backend.can_decrypt()) {
     return Status::CryptoError("backend has no private key");
   }
-  std::vector<BigInt> raw;
-  raw.reserve(gh_bins.size());
-  for (const Cipher& c : gh_bins) raw.push_back(c.data);
-  const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
-  if (decryptions != nullptr) *decryptions += raw.size();
-
-  Histogram hist(layout.total_bins());
-  for (size_t i = 0; i < plains.size(); ++i) {
-    auto slots = DecodeGhSlots(gh_layout, plains[i]);
-    VF2_RETURN_IF_ERROR(slots.status());
-    hist.bin(i).g = slots.value().g;
-    hist.bin(i).h = slots.value().h;
-  }
-  return hist;
+  PlainHistogram out;
+  out.gh = true;
+  out.g = std::move(
+      DecryptCipherStreams({&gh_bins}, backend, decryptions, pool)[0]);
+  return out;
 }
 
-Result<Histogram> DecryptPackedGhHistogram(
+Result<PlainHistogram> DecryptPackedGhPlain(
     const std::vector<PackedCipher>& gh_packs, const FeatureLayout& layout,
     const GhPackLayout& gh_layout, const CipherBackend& backend,
     size_t* decryptions, ThreadPool* pool) {
@@ -429,39 +493,124 @@ Result<Histogram> DecryptPackedGhHistogram(
     return Status::CryptoError("backend has no private key");
   }
   VF2_RETURN_IF_ERROR(CheckPackStream(gh_packs, gh_layout.total_bits(),
-                                      layout.total_bins(), backend));
-  std::vector<BigInt> raw;
-  raw.reserve(gh_packs.size());
-  for (const PackedCipher& pc : gh_packs) raw.push_back(pc.data);
-  const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
-  if (decryptions != nullptr) *decryptions += raw.size();
+                                      gh_layout.exponent, layout.total_bins(),
+                                      backend));
+  // Each slot is one accumulated gh prefix; gh slots need no shift.
+  const std::vector<std::vector<BigInt>> prefix =
+      DecryptPackSlots({&gh_packs}, backend, decryptions, pool);
+  PlainHistogram out;
+  out.gh = true;
+  out.g = PrefixesToBins(prefix[0], BigInt(0), gh_layout.exponent, layout,
+                         backend.plain_modulus());
+  return out;
+}
 
-  // Each unpacked slot is one accumulated gh prefix; decode then prefix-diff.
-  std::vector<GhSlots> prefix;
-  prefix.reserve(layout.total_bins());
-  for (size_t p = 0; p < gh_packs.size(); ++p) {
-    const std::vector<BigInt> slots =
-        UnpackPlaintext(plains[p], gh_packs[p].slot_bits,
-                        gh_packs[p].num_slots);
-    for (const BigInt& s : slots) {
-      auto decoded = DecodeGhSlots(gh_layout, s);
-      VF2_RETURN_IF_ERROR(decoded.status());
-      prefix.push_back(decoded.value());
+Result<Histogram> DecodePlainHistogram(const PlainHistogram& plain,
+                                       const GhPackLayout& gh_layout,
+                                       const CipherBackend& backend) {
+  Histogram hist(plain.g.size());
+  if (plain.gh) {
+    for (size_t i = 0; i < plain.g.size(); ++i) {
+      VF2_ASSIGN_OR_RETURN(GhSlots slots,
+                           DecodeGhSlots(gh_layout, plain.g[i].value));
+      hist.bin(i).g = slots.g;
+      hist.bin(i).h = slots.h;
     }
+    return hist;
   }
-
-  Histogram hist(layout.total_bins());
-  for (uint32_t f = 0; f < layout.num_features(); ++f) {
-    double prev_g = 0, prev_h = 0;
-    for (size_t b = 0; b < layout.NumBins(f); ++b) {
-      const size_t flat = layout.Flat(f, static_cast<uint32_t>(b));
-      hist.bin(flat).g = prefix[flat].g - prev_g;
-      hist.bin(flat).h = prefix[flat].h - prev_h;
-      prev_g = prefix[flat].g;
-      prev_h = prefix[flat].h;
-    }
+  const FixedPointCodec& codec = backend.codec();
+  const BigInt& n = backend.plain_modulus();
+  for (size_t i = 0; i < plain.g.size(); ++i) {
+    hist.bin(i).g = codec.Decode(plain.g[i].value, plain.g[i].exponent, n);
+    hist.bin(i).h = codec.Decode(plain.h[i].value, plain.h[i].exponent, n);
   }
   return hist;
+}
+
+Result<PlainHistogram> DeriveSibling(const PlainHistogram& parent,
+                                     const PlainHistogram& built,
+                                     const CipherBackend& backend) {
+  if (parent.gh != built.gh || parent.g.size() != built.g.size() ||
+      parent.h.size() != built.h.size()) {
+    return Status::ProtocolError(
+        "built child histogram does not match its parent's form");
+  }
+  const BigInt& n = backend.plain_modulus();
+  const FixedPointCodec& codec = backend.codec();
+  PlainHistogram out;
+  out.gh = parent.gh;
+  auto derive = [&](const std::vector<PlainValue>& p,
+                    const std::vector<PlainValue>& c,
+                    std::vector<PlainValue>* o) -> Status {
+    o->resize(p.size());
+    for (size_t i = 0; i < p.size(); ++i) {
+      if (parent.gh) {  // one fixed exponent: subtract the slots whole
+        (*o)[i] = {SubMod(p[i].value, c[i].value, n), p[i].exponent};
+        continue;
+      }
+      const int exponent = std::max(p[i].exponent, c[i].exponent);
+      if (c[i].exponent > p[i].exponent && !built.packed) {
+        return Status::ProtocolError(
+            "built child bin exponent " + std::to_string(c[i].exponent) +
+            " is above the parent's " + std::to_string(p[i].exponent));
+      }
+      auto aligned = [&](const PlainValue& v) {
+        return v.exponent == exponent
+                   ? v.value
+                   : Mod(v.value * codec.ScaleFactor(exponent - v.exponent),
+                         n);
+      };
+      (*o)[i] = {SubMod(aligned(p[i]), aligned(c[i]), n), exponent};
+    }
+    return Status::OK();
+  };
+  VF2_RETURN_IF_ERROR(derive(parent.g, built.g, &out.g));
+  VF2_RETURN_IF_ERROR(derive(parent.h, built.h, &out.h));
+  return out;
+}
+
+Result<Histogram> DecryptRawHistogram(const std::vector<Cipher>& g_bins,
+                                      const std::vector<Cipher>& h_bins,
+                                      const FeatureLayout& layout,
+                                      const CipherBackend& backend,
+                                      size_t* decryptions, ThreadPool* pool) {
+  VF2_ASSIGN_OR_RETURN(
+      PlainHistogram plain,
+      DecryptRawPlain(g_bins, h_bins, layout, backend, decryptions, pool));
+  return DecodePlainHistogram(plain, GhPackLayout{}, backend);
+}
+
+Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
+                                         const FeatureLayout& layout,
+                                         const CipherBackend& backend,
+                                         size_t* decryptions,
+                                         ThreadPool* pool) {
+  VF2_ASSIGN_OR_RETURN(
+      PlainHistogram plain,
+      DecryptPackedPlain(packed, layout, backend, decryptions, pool));
+  return DecodePlainHistogram(plain, GhPackLayout{}, backend);
+}
+
+Result<Histogram> DecryptRawGhHistogram(const std::vector<Cipher>& gh_bins,
+                                        const FeatureLayout& layout,
+                                        const GhPackLayout& gh_layout,
+                                        const CipherBackend& backend,
+                                        size_t* decryptions,
+                                        ThreadPool* pool) {
+  VF2_ASSIGN_OR_RETURN(
+      PlainHistogram plain,
+      DecryptRawGhPlain(gh_bins, layout, backend, decryptions, pool));
+  return DecodePlainHistogram(plain, gh_layout, backend);
+}
+
+Result<Histogram> DecryptPackedGhHistogram(
+    const std::vector<PackedCipher>& gh_packs, const FeatureLayout& layout,
+    const GhPackLayout& gh_layout, const CipherBackend& backend,
+    size_t* decryptions, ThreadPool* pool) {
+  VF2_ASSIGN_OR_RETURN(PlainHistogram plain,
+                       DecryptPackedGhPlain(gh_packs, layout, gh_layout,
+                                            backend, decryptions, pool));
+  return DecodePlainHistogram(plain, gh_layout, backend);
 }
 
 }  // namespace vf2boost

@@ -173,8 +173,7 @@ Status DecodeHello(const Message& msg, HelloPayload* out) {
   VF2_RETURN_IF_ERROR(r.GetU32(&out->party));
   VF2_RETURN_IF_ERROR(r.GetU64(&out->config_fingerprint));
   VF2_RETURN_IF_ERROR(r.GetI64(&out->clock_micros));
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in Hello payload");
-  return Status::OK();
+  return r.ExpectEnd("Hello");
 }
 
 Message EncodeClockPing(const ClockPingPayload& ping) {
@@ -190,10 +189,7 @@ Status DecodeClockPing(const Message& msg, ClockPingPayload* out) {
   }
   ByteReader r(msg.payload);
   VF2_RETURN_IF_ERROR(r.GetI64(&out->t1));
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes in ClockPing payload");
-  }
-  return Status::OK();
+  return r.ExpectEnd("ClockPing");
 }
 
 Message EncodeClockPong(const ClockPongPayload& pong) {
@@ -213,10 +209,7 @@ Status DecodeClockPong(const Message& msg, ClockPongPayload* out) {
   VF2_RETURN_IF_ERROR(r.GetI64(&out->t1));
   VF2_RETURN_IF_ERROR(r.GetI64(&out->t2));
   VF2_RETURN_IF_ERROR(r.GetI64(&out->t3));
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes in ClockPong payload");
-  }
-  return Status::OK();
+  return r.ExpectEnd("ClockPong");
 }
 
 }  // namespace vf2boost

@@ -75,8 +75,10 @@ inline bool IsHeartbeatFrame(MessageType type) {
 /// whose type, trace context OR payload was corrupted in flight always fails
 /// the checksum. v2 added the trace-id word: a per-process monotone id that
 /// lets the send-side flow event of a frame match its receive-side event by
-/// id across merged multi-process trace files.
-inline constexpr uint8_t kWireVersion = 2;
+/// id across merged multi-process trace files. v3 changed the histogram
+/// schedule, not a frame: Party A sends one kNodeHistogram per split (the
+/// smaller child's) and Party B derives the other child's.
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameOverheadBytes = 18;
 
 /// Upper bound on a frame's payload. The header's length field is attacker-

@@ -400,7 +400,7 @@ Status PartyAEngine::HandleSplitQueries(const Message& msg) {
 Status PartyAEngine::HandleDecisions(const Message& msg) {
   DecisionsPayload decisions;
   VF2_RETURN_IF_ERROR(DecodeDecisions(msg, &decisions));
-  std::vector<std::pair<int32_t, bool>> new_children;  // (id, is_redo)
+  std::vector<std::pair<int32_t, bool>> built;  // (child id, is_redo)
   for (const NodeDecision& d : decisions.decisions) {
     if (d.action == NodeAction::kLeaf) continue;
     if (d.action != NodeAction::kSplitResolved) {
@@ -417,22 +417,23 @@ Status PartyAEngine::HandleDecisions(const Message& msg) {
     if (redo) {
       ++hist_epoch_[d.left];
       ++hist_epoch_[d.right];
-      m_.redone_hist_builds->Add(2);
     }
     std::vector<uint32_t> left, right;
     ApplyPlacement(it->second, d.placement, &left, &right);
+    // Only the smaller child is built; B derives the other's histograms.
+    built.push_back(
+        {BuildsLeftChild(left.size(), right.size()) ? d.left : d.right, redo});
     node_instances_[d.left] = std::move(left);
     node_instances_[d.right] = std::move(right);
-    new_children.push_back({d.left, redo});
-    new_children.push_back({d.right, redo});
   }
   if (!ChildrenNeedHists(decisions.layer)) return Status::OK();
-  for (const auto& [child, redo] : new_children) {
+  for (const auto& [child, redo] : built) {
     // The wasted-then-redone work the optimistic protocol pays for a dirty
     // node wraps the ordinary build, so the cost shows as one "redo_hist"
     // block in the timeline.
     std::optional<obs::TraceSpan> redo_span;
     if (redo) {
+      m_.redone_hist_builds->Add(1);
       redo_span.emplace("phase", "redo_hist");
       if (redo_span->active()) {
         redo_span->AddArg("node", static_cast<int64_t>(child));

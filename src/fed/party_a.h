@@ -66,9 +66,10 @@ class PartyAEngine : private PartyRuntime {
                        uint32_t feature, uint32_t bin, bool default_left);
   Status HandleSplitQueries(const Message& msg);
   /// Applies B's resolved splits (kDecisions, or kOptPlacements ahead of
-  /// validation) and builds the children's histograms. Children that already
-  /// exist are an optimistic guess being corrected: their epoch is bumped and
-  /// their histograms are redone.
+  /// validation) and builds the histograms of each split's smaller child
+  /// (BuildsLeftChild); B derives the other child's. Children that already
+  /// exist are an optimistic guess being corrected: their epochs are bumped
+  /// and the built child is redone.
   Status HandleDecisions(const Message& msg);
 
   bool ChildrenNeedHists(uint32_t layer) const {

@@ -272,10 +272,14 @@ void PartyBEngine::EncryptAndSendGradients(uint32_t tree_id) {
 Status PartyBEngine::CollectHistograms(uint32_t layer,
                                        const std::vector<NodeState>& nodes,
                                        PartyHistograms* hists) {
+  size_t built = 0;
+  for (const NodeState& ns : nodes) built += ns.parent < 0 ? 1 : 0;
+  // Only a layer whose children get histograms is anyone's parent.
+  const bool parents_next = layer + 2 < config_.gbdt.num_layers;
   hists->assign(inboxes_.size(), {});
+  std::vector<std::map<int32_t, PlainHistogram>> plain(inboxes_.size());
   for (size_t p = 0; p < inboxes_.size(); ++p) {
-    auto& per_party = (*hists)[p];
-    while (per_party.size() < nodes.size()) {
+    while (plain[p].size() < built) {
       PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
       VF2_ASSIGN_OR_RETURN(
           Message msg, inboxes_[p].ReceiveType(MessageType::kNodeHistogram));
@@ -290,9 +294,15 @@ Status PartyBEngine::CollectHistograms(uint32_t layer,
       if (payload.epoch > expected) {
         return Status::ProtocolError("histogram from the future");
       }
-      bool known = false;
-      for (const NodeState& ns : nodes) known |= ns.id == payload.node;
-      if (!known) return Status::ProtocolError("histogram for unknown node");
+      const auto node = std::find_if(
+          nodes.begin(), nodes.end(),
+          [&](const NodeState& ns) { return ns.id == payload.node; });
+      if (node == nodes.end()) {
+        return Status::ProtocolError("histogram for unknown node");
+      }
+      if (node->parent >= 0) {
+        return Status::ProtocolError("histogram for a derived node");
+      }
       if (payload.gh != config_.gh_pack) {
         return Status::ProtocolError(
             payload.gh ? "gh-packed histogram on an unpacked gradient stream"
@@ -309,32 +319,49 @@ Status PartyBEngine::CollectHistograms(uint32_t layer,
       // The decrypt helpers bump this on the calling thread only (the pool
       // parallelizes CRT halves, not the counter), so a stack local is safe.
       size_t num_dec = 0;
-      Result<Histogram> hist = payload.gh
+      Result<PlainHistogram> exact = payload.gh
           ? (payload.packed
-                 ? DecryptPackedGhHistogram(payload.gh_packs, a_layouts_[p],
-                                            gh_layout_, *backend_, &num_dec,
-                                            pool_.get())
-                 : DecryptRawGhHistogram(payload.gh_bins, a_layouts_[p],
-                                         gh_layout_, *backend_, &num_dec,
-                                         pool_.get()))
+                 ? DecryptPackedGhPlain(payload.gh_packs, a_layouts_[p],
+                                        gh_layout_, *backend_, &num_dec,
+                                        pool_.get())
+                 : DecryptRawGhPlain(payload.gh_bins, a_layouts_[p],
+                                     *backend_, &num_dec, pool_.get()))
           : payload.packed
-          ? [&]() {
-              PackedHistogram packed;
-              packed.shift_g = payload.shift_g;
-              packed.shift_h = payload.shift_h;
-              packed.g_packs = std::move(payload.g_packs);
-              packed.h_packs = std::move(payload.h_packs);
-              return DecryptPackedHistogram(packed, a_layouts_[p], *backend_,
-                                            &num_dec, pool_.get());
-            }()
-          : DecryptRawHistogram(payload.g_bins, payload.h_bins, a_layouts_[p],
-                                *backend_, &num_dec, pool_.get());
-      VF2_RETURN_IF_ERROR(hist.status());
+          ? DecryptPackedPlain(
+                PackedHistogram{payload.shift_g, payload.shift_h, 0,
+                                std::move(payload.g_packs),
+                                std::move(payload.h_packs)},
+                a_layouts_[p], *backend_, &num_dec, pool_.get())
+          : DecryptRawPlain(payload.g_bins, payload.h_bins, a_layouts_[p],
+                            *backend_, &num_dec, pool_.get());
+      VF2_RETURN_IF_ERROR(exact.status());
+      VF2_ASSIGN_OR_RETURN((*hists)[p][payload.node],
+                           DecodePlainHistogram(*exact, gh_layout_, *backend_));
+      plain[p][payload.node] = std::move(exact).value();
       m_.decryptions->Add(num_dec);
       m_.phase_decrypt->Observe(dec_timer.ElapsedSeconds());
-      per_party[payload.node] = std::move(hist).value();
     }
+    if (built < nodes.size()) {
+      // Sibling subtraction: the larger child of every split is the
+      // parent's exact plaintexts minus the built child's, decoded once.
+      Stopwatch derive_timer;
+      for (const NodeState& ns : nodes) {
+        if (ns.parent < 0) continue;
+        VF2_ASSIGN_OR_RETURN(
+            PlainHistogram derived,
+            DeriveSibling(a_plain_[p].at(ns.parent),
+                          plain[p].at(ns.built_sibling), *backend_));
+        VF2_ASSIGN_OR_RETURN(
+            (*hists)[p][ns.id],
+            DecodePlainHistogram(derived, gh_layout_, *backend_));
+        plain[p][ns.id] = std::move(derived);
+      }
+      a_plain_[p].clear();
+      m_.phase_find_split->Observe(derive_timer.ElapsedSeconds());
+    }
+    if (!parents_next) plain[p].clear();
   }
+  a_plain_ = std::move(plain);
   return Status::OK();
 }
 
@@ -400,12 +427,17 @@ void PartyBEngine::SplitChildren(const NodeState& node, int32_t left,
   l.total = SumGrads(l.instances);
   r.total = SumGrads(r.instances);
   // Sibling subtraction: build the smaller child, derive the other from the
-  // parent histogram (only worthwhile below the leaf layer).
+  // parent histogram (only worthwhile below the leaf layer). A builds the
+  // same child's histograms, and B derives the other's in CollectHistograms.
+  NodeState* small = &l;
+  NodeState* big = &r;
+  if (!BuildsLeftChild(l.instances.size(), r.instances.size())) {
+    std::swap(small, big);
+  }
+  big->parent = node.id;
+  big->built_sibling = small->id;
   if (node.layer + 2 < config_.gbdt.num_layers) {
     Stopwatch timer;
-    NodeState* small = &l;
-    NodeState* big = &r;
-    if (small->instances.size() > big->instances.size()) std::swap(small, big);
     small->own_hist =
         Histogram::Build(binned_, layout_, small->instances, grads_);
     big->own_hist = small->own_hist;
@@ -591,6 +623,7 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
 
   // Remaining nodes at the last layer become leaves.
   for (NodeState& node : active) FinalizeLeaf(node, tree);
+  a_plain_.clear();
 
   Broadcast(Message{MessageType::kTreeDone, {}});
   m_.trees_finished->Add(1);
@@ -668,6 +701,7 @@ Status PartyBEngine::ResyncSessions() {
   obs::TraceSpan span("phase", "reconnect");
   live_.SetState(obs::LiveStatus::State::kReconnecting);
   hist_epoch_.clear();
+  a_plain_.clear();
   for (size_t p = 0; p < inboxes_.size(); ++p) {
     // The peer may be a survivor of a link blip or a relaunched process;
     // both get the setup exchange. One that dies with its link is retried

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "fed/enc_histogram.h"
 #include "fed/inbox.h"
 #include "fed/party_runtime.h"
 #include "fed/protocol.h"
@@ -57,6 +58,11 @@ class PartyBEngine : private PartyRuntime {
     /// sibling of every split via subtraction (paper §7).
     Histogram own_hist;
     bool has_hist = false;
+    /// Sibling subtraction (BuildsLeftChild): the child A builds no
+    /// histograms for keeps its parent's and its built sibling's ids, and B
+    /// derives its A histograms from theirs. -1 for a built node.
+    int32_t parent = -1;
+    int32_t built_sibling = -1;
   };
 
   /// Bins B's shard, generates the key, then runs every link's first setup
@@ -100,8 +106,11 @@ class PartyBEngine : private PartyRuntime {
   /// Ciphers EncryptAndSendGradients makes per tree, each with one nonce.
   size_t NoncesPerTree() const;
   void EncryptAndSendGradients(uint32_t tree_id);
-  /// Collects the expected-epoch histogram of every node in `nodes` from
-  /// every A party.
+  /// Collects the expected-epoch histogram of every built node in `nodes`
+  /// from every A party, derives each A party's histograms of the other
+  /// nodes from their parents', and keeps the layer's exact plaintexts as
+  /// the next layer's parents. A histogram for a derived node is a
+  /// ProtocolError.
   Status CollectHistograms(uint32_t layer, const std::vector<NodeState>& nodes,
                            PartyHistograms* hists);
   /// Best split over every A party's histogram of `node` (invalid when no A
@@ -114,7 +123,8 @@ class PartyBEngine : private PartyRuntime {
   /// Splits `node` on B's own best split: fresh children, B's placement.
   NodeDecision SplitOnB(const NodeState& node, Tree* tree);
   /// Partitions `node` into two children by `placement` and appends them to
-  /// `children`, deriving one child's own histogram by sibling subtraction.
+  /// `children`. The larger child (BuildsLeftChild) is marked derived, and
+  /// its own histogram is the parent's minus the built child's.
   void SplitChildren(const NodeState& node, int32_t left, int32_t right,
                      const Bitmap& placement, std::vector<NodeState>* children);
   /// Receives `owner`'s kPlacement for `node` and checks it fits the node.
@@ -147,6 +157,11 @@ class PartyBEngine : private PartyRuntime {
   std::vector<double> scores_;
   std::vector<GradPair> grads_;
   std::map<int32_t, uint32_t> hist_epoch_;
+  /// Each A party's exact histograms of the layer collected last, by node:
+  /// the parents of the next layer's derived nodes (empty when no layer
+  /// follows). Freed as they are used, when the tree ends and when the
+  /// sessions resync.
+  std::vector<std::map<int32_t, PlainHistogram>> a_plain_;
   obs::RemoteMetrics remote_metrics_;  ///< A-party snapshots (federation)
 };
 

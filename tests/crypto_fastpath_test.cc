@@ -239,22 +239,26 @@ TEST_F(CryptoFastPathWideKeyTest, DecryptBatchMatchesSerial) {
   }
 }
 
-TEST_F(CryptoFastPathWideKeyTest, BackendDecryptBatchMatchesDecrypt) {
+TEST_F(CryptoFastPathWideKeyTest, BackendDecryptRawBatchMatchesDecrypt) {
   ThreadPool tp(3);
   PaillierBackend backend(kp_.pub, FixedPointCodec());
   backend.SetPrivateKey(kp_.priv);
   std::vector<Cipher> cs;
+  std::vector<BigInt> raw;
   std::vector<double> expected;
   for (int i = 0; i < 17; ++i) {
     const double v = (i - 8) * 1.25;
     cs.push_back(backend.Encrypt(v, &rng_));
+    raw.push_back(cs.back().data);
     expected.push_back(v);
   }
-  const std::vector<double> batch = backend.DecryptBatch(cs, &tp);
+  const std::vector<BigInt> batch = backend.DecryptRawBatch(raw, &tp);
   ASSERT_EQ(batch.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(batch[i], expected[i], 1e-6);
-    EXPECT_NEAR(batch[i], backend.Decrypt(cs[i]), 1e-12);
+    const double decoded = backend.codec().Decode(
+        batch[i], cs[i].exponent, backend.plain_modulus());
+    EXPECT_NEAR(decoded, expected[i], 1e-6);
+    EXPECT_EQ(decoded, backend.Decrypt(cs[i]));
   }
 }
 

@@ -4,10 +4,12 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "gbdt/histogram.h"
 #include "gbdt/model_io.h"
 #include "gbdt/trainer.h"
 #include "metrics/metrics.h"
@@ -322,6 +324,42 @@ TEST(FedTrainerTest, RealPaillierGhPackedMatchesMock) {
   ASSERT_TRUE(j_real.ok());
   ASSERT_TRUE(j_mock.ok());
   EXPECT_EQ(ModelToString(*j_real), ModelToString(*j_mock));
+}
+
+// Sibling subtraction: per tree, B decrypts A's root histogram and one
+// child's per split whose children still get histograms (a split above the
+// last two layers); it derives the other child's. With raw classic bins
+// that is (1 + such splits) · 2 · A's bins decryptions per tree.
+TEST(FedTrainerTest, BDecryptsTheRootAndOneChildPerSplit) {
+  Fixture f = MakeFixture(600, 10, 0.8, {0.5, 0.5}, 41);
+  for (bool optimistic : {false, true}) {
+    SCOPED_TRACE(optimistic ? "optimistic" : "sequential");
+    FedConfig config = FastConfig();
+    config.optimistic = optimistic;
+    auto result = FedTrainer(config).Train(f.shards);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const size_t a_bins =
+        FeatureLayout::FromCuts(result->party_a_cuts[0]).total_bins();
+    size_t nodes = 0;  // histograms B decrypts, over all trees
+    size_t splits = 0;
+    for (const Tree& tree : result->model.trees) {
+      ++nodes;
+      std::vector<std::pair<int32_t, uint32_t>> stack = {{0, 0}};
+      while (!stack.empty()) {
+        const auto [id, depth] = stack.back();
+        stack.pop_back();
+        const TreeNode& node = tree.node(id);
+        if (node.is_leaf()) continue;
+        ++splits;
+        if (depth + 2 < config.gbdt.num_layers) ++nodes;
+        stack.push_back({node.left, depth + 1});
+        stack.push_back({node.right, depth + 1});
+      }
+    }
+    ASSERT_GT(nodes, result->model.trees.size());
+    EXPECT_EQ(Count(*result, "decryptions", "party_b"), nodes * 2 * a_bins)
+        << splits << " splits";
+  }
 }
 
 TEST(FedTrainerTest, RealPaillierEndToEnd) {
