@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -481,10 +482,23 @@ BigInt BigInt::operator>>(size_t bits) const {
 }
 
 double BigInt::ToDouble() const {
-  double v = 0;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    v = v * 18446744073709551616.0 + static_cast<double>(limbs_[i]);
+  if (limbs_.size() <= 1) {
+    const double v = limbs_.empty() ? 0.0 : static_cast<double>(limbs_[0]);
+    return negative_ ? -v : v;
   }
+  // Round once: take the top 64 bits, fold every lower bit into a sticky
+  // bit 0 (below the 11 bits the conversion drops), convert, then scale by
+  // an exact power of two. Hence (x << k).ToDouble() == ldexp(x.ToDouble(), k).
+  const size_t shift = BitLength() - 64;
+  const size_t limb = shift / 64;
+  const unsigned bit = shift % 64;
+  uint64_t top = limbs_[limb] >> bit;
+  if (bit != 0) top |= limbs_[limb + 1] << (64 - bit);
+  bool sticky = bit != 0 && (limbs_[limb] << (64 - bit)) != 0;
+  for (size_t i = 0; i < limb && !sticky; ++i) sticky = limbs_[i] != 0;
+  const double v =
+      std::ldexp(static_cast<double>(top | uint64_t{sticky}),
+                 static_cast<int>(shift));
   return negative_ ? -v : v;
 }
 

@@ -110,7 +110,7 @@ class BigInt {
   // --- conversion -----------------------------------------------------------
   /// Low 64 bits of the magnitude.
   uint64_t ToU64() const { return limbs_.empty() ? 0 : limbs_[0]; }
-  /// Approximate value as double (may overflow to +/-inf for huge values).
+  /// Nearest double, rounded once (ties to even); +/-inf for huge values.
   double ToDouble() const;
   std::string ToDecString() const;
   std::string ToHexString() const;

@@ -29,6 +29,7 @@ struct FedConfig {
 
   /// Paillier modulus bits (paper: 2048; tests: 256-512).
   size_t paillier_bits = 512;
+  /// Fixed-point codec base; Validate requires a power of two.
   uint32_t codec_base = 16;
   int codec_min_exponent = 8;
   /// Number of distinct random exponents E (paper observes 4-8).

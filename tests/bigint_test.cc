@@ -158,6 +158,33 @@ TEST(BigIntTest, ToDoubleApproximation) {
   EXPECT_NEAR(big, std::pow(2.0, 100), big * 1e-9);
 }
 
+TEST(BigIntTest, ToDoubleRoundsOnce) {
+  // 2^64 + 2^63 + 2^11 + 1 lies just above the midpoint between its two
+  // neighbouring doubles (spaced 2^12 apart). Rounding the low limb first
+  // would drop the final +1 and round the then exact tie down to even.
+  const BigInt x = BigInt::FromLimbs({(uint64_t{1} << 63) + 2049, 1});
+  EXPECT_EQ(x.ToDouble(), std::ldexp(1.0, 64) + std::ldexp(1.0, 63) +
+                              std::ldexp(1.0, 12));
+  EXPECT_EQ((-x).ToDouble(), -x.ToDouble());
+  // An exact tie still rounds to even.
+  EXPECT_EQ(BigInt::FromLimbs({uint64_t{1} << 11, 1}).ToDouble(),
+            std::ldexp(1.0, 64));
+  EXPECT_EQ(BigInt::FromLimbs({3 * (uint64_t{1} << 11), 1}).ToDouble(),
+            std::ldexp(1.0, 64) + std::ldexp(1.0, 13));
+}
+
+TEST(BigIntTest, ToDoubleCommutesWithPowerOfTwoScaling) {
+  // What makes a derived histogram bin decode like a direct one: scaling
+  // by 2^k before the conversion or after it gives the same double.
+  Rng rng(77);
+  for (int i = 0; i < 4000; ++i) {
+    const BigInt x = BigInt::Random(54 + i % 60, &rng);
+    const int k = 1 + i % 70;
+    ASSERT_EQ((x << k).ToDouble(), std::ldexp(x.ToDouble(), k))
+        << x.ToDecString() << " << " << k;
+  }
+}
+
 TEST(BigIntTest, RandomBelowIsUniformish) {
   Rng rng(33);
   BigInt bound = Dec("1000");
