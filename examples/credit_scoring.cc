@@ -61,7 +61,6 @@ int main() {
   config.gbdt.num_trees = 5;
   config.gbdt.num_layers = 5;
   config.gbdt.max_bins = 16;
-  config.network.latency_seconds = 0.001;  // a WAN-ish link
 
   auto result = FedTrainer(config).Train(parties);
   if (!result.ok()) {

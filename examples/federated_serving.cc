@@ -4,7 +4,7 @@
 // tree traversal, querying the owner party whenever it hits a foreign node.
 //
 // This example trains a two-party model, splits it, runs the serving
-// protocol over a latency-modeling channel, and verifies the served scores
+// protocol over an in-process channel, and verifies the served scores
 // against the joint model.
 
 #include <cmath>
@@ -48,10 +48,8 @@ int main() {
               "has %zu trees\n",
               split->shards[0].splits.size(), split->skeleton.trees.size());
 
-  // --- serve over a WAN-ish channel -----------------------------------------
-  NetworkConfig net;
-  net.latency_seconds = 0.0005;
-  auto [a_end, b_end] = ChannelEndpoint::CreatePair(net);
+  // --- serve over an in-process channel -----------------------------------
+  auto [a_end, b_end] = ChannelEndpoint::CreatePair();
   ServingPartyA responder(split->shards[0], (*shards)[0], a_end.get());
   std::thread a_thread([&responder] {
     if (Status s = responder.Run(); !s.ok()) {

@@ -1,42 +1,14 @@
 #include "fed/channel.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <utility>
-
-#include "obs/trace.h"
 
 namespace vf2boost {
 
-namespace {
-using Clock = ChannelEndpoint::Clock;
-
-Clock::duration Seconds(double s) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(s));
-}
-
-// Process-unique id per queue direction; flow ids are (direction << 32) |
-// sequence so a send and its receive pair up across parties while staying
-// distinct from every other channel's traffic. The process trace namespace
-// is folded in above bit 40 (obs::NamespacedFlowId) so ids minted by
-// concurrently running OS processes never collide in a merged trace; the
-// direction counter stays below 2^8, comfortably inside the 40-bit window.
-std::atomic<uint64_t> g_next_flow_dir{1};
-
-uint64_t FlowId(uint64_t dir, uint64_t seq) {
-  return obs::NamespacedFlowId((dir << 32) | seq);
-}
-}  // namespace
-
 Status NetworkConfig::Validate() const {
-  // Every time and rate below feeds a std::chrono conversion, where NaN or
-  // infinity is undefined behaviour.
+  // Every time below feeds a std::chrono conversion, where NaN or infinity
+  // is undefined behaviour.
   const std::pair<const char*, double> knobs[] = {
-      {"bandwidth_bytes_per_sec", bandwidth_bytes_per_sec},
-      {"latency_seconds", latency_seconds},
       {"default_deadline_seconds", default_deadline_seconds},
       {"heal_after_seconds", heal_after_seconds},
       {"reconnect_backoff_base_seconds", reconnect_backoff_base_seconds},
@@ -86,15 +58,7 @@ Status NetworkConfig::Validate() const {
 }
 
 struct ChannelEndpoint::Queue {
-  struct Item {
-    Clock::time_point deliver;
-    uint64_t seq = 0;
-    Message msg;
-  };
-  std::deque<Item> items;
-  Clock::time_point next_free = Clock::now();  // bandwidth serialization point
-  uint64_t next_seq = 1;
-  uint64_t flow_dir = 0;  // trace flow-id namespace for this direction
+  std::deque<Message> items;
   ChannelStats sent;
 };
 
@@ -112,10 +76,6 @@ std::pair<std::unique_ptr<ChannelEndpoint>, std::unique_ptr<ChannelEndpoint>>
 ChannelEndpoint::CreatePair(const NetworkConfig& config) {
   auto shared = std::make_shared<Shared>();
   shared->config = config;
-  shared->a_to_b.flow_dir =
-      g_next_flow_dir.fetch_add(1, std::memory_order_relaxed);
-  shared->b_to_a.flow_dir =
-      g_next_flow_dir.fetch_add(1, std::memory_order_relaxed);
   auto a = std::unique_ptr<ChannelEndpoint>(
       new ChannelEndpoint(shared, &shared->b_to_a, &shared->a_to_b));
   auto b = std::unique_ptr<ChannelEndpoint>(
@@ -127,69 +87,26 @@ ChannelEndpoint::ChannelEndpoint(std::shared_ptr<Shared> shared, Queue* in,
                                  Queue* out)
     : shared_(std::move(shared)), in_(in), out_(out) {}
 
-void ChannelEndpoint::Send(Message msg) {
-  const size_t bytes = msg.WireBytes();
-  const MessageType type = msg.type;
-  uint64_t flow_id = 0;  // nonzero once the message is actually enqueued
+bool ChannelEndpoint::Send(Message msg) {
   {
     std::lock_guard<std::mutex> lock(shared_->mu);
-    const auto& cfg = shared_->config;
     out_->sent.messages += 1;
-    out_->sent.bytes += bytes;
+    out_->sent.bytes += msg.WireBytes();
     if (shared_->closed) {
       out_->sent.dropped += 1;
-      return;
+      return false;
     }
-    const auto now = Clock::now();
-    auto deliver = now;
-    if (cfg.bandwidth_bytes_per_sec > 0) {
-      // Messages serialize through the gateway link.
-      const auto start = std::max(now, out_->next_free);
-      out_->next_free = start + Seconds(static_cast<double>(bytes) /
-                                        cfg.bandwidth_bytes_per_sec);
-      deliver = out_->next_free;
-    }
-    if (cfg.latency_seconds > 0) {
-      deliver += Seconds(cfg.latency_seconds);
-    }
-    const uint64_t seq = out_->next_seq++;
-    flow_id = FlowId(out_->flow_dir, seq);
-    out_->items.push_back(Queue::Item{deliver, seq, std::move(msg)});
-    shared_->cv.notify_all();
+    out_->items.push_back(std::move(msg));
   }
-  // Trace flow start (outside the channel lock): one arrow per delivered
-  // message from this send to the peer's matching receive. A message an
-  // error close discards in flight leaves a dangling start, which viewers
-  // render as an arrow to nowhere — exactly right.
-  if (auto* rec = obs::TraceRecorder::Current();
-      rec != nullptr && !IsClockSyncFrame(type) && !IsHeartbeatFrame(type)) {
-    char args[64];
-    std::snprintf(args, sizeof(args), "\"bytes\":%zu", bytes);
-    rec->FlowStart(std::string("snd ") + MessageTypeName(type), flow_id,
-                   args);
-  }
-}
-
-Message ChannelEndpoint::PopFront(std::unique_lock<std::mutex>* lock) {
-  const uint64_t flow_id = FlowId(in_->flow_dir, in_->items.front().seq);
-  Message msg = std::move(in_->items.front().msg);
-  in_->items.pop_front();
-  lock->unlock();
-  if (auto* rec = obs::TraceRecorder::Current();
-      rec != nullptr && !IsClockSyncFrame(msg.type) &&
-      !IsHeartbeatFrame(msg.type)) {
-    char args[64];
-    std::snprintf(args, sizeof(args), "\"bytes\":%zu", msg.WireBytes());
-    rec->FlowEnd(std::string("rcv ") + MessageTypeName(msg.type), flow_id,
-                 args);
-  }
-  return msg;
+  shared_->cv.notify_all();
+  return true;
 }
 
 Result<Message> ChannelEndpoint::Receive() {
   std::optional<Clock::time_point> deadline;
   if (const double d = shared_->config.default_deadline_seconds; d > 0) {
-    deadline = Clock::now() + Seconds(d);
+    deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                  std::chrono::duration<double>(d));
   }
   std::unique_lock<std::mutex> lock(shared_->mu);
   for (;;) {
@@ -197,30 +114,18 @@ Result<Message> ChannelEndpoint::Receive() {
     if (shared_->closed && !shared_->close_status.ok()) {
       return shared_->close_status;
     }
-    const auto now = Clock::now();
     if (!in_->items.empty()) {
-      const auto deliver = in_->items.front().deliver;
-      if (now >= deliver) return PopFront(&lock);
-      if (deadline && *deadline < deliver) {
-        if (now >= *deadline) {
-          return Status::DeadlineExceeded("receive deadline expired");
-        }
-        shared_->cv.wait_until(lock, *deadline);
-      } else {
-        shared_->cv.wait_until(lock, deliver);
-      }
+      Message msg = std::move(in_->items.front());
+      in_->items.pop_front();
+      return msg;
+    }
+    if (shared_->closed) return Status::Aborted("channel closed");
+    if (!deadline) {
+      shared_->cv.wait(lock);
+    } else if (Clock::now() >= *deadline) {
+      return Status::DeadlineExceeded("receive deadline expired");
     } else {
-      if (shared_->closed) {
-        return Status::Aborted("channel closed");
-      }
-      if (deadline) {
-        if (now >= *deadline) {
-          return Status::DeadlineExceeded("receive deadline expired");
-        }
-        shared_->cv.wait_until(lock, *deadline);
-      } else {
-        shared_->cv.wait(lock);
-      }
+      shared_->cv.wait_until(lock, *deadline);
     }
   }
 }

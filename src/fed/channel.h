@@ -15,20 +15,16 @@
 
 namespace vf2boost {
 
-/// \brief Model of the restricted WAN between the parties' data centers.
+/// \brief Link behaviour shared by both transports: receive deadlines, the
+/// session layer's kill switch, recovery and liveness.
 ///
 /// The paper's deployment routes all cross-party traffic through gateway
-/// message queues over an unreliable 300 Mbps public link. A zero-initialized
-/// config models an ideal network; tests and examples set small delays.
-/// Paper-scale WAN cost comes from the cost model in src/sim. Wire faults
-/// (corruption, resets, partitions) and throttling are injected on real
-/// sockets by the vf2_chaosd proxy (fed/chaos_proxy.h), not here.
+/// message queues over an unreliable 300 Mbps public link. Links here only
+/// move frames: paper-scale WAN cost comes from the cost model in src/sim,
+/// and latency, throttling and wire faults (corruption, resets, partitions)
+/// are injected on real sockets by the vf2_chaosd proxy
+/// (fed/chaos_proxy.h).
 struct NetworkConfig {
-  /// 0 = unlimited. Paper: 300 Mbps = 37.5e6 bytes/s.
-  double bandwidth_bytes_per_sec = 0;
-  /// One-way propagation delay per message. 0 = none.
-  double latency_seconds = 0;
-
   // --- failure model --------------------------------------------------------
 
   /// Default per-call Receive deadline. 0 = block until close; > 0 turns a
@@ -72,9 +68,9 @@ struct NetworkConfig {
   /// it) and should comfortably exceed the heartbeat interval.
   double liveness_budget_seconds = 0;
 
-  /// Rejects nonsensical knob values (non-finite or negative delays /
-  /// deadlines, a reconnect budget without a receive deadline, a liveness
-  /// budget without heartbeats).
+  /// Rejects nonsensical knob values (non-finite or negative times, a
+  /// reconnect budget without a receive deadline, a liveness budget without
+  /// heartbeats).
   Status Validate() const;
 };
 
@@ -111,15 +107,19 @@ inline bool IsTransientFault(const Status& s) {
 
 /// \brief Abstract duplex message port the engines talk through.
 ///
-/// ChannelEndpoint and TcpMessagePort (fed/tcp_transport.h) are links;
-/// SessionChannel (fed/session.h), the port every party gets, wraps a
-/// replaceable link. Engines hold MessagePort* so the same protocol code
-/// runs over any of them.
+/// ChannelEndpoint and TcpMessagePort (fed/tcp_transport.h) are links: they
+/// only move frames. SessionChannel (fed/session.h), the port every party
+/// gets, wraps a replaceable link and is the one place that stamps trace
+/// ids and records frames in the trace and the flight recorder. Engines
+/// hold MessagePort* so the same protocol code runs over any of them.
 class MessagePort {
  public:
   virtual ~MessagePort() = default;
 
-  virtual void Send(Message msg) = 0;
+  /// Hands one frame to the link without waiting for the peer to read it.
+  /// Returns false when the frame was dropped (closed or broken link, or the
+  /// session's kill switch); the peer notices that as a missing message.
+  virtual bool Send(Message msg) = 0;
   virtual Result<Message> Receive() = 0;
   virtual void Close(Status status) = 0;
   virtual bool closed() const = 0;
@@ -140,10 +140,10 @@ class MessagePort {
 /// \brief One endpoint of a duplex, ordered message channel — the in-process
 /// stand-in for a Pulsar topic pair between gateways.
 ///
-/// Send never reorders or duplicates; a message sent after close is lost.
-/// Receive blocks until a message is available *and* its simulated
-/// network delivery time has passed, or until the deadline expires, or until
-/// either side calls Close. Thread-safe: one party thread per endpoint.
+/// A mutex-guarded FIFO per direction: Send never reorders or duplicates, and
+/// a message sent after close is lost. Receive blocks until a message is
+/// available, the deadline expires, or either side calls Close. Thread-safe:
+/// one party thread per endpoint.
 class ChannelEndpoint : public MessagePort {
  public:
   using Clock = std::chrono::steady_clock;
@@ -153,13 +153,12 @@ class ChannelEndpoint : public MessagePort {
                    std::unique_ptr<ChannelEndpoint>>
   CreatePair(const NetworkConfig& config = {});
 
-  /// Enqueues a message; returns immediately (the sender's cost is modeled
-  /// by the delivery timestamp on the receiver side). Sends on a closed
-  /// channel are dropped.
-  void Send(Message msg) override;
+  /// Enqueues a message and returns immediately. Sends on a closed channel
+  /// are dropped (false).
+  bool Send(Message msg) override;
 
-  /// Blocks until the next message is deliverable and returns it, subject to
-  /// the config's default deadline. Error outcomes:
+  /// Blocks until the next message arrives and returns it, subject to the
+  /// config's default deadline. Error outcomes:
   ///  - the peer's (or our own) close status when the channel was closed
   ///    with an error,
   ///  - Aborted("channel closed") when it was closed cleanly and every
@@ -185,9 +184,6 @@ class ChannelEndpoint : public MessagePort {
   struct Queue;
 
   ChannelEndpoint(std::shared_ptr<Shared> shared, Queue* in, Queue* out);
-  /// Pops the (deliverable) front message of in_ and releases `lock` before
-  /// recording the trace flow end.
-  Message PopFront(std::unique_lock<std::mutex>* lock);
 
   std::shared_ptr<Shared> shared_;
   Queue* in_;

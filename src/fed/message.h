@@ -53,16 +53,16 @@ enum class MessageType : uint8_t {
 const char* MessageTypeName(MessageType type);
 
 /// Clock probes are fire-and-forget sideband traffic: one can legitimately
-/// still be in flight when a run shuts down, so transports skip trace flow
-/// emission for them — a dangling snd with no rcv would fail the strict
+/// still be in flight when a run shuts down, so the session layer skips
+/// trace flow emission for them — a dangling snd with no rcv would fail the strict
 /// flow-balance check on otherwise healthy traces.
 inline bool IsClockSyncFrame(MessageType type) {
   return type == MessageType::kClockPing || type == MessageType::kClockPong;
 }
 
 /// Heartbeats are fire-and-forget like the clock probes — one is routinely
-/// in flight when a link dies or a run shuts down — so transports skip trace
-/// flow emission and flight-ring frame events for them: a periodic beacon
+/// in flight when a link dies or a run shuts down — so the session layer
+/// skips trace flow emission and flight-ring frame events for them: a periodic beacon
 /// would both unbalance the strict flow audit and flood the bounded ring.
 inline bool IsHeartbeatFrame(MessageType type) {
   return type == MessageType::kHeartbeat;
@@ -90,13 +90,12 @@ inline constexpr size_t kFrameOverheadBytes = 18;
 inline constexpr size_t kMaxFramePayloadBytes = size_t{1} << 30;
 
 /// \brief One message: a kind plus an opaque serialized payload. WireBytes
-/// (payload + frame header) is the real wire footprint the channel throttles
-/// and accounts.
+/// (payload + frame header) is the real wire footprint the links account.
 struct Message {
   MessageType type;
   std::vector<uint8_t> payload;
-  /// Wire-level trace context: stamped by the sending transport (0 = not
-  /// yet assigned), carried in the frame header, and used as the flow id on
+  /// Wire-level trace context: stamped by the sending session (0 = not yet
+  /// assigned), carried in the frame header, and used as the flow id on
   /// both the send and receive side so merged traces draw exact arrows.
   /// Not part of message identity or protocol semantics.
   uint64_t trace_id = 0;

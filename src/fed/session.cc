@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 #include <utility>
 
@@ -24,6 +25,35 @@ int64_t SteadyMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              Clock::now().time_since_epoch())
       .count();
+}
+
+// Records one frame the link took (kFrameSent) or delivered
+// (kFrameReceived): a "snd"/"rcv" flow event under the frame's trace id, so
+// a send and its receive pair up in one trace or across merged per-process
+// traces, and a flight-recorder entry. Heartbeats stay out of both; clock
+// probes stay out of the flows only, since one may be legitimately in
+// flight at shutdown. A send's flow starts at `sent_us`, when the frame was
+// handed to the link, so the peer's receive never precedes it.
+void NoteFrame(obs::FlightRecorder::Kind kind, MessageType type,
+               size_t payload_bytes, uint64_t trace_id, int64_t sent_us = -1) {
+  if (IsHeartbeatFrame(type)) return;
+  const char* name = MessageTypeName(type);
+  const bool sent = kind == obs::FlightRecorder::Kind::kFrameSent;
+  if (auto* rec = obs::TraceRecorder::Current();
+      rec != nullptr && !IsClockSyncFrame(type)) {
+    char args[64];
+    std::snprintf(args, sizeof(args), "\"bytes\":%zu",
+                  payload_bytes + kFrameOverheadBytes);
+    std::string flow = std::string(sent ? "snd " : "rcv ") + name;
+    if (sent) {
+      rec->FlowStart(std::move(flow), trace_id, args, sent_us);
+    } else {
+      rec->FlowEnd(std::move(flow), trace_id, args);
+    }
+  }
+  obs::FlightRecorder::RecordEvent(kind, static_cast<uint8_t>(type),
+                                   static_cast<int64_t>(payload_bytes),
+                                   static_cast<int64_t>(trace_id), name);
 }
 
 }  // namespace
@@ -163,7 +193,10 @@ void SessionChannel::HeartbeatLoop() {
   }
 }
 
-void SessionChannel::SendOn(MessagePort* link, Message msg) {
+bool SessionChannel::SendOn(MessagePort* link, Message msg) {
+  // A message that already carries an id keeps it; the link writes
+  // whatever id it is given into the frame header.
+  if (msg.trace_id == 0) msg.trace_id = obs::NextTraceId();
   {
     // One count for the engine thread and the beacon thread alike.
     std::lock_guard<std::mutex> lock(ep_mu_);
@@ -174,16 +207,24 @@ void SessionChannel::SendOn(MessagePort* link, Message msg) {
       killed_.messages += 1;
       killed_.bytes += msg.WireBytes();
       killed_.dropped += 1;
-      return;
+      return false;
     }
   }
-  link->Send(std::move(msg));
+  const MessageType type = msg.type;
+  const size_t payload_bytes = msg.payload.size();
+  const uint64_t trace_id = msg.trace_id;
+  obs::TraceRecorder* rec = obs::TraceRecorder::Current();
+  const int64_t sent_us = rec != nullptr ? rec->NowMicros() : -1;
+  // A frame the link dropped gets no flow start.
+  if (!link->Send(std::move(msg))) return false;
+  NoteFrame(obs::FlightRecorder::Kind::kFrameSent, type, payload_bytes,
+            trace_id, sent_us);
+  return true;
 }
 
-void SessionChannel::Send(Message msg) {
-  if (std::shared_ptr<MessagePort> ep = SnapshotEp(); ep != nullptr) {
-    SendOn(ep.get(), std::move(msg));
-  }
+bool SessionChannel::Send(Message msg) {
+  std::shared_ptr<MessagePort> ep = SnapshotEp();
+  return ep != nullptr && SendOn(ep.get(), std::move(msg));
 }
 
 Result<Message> SessionChannel::Receive() {
@@ -201,6 +242,8 @@ Result<Message> SessionChannel::Receive() {
         heartbeats_received_->Add();
         continue;
       }
+      NoteFrame(obs::FlightRecorder::Kind::kFrameReceived, r->type,
+                r->payload.size(), r->trace_id);
       return r;
     }
     if (budget > 0 &&
@@ -300,6 +343,8 @@ Result<HelloPayload> SessionChannel::Connect(Clock::time_point deadline,
   }
   const int64_t hello_reply_us = obs::TraceNowMicros();
   if (!reply.ok()) return reply.status();
+  NoteFrame(obs::FlightRecorder::Kind::kFrameReceived, reply->type,
+            reply->payload.size(), reply->trace_id);
   HelloPayload peer;
   Status st = DecodeHello(reply.value(), &peer);
   if (!st.ok()) {

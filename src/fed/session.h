@@ -134,7 +134,11 @@ class SessionChannel : public MessagePort {
   /// and returns that hello. Call once, before any other method.
   Result<HelloPayload> Open(double timeout_seconds);
 
-  void Send(Message msg) override;
+  /// Stamps a zero trace id with obs::NextTraceId and records the frame
+  /// (trace flow start, flight recorder) once the link takes it. Receive
+  /// records every frame it hands up, and the hello handshake records its
+  /// two frames too, over either transport.
+  bool Send(Message msg) override;
   Result<Message> Receive() override;
   /// Closes the current endpoint. A non-OK close also shuts the factory
   /// down: the owning engine failed terminally, so the peer's pending and
@@ -169,8 +173,9 @@ class SessionChannel : public MessagePort {
   /// still be joining its other links.
   Result<HelloPayload> Connect(ChannelEndpoint::Clock::time_point deadline,
                                ChannelEndpoint::Clock::time_point wait_until);
-  /// Sends on `link` unless generation 0's kill switch has fired.
-  void SendOn(MessagePort* link, Message msg);
+  /// Sends on `link` unless generation 0's kill switch has fired; true when
+  /// the link took the frame.
+  bool SendOn(MessagePort* link, Message msg);
 
   ChannelFactory* factory_;
   const size_t channel_index_;

@@ -16,9 +16,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
 
 namespace vf2boost {
 
@@ -86,18 +84,14 @@ TcpMessagePort::~TcpMessagePort() {
   ::close(fd_);
 }
 
-void TcpMessagePort::Send(Message msg) {
-  // Wire-level trace context: stamp before encoding so the id rides the
-  // frame header. Relays (a message received and forwarded) keep the id
-  // they arrived with.
-  if (msg.trace_id == 0) msg.trace_id = obs::NextTraceId();
+bool TcpMessagePort::Send(Message msg) {
   std::vector<uint8_t> frame = EncodeFrame(msg);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++sent_.messages;
   sent_.bytes += frame.size();
   if (closed_.load(std::memory_order_relaxed) || write_broken_) {
     ++sent_.dropped;
-    return;
+    return false;
   }
   size_t off = 0;
   while (off < frame.size()) {
@@ -119,24 +113,11 @@ void TcpMessagePort::Send(Message msg) {
     // waits for this message.
     write_broken_ = true;
     ++sent_.dropped;
-    return;
+    return false;
   }
   if (m_.frames_written != nullptr) m_.frames_written->Add(1);
   if (m_.bytes_written != nullptr) m_.bytes_written->Add(frame.size());
-  if (auto* rec = obs::TraceRecorder::Current();
-      rec != nullptr && !IsClockSyncFrame(msg.type) &&
-      !IsHeartbeatFrame(msg.type)) {
-    char args[64];
-    std::snprintf(args, sizeof(args), "\"bytes\":%zu", frame.size());
-    rec->FlowStart(std::string("snd ") + MessageTypeName(msg.type),
-                   msg.trace_id, args);
-  }
-  if (!IsHeartbeatFrame(msg.type)) {
-    obs::FlightRecorder::RecordEvent(
-        obs::FlightRecorder::Kind::kFrameSent, static_cast<uint8_t>(msg.type),
-        static_cast<int64_t>(msg.payload.size()),
-        static_cast<int64_t>(msg.trace_id), MessageTypeName(msg.type));
-  }
+  return true;
 }
 
 Status TcpMessagePort::FillBuffer(int timeout_ms) {
@@ -218,10 +199,7 @@ Result<Message> TcpMessagePort::Receive() {
     Message msg;
     bool got = false;
     VF2_RETURN_IF_ERROR(TakeFrame(&msg, &got));
-    if (got) {
-      NoteReceived(msg);
-      return msg;
-    }
+    if (got) return msg;
     if (closed_.load(std::memory_order_relaxed)) {
       return Status::Aborted("channel closed");
     }
@@ -236,22 +214,6 @@ Result<Message> TcpMessagePort::Receive() {
     VF2_RETURN_IF_ERROR(
         FillBuffer(has_deadline ? PollTimeoutMs(deadline) : 200));
   }
-}
-
-void TcpMessagePort::NoteReceived(const Message& msg) {
-  if (IsHeartbeatFrame(msg.type)) return;  // beacons stay out of trace + ring
-  if (auto* rec = obs::TraceRecorder::Current();
-      rec != nullptr && !IsClockSyncFrame(msg.type)) {
-    char args[64];
-    std::snprintf(args, sizeof(args), "\"bytes\":%zu", msg.WireBytes());
-    rec->FlowEnd(std::string("rcv ") + MessageTypeName(msg.type),
-                 msg.trace_id, args);
-  }
-  obs::FlightRecorder::RecordEvent(
-      obs::FlightRecorder::Kind::kFrameReceived,
-      static_cast<uint8_t>(msg.type),
-      static_cast<int64_t>(msg.payload.size()),
-      static_cast<int64_t>(msg.trace_id), MessageTypeName(msg.type));
 }
 
 void TcpMessagePort::Close(Status status) {

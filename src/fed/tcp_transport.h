@@ -51,24 +51,22 @@ struct TcpTransportMetrics {
 /// allocated — a corrupted or hostile length field can never drive a huge
 /// allocation.
 ///
-/// Wire-level trace context: when a trace recorder is installed, Send stamps
-/// each outbound message with a process-namespaced trace id (carried in the
-/// frame header) and emits the "snd" flow event; Receive emits the matching
-/// "rcv" flow event under the SAME id read back from the frame, so flows
-/// pair exactly across the per-process trace files vf2_trace_merge stitches.
-/// Frame sends/receives are also logged to the installed FlightRecorder.
+/// Wire-level trace context: the frame header carries whatever trace id the
+/// message holds (the session layer stamps it), and Receive hands it back
+/// intact, so flows pair exactly across the per-process trace files
+/// vf2_trace_merge stitches.
 ///
 /// Send never blocks on protocol state (TCP backpressure aside) and never
 /// fails loudly: like ChannelEndpoint, a write to a broken connection counts
-/// the message as dropped and the failure surfaces on the peer as a receive
-/// error. Thread-compatible: one engine thread per port, plus Close from any
-/// thread.
+/// the message as dropped (Send returns false) and the failure surfaces on
+/// the peer as a receive error. Thread-compatible: one engine thread per
+/// port, plus Close from any thread.
 class TcpMessagePort : public MessagePort {
  public:
   /// Takes ownership of connected socket `fd`. Only `config`'s
-  /// default_deadline_seconds is honored — delay modelling stays with the
-  /// simulated transport. `buffered` seeds the inbound buffer with bytes
-  /// already read off the socket by a predecessor port (see TakeBuffered).
+  /// default_deadline_seconds is honored. `buffered` seeds the inbound
+  /// buffer with bytes already read off the socket by a predecessor port
+  /// (see TakeBuffered).
   TcpMessagePort(int fd, const NetworkConfig& config,
                  const TcpTransportMetrics& metrics = {},
                  std::vector<uint8_t> buffered = {});
@@ -77,7 +75,7 @@ class TcpMessagePort : public MessagePort {
   TcpMessagePort(const TcpMessagePort&) = delete;
   TcpMessagePort& operator=(const TcpMessagePort&) = delete;
 
-  void Send(Message msg) override;
+  bool Send(Message msg) override;
   Result<Message> Receive() override;
   /// Half-closes the socket (FIN) and wakes any blocked Receive — local and
   /// remote. The status itself cannot ride a raw socket: a terminal peer
@@ -102,8 +100,6 @@ class TcpMessagePort : public MessagePort {
   /// buffered bytes do not yet form a full frame. Header validation errors
   /// are Status::Corruption.
   Status TakeFrame(Message* out, bool* got);
-  /// Trace flow event + flight-recorder entry for one received message.
-  void NoteReceived(const Message& msg);
 
   const int fd_;
   const NetworkConfig config_;

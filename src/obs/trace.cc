@@ -137,8 +137,8 @@ void TraceRecorder::CompleteSpan(std::string name, const char* category,
 }
 
 void TraceRecorder::FlowStart(std::string name, uint64_t id,
-                              std::string args_json) {
-  const int64_t now = NowMicros();
+                              std::string args_json, int64_t ts_us) {
+  const int64_t now = ts_us >= 0 ? ts_us : NowMicros();
   // Anchor span: flow arrows bind to enclosing slices in the viewer.
   CompleteSpan(name, "comm", now, 1, std::move(args_json));
   Event e;

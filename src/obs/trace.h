@@ -84,8 +84,12 @@ class TraceRecorder {
                     int64_t dur_us, std::string args_json);
   /// Flow arrow endpoints; `id` must match between the send ("s") and the
   /// receive ("f") side. Each endpoint also emits a 1us anchor span, which
-  /// the arrow binds to in the viewer.
-  void FlowStart(std::string name, uint64_t id, std::string args_json);
+  /// the arrow binds to in the viewer. A start may carry an earlier `ts_us`
+  /// (NowMicros when the frame was handed over; -1 = now), so a start that
+  /// is recorded after the peer already received the frame still precedes
+  /// its end.
+  void FlowStart(std::string name, uint64_t id, std::string args_json,
+                 int64_t ts_us = -1);
   void FlowEnd(std::string name, uint64_t id, std::string args_json);
   /// Counter track sample (rendered as a step chart).
   void CounterValue(std::string name, double value);

@@ -20,9 +20,9 @@ Message Make(MessageType type, uint8_t tag) {
 
 TEST(ChannelTest, FifoOrderBothDirections) {
   auto [a, b] = ChannelEndpoint::CreatePair();
-  a->Send(Make(MessageType::kGradBatch, 1));
-  a->Send(Make(MessageType::kGradBatch, 2));
-  b->Send(Make(MessageType::kDecisions, 3));
+  EXPECT_TRUE(a->Send(Make(MessageType::kGradBatch, 1)));
+  EXPECT_TRUE(a->Send(Make(MessageType::kGradBatch, 2)));
+  EXPECT_TRUE(b->Send(Make(MessageType::kDecisions, 3)));
   EXPECT_EQ(b->Receive()->payload[0], 1);
   EXPECT_EQ(b->Receive()->payload[0], 2);
   EXPECT_EQ(a->Receive()->payload[0], 3);
@@ -52,52 +52,6 @@ TEST(ChannelTest, SentStatsCountBytesAndMessages) {
   // Wire bytes = payload + framing (version, type, length, CRC).
   EXPECT_EQ(stats.bytes, 2 * (100u + kFrameOverheadBytes));
   EXPECT_EQ(b->sent_stats().messages, 0u);
-}
-
-TEST(ChannelTest, LatencyDelaysDelivery) {
-  NetworkConfig net;
-  net.latency_seconds = 0.2;
-  net.default_deadline_seconds = 0.15;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  Stopwatch clock;
-  a->Send(Make(MessageType::kTreeDone, 1));
-  // Not yet deliverable: the first receive's deadline falls before delivery.
-  Result<Message> early = b->Receive();
-  ASSERT_FALSE(early.ok());
-  EXPECT_EQ(early.status().code(), StatusCode::kDeadlineExceeded);
-  Result<Message> r = b->Receive();
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GE(clock.ElapsedSeconds(), 0.19);
-  EXPECT_EQ(r->payload[0], 1);
-}
-
-TEST(ChannelTest, BandwidthThrottlesLargeMessages) {
-  NetworkConfig net;
-  net.bandwidth_bytes_per_sec = 100000;  // 100 KB/s
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  Message big;
-  big.type = MessageType::kNodeHistogram;
-  big.payload.assign(5000, 0);  // ~50 ms at 100 KB/s
-  Stopwatch clock;
-  a->Send(big);
-  EXPECT_LT(clock.ElapsedSeconds(), 0.02);  // send is async
-  EXPECT_TRUE(b->Receive().ok());
-  EXPECT_GE(clock.ElapsedSeconds(), 0.04);
-}
-
-TEST(ChannelTest, BandwidthSerializesBackToBackMessages) {
-  NetworkConfig net;
-  net.bandwidth_bytes_per_sec = 100000;
-  auto [a, b] = ChannelEndpoint::CreatePair(net);
-  Message msg;
-  msg.type = MessageType::kGradBatch;
-  msg.payload.assign(2500, 0);  // 25 ms each
-  Stopwatch clock;
-  a->Send(msg);
-  a->Send(msg);
-  EXPECT_TRUE(b->Receive().ok());
-  EXPECT_TRUE(b->Receive().ok());
-  EXPECT_GE(clock.ElapsedSeconds(), 0.045);  // ~2x transfer time
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -149,7 +103,7 @@ TEST(ChannelTest, FirstCloseWins) {
 TEST(ChannelTest, SendAfterCloseIsDropped) {
   auto [a, b] = ChannelEndpoint::CreatePair();
   a->Close(Status::OK());
-  a->Send(Make(MessageType::kGradBatch, 1));
+  EXPECT_FALSE(a->Send(Make(MessageType::kGradBatch, 1)));
   EXPECT_EQ(a->sent_stats().dropped, 1u);
 }
 
@@ -225,20 +179,18 @@ TEST(NetworkConfigTest, ValidateRejectsBadKnobs) {
   net.default_deadline_seconds = -1;
   EXPECT_FALSE(net.Validate().ok());
   net.default_deadline_seconds = 0;
-  net.latency_seconds = -0.5;
+  net.reconnect_backoff_base_seconds = -0.5;
   EXPECT_FALSE(net.Validate().ok());
 
-  // Every time and rate reaches a std::chrono conversion, where NaN or
-  // infinity is undefined. The base config is valid with heartbeats on, so
-  // the only thing wrong in each case is the one non-finite value.
+  // Every time reaches a std::chrono conversion, where NaN or infinity is
+  // undefined. The base config is valid with heartbeats on, so the only
+  // thing wrong in each case is the one non-finite value.
   NetworkConfig base;
   base.default_deadline_seconds = 1;
   base.heartbeat_interval_seconds = 0.2;
   ASSERT_TRUE(base.Validate().ok());
   for (double NetworkConfig::*knob :
-       {&NetworkConfig::bandwidth_bytes_per_sec,
-        &NetworkConfig::latency_seconds,
-        &NetworkConfig::default_deadline_seconds,
+       {&NetworkConfig::default_deadline_seconds,
         &NetworkConfig::heal_after_seconds,
         &NetworkConfig::reconnect_backoff_base_seconds,
         &NetworkConfig::reconnect_backoff_cap_seconds,

@@ -162,7 +162,7 @@ TEST(CheckpointTest, ConfigFingerprintTracksModelDeterminingKnobs) {
   // run may use different deadlines, faults, or machines.
   changed = base;
   changed.network.default_deadline_seconds = 9.0;
-  changed.network.latency_seconds = 0.05;
+  changed.network.heartbeat_interval_seconds = 0.05;
   changed.network.heal_after_seconds = 0.5;
   changed.network.reconnect_max_attempts = 7;
   changed.workers_per_party = 4;

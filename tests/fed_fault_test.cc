@@ -195,7 +195,7 @@ TEST(FedFaultTest, BadNetworkConfigRejectedUpFront) {
 
   config.network.default_deadline_seconds = 0;
   config.network_per_party.resize(1);
-  config.network_per_party[0].latency_seconds = -1;
+  config.network_per_party[0].heal_after_seconds = -1;
   EXPECT_FALSE(FedTrainer(config).Train(f.shards).ok());
 }
 
@@ -278,12 +278,13 @@ TEST(FedRecoveryTest, ReconnectHealsMidTreeLinkDeath) {
 // registry under the same "session/*" names a TCP process exports, and the
 // beacons never change the model.
 TEST(FedRecoveryTest, InProcessSessionsExportHeartbeatCounters) {
-  Fixture f = MakeFixture(400, 10, {0.5, 0.5}, 75);
+  // Rows and trees keep the run many beacon periods long.
+  Fixture f = MakeFixture(2000, 10, {0.5, 0.5}, 75);
   FedConfig clean = FastConfig();
+  clean.gbdt.num_trees = 6;
   FedConfig beating = clean;
   beating.network.default_deadline_seconds = 2;
   beating.network.reconnect_max_attempts = 4;
-  beating.network.latency_seconds = 0.005;  // keeps the run beacon-long
   beating.network.heartbeat_interval_seconds = 0.002;
   obs::MetricsRegistry registry;
   beating.metrics = &registry;

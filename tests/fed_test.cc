@@ -609,31 +609,5 @@ TEST(FedTrainerTest, ToJointModelValidation) {
   EXPECT_FALSE(result->ToJointModel(bad).ok());
 }
 
-TEST(FedTrainerTest, NetworkLatencyDoesNotChangeModel) {
-  Fixture f = MakeFixture(400, 10, 0.5, {0.5, 0.5}, 51);
-  FedConfig fast = FastConfig();
-  fast.gbdt.num_trees = 2;
-  FedConfig slow = fast;
-  slow.network.latency_seconds = 0.025;
-  slow.network.bandwidth_bytes_per_sec = 10e6;
-
-  auto r_fast = FedTrainer(fast).Train(f.shards);
-  auto r_slow = FedTrainer(slow).Train(f.shards);
-  ASSERT_TRUE(r_fast.ok());
-  ASSERT_TRUE(r_slow.ok());
-  auto p1 = r_fast->ToJointModel(f.spec)->PredictRaw(f.valid.features);
-  auto p2 = r_slow->ToJointModel(f.spec)->PredictRaw(f.valid.features);
-  for (size_t i = 0; i < p1.size(); ++i) ASSERT_DOUBLE_EQ(p1[i], p2[i]);
-  // Slower network shows up as waiting time. Every tree's root alone needs
-  // two dependent messages (B's gradients to A, then A's histogram back),
-  // so latency puts at least 2 x trees x latency = 0.1 s on B's clock. The
-  // delay it actually adds (about 22 dependent messages, 0.55 s) is over
-  // five times that, so the margin left over covers run-to-run jitter.
-  const double min_added =
-      2.0 * slow.gbdt.num_trees * slow.network.latency_seconds;
-  EXPECT_GE(r_slow->log.back().elapsed_seconds,
-            r_fast->log.back().elapsed_seconds + min_added);
-}
-
 }  // namespace
 }  // namespace vf2boost

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,6 +140,18 @@ TEST(FedtrainFlagsTest, BadPartyOrPortExitsBeforeLoadingData) {
   const auto [code, out] =
       RunFedtrain(base + "--connect 127.0.0.1:65535 --party a1");
   EXPECT_EQ(code, 1) << out;  // well formed: fails at the data loader
+}
+
+TEST(ReadFileTest, ReadsWholeFileAndFailsOnMissingOnes) {
+  const std::string path = ::testing::TempDir() + "flags_test_read.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("a\nb\0c", 5);  // binary-safe: the NUL is kept
+  }
+  std::string text;
+  ASSERT_TRUE(tools::ReadFile(path, &text));
+  EXPECT_EQ(text, std::string("a\nb\0c", 5));
+  EXPECT_FALSE(tools::ReadFile(path + ".missing", &text, /*quiet=*/true));
 }
 
 }  // namespace

@@ -473,7 +473,8 @@ TEST(TraceGanttTest, GoldenSingleRowRender) {
 // ---------------------------------------------------------------------------
 // End to end: a traced federated run
 
-TEST(TraceTest, TracedFedRunProducesBalancedTrace) {
+// A two-party mock VF2Boost run's shards and config, small enough for TSan.
+Result<std::vector<Dataset>> SmallFedShards() {
   SyntheticSpec sspec;
   sspec.rows = 400;
   sspec.cols = 12;
@@ -482,14 +483,22 @@ TEST(TraceTest, TracedFedRunProducesBalancedTrace) {
   Dataset all = GenerateSynthetic(sspec);
   Rng rng(52);
   VerticalSplitSpec spec = SplitColumnsRandomly(sspec.cols, {0.5, 0.5}, &rng);
-  auto shards = PartitionVertically(all, spec, /*label_party=*/1);
-  ASSERT_TRUE(shards.ok());
+  return PartitionVertically(all, spec, /*label_party=*/1);
+}
 
+FedConfig SmallFedConfig() {
   FedConfig config = FedConfig::Vf2Boost();
   config.mock_crypto = true;
   config.gbdt.num_trees = 2;
   config.gbdt.num_layers = 4;
   config.gbdt.max_bins = 8;
+  return config;
+}
+
+TEST(TraceTest, TracedFedRunProducesBalancedTrace) {
+  auto shards = SmallFedShards();
+  ASSERT_TRUE(shards.ok());
+  FedConfig config = SmallFedConfig();
   MetricsRegistry registry;
   config.metrics = &registry;
 
@@ -527,6 +536,30 @@ TEST(TraceTest, TracedFedRunProducesBalancedTrace) {
   const std::string gantt = obs::RenderTraceGantt(rec, 60);
   EXPECT_NE(gantt.find("party B"), std::string::npos) << gantt;
   EXPECT_NE(gantt.find("party A0"), std::string::npos) << gantt;
+}
+
+// In-process links record their frames in the flight recorder, as TCP links
+// do: the session layer over either transport records every frame.
+TEST(FlightRecorderTest, InProcessFedRunRecordsFrames) {
+  auto shards = SmallFedShards();
+  ASSERT_TRUE(shards.ok());
+  obs::FlightRecorder fr;
+  fr.Install();
+  auto result = FedTrainer(SmallFedConfig()).Train(*shards);
+  obs::FlightRecorder::Uninstall();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  size_t sent = 0, received = 0;
+  for (const obs::FlightRecorder::Entry& e : fr.Snapshot()) {
+    sent += e.kind == obs::FlightRecorder::Kind::kFrameSent;
+    received += e.kind == obs::FlightRecorder::Kind::kFrameReceived;
+  }
+  EXPECT_GT(sent, 0u);
+  EXPECT_GT(received, 0u);
+  obs::JsonValue root;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(fr.ToJson(), &root, &error)) << error;
+  EXPECT_FALSE(root.Get("flightRecorder")->Get("last_frame")->string.empty());
 }
 
 // ---------------------------------------------------------------------------

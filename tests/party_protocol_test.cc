@@ -334,7 +334,7 @@ class RelaunchPort : public MessagePort {
   RelaunchPort(ChannelEndpoint* first, ChannelEndpoint* second)
       : current_(first), next_(second) {}
 
-  void Send(Message msg) override { current_->Send(std::move(msg)); }
+  bool Send(Message msg) override { return current_->Send(std::move(msg)); }
   Result<Message> Receive() override { return current_->Receive(); }
   void Close(Status status) override { current_->Close(std::move(status)); }
   bool closed() const override { return current_->closed(); }

@@ -4,11 +4,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "common/timer.h"
 #include "fed/fed_trainer.h"
 #include "fed/tcp_transport.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace.h"
+#include "obs/trace_check.h"
 
 namespace vf2boost {
 namespace {
@@ -408,6 +413,83 @@ TEST(SessionKillSwitchTest, FirstLinkDiesOnceOverTcp) {
       TcpChannelFactory::Dial("127.0.0.1", (*listener)->port(), 0, net);
   ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
   ExpectKillSwitchFiresOnce(dialer->get(), listener->get(), net);
+}
+
+// --- frame tracing ----------------------------------------------------------
+
+// Brings a session up, sends one batch A -> B, and then one frame that the
+// kill switch (2 sends on generation 0: the hello and the batch) drops.
+void ExchangeWithOneDroppedFrame(ChannelFactory* a_factory,
+                                 ChannelFactory* b_factory,
+                                 const NetworkConfig& net) {
+  obs::MetricsRegistry a_metrics, b_metrics;
+  SessionChannel a(a_factory, 0, /*a_side=*/true, 1, 0, 7, net, &a_metrics);
+  SessionChannel b(b_factory, 0, /*a_side=*/false, 1, 1, 7, net, &b_metrics);
+  Result<HelloPayload> a_up = Status::Unavailable("pending");
+  std::thread side_a([&] { a_up = a.Open(5); });
+  Result<HelloPayload> b_up = b.Open(5);
+  side_a.join();
+  ASSERT_TRUE(a_up.ok()) << a_up.status().ToString();
+  ASSERT_TRUE(b_up.ok()) << b_up.status().ToString();
+  EXPECT_TRUE(a.Send(Message{MessageType::kGradBatch, {1}}));
+  Result<Message> r = b.Receive();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->trace_id >> 40, 4u);  // stamped under the process namespace
+  EXPECT_FALSE(a.Send(Message{MessageType::kNodeHistogram, {2}}));
+}
+
+// The session records every frame once over either transport: both hellos
+// and the batch pair up as snd/rcv flows (the TCP routing preamble below
+// the session is not a session frame), and each shows in the flight
+// recorder. The dropped frame gets neither.
+void ExpectEveryFrameTracedOnce(ChannelFactory* a_factory,
+                                ChannelFactory* b_factory,
+                                const NetworkConfig& net) {
+  obs::SetProcessTraceNamespace(4);
+  obs::TraceRecorder rec;
+  obs::FlightRecorder flight;
+  rec.Install();
+  flight.Install();
+  ExchangeWithOneDroppedFrame(a_factory, b_factory, net);
+  obs::FlightRecorder::Uninstall();
+  obs::TraceRecorder::Uninstall();
+  obs::SetProcessTraceNamespace(0);
+
+  std::string error;
+  obs::FlowAudit audit;
+  EXPECT_TRUE(obs::AuditTraceFlows(rec.ToJson(), /*slack_us=*/0,
+                                   {"Hello", "GradBatch", "NodeHistogram"},
+                                   &error, &audit))
+      << error;
+  EXPECT_EQ(audit.matched, 3u);
+  EXPECT_EQ(audit.unmatched_starts, 0u);
+  EXPECT_EQ(audit.unmatched_ends, 0u);
+  std::map<std::string, int> sent, received;
+  for (const obs::FlightRecorder::Entry& e : flight.Snapshot()) {
+    if (e.kind == obs::FlightRecorder::Kind::kFrameSent) ++sent[e.detail];
+    if (e.kind == obs::FlightRecorder::Kind::kFrameReceived) {
+      ++received[e.detail];
+    }
+  }
+  const std::map<std::string, int> expected = {{"Hello", 2}, {"GradBatch", 1}};
+  EXPECT_EQ(sent, expected);
+  EXPECT_EQ(received, expected);
+}
+
+TEST(SessionTraceTest, EveryFrameTracedOnceOverSessionBroker) {
+  const NetworkConfig net = KillAfterTwo();
+  SessionBroker broker({net});
+  ExpectEveryFrameTracedOnce(&broker, &broker, net);
+}
+
+TEST(SessionTraceTest, EveryFrameTracedOnceOverTcp) {
+  const NetworkConfig net = KillAfterTwo();
+  auto listener = TcpChannelFactory::Listen("127.0.0.1", 0, 1, net);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto dialer =
+      TcpChannelFactory::Dial("127.0.0.1", (*listener)->port(), 0, net);
+  ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
+  ExpectEveryFrameTracedOnce(dialer->get(), listener->get(), net);
 }
 
 // --- bring-up ---------------------------------------------------------------

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -150,6 +152,21 @@ class Flags {
   std::map<std::string, std::string> spec_;
   std::map<std::string, std::string> values_;
 };
+
+/// Reads the whole file at `path` into *out. On failure returns false and,
+/// unless `quiet`, prints "cannot read <path>" to stderr.
+inline bool ReadFile(const std::string& path, std::string* out,
+                     bool quiet = false) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (!quiet) std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return false;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *out = ss.str();
+  return true;
+}
 
 }  // namespace tools
 }  // namespace vf2boost

@@ -16,7 +16,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -35,19 +34,11 @@ using vf2boost::obs::BenchDiffRow;
 using vf2boost::obs::BenchMap;
 using vf2boost::obs::JsonValue;
 using vf2boost::obs::ParseJson;
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
+using vf2boost::tools::ReadFile;
 
 bool LoadBench(const std::string& path, BenchMap* out, std::string* error) {
   std::string text;
-  if (!ReadFile(path, &text)) {
+  if (!ReadFile(path, &text, /*quiet=*/true)) {
     *error = "cannot read " + path;
     return false;
   }
@@ -77,7 +68,7 @@ const char* const kPhases[] = {"encrypt", "build_hist", "pack",
 // for the phase in parallel.
 int AppendCpuAttribution(const BenchMap& m, const std::string& profile_path) {
   std::string text, error;
-  if (!ReadFile(profile_path, &text)) {
+  if (!ReadFile(profile_path, &text, /*quiet=*/true)) {
     std::fprintf(stderr, "error: cannot read %s\n", profile_path.c_str());
     return 1;
   }
@@ -247,7 +238,7 @@ int RunAttribution(const std::string& metrics_path,
   // "tree" span by midpoint (phase spans never straddle tree boundaries).
   std::string text;
   JsonValue root;
-  if (!ReadFile(trace_path, &text) || !ParseJson(text, &root, &error)) {
+  if (!ReadFile(trace_path, &text, /*quiet=*/true) || !ParseJson(text, &root, &error)) {
     std::fprintf(stderr, "error: cannot parse %s: %s\n", trace_path.c_str(),
                  error.c_str());
     return 1;

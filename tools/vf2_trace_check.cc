@@ -12,45 +12,13 @@
 // pipeline actually exercised a dirty-node correction).
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/bench_diff.h"
 #include "obs/profiler.h"
 #include "obs/trace_check.h"
 #include "tools/flags.h"
-
-namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace vf2boost;
@@ -85,7 +53,7 @@ int main(int argc, char** argv) {
   if (flags.Has("trace")) {
     const std::string path = flags.GetString("trace");
     std::string text;
-    if (!ReadFile(path, &text)) return 1;
+    if (!tools::ReadFile(path, &text)) return 1;
     std::string error;
     obs::TraceSummary summary;
     if (!obs::ValidateTraceJson(text, &error, &summary)) {
@@ -101,7 +69,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const std::string& name :
-         SplitCommas(flags.GetString("require-span"))) {
+         obs::SplitCommaList(flags.GetString("require-span"))) {
       const auto it = summary.span_counts.find(name);
       if (it == summary.span_counts.end() || it->second == 0) {
         std::fprintf(stderr, "%s: required span \"%s\" never appears\n",
@@ -146,8 +114,8 @@ int main(int argc, char** argv) {
       }
       if (!obs::AuditTraceFlows(
               text, slack,
-              SplitCommas(flags.GetString("require-matched-flows")), &error,
-              &audit)) {
+              obs::SplitCommaList(flags.GetString("require-matched-flows")),
+              &error, &audit)) {
         std::fprintf(stderr,
                      "%s: flow audit FAILED: %s\n"
                      "  (matched %zu, unmatched starts %zu, unmatched ends "
@@ -227,7 +195,7 @@ int main(int argc, char** argv) {
   if (flags.Has("metrics")) {
     const std::string path = flags.GetString("metrics");
     std::string text;
-    if (!ReadFile(path, &text)) return 1;
+    if (!tools::ReadFile(path, &text)) return 1;
     std::string error;
     std::vector<std::string> names;
     if (!obs::ValidateMetricsJson(text, &error, &names)) {
@@ -247,7 +215,7 @@ int main(int argc, char** argv) {
   if (flags.Has("profile")) {
     const std::string path = flags.GetString("profile");
     std::string text;
-    if (!ReadFile(path, &text)) return 1;
+    if (!tools::ReadFile(path, &text)) return 1;
     std::string error;
     obs::FoldedProfileInfo info;
     if (!obs::ParseFoldedProfile(text, &info, &error)) {

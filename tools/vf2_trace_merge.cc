@@ -20,7 +20,6 @@
 #include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,18 +31,6 @@ namespace {
 
 using vf2boost::obs::JsonValue;
 using vf2boost::obs::ParseJson;
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
 
 void AppendEscaped(std::string* out, const std::string& s) {
   *out += '"';
@@ -193,7 +180,7 @@ int main(int argc, char** argv) {
     InputFile f;
     f.path = path;
     std::string text, error;
-    if (!ReadFile(path, &text)) return 1;
+    if (!tools::ReadFile(path, &text)) return 1;
     if (!ParseJson(text, &f.root, &error)) {
       std::fprintf(stderr, "%s: bad JSON: %s\n", path.c_str(), error.c_str());
       return 1;
