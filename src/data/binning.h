@@ -1,7 +1,9 @@
 #ifndef VF2BOOST_DATA_BINNING_H_
 #define VF2BOOST_DATA_BINNING_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/matrix.h"
@@ -53,6 +55,17 @@ class BinnedMatrix {
   }
   std::span<const uint16_t> RowBins(size_t i) const {
     return {bins_.data() + row_ptr_[i], row_ptr_[i + 1] - row_ptr_[i]};
+  }
+
+  /// The split-direction rule every layer routes rows by: a row missing
+  /// `feature` goes to the split's default side, any other row goes left
+  /// iff its bin is <= the split `bin`.
+  bool GoesLeft(size_t row, uint32_t feature, uint32_t bin,
+                bool default_left) const {
+    const auto cols = RowColumns(row);
+    const auto it = std::lower_bound(cols.begin(), cols.end(), feature);
+    if (it == cols.end() || *it != feature) return default_left;
+    return RowBins(row)[static_cast<size_t>(it - cols.begin())] <= bin;
   }
 
  private:

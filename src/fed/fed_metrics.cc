@@ -20,6 +20,9 @@ PartyMetrics PartyMetrics::Create(obs::MetricsRegistry* registry,
   m.inbox_high_water =
       registry->GetGauge(prefix + "/inbox_high_water", "messages");
   m.bytes_sent = registry->GetGauge(prefix + "/bytes_sent", "bytes");
+  m.messages_sent = registry->GetGauge(prefix + "/messages_sent", "messages");
+  m.messages_dropped =
+      registry->GetGauge(prefix + "/messages_dropped", "messages");
   m.noise_pool_hits = registry->GetCounter(prefix + "/noise_pool/hits");
   m.noise_pool_misses = registry->GetCounter(prefix + "/noise_pool/misses");
   m.noise_pool_produced =

@@ -33,7 +33,11 @@ struct PartyMetrics {
   obs::Counter* dirty_nodes = nullptr;
   obs::Counter* redone_hist_builds = nullptr;
   obs::Gauge* inbox_high_water = nullptr;
+  /// Link traffic this party sent, summed over its ports and every link
+  /// generation; dropped frames are sends the link lost (kill switch).
   obs::Gauge* bytes_sent = nullptr;
+  obs::Gauge* messages_sent = nullptr;
+  obs::Gauge* messages_dropped = nullptr;
   obs::Counter* noise_pool_hits = nullptr;
   obs::Counter* noise_pool_misses = nullptr;
   obs::Counter* noise_pool_produced = nullptr;

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "fed/party_a.h"
-#include "fed/party_b.h"
 #include "obs/trace.h"
 
 namespace vf2boost {
@@ -53,6 +52,10 @@ FedTrainResult MakeFedTrainResult(PartyBResult b,
   return out;
 }
 
+namespace {
+
+// Brings up one side of channel `channel` (the A party's index): a session
+// whose Open dials or accepts through `factory` and exchanges hellos.
 Result<std::unique_ptr<MessagePort>> ConnectChannel(
     ChannelFactory* factory, const FedConfig& config, size_t num_a,
     size_t channel, bool a_side, double timeout_seconds) {
@@ -69,6 +72,36 @@ Result<std::unique_ptr<MessagePort>> ConnectChannel(
     return peer.status();
   }
   return std::unique_ptr<MessagePort>(std::move(session));
+}
+
+}  // namespace
+
+Status RunPartyA(ChannelFactory* factory, const FedConfig& config,
+                 const Dataset& shard, size_t num_a, size_t index,
+                 double timeout_seconds) {
+  VF2_ASSIGN_OR_RETURN(auto port,
+                       ConnectChannel(factory, config, num_a, index,
+                                      /*a_side=*/true, timeout_seconds));
+  return PartyAEngine(config, shard, port.get(), static_cast<uint32_t>(index))
+      .Run();
+}
+
+Result<PartyBResult> RunPartyB(ChannelFactory* factory,
+                               const FedConfig& config, const Dataset& shard,
+                               size_t num_a, double timeout_seconds) {
+  std::vector<std::unique_ptr<MessagePort>> ports;
+  std::vector<MessagePort*> port_ptrs;
+  for (size_t p = 0; p < num_a; ++p) {
+    auto port = ConnectChannel(factory, config, num_a, p, /*a_side=*/false,
+                               timeout_seconds);
+    if (!port.ok()) {
+      for (auto& up : ports) up->Close(port.status());
+      return port.status();
+    }
+    port_ptrs.push_back(port->get());
+    ports.push_back(std::move(port).value());
+  }
+  return PartyBEngine(config, shard, std::move(port_ptrs)).Run();
 }
 
 Result<FedTrainResult> FedTrainer::Train(
@@ -108,51 +141,25 @@ Result<FedTrainResult> FedTrainer::Train(
   // Every party brings its links up through the broker exactly as a TCP
   // process does through its TcpChannelFactory. Both sides are threads of
   // this process, so the rendezvous only waits for thread start-up; a side
-  // that cannot come up shuts the broker down (ConnectChannel closes its
-  // session) so its peers fail fast.
+  // that cannot come up shuts the broker down so its peers fail fast.
   constexpr double kRendezvousSeconds = 30;
   std::vector<NetworkConfig> nets;
   for (size_t p = 0; p < num_a; ++p) nets.push_back(config.NetworkFor(p));
   SessionBroker broker(std::move(nets));
-  std::vector<std::unique_ptr<MessagePort>> a_ends(num_a);
   std::vector<Status> a_status(num_a);
   std::vector<std::thread> threads;
   for (size_t p = 0; p < num_a; ++p) {
     threads.emplace_back([&, p] {
-      auto port = ConnectChannel(&broker, config, num_a, p, /*a_side=*/true,
-                                 kRendezvousSeconds);
-      a_status[p] = port.status();
-      if (port.ok()) {
-        a_ends[p] = std::move(port).value();
-        a_status[p] = PartyAEngine(config, parties[p], a_ends[p].get(),
-                                   static_cast<uint32_t>(p))
-                          .Run();
-      }
+      a_status[p] = RunPartyA(&broker, config, parties[p], num_a, p,
+                              kRendezvousSeconds);
       if (!a_status[p].ok()) {
         VF2_LOG(Error) << "party A" << p
                        << " failed: " << a_status[p].ToString();
       }
     });
   }
-
-  std::vector<std::unique_ptr<MessagePort>> b_ends;
-  Result<PartyBResult> b_result = Status::Internal("party B never ran");
-  for (size_t p = 0; p < num_a; ++p) {
-    auto port = ConnectChannel(&broker, config, num_a, p, /*a_side=*/false,
-                               kRendezvousSeconds);
-    if (!port.ok()) {
-      b_result = port.status();
-      for (auto& e : b_ends) e->Close(port.status());
-      break;
-    }
-    b_ends.push_back(std::move(port).value());
-  }
-  if (b_ends.size() == num_a) {
-    std::vector<MessagePort*> b_channel_ptrs;
-    for (auto& e : b_ends) b_channel_ptrs.push_back(e.get());
-    b_result =
-        PartyBEngine(config, party_b, std::move(b_channel_ptrs)).Run();
-  }
+  Result<PartyBResult> b_result =
+      RunPartyB(&broker, config, party_b, num_a, kRendezvousSeconds);
 
   // Joining is always safe: every engine closes its channel on exit, so a
   // failure on either side wakes the peer's blocked receives — A threads
@@ -173,24 +180,6 @@ Result<FedTrainResult> FedTrainer::Train(
   if (!b_result.ok() && !any_a_failed) return b_result.status();
   if (!failures.empty()) {
     return Status::Aborted("federated training failed: " + failures);
-  }
-
-  // Per-direction channel gauges (after join: stats are final). Sums over
-  // every link generation when the session layer replaced endpoints.
-  for (size_t p = 0; p < num_a; ++p) {
-    const std::string chan = "channel/a" + std::to_string(p);
-    auto export_direction = [&](const std::string& dir,
-                                const ChannelStats& s) {
-      auto set = [&](const char* name, const char* unit, size_t v) {
-        config.metrics->GetGauge(chan + dir + name, unit)
-            ->Set(static_cast<double>(v));
-      };
-      set("/bytes", "bytes", s.bytes);
-      set("/messages", "messages", s.messages);
-      set("/dropped", "messages", s.dropped);
-    };
-    export_direction("/to_b", a_ends[p]->sent_stats());
-    export_direction("/from_b", b_ends[p]->sent_stats());
   }
   return MakeFedTrainResult(std::move(b_result).value(), parties, config);
 }

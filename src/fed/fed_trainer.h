@@ -5,6 +5,7 @@
 
 #include "data/binning.h"
 #include "data/partition.h"
+#include "fed/party_b.h"
 #include "fed/protocol.h"
 #include "fed/session.h"
 #include "gbdt/trainer.h"
@@ -21,9 +22,9 @@ struct FedTrainResult {
   /// Party B's per-tree telemetry (train loss, elapsed seconds).
   std::vector<EvalRecord> log;
   /// The run's metrics registry once every engine has joined: each party's
-  /// counters and phase timings under its prefix ("party_a0/hadds",
-  /// "party_b/phase/encrypt"), plus the per-channel byte gauges. Add one
-  /// name up across parties with obs::PartySum.
+  /// counters, phase timings and link traffic under its prefix
+  /// ("party_a0/hadds", "party_b/phase/encrypt", "party_a0/bytes_sent").
+  /// Add one name up across parties with obs::PartySum.
   std::vector<obs::MetricSample> metrics;
   /// Split-candidate values of each A party, indexed by party. Only the
   /// evaluation harness uses these — in a deployment they stay private.
@@ -35,8 +36,6 @@ struct FedTrainResult {
   Result<GbdtModel> ToJointModel(const VerticalSplitSpec& spec) const;
 };
 
-struct PartyBResult;
-
 /// Assembles a run's result from Party B's outcome. `parties` holds every
 /// shard, A parties first: each A party's cuts are recomputed from its shard
 /// (binning is deterministic, so they are the cuts it trained with), and
@@ -45,26 +44,33 @@ FedTrainResult MakeFedTrainResult(PartyBResult b,
                                   const std::vector<Dataset>& parties,
                                   const FedConfig& config);
 
-/// Brings up one side of the link of `channel` (the A party's index) through
-/// `factory` — the only way a party gets its links, in process
-/// (SessionBroker) and over TCP (TcpChannelFactory) alike. The link is a
+/// The one party launcher, in process (SessionBroker) and over TCP
+/// (TcpChannelFactory) alike: brings the party's links up through `factory`
+/// and runs its engine on them; the links die with the call. Each link is a
 /// SessionChannel on config.NetworkFor(channel) whose Open runs the kHello
 /// handshake under a session id derived from Fingerprint() and the channel,
-/// so a peer with another configuration is refused (ProtocolError). The A
-/// side feeds config.clock_sync_state; party ids are i for A<i> and num_a
-/// for B. The peer gets `timeout_seconds` to show up. config.metrics
-/// must be set: the session counts into it.
-Result<std::unique_ptr<MessagePort>> ConnectChannel(
-    ChannelFactory* factory, const FedConfig& config, size_t num_a,
-    size_t channel, bool a_side, double timeout_seconds);
+/// so a peer with another configuration is refused (ProtocolError) before
+/// any engine starts. Party ids are i for A<i> and num_a for B; each peer
+/// gets `timeout_seconds` to show up. config.metrics must be set.
+///
+/// Party A<index> on `shard`; its link feeds config.clock_sync_state.
+Status RunPartyA(ChannelFactory* factory, const FedConfig& config,
+                 const Dataset& shard, size_t num_a, size_t index,
+                 double timeout_seconds);
+
+/// Party B on `shard` (with labels): all num_a links first, in channel
+/// order, then the engine. If a link cannot come up, the links already up
+/// are closed with its status, so no A party waits on a B that never starts.
+Result<PartyBResult> RunPartyB(ChannelFactory* factory,
+                               const FedConfig& config, const Dataset& shard,
+                               size_t num_a, double timeout_seconds);
 
 /// \brief Drives a full vertical federated training run in-process.
 ///
-/// Spawns one thread per A party (each bringing its link up through a
-/// SessionBroker with ConnectChannel and running a PartyAEngine on it) and
-/// runs the PartyBEngine on the calling thread — the in-process equivalent
-/// of the paper's two-data-center deployment, with the channel modeling the
-/// WAN.
+/// Spawns one thread per A party, each calling RunPartyA over a
+/// SessionBroker, and runs RunPartyB on the calling thread — the in-process
+/// equivalent of the paper's two-data-center deployment, with the broker's
+/// channels standing in for the WAN.
 class FedTrainer {
  public:
   explicit FedTrainer(const FedConfig& config) : config_(config) {}

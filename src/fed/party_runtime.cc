@@ -110,13 +110,15 @@ Status PartyRuntime::RunParty(std::span<Inbox> inboxes,
       fr->Persist();
     }
   }
-  size_t bytes_sent = 0;
+  ChannelStats sent;
   for (Inbox& inbox : inboxes) {
-    bytes_sent += inbox.port()->sent_stats().bytes;
+    sent += inbox.port()->sent_stats();
     m_.inbox_high_water->Max(
         static_cast<double>(inbox.buffered_high_water()));
   }
-  m_.bytes_sent->Set(static_cast<double>(bytes_sent));
+  m_.bytes_sent->Set(static_cast<double>(sent.bytes));
+  m_.messages_sent->Set(static_cast<double>(sent.messages));
+  m_.messages_dropped->Set(static_cast<double>(sent.dropped));
   // Wake every peer, whatever way the run ended: clean closes drain pending
   // messages (so a final kTrainDone still arrives), failed ones hand the
   // peer the root cause instead of leaving it blocked.

@@ -61,8 +61,9 @@ class PartyRuntime {
   /// accountant behind the os/* gauges) and, with config.ops_port set, the
   /// ops server, both stopped before this returns. On every exit it
   /// records the live state, dumps the flight recorder on failure, sets the
-  /// inbox_high_water and bytes_sent gauges over `inboxes`, and closes
-  /// every port so no peer blocks on a dead party. Returns body's status.
+  /// inbox_high_water, bytes_sent, messages_sent and messages_dropped
+  /// gauges over `inboxes`, and closes every port so no peer blocks on a
+  /// dead party. Returns body's status.
   Status RunParty(std::span<Inbox> inboxes,
                   const std::function<Status()>& body);
 

@@ -1,7 +1,5 @@
 #include "fed/placement.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace vf2boost {
@@ -11,16 +9,7 @@ Bitmap ComputePlacement(const BinnedMatrix& x,
                         uint32_t feature, uint32_t bin, bool default_left) {
   Bitmap placement(instances.size());
   for (size_t k = 0; k < instances.size(); ++k) {
-    const uint32_t i = instances[k];
-    const auto cols = x.RowColumns(i);
-    const auto it = std::lower_bound(cols.begin(), cols.end(), feature);
-    bool go_left;
-    if (it == cols.end() || *it != feature) {
-      go_left = default_left;
-    } else {
-      go_left = x.RowBins(i)[static_cast<size_t>(it - cols.begin())] <= bin;
-    }
-    if (go_left) placement.Set(k);
+    if (x.GoesLeft(instances[k], feature, bin, default_left)) placement.Set(k);
   }
   return placement;
 }

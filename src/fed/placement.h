@@ -25,14 +25,6 @@ void ApplyPlacement(const std::vector<uint32_t>& instances,
                     const Bitmap& placement, std::vector<uint32_t>* left,
                     std::vector<uint32_t>* right);
 
-/// Sibling subtraction's one rule, shared by both parties: of a split's two
-/// children the one with fewer instances gets its histograms built, and the
-/// other's are derived as parent − built; the left child on a tie. Returns
-/// true when the left child is the built one.
-inline bool BuildsLeftChild(size_t left_rows, size_t right_rows) {
-  return left_rows <= right_rows;
-}
-
 void SerializeBitmap(const Bitmap& bitmap, ByteWriter* w);
 Status DeserializeBitmap(ByteReader* r, Bitmap* bitmap);
 

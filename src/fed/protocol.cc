@@ -38,6 +38,20 @@ Status FedConfig::Validate() const {
   if (gbdt.learning_rate <= 0) {
     return Status::InvalidArgument("learning_rate must be positive");
   }
+  // GbdtTrainer's sampling and early stopping have no federated
+  // counterpart: neither party engine implements them.
+  if (gbdt.row_subsample < 1) {
+    return Status::InvalidArgument(
+        "gbdt.row_subsample < 1 is not supported in federated training");
+  }
+  if (gbdt.col_subsample < 1) {
+    return Status::InvalidArgument(
+        "gbdt.col_subsample < 1 is not supported in federated training");
+  }
+  if (gbdt.early_stopping_rounds > 0) {
+    return Status::InvalidArgument(
+        "gbdt.early_stopping_rounds is not supported in federated training");
+  }
   if (blaster && blaster_batch == 0) {
     return Status::InvalidArgument("blaster_batch must be >= 1");
   }

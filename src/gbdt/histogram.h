@@ -23,6 +23,15 @@ struct FeatureLayout {
   size_t Flat(uint32_t f, uint32_t bin) const { return offsets[f] + bin; }
 };
 
+/// Sibling subtraction's one rule, shared by the plain trainer and both
+/// federated parties: of a split's two children the one with fewer instances
+/// gets its histograms built, and the other's are derived as parent − built;
+/// the left child on a tie. Returns true when the left child is the built
+/// one.
+inline bool BuildsLeftChild(size_t left_rows, size_t right_rows) {
+  return left_rows <= right_rows;
+}
+
 /// \brief Plaintext gradient histogram: one GradPair per (feature, bin).
 ///
 /// This is the structure Party B builds over its own features, and the

@@ -20,16 +20,7 @@ void PartitionInstances(const BinnedMatrix& x,
   left->clear();
   right->clear();
   for (uint32_t i : instances) {
-    const auto cols = x.RowColumns(i);
-    const auto it = std::lower_bound(cols.begin(), cols.end(), feature);
-    bool go_left;
-    if (it == cols.end() || *it != feature) {
-      go_left = default_left;
-    } else {
-      const size_t k = static_cast<size_t>(it - cols.begin());
-      go_left = x.RowBins(i)[k] <= bin;
-    }
-    (go_left ? left : right)->push_back(i);
+    (x.GoesLeft(i, feature, bin, default_left) ? left : right)->push_back(i);
   }
 }
 
@@ -160,7 +151,8 @@ Result<GbdtModel> GbdtTrainer::Train(const Dataset& train, const Dataset* valid,
         // Sibling subtraction: build the smaller child, derive the other.
         ActiveNode* small = &left_child;
         ActiveNode* big = &right_child;
-        if (small->instances.size() > big->instances.size()) {
+        if (!BuildsLeftChild(left_child.instances.size(),
+                             right_child.instances.size())) {
           std::swap(small, big);
         }
         small->hist =

@@ -15,7 +15,7 @@ class RemoteMetrics;
 /// label. The registry's party prefixes become labels instead of name parts:
 ///   "party_b/encryptions"      -> vf2_encryptions{party="B"}
 ///   "party_a0/phase/build_hist"-> vf2_phase_build_hist{party="A0"}
-///   "channel/a0/to_b/bytes"    -> vf2_channel_a0_to_b_bytes   (no label)
+///   "transport/tcp/bytes_read" -> vf2_transport_tcp_bytes_read (no label)
 /// Remaining '/'-separators and other non-[a-zA-Z0-9_:] characters become
 /// '_'. Returns the Prometheus name; *party_label receives "" when the name
 /// carries no party prefix.

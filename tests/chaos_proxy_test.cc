@@ -12,23 +12,17 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "data/partition.h"
-#include "data/synthetic.h"
 #include "fed/fed_trainer.h"
 #include "fed/message.h"
-#include "fed/party_a.h"
-#include "fed/party_b.h"
 #include "fed/session.h"
 #include "fed/tcp_transport.h"
+#include "fed_test_util.h"
 #include "gbdt/model_io.h"
 #include "obs/metrics_registry.h"
 
@@ -36,29 +30,6 @@ namespace vf2boost {
 namespace {
 
 using Clock = ChannelEndpoint::Clock;
-
-bool RunWithWatchdog(const std::function<void()>& fn, double timeout_seconds) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::thread worker([&] {
-    fn();
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  const bool finished =
-      cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                  [&] { return done; });
-  lock.unlock();
-  if (finished) {
-    worker.join();
-  } else {
-    worker.detach();
-  }
-  return finished;
-}
 
 Message Msg(MessageType type, std::vector<uint8_t> payload) {
   Message m;
@@ -386,21 +357,6 @@ TEST(ChaosProxyTest, StartRejectsNonFiniteShaping) {
 // (the fault-free reference) and once over loopback TCP with the proxy in
 // the middle, and the two models must serialize byte for byte the same.
 
-// Two-party shards, A first and B (the label holder) last.
-std::vector<Dataset> TwoPartyShards(size_t rows, size_t cols, uint64_t seed) {
-  SyntheticSpec sspec;
-  sspec.rows = rows;
-  sspec.cols = cols;
-  sspec.density = 0.5;
-  sspec.seed = seed;
-  Dataset train = GenerateSynthetic(sspec);
-  Rng rng(seed + 1);
-  VerticalSplitSpec spec = SplitColumnsRandomly(cols, {0.5, 0.5}, &rng);
-  auto shards = PartitionVertically(train, spec, /*label_party=*/1);
-  EXPECT_TRUE(shards.ok()) << shards.status().ToString();
-  return shards.ok() ? std::move(shards).value() : std::vector<Dataset>{};
-}
-
 // What the proxy and the sessions saw during one TrainThroughProxy run.
 struct ProxyRunCounters {
   size_t events_fired = 0;
@@ -434,28 +390,15 @@ Result<std::string> TrainThroughProxy(FedConfig config,
                                         &registry);
   if (!dialer.ok()) return dialer.status();
 
-  // Both sides bring their link up exactly as vf2_fedtrain's processes do.
+  // Both sides run exactly as vf2_fedtrain's processes do.
   config.metrics = &registry;
-  std::unique_ptr<MessagePort> a_port;
   Status a_status;
   std::thread a_thread([&] {
-    auto port = ConnectChannel(dialer->get(), config, /*num_a=*/1, 0,
-                               /*a_side=*/true, /*timeout_seconds=*/10);
-    if (!port.ok()) {
-      a_status = port.status();
-      return;
-    }
-    a_port = std::move(port).value();
-    a_status = PartyAEngine(config, shards[0], a_port.get(), 0).Run();
+    a_status = RunPartyA(dialer->get(), config, shards[0], /*num_a=*/1, 0,
+                         /*timeout_seconds=*/10);
   });
-  auto b_port = ConnectChannel(listener->get(), config, /*num_a=*/1, 0,
-                               /*a_side=*/false, /*timeout_seconds=*/10);
-  Result<PartyBResult> got = Status::Internal("party B never ran");
-  if (!b_port.ok()) {
-    got = b_port.status();
-  } else {
-    got = PartyBEngine(config, shards.back(), {b_port->get()}).Run();
-  }
+  Result<PartyBResult> got = RunPartyB(listener->get(), config, shards.back(),
+                                       /*num_a=*/1, /*timeout_seconds=*/10);
   a_thread.join();
   (*proxy)->Stop();
   if (!got.ok()) return got.status();
@@ -483,7 +426,7 @@ FedConfig MockConfig() {
 TEST(ChaosProxyDrillTest, TrainingSurvivesScriptedCorruptionAndDrop) {
   ASSERT_TRUE(RunWithWatchdog(
       [] {
-        const std::vector<Dataset> shards = TwoPartyShards(200, 12, 31);
+        const std::vector<Dataset> shards = MakeFixture(200, 12, 31).shards;
         FedConfig config = MockConfig();
         config.gbdt.num_trees = 4;
         auto reference = FedTrainer(config).Train(shards);
@@ -530,7 +473,8 @@ TEST(ChaosProxyDrillTest, SeedFlagMatrixThroughProxy) {
   ASSERT_TRUE(RunWithWatchdog(
       [&seeds] {
         for (const uint64_t seed : seeds) {
-          const std::vector<Dataset> shards = TwoPartyShards(300, 10, seed);
+          const std::vector<Dataset> shards =
+              MakeFixture(300, 10, seed).shards;
           for (int mask = 0; mask < 8; ++mask) {
             FedConfig config = MockConfig();
             config.gbdt.num_trees = 2;

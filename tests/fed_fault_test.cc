@@ -6,71 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
-#include <functional>
-#include <mutex>
 #include <thread>
 
-#include "data/partition.h"
-#include "data/synthetic.h"
 #include "fed/checkpoint.h"
 #include "fed/fed_trainer.h"
 #include "fed/party_b.h"
+#include "fed_test_util.h"
 #include "gbdt/model_io.h"
 
 namespace vf2boost {
 namespace {
-
-// Runs fn on a worker thread and waits up to timeout_seconds for it to
-// finish. Returns false (and leaks the detached thread) on timeout so the
-// test can FAIL instead of hanging the whole suite.
-bool RunWithWatchdog(const std::function<void()>& fn, double timeout_seconds) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::thread worker([&] {
-    fn();
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  const bool finished =
-      cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                  [&] { return done; });
-  lock.unlock();
-  if (finished) {
-    worker.join();
-  } else {
-    worker.detach();  // wedged; leak it rather than block the suite
-  }
-  return finished;
-}
-
-struct Fixture {
-  Dataset train;
-  VerticalSplitSpec spec;
-  std::vector<Dataset> shards;  // A parties first, B last
-};
-
-Fixture MakeFixture(size_t rows, size_t cols,
-                    const std::vector<double>& fractions, uint64_t seed) {
-  SyntheticSpec sspec;
-  sspec.rows = rows;
-  sspec.cols = cols;
-  sspec.density = 0.5;
-  sspec.seed = seed;
-  Fixture f;
-  f.train = GenerateSynthetic(sspec);
-  Rng rng(seed + 1);
-  f.spec = SplitColumnsRandomly(cols, fractions, &rng);
-  auto shards = PartitionVertically(f.train, f.spec,
-                                    /*label_party=*/fractions.size() - 1);
-  EXPECT_TRUE(shards.ok());
-  f.shards = std::move(shards).value();
-  return f;
-}
 
 FedConfig FastConfig() {
   FedConfig config;
@@ -86,7 +32,7 @@ FedConfig FastConfig() {
 // threads joined — the old behavior was a permanent deadlock (B waiting for
 // a histogram that never comes, the healthy A waiting for B's decisions).
 TEST(FedFaultTest, PartyADeathFailsTrainingInsteadOfHanging) {
-  Fixture f = MakeFixture(600, 12, {0.34, 0.33, 0.33}, 61);
+  Fixture f = MakeFixture(600, 12, 61, {0.34, 0.33, 0.33});
   FedConfig config = FastConfig();
   config.network.default_deadline_seconds = 0.5;
   NetworkConfig dead = config.network;
@@ -106,7 +52,7 @@ TEST(FedFaultTest, PartyADeathFailsTrainingInsteadOfHanging) {
 // tree's gradients before A0's link died, and a shared registry must show
 // that traffic (it used to be recorded only when B succeeded).
 TEST(FedFaultTest, FailedRunStillRecordsPartyBTraffic) {
-  Fixture f = MakeFixture(600, 12, {0.34, 0.33, 0.33}, 61);
+  Fixture f = MakeFixture(600, 12, 61, {0.34, 0.33, 0.33});
   FedConfig config = FastConfig();
   config.network.default_deadline_seconds = 0.5;
   NetworkConfig dead = config.network;
@@ -127,7 +73,7 @@ TEST(FedFaultTest, FailedRunStillRecordsPartyBTraffic) {
 // Same drill with the healthy-side roles flipped: B's own outbound links all
 // die, so every A party starves simultaneously.
 TEST(FedFaultTest, AllLinksDeadStillTerminates) {
-  Fixture f = MakeFixture(400, 10, {0.5, 0.5}, 63);
+  Fixture f = MakeFixture(400, 10, 63);
   FedConfig config = FastConfig();
   config.network.default_deadline_seconds = 0.3;
   config.network.kill_after_messages = 2;
@@ -144,7 +90,7 @@ TEST(FedFaultTest, AllLinksDeadStillTerminates) {
 // converts the infinite wait into DeadlineExceeded. PartyBEngine is wired
 // directly to a channel whose far end nobody serves.
 TEST(FedFaultTest, SilentPeerYieldsDeadlineExceeded) {
-  Fixture f = MakeFixture(200, 8, {0.5, 0.5}, 65);
+  Fixture f = MakeFixture(200, 8, 65);
   FedConfig config = FastConfig();
   NetworkConfig net;
   net.default_deadline_seconds = 0.1;
@@ -164,7 +110,7 @@ TEST(FedFaultTest, SilentPeerYieldsDeadlineExceeded) {
 // An explicit error close from a peer must surface its message through the
 // engine, not a generic deadline: B learns *why* the peer died.
 TEST(FedFaultTest, PeerErrorClosePropagatesCause) {
-  Fixture f = MakeFixture(200, 8, {0.5, 0.5}, 67);
+  Fixture f = MakeFixture(200, 8, 67);
   FedConfig config = FastConfig();
   auto [a_end, b_end] = ChannelEndpoint::CreatePair();
 
@@ -187,7 +133,7 @@ TEST(FedFaultTest, PeerErrorClosePropagatesCause) {
 // Sanity on config plumbing: a bad network knob is rejected up front by
 // FedConfig::Validate, not discovered mid-run.
 TEST(FedFaultTest, BadNetworkConfigRejectedUpFront) {
-  Fixture f = MakeFixture(100, 8, {0.5, 0.5}, 71);
+  Fixture f = MakeFixture(100, 8, 71);
   FedConfig config = FastConfig();
   config.network.default_deadline_seconds = -1;
   auto result = FedTrainer(config).Train(f.shards);
@@ -229,7 +175,7 @@ double MetricValue(const std::vector<obs::MetricSample>& samples,
 // run must heal and finish — with a model bit-identical to a fault-free run,
 // because both sides retrain the interrupted tree from the last boundary.
 TEST(FedRecoveryTest, ReconnectHealsMidTreeLinkDeath) {
-  Fixture f = MakeFixture(400, 10, {0.5, 0.5}, 73);
+  Fixture f = MakeFixture(400, 10, 73);
   FedConfig clean = FastConfig();
 
   FedConfig faulty = clean;
@@ -250,15 +196,15 @@ TEST(FedRecoveryTest, ReconnectHealsMidTreeLinkDeath) {
   EXPECT_GE(obs::PartySum(r_faulty->metrics, "party_", "session/reconnects"),
             1)
       << "link death never triggered a reconnect (kill_after too high?)";
-  // The channel gauges count every send of a direction over both link
+  // Each party's traffic gauges count every send over both link
   // generations, the ones the kill switch swallowed included.
   double dropped = 0;
-  for (const std::string dir : {"/to_b", "/from_b"}) {
+  for (const std::string party : {"party_a0", "party_b"}) {
     const double sent =
-        MetricValue(r_faulty->metrics, "channel/a0" + dir + "/messages");
+        MetricValue(r_faulty->metrics, party + "/messages_sent");
     const double lost =
-        MetricValue(r_faulty->metrics, "channel/a0" + dir + "/dropped");
-    EXPECT_GT(sent, lost) << dir;
+        MetricValue(r_faulty->metrics, party + "/messages_dropped");
+    EXPECT_GT(sent, lost) << party;
     dropped += lost;
   }
   EXPECT_GE(dropped, 1);
@@ -279,7 +225,7 @@ TEST(FedRecoveryTest, ReconnectHealsMidTreeLinkDeath) {
 // beacons never change the model.
 TEST(FedRecoveryTest, InProcessSessionsExportHeartbeatCounters) {
   // Rows and trees keep the run many beacon periods long.
-  Fixture f = MakeFixture(2000, 10, {0.5, 0.5}, 75);
+  Fixture f = MakeFixture(2000, 10, 75);
   FedConfig clean = FastConfig();
   clean.gbdt.num_trees = 6;
   FedConfig beating = clean;
@@ -307,7 +253,7 @@ TEST(FedRecoveryTest, InProcessSessionsExportHeartbeatCounters) {
 // restored trees are bit-identical and the remaining ones retrain from the
 // exact stored scores.
 TEST(FedRecoveryTest, CheckpointResumeMatchesFaultFree) {
-  Fixture f = MakeFixture(400, 10, {0.5, 0.5}, 75);
+  Fixture f = MakeFixture(400, 10, 75);
   const std::string dir = ::testing::TempDir() + "vf2_resume_drill";
   std::filesystem::remove_all(dir);  // no stale state from earlier runs
 
@@ -358,7 +304,7 @@ TEST(FedRecoveryTest, CheckpointResumeMatchesFaultFree) {
 // A resume against a config that would train a different model must be
 // refused up front, not silently produce a franken-model.
 TEST(FedRecoveryTest, ResumeRejectsIncompatibleConfig) {
-  Fixture f = MakeFixture(200, 8, {0.5, 0.5}, 77);
+  Fixture f = MakeFixture(200, 8, 77);
   const std::string dir = ::testing::TempDir() + "vf2_resume_mismatch";
   std::filesystem::remove_all(dir);
 

@@ -298,6 +298,21 @@ TEST(FedConfigTest, ValidateRejectsBadSettings) {
   c = FedConfig{};
   c.workers_per_party = 0;
   EXPECT_FALSE(c.Validate().ok());
+  // GbdtTrainer-only options: no party engine implements them.
+  auto expect_names = [](const FedConfig& bad, const std::string& field) {
+    const Status st = bad.Validate();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(st.message().find(field), std::string::npos) << st.ToString();
+  };
+  c = FedConfig{};
+  c.gbdt.row_subsample = 0.5;
+  expect_names(c, "gbdt.row_subsample");
+  c = FedConfig{};
+  c.gbdt.col_subsample = 0.5;
+  expect_names(c, "gbdt.col_subsample");
+  c = FedConfig{};
+  c.gbdt.early_stopping_rounds = 3;
+  expect_names(c, "gbdt.early_stopping_rounds");
 }
 
 TEST(FedConfigTest, TrainerRejectsInvalidConfig) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <string>
@@ -11,6 +10,7 @@
 #include "common/timer.h"
 #include "fed/fed_trainer.h"
 #include "fed/tcp_transport.h"
+#include "fed_test_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "obs/trace_check.h"
@@ -496,8 +496,9 @@ TEST(SessionTraceTest, EveryFrameTracedOnceOverTcp) {
 
 // Two sides whose configurations differ only in the seed, without a
 // reconnect budget: the hello refuses the link on both sides, naming the
-// cause, so neither side gets a port to start an engine on.
+// cause, so neither side starts an engine.
 TEST(SessionBringUpTest, MismatchedSeedIsRefusedOnBothSides) {
+  Fixture f = MakeFixture(100, 8, /*seed=*/41);
   obs::MetricsRegistry a_metrics, b_metrics;
   FedConfig a_config;
   a_config.seed = 42;
@@ -506,27 +507,46 @@ TEST(SessionBringUpTest, MismatchedSeedIsRefusedOnBothSides) {
   b_config.seed = 43;
   b_config.metrics = &b_metrics;
   SessionBroker broker({a_config.network});
-  std::atomic<int> engines_started{0};
-  Result<std::unique_ptr<MessagePort>> a_port = Status::Internal("pending");
+  Status a_status;
   std::thread side_a([&] {
-    a_port = ConnectChannel(&broker, a_config, /*num_a=*/1, 0,
-                            /*a_side=*/true, /*timeout_seconds=*/5);
-    if (a_port.ok()) ++engines_started;
+    a_status = RunPartyA(&broker, a_config, f.shards[0], /*num_a=*/1, 0,
+                         /*timeout_seconds=*/5);
   });
-  Result<std::unique_ptr<MessagePort>> b_port =
-      ConnectChannel(&broker, b_config, /*num_a=*/1, 0, /*a_side=*/false,
-                     /*timeout_seconds=*/5);
-  if (b_port.ok()) ++engines_started;
+  Result<PartyBResult> b_result = RunPartyB(
+      &broker, b_config, f.shards[1], /*num_a=*/1, /*timeout_seconds=*/5);
   side_a.join();
-  EXPECT_EQ(engines_started.load(), 0);
-  for (const auto* port : {&a_port, &b_port}) {
-    ASSERT_FALSE(port->ok());
-    EXPECT_EQ(port->status().code(), StatusCode::kProtocolError)
-        << port->status().ToString();
-    EXPECT_NE(port->status().message().find("fingerprint mismatch"),
-              std::string::npos)
-        << port->status().ToString();
-  }
+  ExpectRefusedBeforeAnyEngine(a_status, a_metrics);
+  ExpectRefusedBeforeAnyEngine(b_result.status(), b_metrics);
+}
+
+// B's second link never comes up: RunPartyB gives up at its timeout and
+// closes the link already up, so A0, which has no receive deadline and
+// waits for B's setup, fails instead of blocking forever.
+TEST(SessionBringUpTest, PartialBringUpClosesTheLinksAlreadyUp) {
+  Fixture f = MakeFixture(100, 9, /*seed=*/43, {0.3, 0.3, 0.4});
+  obs::MetricsRegistry metrics;
+  FedConfig config;
+  config.mock_crypto = true;
+  config.metrics = &metrics;
+  config.network.default_deadline_seconds = 0;
+  SessionBroker broker({config.network, config.network});
+  Status a0_status = Status::Internal("pending");
+  Result<PartyBResult> b_result = Status::Internal("pending");
+  ASSERT_TRUE(RunWithWatchdog(
+      [&] {
+        std::thread a0([&] {
+          a0_status = RunPartyA(&broker, config, f.shards[0], /*num_a=*/2, 0,
+                                /*timeout_seconds=*/5);
+        });
+        b_result = RunPartyB(&broker, config, f.shards.back(), /*num_a=*/2,
+                             /*timeout_seconds=*/1);
+        a0.join();
+      },
+      30.0))
+      << "A0 kept waiting on a B that never started";
+  EXPECT_EQ(b_result.status().code(), StatusCode::kDeadlineExceeded)
+      << b_result.status().ToString();
+  EXPECT_FALSE(a0_status.ok());
 }
 
 TEST(SessionChannelTest, CleanCloseLeavesBrokerRunning) {

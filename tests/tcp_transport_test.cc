@@ -13,20 +13,14 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstring>
-#include <functional>
-#include <mutex>
 #include <thread>
 
 #include "common/timer.h"
-#include "data/partition.h"
-#include "data/synthetic.h"
 #include "fed/fed_trainer.h"
-#include "fed/party_a.h"
-#include "fed/party_b.h"
 #include "fed/session.h"
+#include "fed_test_util.h"
 #include "gbdt/model_io.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -35,31 +29,6 @@ namespace vf2boost {
 namespace {
 
 using Clock = ChannelEndpoint::Clock;
-
-// Same watchdog idiom as fed_fault_test: a wedged socket test must FAIL,
-// not hang CI.
-bool RunWithWatchdog(const std::function<void()>& fn, double timeout_seconds) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::thread worker([&] {
-    fn();
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  const bool finished =
-      cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                  [&] { return done; });
-  lock.unlock();
-  if (finished) {
-    worker.join();
-  } else {
-    worker.detach();
-  }
-  return finished;
-}
 
 // A connected stream-socket pair; TcpMessagePort only needs a stream fd, so
 // tests can skip the listen/accept dance.
@@ -361,31 +330,6 @@ TEST(TcpChannelFactoryTest, ShutdownAbortsPendingAccept) {
 // through the factory's accept/redial rendezvous, and the trained model must
 // be byte-identical to a fault-free in-process run.
 
-struct Fixture {
-  Dataset train;
-  VerticalSplitSpec spec;
-  std::vector<Dataset> shards;  // A party first, B last
-};
-
-// `fractions` are the parties' column shares, B (the label holder) last.
-Fixture MakeFixture(size_t rows, size_t cols, uint64_t seed,
-                    const std::vector<double>& fractions = {0.5, 0.5}) {
-  SyntheticSpec sspec;
-  sspec.rows = rows;
-  sspec.cols = cols;
-  sspec.density = 0.5;
-  sspec.seed = seed;
-  Fixture f;
-  f.train = GenerateSynthetic(sspec);
-  Rng rng(seed + 1);
-  f.spec = SplitColumnsRandomly(cols, fractions, &rng);
-  auto shards =
-      PartitionVertically(f.train, f.spec, /*label_party=*/fractions.size() - 1);
-  EXPECT_TRUE(shards.ok());
-  f.shards = std::move(shards).value();
-  return f;
-}
-
 FedConfig DrillConfig() {
   FedConfig config;
   config.mock_crypto = true;
@@ -425,28 +369,15 @@ TEST(TcpSessionDrillTest, LinkDeathMidTrainingRecoversWithIdenticalModel) {
             "127.0.0.1", (*listener)->port(), 0, net, &registry);
         ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
 
-        // Both sides bring their link up exactly as vf2_fedtrain's
-        // processes do: a session whose Open dials (A) or accepts (B).
-        std::unique_ptr<MessagePort> a_port;
+        // Both sides run exactly as vf2_fedtrain's processes do.
         Status a_status;
         std::thread a_thread([&] {
-          auto port = ConnectChannel(dialer->get(), config, /*num_a=*/1, 0,
-                                     /*a_side=*/true, /*timeout_seconds=*/10);
-          if (!port.ok()) {
-            a_status = port.status();
-            return;
-          }
-          a_port = std::move(port).value();
-          a_status = PartyAEngine(config, f.shards[0], a_port.get(), 0).Run();
+          a_status = RunPartyA(dialer->get(), config, f.shards[0],
+                               /*num_a=*/1, 0, /*timeout_seconds=*/10);
         });
-        auto b_port = ConnectChannel(listener->get(), config, /*num_a=*/1, 0,
-                                     /*a_side=*/false, /*timeout_seconds=*/10);
-        Result<PartyBResult> got = Status::Internal("party B never ran");
-        if (!b_port.ok()) {
-          got = b_port.status();
-        } else {
-          got = PartyBEngine(config, f.shards[1], {b_port->get()}).Run();
-        }
+        Result<PartyBResult> got =
+            RunPartyB(listener->get(), config, f.shards[1], /*num_a=*/1,
+                      /*timeout_seconds=*/10);
         a_thread.join();
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_TRUE(a_status.ok()) << a_status.ToString();
@@ -472,7 +403,7 @@ bool HasMetric(const obs::MetricsRegistry& registry, const std::string& name) {
 }
 
 // Three parties over TCP, each with its own registry as separate processes
-// would have, each brought up through ConnectChannel on its own thread. A1
+// would have, each launched through RunPartyA/RunPartyB on its own thread. A1
 // dials and says hello before A0 starts, so B's listener must park A1's
 // connection until channel 0 has joined; the model must still match the
 // in-process run byte for byte.
@@ -503,23 +434,12 @@ TEST(TcpPartyLaunchTest, ThreePartiesJoinOutOfOrderWithIdenticalModel) {
           dialers[p] = std::move(dialer).value();
         }
 
-        std::array<std::unique_ptr<MessagePort>, kNumA> a_ports;
         std::array<Status, kNumA> a_status;
         std::vector<std::thread> a_threads;
         auto launch_a = [&](size_t p) {
           a_threads.emplace_back([&, p] {
-            auto port = ConnectChannel(dialers[p].get(), configs[p], kNumA, p,
-                                       /*a_side=*/true,
-                                       /*timeout_seconds=*/10);
-            if (!port.ok()) {
-              a_status[p] = port.status();
-              return;
-            }
-            a_ports[p] = std::move(port).value();
-            a_status[p] = PartyAEngine(configs[p], f.shards[p],
-                                       a_ports[p].get(),
-                                       static_cast<uint32_t>(p))
-                              .Run();
+            a_status[p] = RunPartyA(dialers[p].get(), configs[p], f.shards[p],
+                                    kNumA, p, /*timeout_seconds=*/10);
           });
         };
         // A1's routing preamble and hello (two frames) are on the wire
@@ -533,25 +453,9 @@ TEST(TcpPartyLaunchTest, ThreePartiesJoinOutOfOrderWithIdenticalModel) {
         EXPECT_GE(a1_frames->value(), 2u);
         launch_a(0);
 
-        std::vector<std::unique_ptr<MessagePort>> b_ports;
-        std::vector<MessagePort*> b_port_ptrs;
-        Result<PartyBResult> got = Status::Internal("party B never ran");
-        for (size_t p = 0; p < kNumA; ++p) {
-          auto port = ConnectChannel(listener->get(), configs[kNumA], kNumA,
-                                     p, /*a_side=*/false,
-                                     /*timeout_seconds=*/10);
-          if (!port.ok()) {
-            got = port.status();
-            for (auto& joined : b_ports) joined->Close(got.status());
-            break;
-          }
-          b_port_ptrs.push_back(port->get());
-          b_ports.push_back(std::move(port).value());
-        }
-        if (b_ports.size() == kNumA) {
-          got = PartyBEngine(configs[kNumA], f.shards.back(), b_port_ptrs)
-                    .Run();
-        }
+        Result<PartyBResult> got =
+            RunPartyB(listener->get(), configs[kNumA], f.shards.back(), kNumA,
+                      /*timeout_seconds=*/10);
         for (auto& t : a_threads) t.join();
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         for (const Status& st : a_status) {
@@ -573,10 +477,11 @@ TEST(TcpPartyLaunchTest, ThreePartiesJoinOutOfOrderWithIdenticalModel) {
 
 // Two processes whose configurations differ only in the seed, without a
 // reconnect budget: both refuse the link at the hello, naming the cause,
-// so neither gets a port to start an engine on.
+// so neither starts an engine.
 TEST(TcpPartyLaunchTest, MismatchedSeedIsRefusedOnBothSides) {
   ASSERT_TRUE(RunWithWatchdog(
       [] {
+        Fixture f = MakeFixture(100, 8, /*seed=*/41);
         obs::MetricsRegistry a_registry, b_registry;
         FedConfig a_config = DrillConfig();
         a_config.metrics = &a_registry;
@@ -590,28 +495,17 @@ TEST(TcpPartyLaunchTest, MismatchedSeedIsRefusedOnBothSides) {
                                               0, a_config.network, &a_registry);
         ASSERT_TRUE(dialer.ok()) << dialer.status().ToString();
 
-        std::atomic<int> engines_started{0};
-        Result<std::unique_ptr<MessagePort>> a_port =
-            Status::Internal("pending");
+        Status a_status;
         std::thread a_thread([&] {
-          a_port = ConnectChannel(dialer->get(), a_config, /*num_a=*/1, 0,
-                                  /*a_side=*/true, /*timeout_seconds=*/10);
-          if (a_port.ok()) ++engines_started;
+          a_status = RunPartyA(dialer->get(), a_config, f.shards[0],
+                               /*num_a=*/1, 0, /*timeout_seconds=*/10);
         });
-        Result<std::unique_ptr<MessagePort>> b_port =
-            ConnectChannel(listener->get(), b_config, /*num_a=*/1, 0,
-                           /*a_side=*/false, /*timeout_seconds=*/10);
-        if (b_port.ok()) ++engines_started;
+        Result<PartyBResult> b_result =
+            RunPartyB(listener->get(), b_config, f.shards[1], /*num_a=*/1,
+                      /*timeout_seconds=*/10);
         a_thread.join();
-        EXPECT_EQ(engines_started.load(), 0);
-        for (const auto* port : {&a_port, &b_port}) {
-          ASSERT_FALSE(port->ok());
-          EXPECT_EQ(port->status().code(), StatusCode::kProtocolError)
-              << port->status().ToString();
-          EXPECT_NE(port->status().message().find("fingerprint mismatch"),
-                    std::string::npos)
-              << port->status().ToString();
-        }
+        ExpectRefusedBeforeAnyEngine(a_status, a_registry);
+        ExpectRefusedBeforeAnyEngine(b_result.status(), b_registry);
       },
       30.0));
 }

@@ -25,8 +25,6 @@
 #include "data/io.h"
 #include "data/partition.h"
 #include "fed/fed_trainer.h"
-#include "fed/party_a.h"
-#include "fed/party_b.h"
 #include "fed/party_runtime.h"
 #include "fed/tcp_transport.h"
 #include "gbdt/model_io.h"
@@ -178,6 +176,10 @@ int main(int argc, char** argv) {
                                     : config.ops_port > 0;
   config.stall_budget_seconds = flags.GetDouble("stall-budget", 0);
   if (flags.GetBool("no-clock-sync")) config.clock_sync = false;
+  if (Status st = config.Validate(); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 1;
+  }
 
   const size_t parties = static_cast<size_t>(flags.GetInt("parties", 2));
   if (parties < 2 || parties > 8) {
@@ -279,8 +281,7 @@ int main(int argc, char** argv) {
   const double connect_timeout = flags.GetDouble("connect-timeout", 30.0);
 
   Result<FedTrainResult> result = Status::Internal("not trained");
-  std::unique_ptr<MessagePort> a_port;  // --connect: this process's link
-  Status a_status;
+  Status a_status;  // --connect: this process's party
   if (tcp_connect) {
     // ---- one A party over TCP ---------------------------------------------
     if (!flags.Has("party")) {
@@ -290,10 +291,6 @@ int main(int argc, char** argv) {
     if (a_index >= num_a) {
       std::fprintf(stderr, "--party a%zu out of range for --parties %zu\n",
                    a_index, parties);
-      return 1;
-    }
-    if (Status st = config.Validate(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
     // Distinct per-process flow-id namespace (matches the trace pid
@@ -311,25 +308,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", factory.status().ToString().c_str());
       return 1;
     }
-    auto port = ConnectChannel(factory->get(), config, num_a, a_index,
-                               /*a_side=*/true, connect_timeout);
-    if (!port.ok()) {
-      std::fprintf(stderr, "connecting to party B failed: %s\n",
-                   port.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("party A%zu connected to %s\n", a_index,
-                flags.GetString("connect").c_str());
-    a_port = std::move(port).value();
-    a_status = PartyAEngine(config, (*shards)[a_index], a_port.get(),
-                            static_cast<uint32_t>(a_index))
-                   .Run();
+    a_status = RunPartyA(factory->get(), config, (*shards)[a_index], num_a,
+                         a_index, connect_timeout);
   } else if (tcp_listen) {
     // ---- party B over TCP -------------------------------------------------
-    if (Status st = config.Validate(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
     // B is the reference clock and the last trace pid.
     obs::SetProcessTraceNamespace(static_cast<uint32_t>(parties));
     auto factory = TcpChannelFactory::Listen(
@@ -342,23 +324,8 @@ int main(int argc, char** argv) {
     std::printf("party B listening on port %d, waiting for %zu A part%s\n",
                 (*factory)->port(), num_a, num_a == 1 ? "y" : "ies");
     std::fflush(stdout);
-    std::vector<std::unique_ptr<MessagePort>> ports;
-    for (size_t p = 0; p < num_a; ++p) {
-      auto port = ConnectChannel(factory->get(), config, num_a, p,
-                                 /*a_side=*/false, connect_timeout);
-      if (!port.ok()) {
-        std::fprintf(stderr, "waiting for party A%zu failed: %s\n", p,
-                     port.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("party A%zu joined\n", p);
-      ports.push_back(std::move(port).value());
-    }
-    std::fflush(stdout);
-    std::vector<MessagePort*> port_ptrs;
-    for (auto& p : ports) port_ptrs.push_back(p.get());
-    Result<PartyBResult> b_result =
-        PartyBEngine(config, shards->back(), std::move(port_ptrs)).Run();
+    Result<PartyBResult> b_result = RunPartyB(
+        factory->get(), config, shards->back(), num_a, connect_timeout);
     if (b_result.ok()) {
       // This process holds the full joined file, so the A parties' cuts
       // (needed only to evaluate the joint model here; in a deployment they
@@ -426,9 +393,11 @@ int main(int argc, char** argv) {
                    a_status.ToString().c_str());
       return 1;
     }
-    const ChannelStats cs = a_port->sent_stats();
+    const auto snapshot = registry.Snapshot();
     std::printf("party A%zu done: sent %.2f MB in %zu messages\n", a_index,
-                cs.bytes / 1e6, cs.messages);
+                obs::PartySum(snapshot, "party_a", "bytes_sent") / 1e6,
+                static_cast<size_t>(
+                    obs::PartySum(snapshot, "party_a", "messages_sent")));
   } else {
     if (!result.ok()) {
       std::fprintf(stderr, "training failed: %s\n",
