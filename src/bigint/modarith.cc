@@ -35,6 +35,12 @@ constexpr size_t kIfmaMinLimbs = 12;
 // 8192-bit rings, the n^2 ring of a 4096-bit key.
 constexpr size_t kIfmaMaxVectors = 20;
 constexpr size_t kIfmaMaxLimbs = 8 * kIfmaMaxVectors * 52 / 64;
+// A chain needs one digit more than MulReduceRaw when 52L = 64k (k a
+// multiple of 13), so at 130 limbs its accumulator is one vector longer.
+constexpr size_t kChainMaxVectors = kIfmaMaxVectors + 1;
+// Widest accumulator the pair kernel interleaves: two of them, the two
+// broadcast digits and the two quotients still fit the 32 zmm registers.
+constexpr size_t kIfmaPairMaxVectors = 12;
 
 constexpr uint64_t kMask52 = (uint64_t{1} << 52) - 1;
 
@@ -97,6 +103,29 @@ void ToRadix52(const uint64_t* x, size_t k, unsigned shift, uint64_t* d,
     buf >>= 52;
     bits = bits > 52 ? bits - 52 : 0;
   }
+}
+
+// Settles `len` lazy radix-2^52 lanes (each < 2^63) into k 64-bit limbs;
+// returns the value of the bits above 2^(64k).
+uint64_t FromRadix52(const uint64_t* lanes, size_t len, uint64_t* t,
+                     size_t k) {
+  u128 buf = 0;
+  unsigned bits = 0;
+  uint64_t carry = 0;
+  size_t next = 0;
+  for (size_t j = 0; j < len; ++j) {
+    const uint64_t v = lanes[j] + carry;
+    carry = v >> 52;
+    buf |= static_cast<u128>(v & kMask52) << bits;
+    bits += 52;
+    if (bits >= 64 && next < k) {
+      t[next++] = static_cast<uint64_t>(buf);
+      buf >>= 64;
+      bits -= 64;
+    }
+  }
+  VF2_DCHECK(next == k);
+  return static_cast<uint64_t>(buf) + (carry << bits);
 }
 
 }  // namespace
@@ -230,12 +259,9 @@ MontgomeryContext::MontgomeryContext(const BigInt& m) : m_(m) {
 
   // R^2 mod m where R = 2^(64k).
   r2_ = Mod(BigInt(1) << (128 * k_), m_);
-  one_mont_ = Mod(BigInt(1) << (64 * k_), m_);
 
   r2_raw_.assign(k_, 0);
   LoadRaw(r2_, r2_raw_.data());
-  one_raw_.assign(k_, 0);
-  LoadRaw(one_mont_, one_raw_.data());
   unit_raw_.assign(k_, 0);
   unit_raw_[0] = 1;
 
@@ -263,8 +289,20 @@ MontgomeryContext::MontgomeryContext(const BigInt& m) : m_(m) {
 
   l52_ = (64 * k_ + 51) / 52;
   shift52_ = static_cast<unsigned>(52 * l52_ - 64 * k_);
-  m52_.assign((l52_ + 7) / 8 * 8, 0);
+  // A lazy chain needs 4m <= R′, i.e. 52L′ - 64k >= 2. 52L - 64k is a
+  // multiple of 4, so only 52L = 64k (k a multiple of 13) takes a digit more.
+  chain_len_ = shift52_ == 0 ? l52_ + 1 : l52_;
+  const size_t chain_words = (chain_len_ + 7) / 8 * 8;
+  m52_.assign(chain_words, 0);
   ToRadix52(m_.limbs().data(), k_, 0, m52_.data(), l52_);
+  if (CpuHasIfma() && k_ <= kIfmaMaxLimbs) {
+    const BigInt r2 = Mod(BigInt(1) << (104 * chain_len_), m_);  // R′² mod m
+    chain_r2_.assign(chain_words, 0);
+    ToRadix52(r2.limbs().data(), r2.limbs().size(), 0, chain_r2_.data(),
+              chain_words);
+    chain_unit_.assign(chain_words, 0);
+    chain_unit_[0] = 1;
+  }
 }
 
 void MontgomeryContext::MulReduceRaw(const uint64_t* a, const uint64_t* b,
@@ -470,100 +508,123 @@ void MontgomeryContext::MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
 
 namespace {
 
-// Settles `len` lazy radix-2^52 lanes (each < 2^63) into k 64-bit limbs;
-// returns the value of the bits above 2^(64k).
-uint64_t FromRadix52(const uint64_t* lanes, size_t len, uint64_t* t,
-                     size_t k) {
-  u128 buf = 0;
-  unsigned bits = 0;
-  uint64_t carry = 0;
-  size_t next = 0;
-  for (size_t j = 0; j < len; ++j) {
-    const uint64_t v = lanes[j] + carry;
-    carry = v >> 52;
-    buf |= static_cast<u128>(v & kMask52) << bits;
-    bits += 52;
-    if (bits >= 64 && next < k) {
-      t[next++] = static_cast<uint64_t>(buf);
-      buf >>= 64;
-      bits -= 64;
-    }
-  }
-  VF2_DCHECK(next == k);
-  return static_cast<uint64_t>(buf) + (carry << bits);
-}
-
 // Almost-Montgomery multiply in radix 2^52, word-serial over the digits of
 // a with the accumulator held in V zmm registers: per digit a_i,
 // acc += a_i*b + q*m with q = -acc_0 / m mod 2^52, then acc shifts down one
 // digit. IFMA splits each 52x52 product into a low and a high half; the low
 // halves are added before the shift and the high halves (one digit up)
 // after it, so L digits need exactly L lanes. Lanes stay lazy: each absorbs
-// < 4 * 2^52 per digit, so L <= 8 * kIfmaMaxVectors digits cannot overflow.
+// < 4 * 2^52 per digit, so L <= 8 * kChainMaxVectors digits cannot overflow.
 // Lane 0's carry is kept in a scalar and folded in at the end. The v-loops
 // are fully unrolled so the accumulator stays in registers. Leaves
 // (a*b + Q*m) / 2^(52*len) in 8V lazy lanes at `res`.
-template <size_t V>
+//
+// P independent products (a[p], b[p]) -> res[p] run interleaved in one
+// pass: the kernel is latency-bound (each digit's quotient waits on the
+// previous digit's shift), so a second product fills the idle execution ports.
+// Every input is read before any result is stored.
+template <size_t V, size_t P>
 __attribute__((target("avx512f,avx512ifma"))) void AmmIfma(
-    const uint64_t* a52, size_t len, const uint64_t* b52, const uint64_t* m52,
-    uint64_t m0inv, uint64_t* res) {
+    const uint64_t* const* as, size_t len, const uint64_t* const* bs,
+    const uint64_t* m52, uint64_t m0inv, uint64_t* const* outs) {
   const __m512i zero = _mm512_setzero_si512();
-  __m512i acc[V];
+  __m512i acc[P][V];
+  uint64_t carry[P];
+  // Local copies: the result stores could otherwise alias the pointer lists.
+  const uint64_t* a52[P];
+  const uint64_t* b52[P];
+  uint64_t* res[P];
+#pragma GCC unroll 2
+  for (size_t p = 0; p < P; ++p) {
+    a52[p] = as[p];
+    b52[p] = bs[p];
+    res[p] = outs[p];
+    carry[p] = 0;
 #pragma GCC unroll 32
-  for (size_t v = 0; v < V; ++v) acc[v] = zero;
+    for (size_t v = 0; v < V; ++v) acc[p][v] = zero;
+  }
   const uint64_t m0 = m52[0];
-  uint64_t carry = 0;
   for (size_t i = 0; i < len; ++i) {
-    const __m512i ai = _mm512_set1_epi64(static_cast<long long>(a52[i]));
+    __m512i ai[P], qv[P];
+#pragma GCC unroll 2
+    for (size_t p = 0; p < P; ++p) {
+      ai[p] = _mm512_set1_epi64(static_cast<long long>(a52[p][i]));
 #pragma GCC unroll 32
-    for (size_t v = 0; v < V; ++v) {
-      acc[v] = _mm512_madd52lo_epu64(acc[v], ai,
-                                     _mm512_loadu_si512(b52 + 8 * v));
+      for (size_t v = 0; v < V; ++v) {
+        acc[p][v] = _mm512_madd52lo_epu64(
+            acc[p][v], ai[p], _mm512_loadu_si512(b52[p] + 8 * v));
+      }
     }
-    // Masked forms pass explicit pass-through operands: the unmasked ones
-    // trip GCC's -Wmaybe-uninitialized on their internal undefined values.
-    const uint64_t x = static_cast<uint64_t>(_mm_cvtsi128_si64(
-                           _mm512_mask_extracti32x4_epi32(_mm_setzero_si128(),
-                                                          0xf, acc[0], 0))) +
-                       carry;
-    const uint64_t q = (x * m0inv) & kMask52;
-    carry = (x + ((q * m0) & kMask52)) >> 52;
-    const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-#pragma GCC unroll 32
-    for (size_t v = 0; v < V; ++v) {
-      acc[v] = _mm512_madd52lo_epu64(acc[v], qv,
-                                     _mm512_loadu_si512(m52 + 8 * v));
+#pragma GCC unroll 2
+    for (size_t p = 0; p < P; ++p) {
+      // Masked forms pass explicit pass-through operands: the unmasked ones
+      // trip GCC's -Wmaybe-uninitialized on their internal undefined values.
+      const uint64_t x = static_cast<uint64_t>(_mm_cvtsi128_si64(
+                             _mm512_mask_extracti32x4_epi32(
+                                 _mm_setzero_si128(), 0xf, acc[p][0], 0))) +
+                         carry[p];
+      const uint64_t q = (x * m0inv) & kMask52;
+      carry[p] = (x + ((q * m0) & kMask52)) >> 52;
+      qv[p] = _mm512_set1_epi64(static_cast<long long>(q));
     }
+#pragma GCC unroll 2
+    for (size_t p = 0; p < P; ++p) {
 #pragma GCC unroll 32
-    for (size_t v = 0; v < V; ++v) {
-      acc[v] = _mm512_mask_alignr_epi64(
-          zero, 0xff, v + 1 < V ? acc[v + 1] : zero, acc[v], 1);
-    }
+      for (size_t v = 0; v < V; ++v) {
+        acc[p][v] = _mm512_madd52lo_epu64(acc[p][v], qv[p],
+                                          _mm512_loadu_si512(m52 + 8 * v));
+      }
 #pragma GCC unroll 32
-    for (size_t v = 0; v < V; ++v) {
-      acc[v] = _mm512_madd52hi_epu64(acc[v], ai,
-                                     _mm512_loadu_si512(b52 + 8 * v));
-      acc[v] = _mm512_madd52hi_epu64(acc[v], qv,
-                                     _mm512_loadu_si512(m52 + 8 * v));
+      for (size_t v = 0; v < V; ++v) {
+        acc[p][v] = _mm512_mask_alignr_epi64(
+            zero, 0xff, v + 1 < V ? acc[p][v + 1] : zero, acc[p][v], 1);
+      }
+#pragma GCC unroll 32
+      for (size_t v = 0; v < V; ++v) {
+        acc[p][v] = _mm512_madd52hi_epu64(
+            acc[p][v], ai[p], _mm512_loadu_si512(b52[p] + 8 * v));
+        acc[p][v] = _mm512_madd52hi_epu64(acc[p][v], qv[p],
+                                          _mm512_loadu_si512(m52 + 8 * v));
+      }
     }
   }
+#pragma GCC unroll 2
+  for (size_t p = 0; p < P; ++p) {
 #pragma GCC unroll 32
-  for (size_t v = 0; v < V; ++v) _mm512_storeu_si512(res + 8 * v, acc[v]);
-  res[0] += carry;
+    for (size_t v = 0; v < V; ++v) {
+      _mm512_storeu_si512(res[p] + 8 * v, acc[p][v]);
+    }
+    res[p][0] += carry[p];
+  }
 }
 
-using AmmIfmaFn = void (*)(const uint64_t*, size_t, const uint64_t*,
-                           const uint64_t*, uint64_t, uint64_t*);
+using AmmIfmaFn = void (*)(const uint64_t* const*, size_t,
+                           const uint64_t* const*, const uint64_t*, uint64_t,
+                           uint64_t* const*);
 
-template <size_t... Vs>
+template <size_t P, size_t... Vs>
 constexpr std::array<AmmIfmaFn, sizeof...(Vs)> MakeAmmIfmaTable(
     std::index_sequence<Vs...>) {
-  return {&AmmIfma<Vs + 1>...};
+  return {&AmmIfma<Vs + 1, P>...};
 }
 
-// kAmmIfma[V - 1] runs a V-vector accumulator.
+// kAmmIfma[V - 1] runs one V-vector accumulator, kAmmIfmaPair[V - 1] two.
 constexpr auto kAmmIfma =
-    MakeAmmIfmaTable(std::make_index_sequence<kIfmaMaxVectors>());
+    MakeAmmIfmaTable<1>(std::make_index_sequence<kChainMaxVectors>());
+constexpr auto kAmmIfmaPair =
+    MakeAmmIfmaTable<2>(std::make_index_sequence<kIfmaPairMaxVectors>());
+
+// Carries `len` lazy radix-2^52 lanes into 52-bit digits in place; the
+// value must fit those digits (a chain value is below 2m < R′).
+void NormalizeRadix52(uint64_t* d, size_t len) {
+  uint64_t carry = 0;
+  for (size_t j = 0; j < len; ++j) {
+    const uint64_t v = d[j] + carry;
+    d[j] = v & kMask52;
+    carry = v >> 52;
+  }
+  VF2_DCHECK(carry == 0);
+}
 
 }  // namespace
 
@@ -572,7 +633,7 @@ void MontgomeryContext::MulReduceRawIfma(const uint64_t* a, const uint64_t* b,
   // a' = a * 2^(52L - 64k) < 2^(52L) m, so a'*b / 2^(52L) = a*b / R and the
   // almost-Montgomery result stays below 2m. Both operands are re-sliced
   // before `out` is written, so it may alias either.
-  const size_t lanes = m52_.size();
+  const size_t lanes = (l52_ + 7) / 8 * 8;
   thread_local std::vector<uint64_t> arena;
   if (arena.size() < 3 * lanes + k_) arena.resize(3 * lanes + k_);
   uint64_t* a52 = arena.data();
@@ -581,9 +642,40 @@ void MontgomeryContext::MulReduceRawIfma(const uint64_t* a, const uint64_t* b,
   uint64_t* t = acc + lanes;
   ToRadix52(a, k_, shift52_, a52, l52_);
   ToRadix52(b, k_, 0, b52, lanes);
-  kAmmIfma[lanes / 8 - 1](a52, l52_, b52, m52_.data(), inv64_ & kMask52, acc);
+  const uint64_t* as[] = {a52};
+  const uint64_t* bs[] = {b52};
+  uint64_t* outs[] = {acc};
+  kAmmIfma[lanes / 8 - 1](as, l52_, bs, m52_.data(), inv64_ & kMask52, outs);
   const uint64_t top = FromRadix52(acc, l52_, t, k_);
   SubtractIfAtLeast(t, top, m_.limbs().data(), k_, out);
+}
+
+void MontgomeryContext::ChainAmm(const uint64_t* a, const uint64_t* b,
+                                 uint64_t* out) const {
+  const uint64_t* as[] = {a};
+  const uint64_t* bs[] = {b};
+  uint64_t* outs[] = {out};
+  kAmmIfma[chain_r2_.size() / 8 - 1](as, chain_len_, bs, m52_.data(),
+                                     inv64_ & kMask52, outs);
+  NormalizeRadix52(out, chain_len_);
+}
+
+void MontgomeryContext::ChainAmm2(const uint64_t* a0, const uint64_t* b0,
+                                  uint64_t* out0, const uint64_t* a1,
+                                  const uint64_t* b1, uint64_t* out1) const {
+  const size_t vectors = chain_r2_.size() / 8;
+  if (vectors > kIfmaPairMaxVectors) {  // too wide to interleave in registers
+    ChainAmm(a0, b0, out0);
+    ChainAmm(a1, b1, out1);
+    return;
+  }
+  const uint64_t* as[] = {a0, a1};
+  const uint64_t* bs[] = {b0, b1};
+  uint64_t* outs[] = {out0, out1};
+  kAmmIfmaPair[vectors - 1](as, chain_len_, bs, m52_.data(), inv64_ & kMask52,
+                            outs);
+  NormalizeRadix52(out0, chain_len_);
+  NormalizeRadix52(out1, chain_len_);
 }
 
 #else  // !VF2_HAVE_X86_KERNELS
@@ -596,6 +688,18 @@ void MontgomeryContext::MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
 void MontgomeryContext::MulReduceRawIfma(const uint64_t* a, const uint64_t* b,
                                          uint64_t* out) const {
   MulReduceRawScalar(a, b, out);
+}
+
+// ChainForm never picks radix 2^52 without the IFMA kernel.
+void MontgomeryContext::ChainAmm(const uint64_t*, const uint64_t*,
+                                 uint64_t*) const {
+  VF2_CHECK(false) << "radix-2^52 chain on a build without IFMA";
+}
+
+void MontgomeryContext::ChainAmm2(const uint64_t*, const uint64_t*, uint64_t*,
+                                  const uint64_t*, const uint64_t*,
+                                  uint64_t*) const {
+  VF2_CHECK(false) << "radix-2^52 chain on a build without IFMA";
 }
 
 #endif  // VF2_HAVE_X86_KERNELS
@@ -611,6 +715,61 @@ BigInt MontgomeryContext::FromMontRaw(const uint64_t* a) const {
   std::vector<uint64_t> out(k_);
   MulReduceRaw(a, unit_raw_.data(), out.data());
   return BigInt::FromLimbs(std::move(out));
+}
+
+MontgomeryContext::Chain MontgomeryContext::ChainForm() const {
+  if (MontKernelFor(k_) == MontKernel::kIfma) {
+    return Chain{true, chain_r2_.size()};
+  }
+  return Chain{false, k_};
+}
+
+void MontgomeryContext::ChainEnter(Chain c, const uint64_t* x,
+                                   uint64_t* out) const {
+  if (!c.radix52) {
+    MulReduceRaw(x, r2_raw_.data(), out);
+    return;
+  }
+  // x < m in normalized digits, then x·R′²·R′⁻¹ = x·R′.
+  thread_local std::vector<uint64_t> digits;
+  digits.resize(c.words);
+  ToRadix52(x, k_, 0, digits.data(), c.words);
+  ChainAmm(digits.data(), chain_r2_.data(), out);
+}
+
+BigInt MontgomeryContext::ChainLeave(Chain c, const uint64_t* a) const {
+  if (!c.radix52) return FromMontRaw(a);
+  // a·1·R′⁻¹ + Q·m·R′⁻¹ < 2m/R′ + m, so at most m: one subtract settles it.
+  thread_local std::vector<uint64_t> scratch;
+  scratch.resize(c.words + k_);
+  uint64_t* digits = scratch.data();
+  uint64_t* t = digits + c.words;
+  ChainAmm(a, chain_unit_.data(), digits);
+  const uint64_t top = FromRadix52(digits, chain_len_, t, k_);
+  std::vector<uint64_t> out(k_);
+  SubtractIfAtLeast(t, top, m_.limbs().data(), k_, out.data());
+  return BigInt::FromLimbs(std::move(out));
+}
+
+void MontgomeryContext::ChainMul(Chain c, const uint64_t* a, const uint64_t* b,
+                                 uint64_t* out) const {
+  if (c.radix52) {
+    ChainAmm(a, b, out);
+  } else {
+    MulReduceRaw(a, b, out);
+  }
+}
+
+void MontgomeryContext::ChainMul2(Chain c, const uint64_t* a0,
+                                  const uint64_t* b0, uint64_t* out0,
+                                  const uint64_t* a1, const uint64_t* b1,
+                                  uint64_t* out1) const {
+  if (c.radix52) {
+    ChainAmm2(a0, b0, out0, a1, b1, out1);
+  } else {
+    MulReduceRaw(a0, b0, out0);
+    MulReduceRaw(a1, b1, out1);
+  }
 }
 
 BigInt MontgomeryContext::ToMont(const BigInt& a) const {
@@ -641,16 +800,19 @@ BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
   VF2_CHECK(!exp.IsNegative()) << "negative exponent";
   if (exp.IsZero()) return Mod(BigInt(1), m_);
 
-  // Fixed 4-bit window over raw limb buffers: table[d] = base^d in the
-  // Montgomery domain, then square-and-multiply window by window. One
-  // thread-local arena holds the table and the accumulator, so the whole
-  // loop performs no heap allocation.
+  // Fixed 4-bit window: table[d] = base^d in chain form, then
+  // square-and-multiply window by window from the top one, whose digit is
+  // nonzero. One thread-local arena holds the table and, in the slot of the
+  // never-used digit 0, the accumulator, so the whole loop performs no heap
+  // allocation.
   constexpr size_t kWindow = 4;
   constexpr size_t kTableSize = 1 << kWindow;
+  const Chain c = ChainForm();
+  const size_t w = c.words;
   thread_local std::vector<uint64_t> arena;
-  if (arena.size() < (kTableSize + 1) * k_) arena.resize((kTableSize + 1) * k_);
-  uint64_t* table = arena.data();  // entry d at table + d*k_
-  uint64_t* acc = table + kTableSize * k_;
+  if (arena.size() < kTableSize * w) arena.resize(kTableSize * w);
+  uint64_t* table = arena.data();  // entry d at table + d*w, d >= 1
+  uint64_t* acc = table;
 
   const BigInt* b = &base;
   BigInt reduced;
@@ -658,26 +820,27 @@ BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
     reduced = Mod(base, m_);
     b = &reduced;
   }
-  std::copy(one_raw_.begin(), one_raw_.end(), table);  // d = 0
-  LoadRaw(*b, table + k_);
-  MulReduceRaw(table + k_, r2_raw_.data(), table + k_);  // into the domain
+  LoadRaw(*b, table + w);
+  ChainEnter(c, table + w, table + w);
   for (size_t d = 2; d < kTableSize; ++d) {
-    MulReduceRaw(table + (d - 1) * k_, table + k_, table + d * k_);
+    ChainMul(c, table + (d - 1) * w, table + w, table + d * w);
   }
 
-  const size_t bits = exp.BitLength();
-  const size_t windows = (bits + kWindow - 1) / kWindow;
-  std::copy(one_raw_.begin(), one_raw_.end(), acc);
-  for (size_t w = windows; w-- > 0;) {
-    for (size_t s = 0; s < kWindow; ++s) MulReduceRaw(acc, acc, acc);
+  auto digit = [&](size_t window) {
     size_t idx = 0;
-    for (size_t s = 0; s < kWindow; ++s) {
-      const size_t bit = w * kWindow + (kWindow - 1 - s);
-      idx = (idx << 1) | (exp.TestBit(bit) ? 1 : 0);
+    for (size_t s = kWindow; s-- > 0;) {
+      idx = (idx << 1) | (exp.TestBit(window * kWindow + s) ? 1 : 0);
     }
-    if (idx) MulReduceRaw(acc, table + idx * k_, acc);
+    return idx;
+  };
+  const size_t windows = (exp.BitLength() + kWindow - 1) / kWindow;
+  const uint64_t* top = table + digit(windows - 1) * w;
+  std::copy(top, top + w, acc);
+  for (size_t i = windows - 1; i-- > 0;) {
+    for (size_t s = 0; s < kWindow; ++s) ChainMul(c, acc, acc, acc);
+    if (const size_t idx = digit(i)) ChainMul(c, acc, table + idx * w, acc);
   }
-  return FromMontRaw(acc);
+  return ChainLeave(c, acc);
 }
 
 FixedBasePowTable::FixedBasePowTable(
@@ -687,40 +850,60 @@ FixedBasePowTable::FixedBasePowTable(
       base_(std::move(base)),
       max_exp_bits_(max_exp_bits),
       window_bits_(window_bits),
-      k_(ctx_->num_limbs()) {
+      chain_(ctx_->ChainForm()) {
   VF2_CHECK(window_bits_ >= 1 && window_bits_ <= 8) << "bad window";
   VF2_CHECK(max_exp_bits_ >= 1) << "empty exponent range";
   num_windows_ = (max_exp_bits_ + window_bits_ - 1) / window_bits_;
   table_digits_ = (size_t{1} << window_bits_) - 1;
-  table_.assign(num_windows_ * table_digits_ * k_, 0);
+  const size_t w = chain_.words;
+  table_.assign(num_windows_ * table_digits_ * w, 0);
 
-  // g_i = base^(2^(w*i)) in the Montgomery domain; entry (i, d) = g_i^d.
-  std::vector<uint64_t> g(k_);
-  ctx_->LoadRaw(Mod(base_, ctx_->modulus()), g.data());
-  ctx_->MulReduceRaw(g.data(), ctx_->r2_raw(), g.data());
-  for (size_t i = 0; i < num_windows_; ++i) {
-    uint64_t* first = table_.data() + i * table_digits_ * k_;
-    std::copy(g.begin(), g.end(), first);  // digit 1
-    for (size_t d = 2; d <= table_digits_; ++d) {
-      ctx_->MulReduceRaw(first + (d - 2) * k_, g.data(), first + (d - 1) * k_);
+  // Window i holds e_d = g^d for g = base^(2^(w*i)). Past e_2 = e_1², the
+  // powers come in independent pairs e_{2j+1} = e_j·e_{j+1} and
+  // e_{2j+2} = e_{j+1}², and e_{2^w} is the next window's g.
+  std::vector<uint64_t> last_g(w);  // g past the last window
+  auto e = [&](size_t i, size_t d) -> uint64_t* {
+    if (d <= table_digits_) {
+      return table_.data() + (i * table_digits_ + (d - 1)) * w;
     }
-    for (size_t s = 0; s < window_bits_; ++s) {
-      ctx_->MulReduceRaw(g.data(), g.data(), g.data());
+    return i + 1 < num_windows_ ? table_.data() + (i + 1) * table_digits_ * w
+                                : last_g.data();
+  };
+  uint64_t* g = e(0, 1);
+  ctx_->LoadRaw(Mod(base_, ctx_->modulus()), g);
+  ctx_->ChainEnter(chain_, g, g);
+  for (size_t i = 0; i < num_windows_; ++i) {
+    ctx_->ChainMul(chain_, e(i, 1), e(i, 1), e(i, 2));
+    for (size_t j = 1; 2 * j + 2 <= table_digits_ + 1; ++j) {
+      ctx_->ChainMul2(chain_, e(i, j), e(i, j + 1), e(i, 2 * j + 1),
+                      e(i, j + 1), e(i, j + 1), e(i, 2 * j + 2));
     }
   }
+}
+
+BigInt FixedBasePowTable::EntryResidue(size_t window, size_t digit) const {
+  VF2_CHECK(window < num_windows_ && digit >= 1 && digit <= table_digits_)
+      << "no table entry (" << window << ", " << digit << ")";
+  return ctx_->ChainLeave(chain_, Entry(window, digit));
 }
 
 BigInt FixedBasePowTable::Pow(const BigInt& exp) const {
   VF2_CHECK(!exp.IsNegative() && exp.BitLength() <= max_exp_bits_)
       << "fixed-base exponent out of range";
-  thread_local std::vector<uint64_t> acc;
-  if (acc.size() < k_) acc.resize(k_);
-  std::copy(ctx_->one_raw(), ctx_->one_raw() + k_, acc.data());
+  const MontgomeryContext& ctx = *ctx_;
+  const size_t w = chain_.words;
+  thread_local std::vector<uint64_t> accs;
+  if (accs.size() < 2 * w) accs.resize(2 * w);
+  uint64_t* const acc[2] = {accs.data(), accs.data() + w};
   const std::vector<uint64_t>& e = exp.limbs();
   const uint64_t mask = (uint64_t{1} << window_bits_) - 1;
   const size_t windows =
       std::min(num_windows_, (exp.BitLength() + window_bits_ - 1) / window_bits_);
-  bool first = true;
+  // The nonzero windows are dealt alternately to acc[0] and acc[1]; the
+  // first factor of each replaces its 1 without a multiply, and later ones
+  // wait for a partner so both halves advance in one ChainMul2.
+  size_t factors = 0;
+  const uint64_t* waiting = nullptr;  // acc[0]'s next factor
   for (size_t i = 0; i < windows; ++i) {
     // Digit i is bits [w*i, w*i + w) of exp; it may straddle two limbs.
     const size_t bit = i * window_bits_;
@@ -732,15 +915,20 @@ BigInt FixedBasePowTable::Pow(const BigInt& exp) const {
     const size_t digit = word & mask;
     if (digit == 0) continue;
     const uint64_t* entry = Entry(i, digit);
-    if (first) {
-      // The first factor replaces the 1 without a multiply: R·e·R⁻¹ = e.
-      std::copy(entry, entry + k_, acc.data());
-      first = false;
+    if (factors < 2) {
+      std::copy(entry, entry + w, acc[factors]);
+    } else if (waiting == nullptr) {
+      waiting = entry;
     } else {
-      ctx_->MulReduceRaw(acc.data(), entry, acc.data());
+      ctx.ChainMul2(chain_, acc[0], waiting, acc[0], acc[1], entry, acc[1]);
+      waiting = nullptr;
     }
+    ++factors;
   }
-  return ctx_->FromMontRaw(acc.data());
+  if (factors == 0) return BigInt(1);
+  if (waiting != nullptr) ctx.ChainMul(chain_, acc[0], waiting, acc[0]);
+  if (factors >= 2) ctx.ChainMul(chain_, acc[0], acc[1], acc[0]);
+  return ctx.ChainLeave(chain_, acc[0]);
 }
 
 }  // namespace vf2boost

@@ -17,14 +17,15 @@ namespace vf2boost {
 
 /// \brief Background pre-compute pool of Paillier obfuscation nonces.
 ///
-/// Even on the window-8 table a nonce costs 32 Montgomery multiplies; this
-/// pool moves that work off the critical path. One producer thread first
-/// builds the key's nonce table (PrepareNonces) as soon as the pool exists,
-/// off the consumer threads, then keeps up to `capacity` nonces ready,
-/// refilling as consumers take. `Encrypt` on the consumer side degenerates
-/// to one modular multiply while nonce generation overlaps the previous
-/// batch's transfer and accumulation (paper §4.1 pipelining, extended one
-/// stage earlier).
+/// Even on the window-8 table a nonce costs up to 32 Montgomery multiplies
+/// (under IFMA, two interleaved halves of 16 that run in little more than
+/// the time of one); this pool moves that work off the critical path. One
+/// producer thread first builds the key's nonce table (PrepareNonces) as
+/// soon as the pool exists, off the consumer threads, then keeps up to
+/// `capacity` nonces ready, refilling as consumers take. `Encrypt` on the
+/// consumer side degenerates to one modular multiply while nonce generation
+/// overlaps the previous batch's transfer and accumulation (paper §4.1
+/// pipelining, extended one stage earlier).
 ///
 /// The producer makes no more nonces than the run will take: it stops once
 /// `produced + misses` reaches the demand announced through AddDemand, so

@@ -160,22 +160,23 @@ BigInt PaillierPublicKey::HornerPow2(std::span<const BigInt* const> slots,
   // A one-slot chain performs no operation, so it returns the slot as is.
   if (slots.size() == 1) return *slots.front();
   const MontgomeryContext& ctx = *mont_n2_;
-  const size_t k = ctx.num_limbs();
+  const MontgomeryContext::Chain chain = ctx.ChainForm();
+  const size_t w = chain.words;
   thread_local std::vector<uint64_t> scratch;
-  if (scratch.size() < 2 * k) scratch.resize(2 * k);
+  if (scratch.size() < 2 * w) scratch.resize(2 * w);
   uint64_t* acc = scratch.data();
-  uint64_t* slot = acc + k;
-  auto to_mont = [&](const BigInt& c, uint64_t* out) {
+  uint64_t* slot = acc + w;
+  auto enter = [&](const BigInt& c, uint64_t* out) {
     LoadReduced(c, out);
-    ctx.MulReduceRaw(out, ctx.r2_raw(), out);
+    ctx.ChainEnter(chain, out, out);
   };
-  to_mont(*slots.back(), acc);
+  enter(*slots.back(), acc);
   for (size_t i = slots.size() - 1; i-- > 0;) {
-    for (size_t s = 0; s < shift_bits; ++s) ctx.MulReduceRaw(acc, acc, acc);
-    to_mont(*slots[i], slot);
-    ctx.MulReduceRaw(acc, slot, acc);
+    for (size_t s = 0; s < shift_bits; ++s) ctx.ChainMul(chain, acc, acc, acc);
+    enter(*slots[i], slot);
+    ctx.ChainMul(chain, acc, slot, acc);
   }
-  return ctx.FromMontRaw(acc);
+  return ctx.ChainLeave(chain, acc);
 }
 
 void PaillierPublicKey::Serialize(ByteWriter* w) const {

@@ -26,7 +26,8 @@ namespace vf2boost {
 /// evaluated through a window-8 fixed-base table with zero squarings, 32
 /// multiplies per nonce.
 ///
-/// h_s and that table (2 MB at a 1024-bit key, 4 MB at 2048) are built once,
+/// h_s and that table (2.6 MB at a 1024-bit key and 5.2 MB at 2048 under
+/// the IFMA kernel, 2 and 4 MB under the others) are built once,
 /// by the first MakeNonce on the key or any copy of it, and shared by every
 /// copy; concurrent first uses build them once. A key that only adds and
 /// scales ciphers — Party A's — never builds them. The Montgomery context
@@ -81,10 +82,10 @@ class PaillierPublicKey {
 
   /// Packing chain c_0 ⊕ 2^M ⊗ (c_1 ⊕ 2^M ⊗ (… c_{t-1})) for M = shift_bits,
   /// the same residue as t-1 rounds of HAdd(c_i, SMul(2^M, acc)). The
-  /// accumulator stays in Montgomery form for the whole chain, so a step is
-  /// M squarings, one conversion of c_i and one multiply (≈ M+2 MontMuls)
-  /// instead of a windowed Pow round trip plus a DivMod, with no per-step
-  /// allocation. `slots` must not be empty.
+  /// accumulator is one exponentiation chain (MontgomeryContext::Chain), so
+  /// a step is M squarings, one conversion of c_i and one multiply (≈ M+2
+  /// MontMuls) instead of a windowed Pow round trip plus a DivMod, with no
+  /// per-step allocation. `slots` must not be empty.
   BigInt HornerPow2(std::span<const BigInt* const> slots,
                     size_t shift_bits) const;
 

@@ -191,9 +191,15 @@ TEST_P(BigIntOracleKernel, PowMatchesGmp) {
     if (m.IsEven()) m += BigInt(1);
     const MontgomeryContext ctx(m);
     EXPECT_EQ(MontKernelFor(ctx.num_limbs()), GetParam().kernel) << bits;
-    for (int i = 0; i < 4; ++i) {
-      const BigInt base = BigInt::RandomBelow(m, &rng);
-      const BigInt exp = BigInt::Random(i == 0 ? bits : 256, &rng);
+    for (int i = 0; i < 7; ++i) {
+      // Random bases, then the edge bases 0, m - 1 and m + 5 (reduced
+      // first), and a one-bit exponent.
+      const BigInt base = i == 4   ? BigInt(0)
+                          : i == 5 ? m - BigInt(1)
+                          : i == 6 ? m + BigInt(5)
+                                   : BigInt::RandomBelow(m, &rng);
+      const BigInt exp =
+          i == 6 ? BigInt(1) : BigInt::Random(i == 0 ? bits : 256, &rng);
       Gmp gb(base), ge(exp), gm(m), out;
       mpz_powm(out.get(), gb.get(), ge.get(), gm.get());
       EXPECT_EQ(ctx.Pow(base, exp).ToDecString(), out.Str())
@@ -242,6 +248,92 @@ TEST_P(BigIntOracleKernel, PaillierProductsMatchGmp) {
       mpz_mod(enc.get(), enc.get(), gn2.get());
       EXPECT_EQ(pub.EncryptWithNonce(m, nonce).ToDecString(), enc.Str())
           << bits << " bits, i=" << i;
+    }
+  }
+  SetMontKernel(saved);
+}
+
+// The two-accumulator fixed-base Pow on the Paillier nonce table's shape
+// (window 8, 256-bit exponents) at the 1024-, 2048- and 4096-bit rings:
+// exponents with 0, 1, 2, 3, 31 and 32 nonzero windows, so both halves
+// start, one half stays empty, and the pairs end with one factor left over
+// or none; plus every digit 0xFF. Built and evaluated under the forced
+// kernel, so scalar and AVX2 run the split too.
+TEST_P(BigIntOracleKernel, FixedBasePowHalvesMatchGmp) {
+  if (!GetParam().supported()) {
+    GTEST_SKIP() << "cpu lacks " << GetParam().features;
+  }
+  const MontKernel saved = GetMontKernel();
+  SetMontKernel(GetParam().kernel);
+  constexpr size_t kWindow = 8, kExpBits = 256, kWindows = kExpBits / kWindow;
+  Rng rng(1017);
+  for (size_t bits : {1024u, 2048u, 4096u}) {
+    BigInt m = BigInt::Random(bits - 1, &rng) + (BigInt(1) << (bits - 1));
+    if (m.IsEven()) m += BigInt(1);
+    auto ctx = std::make_shared<const MontgomeryContext>(m);
+    EXPECT_EQ(MontKernelFor(ctx->num_limbs()), GetParam().kernel) << bits;
+    const BigInt base = BigInt::RandomBelow(m, &rng);
+    const FixedBasePowTable table(ctx, base, kExpBits, kWindow);
+    std::vector<BigInt> exps;
+    for (size_t nonzero : {0u, 1u, 2u, 3u, 31u, 32u}) {
+      // `nonzero` windows spread over the 32, each a random digit 1..255.
+      BigInt exp;
+      for (size_t i = 0; i < nonzero; ++i) {
+        const size_t window = (i * 7 + nonzero) % kWindows;
+        const uint64_t digit = 1 + rng.NextU64() % 255;
+        exp += BigInt(digit) << (window * kWindow);
+      }
+      exps.push_back(exp);
+    }
+    exps.push_back((BigInt(1) << kExpBits) - BigInt(1));  // every digit 0xFF
+    for (size_t i = 0; i < exps.size(); ++i) {
+      Gmp gb(base), ge(exps[i]), gm(m), out;
+      mpz_powm(out.get(), gb.get(), ge.get(), gm.get());
+      EXPECT_EQ(table.Pow(exps[i]).ToDecString(), out.Str())
+          << bits << "-bit ring, exponent " << i;
+    }
+  }
+  SetMontKernel(saved);
+}
+
+// HornerPow2 chains c_0 · (c_1 · (… c_{t-1})^(2^M))^(2^M) mod n^2 against
+// mpz_powm + mpz_mul, on the n^2 rings of 512-, 1024- and 2048-bit keys
+// (1024-, 2048- and 4096-bit rings), with one unreduced slot.
+TEST_P(BigIntOracleKernel, HornerPow2MatchesGmp) {
+  if (!GetParam().supported()) {
+    GTEST_SKIP() << "cpu lacks " << GetParam().features;
+  }
+  const MontKernel saved = GetMontKernel();
+  SetMontKernel(GetParam().kernel);
+  Rng rng(1019);
+  for (size_t bits : {512u, 1024u, 2048u}) {
+    BigInt n = BigInt::Random(bits - 1, &rng) + (BigInt(1) << (bits - 1));
+    if (n.IsEven()) n += BigInt(1);
+    const PaillierPublicKey pub(n);
+    const BigInt& n2 = pub.n_squared();
+    EXPECT_EQ(MontKernelFor(MontgomeryContext(n2).num_limbs()),
+              GetParam().kernel)
+        << bits;
+    Gmp gn2(n2);
+    const std::pair<size_t, size_t> kChains[] = {{2, 1}, {3, 64}, {5, 129}};
+    for (const auto& [slots, shift] : kChains) {
+      std::vector<BigInt> cs;
+      for (size_t i = 0; i < slots; ++i) {
+        cs.push_back(BigInt::RandomBelow(n2, &rng));
+      }
+      cs[1] += n2;  // wire ciphers need not be reduced
+      std::vector<const BigInt*> ptrs;
+      for (const BigInt& c : cs) ptrs.push_back(&c);
+      Gmp acc(cs.back()), pow2(BigInt(1) << shift);
+      mpz_mod(acc.get(), acc.get(), gn2.get());
+      for (size_t i = slots - 1; i-- > 0;) {
+        Gmp c(cs[i]);
+        mpz_powm(acc.get(), acc.get(), pow2.get(), gn2.get());
+        mpz_mul(acc.get(), acc.get(), c.get());
+        mpz_mod(acc.get(), acc.get(), gn2.get());
+      }
+      EXPECT_EQ(pub.HornerPow2(ptrs, shift).ToDecString(), acc.Str())
+          << bits << "-bit key, " << slots << " slots, M = " << shift;
     }
   }
   SetMontKernel(saved);

@@ -140,10 +140,12 @@ TEST_P(ModArithKernelTest, PowMatchesScalar) {
   }
 }
 
-// The table stores Montgomery residues under R = 2^(64k), which every
-// kernel shares: every kernel builds the same table bytes, and a table built
-// under one kernel evaluates under another. Window 8 is the Paillier nonce
-// table, on the n^2 rings of 1024- and 2048-bit keys.
+// A table keeps the chain form of the kernel it was built under: radix-2^52
+// digits under IFMA, R-domain limbs under the others. So tables compare by
+// the canonical residue of every entry: each kernel's table holds the same
+// residues as the scalar one, and a table built under one kernel evaluates
+// under another. Window 8 is the Paillier nonce table, on the n^2 rings of
+// 1024- and 2048-bit keys.
 TEST_P(ModArithKernelTest, FixedBaseTableIsSharedAcrossKernels) {
   Rng rng(4711);
   const std::pair<size_t, size_t> kShapes[] = {{2048, 4}, {2048, 8}, {4096, 8}};
@@ -157,7 +159,18 @@ TEST_P(ModArithKernelTest, FixedBaseTableIsSharedAcrossKernels) {
     const FixedBasePowTable scalar_built(ctx, base, 256, window);
     const FixedBasePowTable kernel_built = Under(
         *ctx, [&] { return FixedBasePowTable(ctx, base, 256, window); });
-    EXPECT_EQ(kernel_built.entries(), scalar_built.entries());
+    ASSERT_EQ(kernel_built.num_windows(), scalar_built.num_windows());
+    size_t mismatches = 0;
+    for (size_t i = 0; i < scalar_built.num_windows(); ++i) {
+      for (size_t d = 1; d < (size_t{1} << window); ++d) {
+        if (kernel_built.EntryResidue(i, d) !=
+            scalar_built.EntryResidue(i, d)) {
+          ADD_FAILURE_AT(__FILE__, __LINE__)
+              << "entry (" << i << ", " << d << ") differs";
+          if (++mismatches == 5) return;
+        }
+      }
+    }
     for (int i = 0; i < 8; ++i) {
       const BigInt exp = BigInt::Random(1 + 36 * i, &rng);
       SetMontKernel(MontKernel::kScalar);
@@ -173,6 +186,114 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<VectorKernel>& info) {
       return std::string(info.param.name);
     });
+
+// Every kernel the host runs, scalar included.
+std::vector<MontKernel> HostKernels() {
+  std::vector<MontKernel> kernels = {MontKernel::kScalar};
+  if (CpuHasAvx2()) kernels.push_back(MontKernel::kAvx2);
+  if (CpuHasIfma()) kernels.push_back(MontKernel::kIfma);
+  return kernels;
+}
+
+// Chains under every kernel: the pair step writes the same words as two
+// single steps (in place too), and leaving gives the scalar kernel's
+// canonical product. The widths cover the IFMA chain's digit boundaries:
+// k = 13, 26 and 130 take one digit more (52L = 64k), k = 12..130 is the
+// kAuto IFMA range (forced IFMA runs k = 1 and 2 too), 130 limbs needs a
+// 21st vector, and the 8-lane vectors fill exactly at k = 32 and 64. Each
+// width runs a random full-width modulus and 2^(64k) - 1, the largest one,
+// where the lazy bound 4m <= R′ is tightest.
+TEST(ModArithSimd, ChainStepsMatchScalar) {
+  KernelGuard guard;
+  Rng rng(20261019);
+  for (size_t k :
+       {1u, 2u, 12u, 13u, 16u, 26u, 31u, 32u, 33u, 64u, 65u, 129u, 130u}) {
+    const BigInt top = BigInt(1) << (64 * k);
+    for (const BigInt& m : {RandomOddModulus(64 * k, &rng), top - BigInt(1)}) {
+      const MontgomeryContext ctx(m);
+      ASSERT_EQ(ctx.num_limbs(), k);
+      const std::vector<std::pair<BigInt, BigInt>> operands = {
+          {BigInt(0), BigInt::RandomBelow(m, &rng)},
+          {m - BigInt(1), m - BigInt(1)},
+          {m - BigInt(1), BigInt(1)},
+          {BigInt::RandomBelow(m, &rng), BigInt(0)},
+          {BigInt::RandomBelow(m, &rng), BigInt::RandomBelow(m, &rng)},
+      };
+      const BigInt r = BigInt::RandomBelow(m, &rng);
+      SetMontKernel(MontKernel::kScalar);
+      const BigInt r_pow = ModExp(r, BigInt(1) << 300, m);  // r^(2^300)
+      for (MontKernel kernel : HostKernels()) {
+        SetMontKernel(kernel);
+        ASSERT_EQ(MontKernelFor(k), kernel);
+        const MontgomeryContext::Chain c = ctx.ChainForm();
+        ASSERT_EQ(c.radix52, kernel == MontKernel::kIfma);
+        auto enter = [&](const BigInt& x) {
+          Limbs out(c.words);
+          ctx.LoadRaw(x, out.data());
+          ctx.ChainEnter(c, out.data(), out.data());
+          return out;
+        };
+        for (size_t i = 0; i < operands.size(); ++i) {
+          const size_t j = (i + 1) % operands.size();
+          SCOPED_TRACE(std::string(MontKernelName(kernel)) + ", k = " +
+                       std::to_string(k) + ", m = " +
+                       (m == top - BigInt(1) ? "2^64k - 1" : "random") +
+                       ", operands " + std::to_string(i));
+          const auto& [x0, y0] = operands[i];
+          const auto& [x1, y1] = operands[j];
+          const Limbs a0 = enter(x0), b0 = enter(y0);
+          const Limbs a1 = enter(x1), b1 = enter(y1);
+          Limbs s0(c.words), s1(c.words);
+          ctx.ChainMul(c, a0.data(), b0.data(), s0.data());
+          ctx.ChainMul(c, a1.data(), b1.data(), s1.data());
+          Limbs p0(c.words), p1(c.words);
+          ctx.ChainMul2(c, a0.data(), b0.data(), p0.data(), a1.data(),
+                        b1.data(), p1.data());
+          EXPECT_EQ(p0, s0);
+          EXPECT_EQ(p1, s1);
+          // In place: each output aliasing its own product's operands.
+          p0 = a0;
+          p1 = b1;
+          ctx.ChainMul2(c, p0.data(), b0.data(), p0.data(), a1.data(),
+                        p1.data(), p1.data());
+          EXPECT_EQ(p0, s0);
+          EXPECT_EQ(p1, s1);
+          Limbs q0 = a0, q1 = a1, sq0(c.words), sq1(c.words);
+          ctx.ChainMul(c, a0.data(), a0.data(), sq0.data());
+          ctx.ChainMul(c, a1.data(), a1.data(), sq1.data());
+          ctx.ChainMul2(c, q0.data(), q0.data(), q0.data(), q1.data(),
+                        q1.data(), q1.data());
+          EXPECT_EQ(q0, sq0);
+          EXPECT_EQ(q1, sq1);
+
+          // Leaving gives the canonical product, the scalar kernel's.
+          SetMontKernel(MontKernel::kScalar);
+          const BigInt want0 =
+              ctx.FromMont(ctx.MontMul(ctx.ToMont(x0), ctx.ToMont(y0)));
+          const BigInt want1 =
+              ctx.FromMont(ctx.MontMul(ctx.ToMont(x1), ctx.ToMont(y1)));
+          SetMontKernel(kernel);
+          EXPECT_EQ(want0, Mod(x0 * y0, m));
+          EXPECT_EQ(ctx.ChainLeave(c, s0.data()), want0);
+          EXPECT_EQ(ctx.ChainLeave(c, s1.data()), want1);
+          EXPECT_EQ(ctx.ChainLeave(c, a0.data()), x0);
+          EXPECT_EQ(ctx.ChainLeave(c, sq1.data()), Mod(x1 * x1, m));
+        }
+        // A long lazy chain stays below 2m: 300 squarings of m - 1 and of
+        // a random residue, the pair step squaring both.
+        Limbs u = enter(m - BigInt(1)), v = enter(r);
+        for (int s = 0; s < 300; ++s) {
+          ctx.ChainMul2(c, u.data(), u.data(), u.data(), v.data(), v.data(),
+                        v.data());
+        }
+        EXPECT_EQ(ctx.ChainLeave(c, u.data()), BigInt(1))
+            << MontKernelName(kernel) << ", k = " << k;
+        EXPECT_EQ(ctx.ChainLeave(c, v.data()), r_pow)
+            << MontKernelName(kernel) << ", k = " << k;
+      }
+    }
+  }
+}
 
 TEST(ModArithSimd, AutoDispatchMatchesScalarEverywhere) {
   // Whatever kAuto picks per size, results must equal the scalar kernel.
