@@ -796,35 +796,50 @@ BigInt MontgomeryContext::MontMul(const BigInt& a, const BigInt& b) const {
   return BigInt::FromLimbs(std::move(out));
 }
 
-BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
-  VF2_CHECK(!exp.IsNegative()) << "negative exponent";
-  if (exp.IsZero()) return Mod(BigInt(1), m_);
+namespace {
 
-  // Fixed 4-bit window: table[d] = base^d in chain form, then
-  // square-and-multiply window by window from the top one, whose digit is
-  // nonzero. One thread-local arena holds the table and, in the slot of the
-  // never-used digit 0, the accumulator, so the whole loop performs no heap
-  // allocation.
+// The fixed 4-bit window of Pow (N = 1) and Pow2 (N = 2): bases[l]^exp for
+// every lane l, with exp > 0. Every lane runs the same schedule, so each
+// table build, squaring and multiply is one ChainMul or, for two lanes, one
+// ChainMul2. Lane l's table[d] = bases[l]^d in chain form, then
+// square-and-multiply window by window from the top one, whose digit is
+// nonzero. One thread-local arena holds the lanes' tables and, in the slot
+// of the never-used digit 0, their accumulators, so the whole loop performs
+// no heap allocation. Every input is read before any output is written.
+template <size_t N>
+void WindowPow(const MontgomeryContext& ctx,
+               const std::array<const BigInt*, N>& bases, const BigInt& exp,
+               const std::array<BigInt*, N>& outs) {
+  static_assert(N == 1 || N == 2);
   constexpr size_t kWindow = 4;
   constexpr size_t kTableSize = 1 << kWindow;
-  const Chain c = ChainForm();
+  const MontgomeryContext::Chain c = ctx.ChainForm();
   const size_t w = c.words;
   thread_local std::vector<uint64_t> arena;
-  if (arena.size() < kTableSize * w) arena.resize(kTableSize * w);
-  uint64_t* table = arena.data();  // entry d at table + d*w, d >= 1
-  uint64_t* acc = table;
+  if (arena.size() < N * kTableSize * w) arena.resize(N * kTableSize * w);
+  std::array<uint64_t*, N> table;  // lane l's entry d at table[l] + d*w
+  for (size_t l = 0; l < N; ++l) table[l] = arena.data() + l * kTableSize * w;
+  // out = a·b at the same entry offsets in every lane.
+  auto step = [&](size_t a, size_t b, size_t out) {
+    if constexpr (N == 1) {
+      ctx.ChainMul(c, table[0] + a, table[0] + b, table[0] + out);
+    } else {
+      ctx.ChainMul2(c, table[0] + a, table[0] + b, table[0] + out,
+                    table[1] + a, table[1] + b, table[1] + out);
+    }
+  };
 
-  const BigInt* b = &base;
-  BigInt reduced;
-  if (base.IsNegative() || base.Compare(m_) >= 0) {
-    reduced = Mod(base, m_);
-    b = &reduced;
+  const BigInt& m = ctx.modulus();
+  for (size_t l = 0; l < N; ++l) {
+    const BigInt& base = *bases[l];
+    if (base.IsNegative() || base.Compare(m) >= 0) {
+      ctx.LoadRaw(Mod(base, m), table[l] + w);
+    } else {
+      ctx.LoadRaw(base, table[l] + w);
+    }
+    ctx.ChainEnter(c, table[l] + w, table[l] + w);
   }
-  LoadRaw(*b, table + w);
-  ChainEnter(c, table + w, table + w);
-  for (size_t d = 2; d < kTableSize; ++d) {
-    ChainMul(c, table + (d - 1) * w, table + w, table + d * w);
-  }
+  for (size_t d = 2; d < kTableSize; ++d) step((d - 1) * w, w, d * w);
 
   auto digit = [&](size_t window) {
     size_t idx = 0;
@@ -834,13 +849,39 @@ BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
     return idx;
   };
   const size_t windows = (exp.BitLength() + kWindow - 1) / kWindow;
-  const uint64_t* top = table + digit(windows - 1) * w;
-  std::copy(top, top + w, acc);
-  for (size_t i = windows - 1; i-- > 0;) {
-    for (size_t s = 0; s < kWindow; ++s) ChainMul(c, acc, acc, acc);
-    if (const size_t idx = digit(i)) ChainMul(c, acc, table + idx * w, acc);
+  const size_t top = digit(windows - 1) * w;
+  for (size_t l = 0; l < N; ++l) {
+    std::copy(table[l] + top, table[l] + top + w, table[l]);
   }
-  return ChainLeave(c, acc);
+  for (size_t i = windows - 1; i-- > 0;) {
+    for (size_t s = 0; s < kWindow; ++s) step(0, 0, 0);
+    if (const size_t idx = digit(i)) step(0, idx * w, 0);
+  }
+  std::array<BigInt, N> results;
+  for (size_t l = 0; l < N; ++l) results[l] = ctx.ChainLeave(c, table[l]);
+  for (size_t l = 0; l < N; ++l) *outs[l] = std::move(results[l]);
+}
+
+}  // namespace
+
+BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
+  VF2_CHECK(!exp.IsNegative()) << "negative exponent";
+  if (exp.IsZero()) return Mod(BigInt(1), m_);
+  BigInt out;
+  WindowPow<1>(*this, {&base}, exp, {&out});
+  return out;
+}
+
+void MontgomeryContext::Pow2(const BigInt& b0, const BigInt& b1,
+                             const BigInt& exp, BigInt* out0,
+                             BigInt* out1) const {
+  VF2_CHECK(!exp.IsNegative()) << "negative exponent";
+  if (exp.IsZero()) {
+    *out0 = Mod(BigInt(1), m_);
+    *out1 = *out0;
+    return;
+  }
+  WindowPow<2>(*this, {&b0, &b1}, exp, {out0, out1});
 }
 
 FixedBasePowTable::FixedBasePowTable(

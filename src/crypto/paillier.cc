@@ -204,68 +204,85 @@ BigInt LFunction(const BigInt& x, const BigInt& d) {
 
 }  // namespace
 
+PaillierPrivateKey::CrtHalf PaillierPrivateKey::MakeHalf(const BigInt& prime,
+                                                         const BigInt& g) {
+  CrtHalf h;
+  h.prime = prime;
+  h.prime_minus_1 = prime - BigInt(1);
+  h.sq = prime * prime;
+  h.mont = std::make_shared<MontgomeryContext>(h.sq);
+  auto hinv = ModInverse(LFunction(h.mont->Pow(g, h.prime_minus_1), prime),
+                         prime);
+  VF2_CHECK(hinv.ok()) << "degenerate Paillier key";
+  h.hinv = std::move(hinv).value();
+  return h;
+}
+
 PaillierPrivateKey::PaillierPrivateKey(const PaillierPublicKey& pub, BigInt p,
-                                       BigInt q)
-    : p_(std::move(p)),
-      q_(std::move(q)),
-      p2_(p_ * p_),
-      q2_(q_ * q_),
-      n_(pub.n()),
-      mont_p2_(std::make_shared<MontgomeryContext>(p2_)),
-      mont_q2_(std::make_shared<MontgomeryContext>(q2_)) {
-  // g = n + 1.  hp = L_p(g^{p-1} mod p^2)^{-1} mod p.
-  const BigInt g = n_ + BigInt(1);
-  const BigInt gp = mont_p2_->Pow(Mod(g, p2_), p_ - BigInt(1));
-  const BigInt gq = mont_q2_->Pow(Mod(g, q2_), q_ - BigInt(1));
-  auto hp = ModInverse(LFunction(gp, p_), p_);
-  auto hq = ModInverse(LFunction(gq, q_), q_);
-  VF2_CHECK(hp.ok() && hq.ok()) << "degenerate Paillier key";
-  hp_ = hp.value();
-  hq_ = hq.value();
-  auto pinv = ModInverse(p_, q_);
+                                       BigInt q) {
+  const BigInt g = pub.n() + BigInt(1);
+  p_half_ = MakeHalf(p, g);
+  q_half_ = MakeHalf(q, g);
+  auto pinv = ModInverse(p, q);
   VF2_CHECK(pinv.ok()) << "p not invertible mod q";
   p_inv_mod_q_ = pinv.value();
 }
 
-BigInt PaillierPrivateKey::DecryptHalf(const BigInt& c, const BigInt& prime,
-                                       const BigInt& sq,
-                                       const MontgomeryContext& mont,
-                                       const BigInt& hinv) const {
-  // m_prime = L_prime(c^{prime-1} mod prime^2) * hinv mod prime.
-  const BigInt cp = mont.Pow(Mod(c, sq), prime - BigInt(1));
-  return Mod(LFunction(cp, prime) * hinv, prime);
+BigInt PaillierPrivateKey::CrtHalf::Finish(const BigInt& x) const {
+  return Mod(LFunction(x, prime) * hinv, prime);
+}
+
+// Pow and Pow2 reduce a cipher at or above r^2 themselves.
+BigInt PaillierPrivateKey::DecryptHalf(const BigInt& c, const CrtHalf& h) {
+  return h.Finish(h.mont->Pow(c, h.prime_minus_1));
+}
+
+void PaillierPrivateKey::DecryptHalf2(const BigInt& c0, const BigInt& c1,
+                                      const CrtHalf& h, BigInt* m0,
+                                      BigInt* m1) {
+  h.mont->Pow2(c0, c1, h.prime_minus_1, m0, m1);
+  *m0 = h.Finish(*m0);
+  *m1 = h.Finish(*m1);
 }
 
 BigInt PaillierPrivateKey::CrtCombine(const BigInt& mp, const BigInt& mq) const {
   // CRT: m = mp + p * ((mq - mp) * p^{-1} mod q).
-  const BigInt diff = Mod(mq - mp, q_);
-  return mp + p_ * Mod(diff * p_inv_mod_q_, q_);
+  const BigInt& p = p_half_.prime;
+  const BigInt& q = q_half_.prime;
+  const BigInt diff = Mod(mq - mp, q);
+  return mp + p * Mod(diff * p_inv_mod_q_, q);
 }
 
 BigInt PaillierPrivateKey::Decrypt(const BigInt& c) const {
-  return CrtCombine(DecryptHalf(c, p_, p2_, *mont_p2_, hp_),
-                    DecryptHalf(c, q_, q2_, *mont_q2_, hq_));
+  return CrtCombine(DecryptHalf(c, p_half_), DecryptHalf(c, q_half_));
 }
 
 std::vector<BigInt> PaillierPrivateKey::DecryptBatch(
     const std::vector<BigInt>& cs, ThreadPool* pool) const {
-  std::vector<BigInt> out(cs.size());
-  if (pool == nullptr || pool->num_threads() < 2 || cs.size() < 2) {
-    for (size_t i = 0; i < cs.size(); ++i) out[i] = Decrypt(cs[i]);
-    return out;
-  }
-  // 2 independent CRT halves per cipher, spread across the pool; the cheap
+  const size_t n = cs.size();
+  std::vector<BigInt> mp(n), mq(n);
+  // Task 2j runs the p-half of ciphers 2j and 2j+1 on one paired chain, task
+  // 2j+1 their q-half; an odd last cipher runs alone. The cheap
   // recombination runs serially afterwards.
-  std::vector<BigInt> mp(cs.size()), mq(cs.size());
-  pool->ParallelFor(2 * cs.size(), [&](size_t t) {
-    const size_t i = t >> 1;
-    if ((t & 1) == 0) {
-      mp[i] = DecryptHalf(cs[i], p_, p2_, *mont_p2_, hp_);
+  auto task = [&](size_t t) {
+    const bool q = (t & 1) != 0;
+    const CrtHalf& h = q ? q_half_ : p_half_;
+    std::vector<BigInt>& m = q ? mq : mp;
+    const size_t i = t & ~size_t{1};
+    if (i + 1 < n) {
+      DecryptHalf2(cs[i], cs[i + 1], h, &m[i], &m[i + 1]);
     } else {
-      mq[i] = DecryptHalf(cs[i], q_, q2_, *mont_q2_, hq_);
+      m[i] = DecryptHalf(cs[i], h);
     }
-  });
-  for (size_t i = 0; i < cs.size(); ++i) out[i] = CrtCombine(mp[i], mq[i]);
+  };
+  const size_t tasks = 2 * ((n + 1) / 2);
+  if (pool != nullptr && pool->num_threads() >= 2) {
+    pool->ParallelFor(tasks, task);
+  } else {
+    for (size_t t = 0; t < tasks; ++t) task(t);
+  }
+  std::vector<BigInt> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = CrtCombine(mp[i], mq[i]);
   return out;
 }
 

@@ -129,8 +129,10 @@ class PaillierPublicKey {
 /// Decryption evaluates `L(c^{p-1} mod p^2) * hp mod p` and the q-analogue,
 /// then CRT-combines — roughly 4x faster than the textbook
 /// `L(c^lambda mod n^2) / L(g^lambda mod n^2)` because both exponent and
-/// modulus halve. The p- and q-halves are independent, so DecryptBatch can
-/// spread them across a thread pool.
+/// modulus halve. Within one half every cipher shares the modulus and the
+/// exponent, so DecryptBatch runs ciphers two at a time through one
+/// MontgomeryContext::Pow2 chain, and spreads the pairs' p- and q-halves
+/// across a thread pool. A lone Decrypt has nothing to pair with.
 class PaillierPrivateKey {
  public:
   PaillierPrivateKey() = default;
@@ -140,27 +142,37 @@ class PaillierPrivateKey {
   BigInt Decrypt(const BigInt& c) const;
 
   /// The CRT decryption rings.
-  const BigInt& p_squared() const { return p2_; }
-  const BigInt& q_squared() const { return q2_; }
+  const BigInt& p_squared() const { return p_half_.sq; }
+  const BigInt& q_squared() const { return q_half_.sq; }
 
-  /// Decrypts a batch. When `pool` is non-null the independent CRT halves
-  /// (2 per cipher) are evaluated in parallel across the pool; otherwise the
-  /// batch is processed serially.
+  /// Decrypts a batch, equal cipher by cipher to Decrypt. Ciphers 2j and
+  /// 2j+1 share one Pow2 chain per CRT half, and an odd last cipher runs
+  /// alone: ⌈N/2⌉ p-tasks and ⌈N/2⌉ q-tasks, spread across `pool` when it
+  /// has two threads or more and run in turn otherwise.
   std::vector<BigInt> DecryptBatch(const std::vector<BigInt>& cs,
                                    ThreadPool* pool) const;
 
  private:
-  /// mp = L_p(c^{p-1} mod p^2) * hp mod p (or the q-analogue).
-  BigInt DecryptHalf(const BigInt& c, const BigInt& prime, const BigInt& sq,
-                     const MontgomeryContext& mont, const BigInt& hinv) const;
+  /// One CRT ring r² (r = p or q) and what a half-decryption needs of it.
+  struct CrtHalf {
+    BigInt prime;
+    BigInt prime_minus_1;  ///< the exponent of every half-decryption
+    BigInt sq;             ///< prime²
+    BigInt hinv;           ///< L_r(g^{r-1} mod r²)^{-1} mod r
+    std::shared_ptr<const MontgomeryContext> mont;  ///< of sq
+
+    /// m_r = L_r(x) * hinv mod r for x = c^{r-1} mod r².
+    BigInt Finish(const BigInt& x) const;
+  };
+  static CrtHalf MakeHalf(const BigInt& prime, const BigInt& g);
+  /// m_r of c, and of c0 and c1 on one paired chain.
+  static BigInt DecryptHalf(const BigInt& c, const CrtHalf& h);
+  static void DecryptHalf2(const BigInt& c0, const BigInt& c1,
+                           const CrtHalf& h, BigInt* m0, BigInt* m1);
   BigInt CrtCombine(const BigInt& mp, const BigInt& mq) const;
 
-  BigInt p_, q_;
-  BigInt p2_, q2_;
-  BigInt hp_, hq_;      // L_p(g^{p-1} mod p^2)^{-1} mod p, q-analogue
+  CrtHalf p_half_, q_half_;
   BigInt p_inv_mod_q_;  // CRT recombination factor
-  BigInt n_;
-  std::shared_ptr<const MontgomeryContext> mont_p2_, mont_q2_;
 };
 
 /// \brief A freshly generated Paillier key pair.

@@ -209,6 +209,68 @@ TEST_P(BigIntOracleKernel, PowMatchesGmp) {
   SetMontKernel(saved);
 }
 
+// The paired Pow2 against mpz_powm for both outputs, on the CRT rings of
+// 1024/2048-bit keys, the 4096-bit ring and a 6144-bit ring: under IFMA the
+// last one's 15-vector chain is too wide to interleave, so ChainMul2 runs
+// it as two single products. Exponents 0, 1, a short and a full-width odd
+// one; equal bases, unreduced bases, the edge bases 0 and m - 1; and
+// outputs that alias the bases or the exponent.
+TEST_P(BigIntOracleKernel, Pow2MatchesGmp) {
+  if (!GetParam().supported()) {
+    GTEST_SKIP() << "cpu lacks " << GetParam().features;
+  }
+  const MontKernel saved = GetMontKernel();
+  SetMontKernel(GetParam().kernel);
+  Rng rng(1021);
+  for (size_t bits : {1024u, 2048u, 4096u, 6144u}) {
+    BigInt m = BigInt::Random(bits - 1, &rng) + (BigInt(1) << (bits - 1));
+    if (m.IsEven()) m += BigInt(1);
+    const MontgomeryContext ctx(m);
+    EXPECT_EQ(MontKernelFor(ctx.num_limbs()), GetParam().kernel) << bits;
+    BigInt full = BigInt::Random(bits - 1, &rng) + (BigInt(1) << (bits - 1));
+    if (full.IsEven()) full += BigInt(1);
+    const BigInt r0 = BigInt::RandomBelow(m, &rng);
+    const BigInt r1 = BigInt::RandomBelow(m, &rng);
+    struct Case {
+      BigInt b0, b1, exp;
+    };
+    const std::vector<Case> cases = {
+        {r0, r1, BigInt(0)},
+        {r0, r1, BigInt(1)},
+        {r0, r1, BigInt::Random(256, &rng)},
+        {r0, r1, full},
+        {r0, r0, BigInt::Random(256, &rng)},           // equal bases
+        {m + r1, m * BigInt(3), BigInt::Random(256, &rng)},  // bases >= m
+        {BigInt(0), m - BigInt(1), BigInt::Random(256, &rng)},
+        {m - BigInt(1), BigInt(0), BigInt(1)},
+    };
+    Gmp gm(m);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const Case& k = cases[i];
+      Gmp gb0(k.b0), gb1(k.b1), ge(k.exp), want0, want1;
+      mpz_powm(want0.get(), gb0.get(), ge.get(), gm.get());
+      mpz_powm(want1.get(), gb1.get(), ge.get(), gm.get());
+      BigInt out0, out1;
+      ctx.Pow2(k.b0, k.b1, k.exp, &out0, &out1);
+      EXPECT_EQ(out0.ToDecString(), want0.Str()) << bits << " bits, i=" << i;
+      EXPECT_EQ(out1.ToDecString(), want1.Str()) << bits << " bits, i=" << i;
+
+      // The outputs written over the bases, then over the exponent and a
+      // base (short exponents only, to keep the widest rings cheap).
+      if (k.exp.BitLength() > 256) continue;
+      BigInt a0 = k.b0, a1 = k.b1;
+      ctx.Pow2(a0, a1, k.exp, &a0, &a1);
+      EXPECT_EQ(a0.ToDecString(), want0.Str()) << bits << " bits, i=" << i;
+      EXPECT_EQ(a1.ToDecString(), want1.Str()) << bits << " bits, i=" << i;
+      BigInt e = k.exp, c1 = k.b1;
+      ctx.Pow2(k.b0, c1, e, &e, &c1);
+      EXPECT_EQ(e.ToDecString(), want0.Str()) << bits << " bits, i=" << i;
+      EXPECT_EQ(c1.ToDecString(), want1.Str()) << bits << " bits, i=" << i;
+    }
+  }
+  SetMontKernel(saved);
+}
+
 // The Paillier products that run on those kernels, against mpz_mul +
 // mpz_mod: HAdd (c1 * c2 mod n^2, including an unreduced wire cipher) and
 // EncryptWithNonce ((1 + m*n) * nonce mod n^2). Neither needs n = pq, so a

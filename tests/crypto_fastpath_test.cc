@@ -239,6 +239,45 @@ TEST_F(CryptoFastPathWideKeyTest, DecryptBatchMatchesSerial) {
   }
 }
 
+// DecryptBatch runs ciphers 2j and 2j+1 on one Pow2 chain per CRT half and
+// an odd last cipher alone: batches of every parity equal Decrypt cipher by
+// cipher with no pool, a 1-thread and a 2-thread pool. Cipher 3 repeats
+// cipher 2, so one pair is a cipher twice; cipher 5 is 1, below p^2, and
+// cipher 6 is an unreduced wire cipher at or above n^2, which the chain
+// reduces first (paired in the 160-batch, alone in the 7-batch).
+TEST_F(CryptoFastPathWideKeyTest, DecryptBatchPairsMatchDecrypt) {
+  ThreadPool one(1), two(2);
+  std::vector<BigInt> plain, ciphers;
+  for (int i = 0; i < 160; ++i) {
+    plain.push_back(BigInt::RandomBelow(kp_.pub.n(), &rng_));
+    ciphers.push_back(kp_.pub.Encrypt(plain.back(), &rng_));
+  }
+  plain[3] = plain[2];
+  ciphers[3] = ciphers[2];
+  plain[5] = BigInt(0);
+  ciphers[5] = kp_.pub.EncryptUnobfuscated(BigInt(0));
+  ASSERT_LT(ciphers[5].Compare(kp_.priv.p_squared()), 0);
+  ciphers[6] += kp_.pub.n_squared();
+  std::vector<BigInt> expected;
+  for (size_t i = 0; i < ciphers.size(); ++i) {
+    expected.push_back(kp_.priv.Decrypt(ciphers[i]));
+    ASSERT_EQ(expected[i], plain[i]) << i;
+  }
+  for (size_t size : {0u, 1u, 2u, 3u, 7u, 160u}) {
+    const std::vector<BigInt> batch(ciphers.begin(), ciphers.begin() + size);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two}) {
+      const size_t threads = pool == nullptr ? 0 : pool->num_threads();
+      const std::vector<BigInt> out = kp_.priv.DecryptBatch(batch, pool);
+      ASSERT_EQ(out.size(), size) << threads << " threads";
+      for (size_t i = 0; i < size; ++i) {
+        EXPECT_EQ(out[i], expected[i])
+            << size << " ciphers, cipher " << i << ", " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
 TEST_F(CryptoFastPathWideKeyTest, BackendDecryptRawBatchMatchesDecrypt) {
   ThreadPool tp(3);
   PaillierBackend backend(kp_.pub, FixedPointCodec());
