@@ -12,9 +12,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bigint/modarith.h"
@@ -207,14 +210,21 @@ void BM_GhPackedDecrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_GhPackedDecrypt)->Arg(256)->Arg(512)->Arg(1024);
 
-// The end-to-end gradient stream the tentpole targets: B encrypts 64
-// instances, the ciphertexts cross the wire (serialization as the transfer
-// proxy), A accumulates them into 8 bins, B decrypts the bins. Classic path:
-// two ciphers per instance, two accumulators and decryptions per bin.
-void BM_GradStreamUnpacked(benchmark::State& state) {
+// The end-to-end gradient stream: B encrypts 64 instances, the ciphertexts
+// cross the wire (serialization as the transfer proxy), A accumulates them
+// into 8 bins, B decrypts the bins. The classic stream has two ciphers per
+// instance, two accumulators and decryptions per bin; the gh-packed stream
+// one of each. Both run in every iteration, in alternating order, each
+// timed on its own, so a drift in host speed reaches both alike. The
+// counters carry each stream's instances per second and the gh-packed
+// speedup, the median over iterations of the paired time ratio; the
+// reporter emits them as BM_GradStreamUnpacked/<bits>,
+// BM_GradStreamGhPacked/<bits> and GradStreamSpeedup/<bits>.
+void BM_GradStream(benchmark::State& state) {
   Setup& s = GetSetup(state.range(0));
   constexpr int kRows = 64, kBins = 8;
-  for (auto _ : state) {
+  const GhPackLayout layout = GhLayoutFor(*s.backend, kRows);
+  auto unpacked = [&] {
     std::vector<BigInt> g_bins(kBins), h_bins(kBins);
     size_t bytes = 0;
     for (int i = 0; i < kRows; ++i) {
@@ -232,19 +242,8 @@ void BM_GradStreamUnpacked(benchmark::State& state) {
       benchmark::DoNotOptimize(s.backend->DecryptRaw(g_bins[b]));
       benchmark::DoNotOptimize(s.backend->DecryptRaw(h_bins[b]));
     }
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_GradStreamUnpacked)->Arg(256)->Arg(512)->Arg(1024);
-
-// gh-packed stream: one cipher per instance, one accumulator and one
-// decryption per bin. The items/s ratio against BM_GradStreamUnpacked is the
-// tentpole's end-to-end speedup (reported as GradStreamSpeedup/<bits>).
-void BM_GradStreamGhPacked(benchmark::State& state) {
-  Setup& s = GetSetup(state.range(0));
-  constexpr int kRows = 64, kBins = 8;
-  const GhPackLayout layout = GhLayoutFor(*s.backend, kRows);
-  for (auto _ : state) {
+  };
+  auto gh_packed = [&] {
     std::vector<BigInt> bins(kBins);
     size_t bytes = 0;
     for (int i = 0; i < kRows; ++i) {
@@ -262,13 +261,41 @@ void BM_GradStreamGhPacked(benchmark::State& state) {
       VF2_CHECK(slots.ok());
       benchmark::DoNotOptimize(slots->g);
     }
+  };
+  auto seconds = [](const auto& stream) {
+    const auto start = std::chrono::steady_clock::now();
+    stream();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  double unpacked_s = 0, gh_packed_s = 0;
+  std::vector<double> ratios;
+  for (auto _ : state) {
+    double u, g;
+    if (ratios.size() % 2 == 0) {
+      u = seconds(unpacked);
+      g = seconds(gh_packed);
+    } else {
+      g = seconds(gh_packed);
+      u = seconds(unpacked);
+    }
+    unpacked_s += u;
+    gh_packed_s += g;
+    ratios.push_back(u / g);
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  const double instances = static_cast<double>(state.iterations() * kRows);
+  state.counters["unpacked_per_s"] = instances / unpacked_s;
+  state.counters["gh_packed_per_s"] = instances / gh_packed_s;
+  state.counters["speedup"] = ratios[ratios.size() / 2];
 }
-BENCHMARK(BM_GradStreamGhPacked)->Arg(256)->Arg(512)->Arg(1024);
+BENCHMARK(BM_GradStream)->Arg(256)->Arg(512)->Arg(1024);
 
-// Console reporter that additionally records each benchmark's throughput so
-// main() can emit the JSON metrics file.
+// Console reporter that also records each benchmark's throughput in the JSON
+// metrics file, and BM_GradStream's counters as the two streams' throughputs
+// and their speedup.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   explicit CapturingReporter(bench::JsonWriter* json) : json_(json) {}
@@ -276,6 +303,17 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      const std::string name = run.benchmark_name();
+      if (name.starts_with("BM_GradStream/")) {
+        const std::string bits = name.substr(name.find('/') + 1);
+        json_->Add("BM_GradStreamUnpacked/" + bits,
+                   run.counters.at("unpacked_per_s").value, "ops/s");
+        json_->Add("BM_GradStreamGhPacked/" + bits,
+                   run.counters.at("gh_packed_per_s").value, "ops/s");
+        json_->Add("GradStreamSpeedup/" + bits,
+                   run.counters.at("speedup").value, "x");
+        continue;
+      }
       const auto items = run.counters.find("items_per_second");
       double ops = 0;
       if (items != run.counters.end()) {
@@ -285,18 +323,13 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       } else {
         continue;
       }
-      json_->Add(run.benchmark_name(), ops, "ops/s");
-      captured_[run.benchmark_name()] = ops;
+      json_->Add(name, ops, "ops/s");
     }
     ConsoleReporter::ReportRuns(reports);
   }
 
-  /// ops/s by benchmark name, for derived metrics computed after the run.
-  const std::map<std::string, double>& captured() const { return captured_; }
-
  private:
   bench::JsonWriter* json_;
-  std::map<std::string, double> captured_;
 };
 
 }  // namespace
@@ -321,19 +354,6 @@ int main(int argc, char** argv) {
   vf2boost::CapturingReporter reporter(&json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  // Derived: the tentpole's end-to-end gradient-stream speedup per key size.
-  const auto& got = reporter.captured();
-  for (const char* bits : {"256", "512", "1024"}) {
-    const auto packed =
-        got.find(std::string("BM_GradStreamGhPacked/") + bits);
-    const auto classic =
-        got.find(std::string("BM_GradStreamUnpacked/") + bits);
-    if (packed != got.end() && classic != got.end() &&
-        classic->second > 0) {
-      json.Add(std::string("GradStreamSpeedup/") + bits,
-               packed->second / classic->second, "x");
-    }
-  }
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;
   return 0;
 }

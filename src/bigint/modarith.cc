@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/threadpool.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define VF2_HAVE_X86_KERNELS 1
@@ -886,7 +887,7 @@ void MontgomeryContext::Pow2(const BigInt& b0, const BigInt& b1,
 
 FixedBasePowTable::FixedBasePowTable(
     std::shared_ptr<const MontgomeryContext> ctx, BigInt base,
-    size_t max_exp_bits, size_t window_bits)
+    size_t max_exp_bits, size_t window_bits, ThreadPool* pool)
     : ctx_(std::move(ctx)),
       base_(std::move(base)),
       max_exp_bits_(max_exp_bits),
@@ -899,26 +900,44 @@ FixedBasePowTable::FixedBasePowTable(
   const size_t w = chain_.words;
   table_.assign(num_windows_ * table_digits_ * w, 0);
 
-  // Window i holds e_d = g^d for g = base^(2^(w*i)). Past e_2 = e_1², the
-  // powers come in independent pairs e_{2j+1} = e_j·e_{j+1} and
-  // e_{2j+2} = e_{j+1}², and e_{2^w} is the next window's g.
-  std::vector<uint64_t> last_g(w);  // g past the last window
+  // Window i holds e_d = g^d for g = base^(2^(w*i)). The serial pass walks
+  // the squaring chain of base: e_1, e_2, e_4, ..., e_(2^(w-1)) of window i,
+  // and then e_(2^w), the next window's g. Every other entry of a window
+  // comes from its own powers of two only, so the windows fill
+  // independently.
   auto e = [&](size_t i, size_t d) -> uint64_t* {
-    if (d <= table_digits_) {
-      return table_.data() + (i * table_digits_ + (d - 1)) * w;
+    if (d > table_digits_) {  // e_(2^w) is the next window's e_1
+      ++i;
+      d = 1;
     }
-    return i + 1 < num_windows_ ? table_.data() + (i + 1) * table_digits_ * w
-                                : last_g.data();
+    return table_.data() + (i * table_digits_ + (d - 1)) * w;
   };
   uint64_t* g = e(0, 1);
   ctx_->LoadRaw(Mod(base_, ctx_->modulus()), g);
   ctx_->ChainEnter(chain_, g, g);
   for (size_t i = 0; i < num_windows_; ++i) {
-    ctx_->ChainMul(chain_, e(i, 1), e(i, 1), e(i, 2));
-    for (size_t j = 1; 2 * j + 2 <= table_digits_ + 1; ++j) {
-      ctx_->ChainMul2(chain_, e(i, j), e(i, j + 1), e(i, 2 * j + 1),
-                      e(i, j + 1), e(i, j + 1), e(i, 2 * j + 2));
+    const size_t top = i + 1 < num_windows_ ? window_bits_ : window_bits_ - 1;
+    for (size_t d = 1; d < (size_t{1} << top); d *= 2) {
+      ctx_->ChainMul(chain_, e(i, d), e(i, d), e(i, 2 * d));
     }
+  }
+  // Past the powers of two, entries come in independent pairs
+  // e_(2j+1) = e_j·e_(j+1) and e_(2j+2) = e_(j+1)², one ChainMul2 each; a
+  // pair whose square is a power of two has it already.
+  auto fill = [&](size_t i) {
+    for (size_t j = 1; 2 * j + 1 <= table_digits_; ++j) {
+      if (((2 * j + 2) & (2 * j + 1)) == 0) {
+        ctx_->ChainMul(chain_, e(i, j), e(i, j + 1), e(i, 2 * j + 1));
+      } else {
+        ctx_->ChainMul2(chain_, e(i, j), e(i, j + 1), e(i, 2 * j + 1),
+                        e(i, j + 1), e(i, j + 1), e(i, 2 * j + 2));
+      }
+    }
+  };
+  if (pool != nullptr && pool->num_threads() >= 2) {
+    pool->ParallelFor(num_windows_, fill);
+  } else {
+    for (size_t i = 0; i < num_windows_; ++i) fill(i);
   }
 }
 

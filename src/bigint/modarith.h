@@ -11,6 +11,7 @@
 namespace vf2boost {
 
 class MontgomeryContext;
+class ThreadPool;
 
 /// \brief Runtime-selectable Montgomery multiply kernel.
 ///
@@ -225,9 +226,14 @@ class FixedBasePowTable {
  public:
   /// Builds the table for exponents in [0, 2^max_exp_bits) with
   /// window_bits-bit digits (1..8). The context is shared (not copied); it
-  /// must describe the modulus `base` lives under.
+  /// must describe the modulus `base` lives under. One serial pass squares
+  /// its way through every window's powers of two (w squarings a window);
+  /// the rest of each window depends on those alone, so the windows are
+  /// then filled across `pool` when it has two threads or more, and in turn
+  /// otherwise. The entries are the same either way.
   FixedBasePowTable(std::shared_ptr<const MontgomeryContext> ctx, BigInt base,
-                    size_t max_exp_bits, size_t window_bits);
+                    size_t max_exp_bits, size_t window_bits,
+                    ThreadPool* pool = nullptr);
 
   /// base^exp mod m. exp must be in [0, 2^max_exp_bits).
   BigInt Pow(const BigInt& exp) const;

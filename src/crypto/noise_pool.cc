@@ -62,7 +62,7 @@ void NoisePool::PublishFill(size_t fill) {
 }
 
 void NoisePool::ProducerLoop() {
-  pub_.PrepareNonces();  // the one-off table build, before any demand
+  pub_.PrepareNonces();  // the one-off table build, unless the key has it
   Rng rng(seed_ ^ 0x9e3779b97f4a7c15ULL);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {

@@ -20,9 +20,10 @@ namespace vf2boost {
 /// Even on the window-8 table a nonce costs up to 32 Montgomery multiplies
 /// (under IFMA, two interleaved halves of 16 that run in little more than
 /// the time of one); this pool moves that work off the critical path. One
-/// producer thread first builds the key's nonce table (PrepareNonces) as
-/// soon as the pool exists, off the consumer threads, then keeps up to
-/// `capacity` nonces ready, refilling as consumers take. `Encrypt` on the
+/// producer thread first makes sure the key's nonce table is built
+/// (PrepareNonces: Party B has already built it across its workers in
+/// set-up, so for B this returns at once), then keeps up to `capacity`
+/// nonces ready, refilling as consumers take. `Encrypt` on the
 /// consumer side degenerates to one modular multiply while nonce generation
 /// overlaps the previous batch's transfer and accumulation (paper §4.1
 /// pipelining, extended one stage earlier).
@@ -48,9 +49,10 @@ class NoisePool {
     uint64_t produced = 0;  ///< nonces pre-computed by the producer
   };
 
-  /// Starts the producer thread, which builds the key's nonce table and
-  /// then waits for demand. `seed` derives its deterministic exponent
-  /// stream and the miss stream. Until AddDemand, every Take misses.
+  /// Starts the producer thread, which builds the key's nonce table unless
+  /// the key already has it and then waits for demand. `seed` derives its
+  /// deterministic exponent stream and the miss stream. Until AddDemand,
+  /// every Take misses.
   NoisePool(PaillierPublicKey pub, size_t capacity, uint64_t seed);
   ~NoisePool();
 

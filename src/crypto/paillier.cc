@@ -48,9 +48,10 @@ PaillierPublicKey::PaillierPublicKey(BigInt n)
   r_pow2_ = std::move(r_pow2);
 }
 
-const FixedBasePowTable& PaillierPublicKey::nonce_table() const {
+const FixedBasePowTable& PaillierPublicKey::nonce_table(
+    ThreadPool* pool) const {
   VF2_CHECK(nonces_ != nullptr) << "nonce drawn from an empty Paillier key";
-  std::call_once(nonces_->once, [this] {
+  std::call_once(nonces_->once, [this, pool] {
     // h = -y^2 mod n for a public y in Z_n^*; h_s = h^n mod n^2. One full
     // S-bit exponentiation buys every later nonce the short fixed-base path.
     Rng rng(ObfuscationSeed(n_));
@@ -61,12 +62,14 @@ const FixedBasePowTable& PaillierPublicKey::nonce_table() const {
     const BigInt h = n_ - Mod(y * y, n_);  // -y^2 mod n, nonzero: y in Z_n^*
     nonces_->table = std::make_unique<const FixedBasePowTable>(
         mont_n2_, mont_n2_->Pow(h, n_), kObfuscationExpBits,
-        kNonceWindowBits);
+        kNonceWindowBits, pool);
   });
   return *nonces_->table;
 }
 
-void PaillierPublicKey::PrepareNonces() const { nonce_table(); }
+void PaillierPublicKey::PrepareNonces(ThreadPool* pool) const {
+  nonce_table(pool);
+}
 
 void PaillierPublicKey::LoadReduced(const BigInt& c, uint64_t* out) const {
   if (c.IsNegative() || c.Compare(n2_) >= 0) {
@@ -286,23 +289,26 @@ std::vector<BigInt> PaillierPrivateKey::DecryptBatch(
   return out;
 }
 
-Result<PaillierKeyPair> PaillierKeyPair::Generate(size_t key_bits, Rng* rng) {
+Result<PaillierKeyPair> PaillierKeyPair::Generate(size_t key_bits, Rng* rng,
+                                                  ThreadPool* pool) {
   if (key_bits < 64 || key_bits % 2 != 0) {
     return Status::InvalidArgument(
         "Paillier key size must be even and >= 64, got " +
         std::to_string(key_bits));
   }
   for (;;) {
-    const BigInt p = GeneratePrime(key_bits / 2, rng);
-    const BigInt q = GeneratePrime(key_bits / 2, rng);
+    // p and q are searched from seeds of their own, across the pool; the
+    // key does not depend on the pool.
+    const std::vector<BigInt> primes = GeneratePrimes(
+        key_bits / 2, {rng->NextU64(), rng->NextU64()}, pool);
+    const BigInt& p = primes[0];
+    const BigInt& q = primes[1];
     if (p == q) continue;
-    const BigInt n = p * q;
-    // With equal-size primes gcd(n, (p-1)(q-1)) == 1 unless p | q-1 or
-    // q | p-1, which cannot happen at equal bit lengths — but n can lose a
-    // bit; retry to keep key_bits exact.
-    if (n.BitLength() != key_bits) continue;
+    // Both primes have their top two bits set, so n has exactly key_bits
+    // bits. With equal-size primes gcd(n, (p-1)(q-1)) == 1 unless p | q-1 or
+    // q | p-1, which cannot happen at equal bit lengths.
     PaillierKeyPair kp;
-    kp.pub = PaillierPublicKey(n);
+    kp.pub = PaillierPublicKey(p * q);
     kp.priv = PaillierPrivateKey(kp.pub, p, q);
     return kp;
   }

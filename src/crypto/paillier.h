@@ -27,11 +27,13 @@ namespace vf2boost {
 /// multiplies per nonce.
 ///
 /// h_s and that table (2.6 MB at a 1024-bit key and 5.2 MB at 2048 under
-/// the IFMA kernel, 2 and 4 MB under the others) are built once,
-/// by the first MakeNonce on the key or any copy of it, and shared by every
-/// copy; concurrent first uses build them once. A key that only adds and
-/// scales ciphers — Party A's — never builds them. The Montgomery context
-/// of n^2 and the fold-count table are built with the key and shared too.
+/// the IFMA kernel, 2 and 4 MB under the others) are built once, by the
+/// first PrepareNonces or MakeNonce on the key or any copy of it, and shared
+/// by every copy; concurrent first uses build them once. The keyholder,
+/// Party B, builds them during set-up with PrepareNonces over its worker
+/// pool, so its first tree finds them ready. A key that only adds and scales
+/// ciphers — Party A's — never builds them. The Montgomery context of n^2
+/// and the fold-count table are built with the key and shared too.
 class PaillierPublicKey {
  public:
   /// Statistical-security parameter of the short-exponent obfuscation; the
@@ -58,13 +60,15 @@ class PaillierPublicKey {
   /// Draws a fresh obfuscation nonce h_s^x mod n^2 (x short random
   /// exponent). Pre-generating nonces (see NoisePool) turns Encrypt into a
   /// single modular multiply on the critical path. The first call on a key
-  /// builds the nonce table (see PrepareNonces).
+  /// builds the nonce table unless PrepareNonces already has.
   BigInt MakeNonce(Rng* rng) const;
 
   /// Builds h_s and the nonce table now, unless a MakeNonce or
   /// PrepareNonces on this key (or a copy) already has; blocks until they
-  /// are ready. Lets the keyholder pay the build off its critical path.
-  void PrepareNonces() const;
+  /// are ready. Lets the keyholder pay the build before its first tree.
+  /// h_s is one serial exponentiation; the table's windows are filled
+  /// across `pool` when it has two threads or more.
+  void PrepareNonces(ThreadPool* pool = nullptr) const;
 
   /// Encrypts with a caller-provided nonce from MakeNonce (or a NoisePool):
   /// c = (1 + m*n) * nonce mod n^2.
@@ -112,7 +116,7 @@ class PaillierPublicKey {
 
   /// The fixed-base table of h_s, built on first use (defined in the .cc).
   struct NonceTable;
-  const FixedBasePowTable& nonce_table() const;
+  const FixedBasePowTable& nonce_table(ThreadPool* pool = nullptr) const;
 
   BigInt n_;
   BigInt n2_;
@@ -180,11 +184,17 @@ struct PaillierKeyPair {
   PaillierPublicKey pub;
   PaillierPrivateKey priv;
 
-  /// Generates a key with an S-bit modulus n = p*q (p, q primes of S/2
-  /// bits). key_bits must be even and >= 64. The paper uses S = 2048; the
-  /// test suite uses 256-512 for speed — every measured ratio is also
-  /// spot-checked at larger sizes in the benches.
-  static Result<PaillierKeyPair> Generate(size_t key_bits, Rng* rng);
+  /// Generates a key with an S-bit modulus n = p*q (p, q distinct primes of
+  /// S/2 bits with their top two bits set, so every pair found gives exactly
+  /// S bits). key_bits must be even and >= 64. Two seeds drawn from `rng`
+  /// drive the searches for p and q, whose candidates are tested across
+  /// `pool` when it has two threads or more and on the calling thread
+  /// otherwise (GeneratePrimes); the key depends only on `rng`, never on the
+  /// pool. The paper uses S = 2048; the test suite
+  /// uses 256-512 for speed — every measured ratio is also spot-checked at
+  /// larger sizes in the benches.
+  static Result<PaillierKeyPair> Generate(size_t key_bits, Rng* rng,
+                                          ThreadPool* pool = nullptr);
 };
 
 }  // namespace vf2boost

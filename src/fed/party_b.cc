@@ -100,9 +100,18 @@ Status PartyBEngine::Setup() {
   if (config_.mock_crypto) {
     backend_ = std::make_unique<MockBackend>(config_.MakeCodec());
   } else {
-    VF2_TRACE_SPAN("crypto", "keygen");
-    auto kp = PaillierKeyPair::Generate(config_.paillier_bits, &rng_);
+    // B's pool is idle during set-up: the prime searches run across it, and
+    // the nonce table is filled on it before any tree needs a nonce.
+    Result<PaillierKeyPair> kp = [&] {
+      VF2_TRACE_SPAN("crypto", "keygen");
+      return PaillierKeyPair::Generate(config_.paillier_bits, &rng_,
+                                       pool_.get());
+    }();
     VF2_RETURN_IF_ERROR(kp.status());
+    {
+      VF2_TRACE_SPAN("crypto", "nonce_table");
+      kp->pub.PrepareNonces(pool_.get());
+    }
     const auto kernel = [](const BigInt& ring) {
       const size_t limbs = ring.limbs().size();
       return std::string(MontKernelName(MontKernelFor(limbs))) + " (" +
@@ -116,9 +125,9 @@ Status PartyBEngine::Setup() {
         std::make_unique<PaillierBackend>(kp->pub, config_.MakeCodec());
     pb->SetPrivateKey(kp->priv);
     if (config_.noise_pool_capacity > 0) {
-      // The pool's producer starts building the nonce table now, off the
-      // thread that sends the key; the run's demand follows once the trees
-      // left are known. No more than one tree's nonces are held.
+      // The pool's producer finds the nonce table built; the run's demand
+      // follows once the trees left are known. No more than one tree's
+      // nonces are held.
       noise_pool_ = std::make_shared<NoisePool>(
           kp->pub, std::min(config_.noise_pool_capacity, NoncesPerTree()),
           config_.seed ^ 0x6e6f697365ULL);  // "noise"

@@ -450,6 +450,96 @@ TEST(BigIntOracle, PrimalityAgreement) {
   }
 }
 
+// Miller–Rabin run round by round with GMP's arithmetic: each witness is
+// drawn from `rng` in round order, the way IsProbablePrime draws them, so
+// both see the same witnesses. n must be odd and free of factors below 256
+// (IsProbablePrime's trial division decides those before any round).
+bool ReferenceMillerRabin(const BigInt& n, Rng* rng, int rounds) {
+  Gmp gn(n), n_minus_1, d, x;
+  mpz_sub_ui(n_minus_1.get(), gn.get(), 1);
+  const mp_bitcnt_t r = mpz_scan1(n_minus_1.get(), 0);
+  mpz_tdiv_q_2exp(d.get(), n_minus_1.get(), r);
+  const BigInt n_minus_3 = n - BigInt(3);
+  for (int round = 0; round < rounds; ++round) {
+    Gmp a(BigInt::RandomBelow(n_minus_3, rng) + BigInt(2));
+    mpz_powm(x.get(), a.get(), d.get(), gn.get());
+    bool passes =
+        mpz_cmp_ui(x.get(), 1) == 0 || mpz_cmp(x.get(), n_minus_1.get()) == 0;
+    for (mp_bitcnt_t i = 1; i < r && !passes; ++i) {
+      mpz_powm_ui(x.get(), x.get(), 2, gn.get());
+      passes = mpz_cmp(x.get(), n_minus_1.get()) == 0;
+    }
+    if (!passes) return false;
+  }
+  return true;
+}
+
+// The first Chernick Carmichael number (6k+1)(12k+1)(18k+1) with k >= 2^k_bits
+// and all three factors prime. It passes the Fermat test for every base
+// coprime to it; Miller–Rabin catches it with probability >= 3/4 a round.
+BigInt ChernickCarmichael(size_t k_bits) {
+  Gmp k(BigInt(1) << k_bits), f[3], n;
+  for (;; mpz_add_ui(k.get(), k.get(), 1)) {
+    bool all_prime = true;
+    for (unsigned i = 0; i < 3 && all_prime; ++i) {
+      mpz_mul_ui(f[i].get(), k.get(), 6 * (i + 1));
+      mpz_add_ui(f[i].get(), f[i].get(), 1);
+      all_prime = mpz_probab_prime_p(f[i].get(), 25) > 0;
+    }
+    if (!all_prime) continue;
+    mpz_mul(n.get(), f[0].get(), f[1].get());
+    mpz_mul(n.get(), n.get(), f[2].get());
+    return BigInt::FromDecString(n.Str()).value();
+  }
+}
+
+// IsProbablePrime runs round 1 alone, then pairs of rounds on one Pow2
+// chain, then an odd last round alone. Its verdict must be the round-by-round
+// reference's with the same witnesses, at 1, 2, 3 and 24 rounds, and GMP's
+// on primes, on products of two primes and, at 24 rounds, on Carmichael
+// numbers (which the odd round counts catch only most of the time).
+TEST(BigIntOracle, PairedMillerRabinMatchesGmp) {
+  Rng rng(1017);
+  std::vector<std::pair<std::string, BigInt>> inputs;
+  for (size_t bits : {512u, 1024u}) {
+    const BigInt p = GeneratePrime(bits, &rng);
+    const BigInt q = GeneratePrime(bits / 2, &rng);
+    const BigInt r = GeneratePrime(bits / 2, &rng);
+    inputs.emplace_back(std::to_string(bits) + "-bit prime", p);
+    inputs.emplace_back(std::to_string(bits) + "-bit product", q * r);
+  }
+  for (size_t k_bits : {80u, 166u}) {
+    inputs.emplace_back("Carmichael, k >= 2^" + std::to_string(k_bits),
+                        ChernickCarmichael(k_bits));
+  }
+  size_t carmichael_liars = 0;
+  for (const auto& [name, n] : inputs) {
+    Gmp gn(n);
+    const bool gmp_prime = mpz_probab_prime_p(gn.get(), 30) > 0;
+    const bool carmichael = name.starts_with("Carmichael");
+    if (carmichael) {
+      ASSERT_FALSE(gmp_prime) << name;
+    }
+    for (int rounds : {1, 2, 3, 24}) {
+      for (uint64_t seed = 0; seed < 16; ++seed) {
+        SCOPED_TRACE(name + ", " + std::to_string(rounds) + " rounds, seed " +
+                     std::to_string(seed));
+        Rng ours(seed), theirs(seed);
+        const bool got = IsProbablePrime(n, &ours, rounds);
+        EXPECT_EQ(got, ReferenceMillerRabin(n, &theirs, rounds));
+        if (!carmichael || rounds == 24) {
+          EXPECT_EQ(got, gmp_prime);
+        } else if (got) {
+          ++carmichael_liars;
+        }
+      }
+    }
+  }
+  // Some Carmichael witness was a strong liar, so a paired or last round had
+  // to catch what round 1 let through.
+  EXPECT_GT(carmichael_liars, 0u);
+}
+
 TEST(BigIntOracle, ShiftAgreement) {
   Rng rng(1015);
   for (int i = 0; i < 100; ++i) {

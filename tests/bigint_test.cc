@@ -5,6 +5,7 @@
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
 #include "common/random.h"
+#include "common/threadpool.h"
 
 namespace vf2boost {
 namespace {
@@ -306,11 +307,37 @@ TEST(PrimeTest, KnownPrimesAndComposites) {
 
 TEST(PrimeTest, GeneratedPrimeHasExactBitsAndPassesTest) {
   Rng rng(83);
-  for (size_t bits : {64u, 128u, 256u}) {
-    BigInt p = GeneratePrime(bits, &rng);
-    EXPECT_EQ(p.BitLength(), bits);
-    EXPECT_TRUE(p.IsOdd());
-    EXPECT_TRUE(IsProbablePrime(p, &rng));
+  for (size_t bits : {8u, 9u, 64u, 65u, 128u, 256u}) {
+    for (int i = 0; i < 8; ++i) {
+      BigInt p = GeneratePrime(bits, &rng);
+      EXPECT_EQ(p.BitLength(), bits);
+      // The top two bits are set: p >= 1.5 * 2^(bits-1).
+      EXPECT_TRUE(p.TestBit(bits - 2)) << p.ToDecString();
+      EXPECT_TRUE(p.IsOdd());
+      EXPECT_TRUE(IsProbablePrime(p, &rng));
+    }
+  }
+}
+
+// The candidates of every search are shared out across the pool, and each
+// search keeps its lowest candidate that passes: the primes depend on the
+// seeds alone, and a search finds the same prime beside others or alone.
+TEST(PrimeTest, GeneratedPrimesDoNotDependOnThePool) {
+  const std::vector<uint64_t> seeds = {11, 12, 13};
+  const std::vector<BigInt> want = GeneratePrimes(256, seeds);
+  ASSERT_EQ(want.size(), seeds.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_EQ(want[i].BitLength(), 256u);
+    EXPECT_TRUE(want[i].TestBit(254));
+    EXPECT_TRUE(GeneratePrimes(256, {seeds[i]}).front() == want[i]) << i;
+  }
+  for (size_t threads : {1u, 2u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    const std::vector<BigInt> got = GeneratePrimes(256, seeds, &pool);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(got[i] == want[i]) << threads << " threads, search " << i;
+    }
   }
 }
 

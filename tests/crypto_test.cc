@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
+#include "common/threadpool.h"
 #include "crypto/backend.h"
 #include "crypto/encoding.h"
 
@@ -30,6 +33,53 @@ TEST_F(PaillierTest, KeyGenValidation) {
   ASSERT_TRUE(kp.ok());
   EXPECT_EQ(kp->pub.key_bits(), 128u);
   EXPECT_EQ(kp->pub.n_squared(), kp->pub.n() * kp->pub.n());
+}
+
+// Every pair of primes found is kept: both have their top two bits set, so
+// n has exactly key_bits bits at every seed.
+TEST(PaillierKeyGenTest, ModulusHasExactlyKeyBits) {
+  const std::pair<size_t, int> kSizes[] = {{64, 200}, {128, 200}, {512, 3},
+                                           {1024, 2}};
+  for (const auto& [bits, seeds] : kSizes) {
+    for (int seed = 0; seed < seeds; ++seed) {
+      SCOPED_TRACE(std::to_string(bits) + "-bit key, seed " +
+                   std::to_string(seed));
+      Rng rng(9000 + seed);
+      auto kp = PaillierKeyPair::Generate(bits, &rng);
+      ASSERT_TRUE(kp.ok()) << kp.status().ToString();
+      EXPECT_EQ(kp->pub.key_bits(), bits);
+      EXPECT_NE(kp->priv.p_squared(), kp->priv.q_squared());  // p != q
+      EXPECT_EQ(kp->priv.p_squared() * kp->priv.q_squared(),
+                kp->pub.n_squared());
+      const BigInt m = BigInt::RandomBelow(kp->pub.n(), &rng);
+      EXPECT_EQ(kp->priv.Decrypt(kp->pub.Encrypt(m, &rng)), m);
+    }
+  }
+}
+
+// p and q are searched from seeds of their own, across a pool of two
+// threads or more: the key depends on the seed alone.
+TEST(PaillierKeyGenTest, KeyDoesNotDependOnThePool) {
+  ThreadPool one(1), two(2), four(4);
+  for (size_t bits : {128u, 256u, 512u}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::to_string(bits) + "-bit key, seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      auto want = PaillierKeyPair::Generate(bits, &rng);
+      ASSERT_TRUE(want.ok());
+      for (ThreadPool* pool : {&one, &two, &four}) {
+        Rng pooled_rng(seed);
+        auto got = PaillierKeyPair::Generate(bits, &pooled_rng, pool);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->pub.n(), want->pub.n()) << pool->num_threads();
+        EXPECT_EQ(got->priv.p_squared(), want->priv.p_squared());
+        EXPECT_EQ(got->priv.q_squared(), want->priv.q_squared());
+        // The caller's stream advances the same way too.
+        EXPECT_EQ(pooled_rng.NextU64(), Rng(rng).NextU64());
+      }
+    }
+  }
 }
 
 TEST_F(PaillierTest, EncryptDecryptRoundTrip) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/threadpool.h"
 
 namespace vf2boost {
 namespace {
@@ -290,6 +293,63 @@ TEST(ModArithSimd, ChainStepsMatchScalar) {
             << MontKernelName(kernel) << ", k = " << k;
         EXPECT_EQ(ctx.ChainLeave(c, v.data()), r_pow)
             << MontKernelName(kernel) << ", k = " << k;
+      }
+    }
+  }
+}
+
+// The table build walks each window's powers of two serially and then
+// fills the windows independently, across a pool when it has two threads
+// or more. Every kernel the host runs, windows 1, 4 and 8, and exponent
+// widths at and around a whole number of windows: the pooled builds hold
+// the serial build's residues entry by entry, and those are the powers
+// they stand for.
+TEST(ModArithSimd, PooledFixedBaseTableMatchesSerialBuild) {
+  KernelGuard guard;
+  Rng rng(20261020);
+  auto ctx = std::make_shared<const MontgomeryContext>(
+      RandomOddModulus(1024, &rng));
+  const BigInt base = BigInt::RandomBelow(ctx->modulus(), &rng);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t threads : {1u, 2u, 3u}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (MontKernel kernel : HostKernels()) {
+    SetMontKernel(kernel);
+    for (size_t window : {1u, 4u, 8u}) {
+      for (size_t exp_bits : {1u, 255u, 256u, 257u}) {
+        SCOPED_TRACE(std::string(MontKernelName(kernel)) + ", window " +
+                     std::to_string(window) + ", " + std::to_string(exp_bits) +
+                     "-bit exponents");
+        const FixedBasePowTable serial(ctx, base, exp_bits, window);
+        // The last window ends the serial squaring chain through them all.
+        const size_t digits = (size_t{1} << window) - 1;
+        const size_t last = serial.num_windows() - 1;
+        for (size_t i : std::set<size_t>{0, std::min<size_t>(1, last), last}) {
+          for (size_t d : std::set<size_t>{1, std::min<size_t>(2, digits),
+                                           digits}) {
+            EXPECT_EQ(serial.EntryResidue(i, d),
+                      ctx->Pow(base, BigInt(d) << (window * i)))
+                << "entry (" << i << ", " << d << ")";
+          }
+        }
+        const BigInt top = (BigInt(1) << exp_bits) - BigInt(1);
+        EXPECT_EQ(serial.Pow(top), ctx->Pow(base, top));
+        for (const auto& pool : pools) {
+          const FixedBasePowTable pooled(ctx, base, exp_bits, window,
+                                         pool.get());
+          ASSERT_EQ(pooled.num_windows(), serial.num_windows());
+          size_t mismatches = 0;
+          for (size_t i = 0; i < serial.num_windows(); ++i) {
+            for (size_t d = 1; d <= digits; ++d) {
+              if (pooled.EntryResidue(i, d) != serial.EntryResidue(i, d)) {
+                ADD_FAILURE() << pool->num_threads() << " threads: entry ("
+                              << i << ", " << d << ") differs";
+                if (++mismatches == 5) return;
+              }
+            }
+          }
+        }
       }
     }
   }
